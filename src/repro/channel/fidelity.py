@@ -40,13 +40,13 @@ import bisect
 import dataclasses
 import json
 import math
-import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro import knobs
 from repro.channel.link import (
     Interferer,
     JammerSignalType,
@@ -67,7 +67,7 @@ if TYPE_CHECKING:
 CHANNEL_ENV = "REPRO_CHANNEL"
 
 #: The recognised fidelity tiers, cheapest first.
-CHANNEL_TIERS = ("analytic", "hybrid", "waveform")
+CHANNEL_TIERS = knobs.KNOBS[CHANNEL_ENV].choices
 
 #: Environment variable overriding the calibration-artifact path used by
 #: the hybrid tier (defaults to the committed artifact in
@@ -79,73 +79,31 @@ CALIBRATION_ENV = "REPRO_CALIBRATION"
 CHANNEL_TRIALS_ENV = "REPRO_CHANNEL_TRIALS"
 
 #: Default trials per (signal, margin-bin, overlap-bin) cache entry.
-DEFAULT_CHANNEL_TRIALS = 32
+DEFAULT_CHANNEL_TRIALS = knobs.KNOBS[CHANNEL_TRIALS_ENV].default
 
 #: Environment variable setting the waveform-tier margin bin width (dB).
 CHANNEL_BIN_ENV = "REPRO_CHANNEL_BIN"
 
 #: Default margin quantisation of the waveform trial cache, in dB.
-DEFAULT_MARGIN_BIN_DB = 0.5
+DEFAULT_MARGIN_BIN_DB = knobs.KNOBS[CHANNEL_BIN_ENV].default
 
 #: Chip-overlap (spectral offset) quantisation, MHz per bin.
 OFFSET_BIN_MHZ = 0.5
 
 
 def resolve_channel_tier(tier: str | None = None) -> str:
-    """Resolve the fidelity tier from an argument or ``REPRO_CHANNEL``.
-
-    Empty/whitespace-only values count as unset (``analytic``), mirroring
-    the other ``REPRO_*`` resolvers.
-    """
-    if tier is None:
-        tier = os.environ.get(CHANNEL_ENV)
-    if isinstance(tier, str):
-        tier = tier.strip().lower()
-    if not tier:
-        return "analytic"
-    if tier not in CHANNEL_TIERS:
-        raise ChannelError(
-            f"unknown channel tier {tier!r}; expected one of {CHANNEL_TIERS}"
-        )
-    return tier
+    """Resolve the fidelity tier from an argument or ``REPRO_CHANNEL``."""
+    return knobs.get(CHANNEL_ENV, tier)
 
 
 def resolve_channel_trials(trials: int | str | None = None) -> int:
     """Resolve the waveform-tier trial budget from ``REPRO_CHANNEL_TRIALS``."""
-    if trials is None:
-        trials = os.environ.get(CHANNEL_TRIALS_ENV)
-    if isinstance(trials, str):
-        trials = trials.strip()
-    if trials is None or trials == "":
-        return DEFAULT_CHANNEL_TRIALS
-    try:
-        n = int(trials)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"invalid channel trial budget {trials!r}; expected an integer"
-        ) from None
-    if n < 1:
-        raise ConfigurationError(f"channel trial budget must be >= 1, got {n}")
-    return n
+    return knobs.get(CHANNEL_TRIALS_ENV, trials)
 
 
 def resolve_margin_bin_db(width: float | str | None = None) -> float:
     """Resolve the waveform-tier margin bin width from ``REPRO_CHANNEL_BIN``."""
-    if width is None:
-        width = os.environ.get(CHANNEL_BIN_ENV)
-    if isinstance(width, str):
-        width = width.strip()
-    if width is None or width == "":
-        return DEFAULT_MARGIN_BIN_DB
-    try:
-        w = float(width)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"invalid channel margin bin {width!r}; expected a number of dB"
-        ) from None
-    if not w > 0.0:
-        raise ConfigurationError(f"channel margin bin must be > 0 dB, got {w}")
-    return w
+    return knobs.get(CHANNEL_BIN_ENV, width)
 
 
 def offset_bin_index(offset_mhz: float) -> int:
@@ -501,8 +459,7 @@ def load_default_calibration() -> CalibrationTable:
     ``REPRO_CALIBRATION`` overrides the committed default, the same way a
     policy bundle path would.
     """
-    override = os.environ.get(CALIBRATION_ENV, "").strip()
-    path = override if override else str(DEFAULT_CALIBRATION_PATH)
+    path = knobs.get(CALIBRATION_ENV) or str(DEFAULT_CALIBRATION_PATH)
     table = _calibration_cache.get(path)
     if table is None:
         table = _calibration_cache[path] = CalibrationTable.load(path)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -28,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.stats import binom
 
+from repro import knobs
 from repro.constants import (
     DSSS_PROCESSING_GAIN_DB,
     WIFI_BANDWIDTH_MHZ,
@@ -67,7 +67,7 @@ CHIP_FLIP_SLOPE_DB = 2.0
 PER_CACHE_ENV = "REPRO_PER_CACHE"
 
 #: Default number of memoised PER entries per :class:`LinkTable`.
-DEFAULT_PER_CACHE_CAPACITY = 1 << 16
+DEFAULT_PER_CACHE_CAPACITY = knobs.KNOBS[PER_CACHE_ENV].default
 
 
 def resolve_per_cache_capacity(value: int | str | None = None) -> int:
@@ -77,22 +77,7 @@ def resolve_per_cache_capacity(value: int | str | None = None) -> int:
     :data:`DEFAULT_PER_CACHE_CAPACITY`; ``0``, ``off`` or ``none`` disable
     caching entirely.
     """
-    if value is None:
-        value = os.environ.get(PER_CACHE_ENV)
-    if value is None or value == "":
-        return DEFAULT_PER_CACHE_CAPACITY
-    if isinstance(value, str) and value.strip().lower() in ("off", "none"):
-        return 0
-    try:
-        capacity = int(value)
-    except (TypeError, ValueError):
-        raise ChannelError(
-            f"invalid PER cache capacity {value!r}; expected an integer, "
-            f"'off', or 'none'"
-        ) from None
-    if capacity < 0:
-        raise ChannelError(f"PER cache capacity must be >= 0, got {capacity}")
-    return capacity
+    return knobs.get(PER_CACHE_ENV, value)
 
 
 class JammerSignalType(enum.Enum):

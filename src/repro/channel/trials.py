@@ -27,12 +27,12 @@ hits land in the :mod:`repro.obs` metrics registry and hence in the
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from repro import knobs
 from repro.channel.link import JammerSignalType
 from repro.channel.noise import db_to_linear
 from repro.channel.waveform import (
@@ -40,7 +40,7 @@ from repro.channel.waveform import (
     make_jamming_waveform,
     scale_to_power,
 )
-from repro.errors import ChannelError, ConfigurationError
+from repro.errors import ChannelError
 from repro.exec.runner import ParallelRunner
 from repro.obs.metrics import METRICS
 from repro.phy import zigbee
@@ -53,13 +53,13 @@ JAMMER_BANK_ENV = "REPRO_JAMMER_BANK"
 
 #: Default bank size: 32768 samples (~1.6 ms of burst at 20 Msps), a few
 #: frame lengths of material so random slices decorrelate across trials.
-DEFAULT_BANK_SAMPLES = 1 << 15
+DEFAULT_BANK_SAMPLES = knobs.KNOBS[JAMMER_BANK_ENV].default
 
 #: Environment variable selecting how many trials ship per pool task.
 TRIAL_BATCH_ENV = "REPRO_TRIAL_BATCH"
 
 #: Default trials per dispatch chunk.
-DEFAULT_TRIAL_BATCH = 64
+DEFAULT_TRIAL_BATCH = knobs.KNOBS[TRIAL_BATCH_ENV].default
 
 
 def resolve_bank_samples(samples: int | str | None = None) -> int:
@@ -67,49 +67,12 @@ def resolve_bank_samples(samples: int | str | None = None) -> int:
 
     Returns ``0`` when the bank is disabled (``0``/``off``/``none``).
     """
-    if samples is None:
-        samples = os.environ.get(JAMMER_BANK_ENV)
-    if isinstance(samples, str):
-        samples = samples.strip()
-    if samples is None or samples == "":
-        # Empty/whitespace-only REPRO_JAMMER_BANK counts as unset, not as
-        # a malformed integer (mirrors resolve_workers).
-        return DEFAULT_BANK_SAMPLES
-    if isinstance(samples, str) and samples.lower() in ("off", "none"):
-        return 0
-    try:
-        n = int(samples)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"invalid jammer bank size {samples!r}; expected an integer, "
-            f"'off', or 'none'"
-        ) from None
-    if n < 0:
-        raise ConfigurationError(f"jammer bank size must be >= 0, got {n}")
-    return n
+    return knobs.get(JAMMER_BANK_ENV, samples)
 
 
 def resolve_trial_batch(batch: int | str | None = None) -> int:
     """Resolve the trials-per-task chunk size from ``REPRO_TRIAL_BATCH``."""
-    if batch is None:
-        batch = os.environ.get(TRIAL_BATCH_ENV)
-    if isinstance(batch, str):
-        batch = batch.strip()
-    if batch is None or batch == "":
-        # Empty/whitespace-only REPRO_TRIAL_BATCH counts as unset, not as
-        # a malformed integer (mirrors resolve_workers).
-        return DEFAULT_TRIAL_BATCH
-    if isinstance(batch, str) and batch.lower() == "off":
-        return 1
-    try:
-        n = int(batch)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"invalid trial batch {batch!r}; expected an integer or 'off'"
-        ) from None
-    if n < 1:
-        raise ConfigurationError(f"trial batch must be >= 1, got {n}")
-    return n
+    return knobs.get(TRIAL_BATCH_ENV, batch)
 
 
 # ---------------------------------------------------------------------------

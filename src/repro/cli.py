@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
+from repro import knobs
 from repro.analysis import figures as figures_mod
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
@@ -38,84 +38,27 @@ from repro.core.trainer import (
 )
 from repro.channel.fidelity import (
     CALIBRATION_TOLERANCE,
-    CHANNEL_ENV,
-    CHANNEL_TIERS,
     DEFAULT_CALIBRATION_MARGINS,
     OFFSET_BIN_MHZ,
     CalibrationTable,
     calibrate,
 )
 from repro.channel.link import JammerSignalType, chip_flip_probability
-from repro.channel.trials import JAMMER_BANK_ENV, TRIAL_BATCH_ENV
-from repro.core.vecenv import ENV_BATCH_ENV
 from repro.errors import ReproError
-from repro.exec import (
-    MAX_RETRIES_ENV,
-    ON_ERROR_ENV,
-    ON_ERROR_MODES,
-    WORKERS_ENV,
-    ParallelRunner,
-    resolve_workers,
-)
+from repro.exec import ParallelRunner, resolve_workers
 from repro.exec import timing
-from repro.jamming.jammer import ADVERSARIES
 from repro.jamming.strategies import STRATEGY_NAMES
 from repro.nn.serialize import artifact_size_bytes, parameter_count, save_parameters
 from repro.obs import log as obs_log
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.phy.emulation import WaveformEmulator
-from repro.serve.batcher import (
-    ADMISSION_MODES,
-    SERVE_ADMISSION_ENV,
-    SERVE_BATCH_ENV,
-    SERVE_DEADLINE_ENV,
-    SERVE_QUEUE_ENV,
-)
-from repro.sim.engine import FIELD_BATCH_ENV
 from repro.sim.scenario import SCHEMES
-from repro.sim.shard import SHARDS_ENV
 
 log = obs_log.get_logger("cli")
 
-#: Default adversary set for ``repro figure adv`` (comma list, e.g.
-#: ``reactive,follower``); the ``--adversaries`` flag overrides it.
-ADVERSARIES_ENV = "REPRO_ADVERSARIES"
-
-
-def _resolve_adversaries(flag: str | None) -> tuple[str, ...]:
-    """``--adversaries``/``REPRO_ADVERSARIES`` comma list -> validated tuple."""
-    raw = flag if flag is not None else os.environ.get(ADVERSARIES_ENV)
-    if raw is None:
-        return ADVERSARIES
-    names = tuple(n.strip() for n in raw.split(",") if n.strip())
-    if not names:
-        raise ReproError("--adversaries needs at least one adversary name")
-    unknown = [n for n in names if n not in ADVERSARIES]
-    if unknown:
-        raise ReproError(
-            f"unknown adversaries {unknown}; expected names from {ADVERSARIES}"
-        )
-    return names
-
-
-def _add_fault_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--on-error",
-        choices=ON_ERROR_MODES,
-        default=None,
-        help="what to do when a pool task fails (overrides REPRO_ON_ERROR): "
-        "'raise' aborts the sweep, 'retry' re-dispatches the task (same "
-        "seed, bit-identical result), 'skip' salvages completed results "
-        "and drops the failed points",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        help="re-dispatch attempts per task under --on-error retry/skip "
-        "(overrides REPRO_MAX_RETRIES)",
-    )
+#: Knob flags of every verb that fans work out over the process pool.
+_POOL_KNOBS = ("REPRO_WORKERS", "REPRO_ON_ERROR", "REPRO_MAX_RETRIES")
 
 
 def _mdp_config(args: argparse.Namespace) -> MDPConfig:
@@ -156,37 +99,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_exec_options(args: argparse.Namespace) -> None:
-    """Propagate execution-layer flags to the ``REPRO_*`` environment.
-
-    The library's sweep entry points build their runner configuration from
-    the environment, so the CLI flags (``--workers``, ``--on-error``,
-    ``--max-retries``) are exported rather than threaded through every
-    call signature.
-    """
-    if getattr(args, "workers", None) is not None:
-        os.environ[WORKERS_ENV] = str(args.workers)
-    if getattr(args, "on_error", None) is not None:
-        os.environ[ON_ERROR_ENV] = str(args.on_error)
-    if getattr(args, "max_retries", None) is not None:
-        os.environ[MAX_RETRIES_ENV] = str(args.max_retries)
-    if getattr(args, "env_batch", None) is not None:
-        os.environ[ENV_BATCH_ENV] = str(args.env_batch)
-    if getattr(args, "trial_batch", None) is not None:
-        os.environ[TRIAL_BATCH_ENV] = str(args.trial_batch)
-    if getattr(args, "jammer_bank", None) is not None:
-        os.environ[JAMMER_BANK_ENV] = str(args.jammer_bank)
-    if getattr(args, "shards", None) is not None:
-        os.environ[SHARDS_ENV] = str(args.shards)
-    if getattr(args, "field_batch", None) is not None:
-        os.environ[FIELD_BATCH_ENV] = str(args.field_batch)
-    if getattr(args, "channel", None) is not None:
-        os.environ[CHANNEL_ENV] = str(args.channel)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _mdp_config(args)
-    _apply_exec_options(args)
     trainer_cfg = TrainerConfig(episodes=args.episodes, steps_per_episode=args.steps)
     if args.num_seeds > 1:
         seeds = tuple(args.seed + i for i in range(args.num_seeds))
@@ -249,7 +163,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_figure(args: argparse.Namespace) -> int:
     name = args.name
-    _apply_exec_options(args)
     if name == "2b":
         rows = figures_mod.fig2b_jamming_effect()
         table = [
@@ -397,7 +310,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             )
         )
     elif name == "adv":
-        adversaries = _resolve_adversaries(args.adversaries)
+        adversaries = knobs.get("REPRO_ADVERSARIES", args.adversaries)
         if "learning" in adversaries:
             log.info(
                 "training the learning jammer via self-play",
@@ -497,7 +410,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     measurements to reproduce bit-identically with the fit residual
     inside ``--tolerance``.
     """
-    _apply_exec_options(args)
     runner = (
         ParallelRunner(name="calibrate.map") if resolve_workers() > 1 else None
     )
@@ -628,7 +540,6 @@ def cmd_field_scale(args: argparse.Namespace) -> int:
     from repro.sim.scenario import field_jammer_config, paper_defaults
     from repro.sim.shard import FieldGrid, GridConfig, InterferenceModel
 
-    _apply_exec_options(args)
     try:
         network_counts = [int(n) for n in args.networks.split(",") if n.strip()]
     except ValueError:
@@ -767,7 +678,6 @@ def cmd_selfplay(args: argparse.Namespace) -> int:
     """
     from repro.core.selfplay import SelfPlayConfig, train_selfplay
 
-    _apply_exec_options(args)
     config = SelfPlayConfig(
         pairs=args.pairs,
         episodes=args.episodes,
@@ -1064,27 +974,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="train this many independently-seeded runs (seed, seed+1, ...) "
         "in parallel and keep the best",
     )
-    p.add_argument(
-        "--workers",
-        help="process-pool size for parallel stages (overrides REPRO_WORKERS; "
-        "'auto' = one per CPU)",
-    )
-    _add_fault_args(p)
-    p.add_argument(
-        "--env-batch",
-        default=None,
-        help="seeds trained lock-step inside one pool task (overrides "
-        "REPRO_ENV_BATCH; '1' or 'off' restores one task per seed); "
-        "bit-identical to the serial runs for any setting",
-    )
+    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_ENV_BATCH")
     p.add_argument("--save", help="path for the .npz parameter artifact")
-    p.add_argument(
-        "--channel",
-        choices=CHANNEL_TIERS,
-        default=None,
-        help="channel-fidelity tier for training envs (overrides "
-        f"{CHANNEL_ENV}; default analytic)",
-    )
+    knobs.add_flags(p, "REPRO_CHANNEL")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
@@ -1113,12 +1005,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sweep jammer search order for figures 11a/11b/adv "
         "(the paper's jammer sweeps in 'random' order)",
     )
-    p.add_argument(
-        "--adversaries",
-        default=None,
-        help="comma list of adversaries for figure adv (overrides "
-        f"{ADVERSARIES_ENV}; default all of {','.join(ADVERSARIES)})",
-    )
+    knobs.add_flags(p, "REPRO_ADVERSARIES")
     p.add_argument(
         "--selfplay-episodes",
         type=int,
@@ -1137,36 +1024,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="waveform trials per point for figure 2b-wf",
     )
-    p.add_argument(
-        "--workers",
-        help="process-pool size for the sweep fan-out (overrides "
-        "REPRO_WORKERS; 'auto' = one per CPU)",
-    )
-    _add_fault_args(p)
-    p.add_argument(
-        "--trial-batch",
-        default=None,
-        help="waveform trials shipped per pool task for figure 2b-wf "
-        "(overrides REPRO_TRIAL_BATCH; bit-identical for any setting)",
-    )
-    p.add_argument(
-        "--jammer-bank",
-        default=None,
-        help="jammer waveform bank size in samples (overrides "
-        "REPRO_JAMMER_BANK; 'off' re-encodes the jammer every trial)",
-    )
+    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_TRIAL_BATCH", "REPRO_JAMMER_BANK")
     p.add_argument(
         "--train-rl",
         action="store_true",
         help="train a DQN for fig 11a instead of using the exact optimum",
     )
-    p.add_argument(
-        "--channel",
-        choices=CHANNEL_TIERS,
-        default=None,
-        help="channel-fidelity tier for simulated figures (overrides "
-        f"{CHANNEL_ENV}; default analytic)",
-    )
+    knobs.add_flags(p, "REPRO_CHANNEL")
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser(
@@ -1207,18 +1071,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max allowed |corrected - measured| on the grid "
         f"(default {CALIBRATION_TOLERANCE})",
     )
-    p.add_argument(
-        "--workers",
-        help="process-pool size for the trial fan-out (overrides "
-        "REPRO_WORKERS; 'auto' = one per CPU)",
-    )
-    _add_fault_args(p)
-    p.add_argument(
-        "--trial-batch",
-        default=None,
-        help="waveform trials shipped per pool task (overrides "
-        "REPRO_TRIAL_BATCH; bit-identical for any setting)",
-    )
+    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_TRIAL_BATCH")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("emulate", help="run the EmuBee pipeline on hex bytes")
@@ -1324,33 +1177,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-network co-channel interference radius in metres "
         "(0 disables interference)",
     )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=f"spatial shards to split the field into (overrides {SHARDS_ENV})",
+    knobs.add_flags(
+        p, "REPRO_SHARDS", "REPRO_FIELD_BATCH", "REPRO_CHANNEL", *_POOL_KNOBS
     )
-    p.add_argument(
-        "--field-batch",
-        type=int,
-        default=None,
-        help="slots of uniforms drawn per rng refill in aggregate sampling "
-        f"(overrides {FIELD_BATCH_ENV})",
-    )
-    p.add_argument(
-        "--channel",
-        choices=CHANNEL_TIERS,
-        default=None,
-        help="channel-fidelity tier of jam adjudication and the co-channel "
-        f"PER grid (overrides {CHANNEL_ENV}; default analytic)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool workers for the shard sweep",
-    )
-    _add_fault_args(p)
     p.set_defaults(func=cmd_field_scale)
 
     p = sub.add_parser(
@@ -1390,28 +1219,12 @@ def build_parser() -> argparse.ArgumentParser:
             help=".npz policy artifacts to serve (e.g. from "
             "'repro selfplay --save'); geometries are cross-validated",
         )
-        p.add_argument(
-            "--batch",
-            default=None,
-            help=f"max decisions per stacked forward (overrides {SERVE_BATCH_ENV})",
-        )
-        p.add_argument(
-            "--deadline-ms",
-            default=None,
-            help="max time a request waits for batch peers "
-            f"(overrides {SERVE_DEADLINE_ENV})",
-        )
-        p.add_argument(
-            "--queue",
-            default=None,
-            help=f"pending-queue bound (overrides {SERVE_QUEUE_ENV})",
-        )
-        p.add_argument(
-            "--admission",
-            choices=ADMISSION_MODES,
-            default=None,
-            help="what to do when the queue is full "
-            f"(overrides {SERVE_ADMISSION_ENV}; default queue)",
+        knobs.add_flags(
+            p,
+            "REPRO_SERVE_BATCH",
+            "REPRO_SERVE_DEADLINE_MS",
+            "REPRO_SERVE_QUEUE",
+            "REPRO_SERVE_ADMISSION",
         )
         p.add_argument(
             "--think-ms",
@@ -1481,6 +1294,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(_obs_shim(argv))
     obs_log.configure(quiet=args.quiet)
+    # Knob flags go to the environment before anything resolves a knob, so
+    # the trace manifest records them too.
+    knobs.export_flags(args)
     # ``obs`` reads traces/telemetry; it must never record into the very
     # file it is asked to summarise when REPRO_TRACE/REPRO_TELEM point
     # at it.

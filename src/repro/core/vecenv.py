@@ -33,10 +33,9 @@ The in-process batch width composes with the
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from repro import knobs
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
@@ -52,7 +51,7 @@ from repro.rng import SeedLike, derive
 ENV_BATCH_ENV = "REPRO_ENV_BATCH"
 
 #: Default seeds trained per process when nothing is configured.
-DEFAULT_ENV_BATCH = 8
+DEFAULT_ENV_BATCH = knobs.KNOBS[ENV_BATCH_ENV].default
 
 
 def resolve_env_batch(value: int | str | None = None) -> int:
@@ -62,24 +61,7 @@ def resolve_env_batch(value: int | str | None = None) -> int:
     :data:`DEFAULT_ENV_BATCH`; ``1``, ``off`` or ``none`` disable in-process
     batching.
     """
-    if value is None:
-        value = os.environ.get(ENV_BATCH_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return DEFAULT_ENV_BATCH
-        if text in ("off", "none"):
-            return 1
-        try:
-            value = int(text)
-        except ValueError:
-            raise TrainingError(
-                f"{ENV_BATCH_ENV} must be an integer or 'off', got {value!r}"
-            ) from None
-    batch = int(value)
-    if batch < 1:
-        raise TrainingError(f"env batch must be >= 1, got {batch}")
-    return batch
+    return knobs.get(ENV_BATCH_ENV, value)
 
 
 class VectorEnv:

@@ -43,7 +43,6 @@ runs to completion but its result is discarded as timed out.
 
 from __future__ import annotations
 
-import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -52,6 +51,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro import knobs
 from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import trace as obs_trace
 from repro.rng import derive
@@ -64,7 +64,7 @@ FAULT_RATE_ENV = "REPRO_FAULT_RATE"
 FAULT_SEED_ENV = "REPRO_FAULT_SEED"
 
 #: Valid ``on_error`` modes.
-ON_ERROR_MODES = ("raise", "retry", "skip")
+ON_ERROR_MODES = knobs.KNOBS[ON_ERROR_ENV].choices
 
 #: Result slot not yet filled (module-level so it pickles by reference).
 _PENDING = object()
@@ -104,14 +104,6 @@ class FaultCounters:
     failures: int = 0
     timeouts: int = 0
     pool_breaks: int = 0
-
-
-def _env_value(name: str) -> str | None:
-    """Environment lookup treating empty/whitespace-only values as unset."""
-    value = os.environ.get(name)
-    if value is None or not value.strip():
-        return None
-    return value.strip()
 
 
 @dataclass(frozen=True)
@@ -186,52 +178,15 @@ class FaultPolicy:
         """Build a policy from ``REPRO_*`` env vars, with explicit overrides.
 
         Explicit arguments beat the environment; unset (or empty) env vars
-        fall back to the dataclass defaults.
+        fall back to the knob defaults, which are the dataclass defaults.
         """
-        fields: dict[str, Any] = {}
-        if on_error is None:
-            on_error = _env_value(ON_ERROR_ENV)
-        if on_error is not None:
-            fields["on_error"] = on_error
-        if max_retries is None:
-            text = _env_value(MAX_RETRIES_ENV)
-            if text is not None:
-                try:
-                    max_retries = int(text)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{MAX_RETRIES_ENV} must be an integer, got {text!r}"
-                    ) from None
-        if max_retries is not None:
-            fields["max_retries"] = max_retries
-        if timeout_s is None:
-            text = _env_value(TIMEOUT_ENV)
-            if text is not None:
-                try:
-                    timeout_s = float(text)
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{TIMEOUT_ENV} must be a number, got {text!r}"
-                    ) from None
-        if timeout_s is not None:
-            fields["timeout_s"] = timeout_s
-        rate_text = _env_value(FAULT_RATE_ENV)
-        if rate_text is not None:
-            try:
-                fields["fault_rate"] = float(rate_text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{FAULT_RATE_ENV} must be a number, got {rate_text!r}"
-                ) from None
-        seed_text = _env_value(FAULT_SEED_ENV)
-        if seed_text is not None:
-            try:
-                fields["fault_seed"] = int(seed_text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{FAULT_SEED_ENV} must be an integer, got {seed_text!r}"
-                ) from None
-        return cls(**fields)
+        return cls(
+            on_error=knobs.get(ON_ERROR_ENV, on_error),
+            max_retries=knobs.get(MAX_RETRIES_ENV, max_retries),
+            timeout_s=knobs.get(TIMEOUT_ENV, timeout_s),
+            fault_rate=knobs.get(FAULT_RATE_ENV),
+            fault_seed=knobs.get(FAULT_SEED_ENV),
+        )
 
 
 def maybe_inject_fault(index: int, attempt: int, rate: float, seed: int) -> None:

@@ -30,11 +30,11 @@ Retry/failure/timeout counts land in the timing registry and hence in the
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
+from repro import knobs
 from repro.errors import ConfigurationError
 from repro.exec.faults import FaultCounters, FaultPolicy, run_with_faults
 from repro.exec.timing import REGISTRY, TimingRegistry
@@ -50,29 +50,7 @@ WORKERS_ENV = "REPRO_WORKERS"
 
 def resolve_workers(workers: int | str | None = None) -> int:
     """Resolve a worker count from an argument or the environment."""
-    if workers is None:
-        workers = os.environ.get(WORKERS_ENV, 1)
-    if isinstance(workers, str):
-        text = workers.strip().lower()
-        if not text:
-            # Empty/whitespace-only REPRO_WORKERS counts as unset (serial),
-            # not as a malformed integer.
-            workers = 1
-        elif text == "auto":
-            workers = 0
-        else:
-            try:
-                workers = int(text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"workers must be an integer or 'auto', got {workers!r}"
-                ) from None
-    workers = int(workers)
-    if workers < 0:
-        raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    if workers == 0:
-        workers = os.cpu_count() or 1
-    return workers
+    return knobs.get(WORKERS_ENV, workers)
 
 
 def _seeded_task(payload: tuple) -> Any:

@@ -22,6 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterator
 
+from repro import knobs
 from repro.obs.metrics import METRICS
 from repro.obs.paths import BENCH_DIR_ENV, DEFAULT_ARTIFACT_DIR, artifact_dir
 from repro.obs.profile import maybe_profile
@@ -139,7 +140,7 @@ class TimingRegistry:
             "platform": platform.platform(),
             "python": platform.python_version(),
             "cpu_count": os.cpu_count(),
-            "workers_env": os.environ.get("REPRO_WORKERS"),
+            "knobs": knobs.resolved(),
             "stages": self.as_dict(),
             "metrics": METRICS.snapshot(),
         }

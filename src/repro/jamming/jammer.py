@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import knobs
 from repro.constants import (
     DEFAULT_JAMMER_POWER_LEVELS,
     NUM_ZIGBEE_CHANNELS,
@@ -42,8 +43,9 @@ from repro.errors import ConfigurationError
 from repro.rng import SeedLike, make_rng
 
 #: Adversary models :func:`repro.jamming.adversary.make_field_jammer`
-#: understands. ``sweep`` is the paper's proactive jammer.
-ADVERSARIES = ("sweep", "reactive", "follower", "learning")
+#: understands (``sweep``, ``reactive``, ``follower``, ``learning``).
+#: ``sweep`` is the paper's proactive jammer.
+ADVERSARIES = knobs.KNOBS["REPRO_ADVERSARIES"].choices
 
 #: Tolerance for float jitter when validating the monotone clock.
 _CLOCK_EPS = 1e-9

@@ -12,6 +12,8 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro import knobs
+
 #: Environment variable overriding where observability artifacts are written.
 BENCH_DIR_ENV = "REPRO_BENCH_DIR"
 
@@ -21,10 +23,21 @@ DEFAULT_ARTIFACT_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "res
 
 def artifact_dir() -> Path:
     """Directory RUN/PROF/BENCH artifacts are written to (env-overridable)."""
-    override = os.environ.get(BENCH_DIR_ENV)
-    if override is not None and override.strip():
-        return Path(override)
-    return DEFAULT_ARTIFACT_DIR
+    return Path(knobs.get(BENCH_DIR_ENV) or DEFAULT_ARTIFACT_DIR)
 
 
-__all__ = ["BENCH_DIR_ENV", "DEFAULT_ARTIFACT_DIR", "artifact_dir"]
+def run_target(value: str | None, prefix: str) -> Path | None:
+    """The JSONL file a ``REPRO_TRACE``/``REPRO_TELEM`` value selects.
+
+    A value with a path separator or a ``.jsonl`` suffix is the path
+    itself; any other value names ``<prefix>_<value>.jsonl`` in the
+    artifact directory; ``None`` (unset) selects no file.
+    """
+    if value is None:
+        return None
+    if os.sep in value or value.endswith(".jsonl"):
+        return Path(value)
+    return artifact_dir() / f"{prefix}_{value}.jsonl"
+
+
+__all__ = ["BENCH_DIR_ENV", "DEFAULT_ARTIFACT_DIR", "artifact_dir", "run_target"]

@@ -15,25 +15,23 @@ once. The hook costs one env lookup when off.
 from __future__ import annotations
 
 import cProfile
-import os
 import re
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
 
+from repro import knobs
 from repro.obs.paths import artifact_dir
 
 #: Environment variable enabling the profile hook.
 PROFILE_ENV = "REPRO_PROFILE"
-
-_FALSY = {"", "0", "false", "no", "off"}
 
 _ACTIVE = False
 
 
 def profiling_enabled() -> bool:
     """True when ``REPRO_PROFILE`` is set to a truthy value."""
-    return os.environ.get(PROFILE_ENV, "").strip().lower() not in _FALSY
+    return knobs.get(PROFILE_ENV)
 
 
 def _safe_name(stage: str) -> str:

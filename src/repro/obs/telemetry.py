@@ -62,68 +62,40 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping, TextIO
 
+from repro import knobs
 from repro.errors import ConfigurationError, ReproError
 from repro.obs.metrics import DEFAULT_BUCKETS, METRICS
-from repro.obs.paths import artifact_dir
+from repro.obs.paths import run_target
 
-#: Environment variable enabling telemetry (run name, path, or truthy flag).
 TELEM_ENV = "REPRO_TELEM"
-
-#: Environment variable setting the window length in slots/episodes.
 TELEM_INTERVAL_ENV = "REPRO_TELEM_INTERVAL"
-
-#: Environment variable bounding the FlightRecorder in-memory ring.
 TELEM_WINDOW_ENV = "REPRO_TELEM_WINDOW"
 
 #: Default window length (slots or episodes per frame).
-DEFAULT_INTERVAL = 20
+DEFAULT_INTERVAL = knobs.KNOBS[TELEM_INTERVAL_ENV].default
 
 #: Default ring capacity (frames kept in memory per recorder).
-DEFAULT_RING = 256
+DEFAULT_RING = knobs.KNOBS[TELEM_WINDOW_ENV].default
 
 #: Bucket bounds of the per-window negotiation-latency histogram carried
 #: by field frames. Fixed globally so shard-side bucket counts (integers)
 #: merge by plain addition.
 LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
 
 def telem_target() -> Path | None:
     """Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off."""
-    value = os.environ.get(TELEM_ENV, "").strip()
-    if not value:
-        return None
-    if value.lower() in _TRUTHY:
-        return artifact_dir() / "TELEM_run.jsonl"
-    if os.sep in value or value.endswith(".jsonl"):
-        return Path(value)
-    return artifact_dir() / f"TELEM_{value}.jsonl"
-
-
-def _positive_int_env(env: str, default: int) -> int:
-    text = os.environ.get(env, "").strip()
-    if not text:
-        return default
-    try:
-        value = int(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{env} must be a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"{env} must be >= 1, got {value}")
-    return value
+    return run_target(knobs.get(TELEM_ENV), "TELEM")
 
 
 def telem_interval() -> int:
     """Window length from ``REPRO_TELEM_INTERVAL`` (default 20)."""
-    return _positive_int_env(TELEM_INTERVAL_ENV, DEFAULT_INTERVAL)
+    return knobs.get(TELEM_INTERVAL_ENV)
 
 
 def telem_window() -> int:
     """Ring capacity from ``REPRO_TELEM_WINDOW`` (default 256)."""
-    return _positive_int_env(TELEM_WINDOW_ENV, DEFAULT_RING)
+    return knobs.get(TELEM_WINDOW_ENV)
 
 
 class _TelemState:
@@ -191,9 +163,8 @@ def _header_record(state: _TelemState) -> dict:
         "time": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "interval": state.interval,
         "latency_buckets": list(LATENCY_BUCKETS),
-        "env": {
-            k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
-        },
+        "env": knobs.environ(),
+        "knobs": knobs.resolved(),
     }
 
 

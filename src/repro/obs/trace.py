@@ -61,10 +61,10 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from repro.errors import ConfigurationError
+from repro import knobs
 from repro.obs import telemetry as obs_telemetry
 from repro.obs.metrics import METRICS
-from repro.obs.paths import artifact_dir
+from repro.obs.paths import run_target
 
 #: Environment variable enabling tracing (run name, path, or truthy flag).
 TRACE_ENV = "REPRO_TRACE"
@@ -72,35 +72,14 @@ TRACE_ENV = "REPRO_TRACE"
 #: Environment variable setting the event sampling rate (float in (0, 1]).
 SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
 def trace_target() -> Path | None:
     """Trace file selected by ``REPRO_TRACE``, or ``None`` when disabled."""
-    value = os.environ.get(TRACE_ENV, "").strip()
-    if not value:
-        return None
-    if value.lower() in _TRUTHY:
-        return artifact_dir() / "RUN_run.jsonl"
-    if os.sep in value or value.endswith(".jsonl"):
-        return Path(value)
-    return artifact_dir() / f"RUN_{value}.jsonl"
+    return run_target(knobs.get(TRACE_ENV), "RUN")
 
 
 def sample_rate() -> float:
     """Event sampling rate from ``REPRO_TRACE_SAMPLE`` (default: keep all)."""
-    text = os.environ.get(SAMPLE_ENV, "").strip()
-    if not text:
-        return 1.0
-    try:
-        rate = float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{SAMPLE_ENV} must be a float in (0, 1], got {text!r}"
-        ) from None
-    if not 0.0 < rate <= 1.0:
-        raise ConfigurationError(f"{SAMPLE_ENV} must be in (0, 1], got {rate}")
-    return rate
+    return knobs.get(SAMPLE_ENV)
 
 
 class _TraceState:
@@ -232,9 +211,8 @@ def _manifest_record(state: _TraceState) -> dict:
         "argv": list(sys.argv),
         "pid": state.pid,
         "sample": state.sample,
-        "env": {
-            k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")
-        },
+        "env": knobs.environ(),
+        "knobs": _jsonable(knobs.resolved()),
         **_jsonable(state.extra),
     }
 

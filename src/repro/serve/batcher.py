@@ -28,110 +28,48 @@ therefore every recorded latency — exactly reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro import knobs
 from repro.obs.metrics import METRICS
 from repro.serve.clock import MonotonicClock
 from repro.serve.store import PolicyStore
 
-#: Environment variable selecting the maximum decisions per stacked forward.
 SERVE_BATCH_ENV = "REPRO_SERVE_BATCH"
-
-#: Default batch size when nothing is configured.
-DEFAULT_SERVE_BATCH = 64
-
-#: Environment variable bounding how long a request may wait for peers (ms).
 SERVE_DEADLINE_ENV = "REPRO_SERVE_DEADLINE_MS"
-
-#: Default deadline: well inside the paper's ~9 ms per-decision budget.
-DEFAULT_SERVE_DEADLINE_MS = 2.0
-
-#: Environment variable bounding the pending-request queue depth.
 SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
-
-#: Default queue bound.
-DEFAULT_SERVE_QUEUE = 256
-
-#: Environment variable selecting the admission-control mode.
 SERVE_ADMISSION_ENV = "REPRO_SERVE_ADMISSION"
 
+DEFAULT_SERVE_BATCH = knobs.KNOBS[SERVE_BATCH_ENV].default
+#: Default deadline: well inside the paper's ~9 ms per-decision budget.
+DEFAULT_SERVE_DEADLINE_MS = knobs.KNOBS[SERVE_DEADLINE_ENV].default
+DEFAULT_SERVE_QUEUE = knobs.KNOBS[SERVE_QUEUE_ENV].default
+DEFAULT_SERVE_ADMISSION = knobs.KNOBS[SERVE_ADMISSION_ENV].default
+
 #: Admission-control modes (see module docstring).
-ADMISSION_MODES = ("queue", "shed", "degrade")
-
-DEFAULT_SERVE_ADMISSION = "queue"
-
-
-def _resolve_positive_int(
-    value: int | str | None, env: str, default: int
-) -> int:
-    if value is None:
-        value = os.environ.get(env, "")
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            return default
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{env} must be an integer, got {value!r}"
-            ) from None
-    result = int(value)
-    if result < 1:
-        raise ConfigurationError(f"{env} must be >= 1, got {result}")
-    return result
+ADMISSION_MODES = knobs.KNOBS[SERVE_ADMISSION_ENV].choices
 
 
 def resolve_serve_batch(value: int | str | None = None) -> int:
     """Max decisions per stacked forward (override or ``REPRO_SERVE_BATCH``)."""
-    return _resolve_positive_int(value, SERVE_BATCH_ENV, DEFAULT_SERVE_BATCH)
+    return knobs.get(SERVE_BATCH_ENV, value)
 
 
 def resolve_serve_queue(value: int | str | None = None) -> int:
     """Pending-queue bound (override or ``REPRO_SERVE_QUEUE``)."""
-    return _resolve_positive_int(value, SERVE_QUEUE_ENV, DEFAULT_SERVE_QUEUE)
+    return knobs.get(SERVE_QUEUE_ENV, value)
 
 
 def resolve_serve_deadline_ms(value: float | str | None = None) -> float:
     """Batching deadline in ms (override or ``REPRO_SERVE_DEADLINE_MS``)."""
-    if value is None:
-        value = os.environ.get(SERVE_DEADLINE_ENV, "")
-    if isinstance(value, str):
-        text = value.strip()
-        if not text:
-            return DEFAULT_SERVE_DEADLINE_MS
-        try:
-            value = float(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SERVE_DEADLINE_ENV} must be a number of milliseconds, "
-                f"got {value!r}"
-            ) from None
-    deadline = float(value)
-    if deadline < 0:
-        raise ConfigurationError(
-            f"{SERVE_DEADLINE_ENV} must be >= 0, got {deadline}"
-        )
-    return deadline
+    return knobs.get(SERVE_DEADLINE_ENV, value)
 
 
 def resolve_serve_admission(value: str | None = None) -> str:
     """Admission mode (override or ``REPRO_SERVE_ADMISSION``)."""
-    if value is None:
-        value = os.environ.get(SERVE_ADMISSION_ENV, "")
-    text = value.strip().lower()
-    if not text:
-        return DEFAULT_SERVE_ADMISSION
-    if text not in ADMISSION_MODES:
-        raise ConfigurationError(
-            f"{SERVE_ADMISSION_ENV} must be one of {ADMISSION_MODES}, "
-            f"got {value!r}"
-        )
-    return text
+    return knobs.get(SERVE_ADMISSION_ENV, value)
 
 
 @dataclass(frozen=True)

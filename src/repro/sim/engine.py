@@ -7,16 +7,15 @@ validates slot budgets.
 
 from __future__ import annotations
 
-import os
-
-from repro.errors import ConfigurationError, SimulationError
+from repro import knobs
+from repro.errors import SimulationError
 
 #: Environment variable selecting how many slots' worth of uniforms the
 #: aggregate sampling mode draws per stream refill.
 FIELD_BATCH_ENV = "REPRO_FIELD_BATCH"
 
 #: Default slots per refill when nothing is configured.
-DEFAULT_FIELD_BATCH = 64
+DEFAULT_FIELD_BATCH = knobs.KNOBS[FIELD_BATCH_ENV].default
 
 
 def resolve_field_batch(value: int | str | None = None) -> int:
@@ -27,22 +26,7 @@ def resolve_field_batch(value: int | str | None = None) -> int:
     ``Generator.random(n)`` produces exactly the doubles ``n`` sequential
     ``random()`` calls would, so blocking only changes buffering.
     """
-    if value is None:
-        value = os.environ.get(FIELD_BATCH_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return DEFAULT_FIELD_BATCH
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{FIELD_BATCH_ENV} must be an integer, got {value!r}"
-            ) from None
-    batch = int(value)
-    if batch < 1:
-        raise ConfigurationError(f"field batch must be >= 1, got {batch}")
-    return batch
+    return knobs.get(FIELD_BATCH_ENV, value)
 
 
 def check_num_slots(num_slots: int) -> int:

@@ -34,12 +34,12 @@ be replayed alone bit-for-bit (absent interference).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from repro import knobs
 from repro.channel.fidelity import JamAdjudicator, make_channel, resolve_channel_tier
 from repro.channel.link import Interferer, JammerSignalType, LinkBudget
 from repro.channel.propagation import LogDistancePathLoss
@@ -56,7 +56,7 @@ from repro.core.policy import TabularPolicy, ThresholdPolicy
 from repro.core.vecenv import greedy_policy_actions
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
-from repro.exec.runner import ParallelRunner, resolve_workers
+from repro.exec.runner import ParallelRunner
 from repro.jamming.adversary import make_field_jammer
 from repro.jamming.jammer import FieldJammer
 from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
@@ -88,24 +88,7 @@ def resolve_shards(value: int | str | None = None) -> int:
     ``auto`` matches the machine's core count. Any value produces
     bitwise-identical results — sharding is a pure performance knob.
     """
-    if value is None:
-        value = os.environ.get(SHARDS_ENV, "")
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if not text:
-            return 1
-        if text == "auto":
-            return resolve_workers("auto")
-        try:
-            value = int(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{SHARDS_ENV} must be an integer or 'auto', got {value!r}"
-            ) from None
-    shards = int(value)
-    if shards < 1:
-        raise ConfigurationError(f"shard count must be >= 1, got {shards}")
-    return shards
+    return knobs.get(SHARDS_ENV, value)
 
 
 def network_seed(seed: SeedLike, index: int) -> int:

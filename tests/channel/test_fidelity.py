@@ -72,7 +72,7 @@ class TestTierResolution:
 
     def test_invalid_rejected(self, monkeypatch):
         monkeypatch.delenv(CHANNEL_ENV, raising=False)
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigurationError):
             resolve_channel_tier("exact")
 
     def test_all_tiers_resolve(self):

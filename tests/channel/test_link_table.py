@@ -11,7 +11,7 @@ from repro.channel.link import (
     LinkTable,
     resolve_per_cache_capacity,
 )
-from repro.errors import ChannelError
+from repro.errors import ConfigurationError
 from repro.obs.metrics import METRICS
 
 WIFI = Interferer(power_dbm=-40.0, signal_type=JammerSignalType.WIFI)
@@ -46,7 +46,7 @@ class TestCapacityResolution:
 
     @pytest.mark.parametrize("bad", ["soon", "1.5", -1])
     def test_invalid_rejected(self, bad):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigurationError):
             resolve_per_cache_capacity(bad)
 
 

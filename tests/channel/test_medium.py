@@ -4,7 +4,7 @@ import pytest
 
 from repro.channel.link import JammerSignalType
 from repro.channel.medium import ActiveTransmission, Medium
-from repro.errors import ChannelError
+from repro.errors import ChannelError, ConfigurationError
 
 
 def make_medium(seed=0):
@@ -181,5 +181,5 @@ class TestChannelTiers:
         assert self._outcomes("hybrid") == self._outcomes("hybrid")
 
     def test_unknown_tier_rejected(self):
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigurationError):
             Medium(seed=0, channel="exact")

@@ -24,7 +24,7 @@ from repro.core.vecenv import (
     resolve_env_batch,
     train_dqn_batch,
 )
-from repro.errors import TrainingError
+from repro.errors import ConfigurationError, TrainingError
 from repro.exec import FaultPolicy
 from repro.rng import derive
 
@@ -88,12 +88,12 @@ class TestResolveEnvBatch:
 
     @pytest.mark.parametrize("bad", ["soon", "1.5"])
     def test_invalid_rejected(self, bad):
-        with pytest.raises(TrainingError):
+        with pytest.raises(ConfigurationError):
             resolve_env_batch(bad)
 
     @pytest.mark.parametrize("bad", [0, -2, "0"])
     def test_non_positive_rejected(self, bad):
-        with pytest.raises(TrainingError):
+        with pytest.raises(ConfigurationError):
             resolve_env_batch(bad)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.mdp import MDPConfig
-from repro.errors import ChannelError, ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.jamming.jammer import FieldJammerConfig
 from repro.sim.field import (
     DQNPolicyAdapter,
@@ -389,5 +389,5 @@ class TestChannelTiers:
 
     def test_config_validates_tier(self):
         d = paper_defaults()
-        with pytest.raises(ChannelError):
+        with pytest.raises(ConfigurationError):
             FieldConfig(mdp=d.mdp, channel="exact")
