@@ -11,10 +11,9 @@ Budgets: ``REPRO_FIELD_SLOTS`` caps the per-experiment slot count and
 (default 8; the CI smoke job uses 2).
 """
 
-import os
 
 import numpy as np
-from conftest import run_once
+from conftest import budget, run_once
 
 from repro.analysis.figures import (
     ADV_STUDY_SCHEMES,
@@ -23,7 +22,7 @@ from repro.analysis.figures import (
 from repro.analysis.tables import render_table
 from repro.jamming.jammer import ADVERSARIES
 
-SELFPLAY_EPISODES = int(os.environ.get("REPRO_SELFPLAY_EPISODES", "8"))
+SELFPLAY_EPISODES = budget("REPRO_SELFPLAY_EPISODES", 8)
 
 
 def test_adversary_scheme_comparison(benchmark, report, field_slots):

@@ -18,10 +18,9 @@ regressions via ``repro bench diff``.
 
 from __future__ import annotations
 
-import os
 import time
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, budget
 
 from repro.exec import timing
 from repro.exec.runner import resolve_workers
@@ -35,16 +34,10 @@ from repro.sim.shard import (
 )
 
 #: Curve points: 2560 networks x 4 nodes = 10 240 simulated radios.
-CURVE_NETWORKS = [
-    int(n)
-    for n in os.environ.get(
-        "REPRO_FIELD_SCALE_NETWORKS", "16,64,256,1024,2560"
-    ).split(",")
-    if n.strip()
-]
-CURVE_SLOTS = int(os.environ.get("REPRO_FIELD_SCALE_SLOTS", "100"))
-SPEEDUP_NETWORKS = int(os.environ.get("REPRO_FIELD_SCALE_SPEEDUP_NETS", "256"))
-SPEEDUP_SLOTS = int(os.environ.get("REPRO_FIELD_SCALE_SPEEDUP_SLOTS", "20"))
+CURVE_NETWORKS = budget("REPRO_FIELD_SCALE_NETWORKS", (16, 64, 256, 1024, 2560))
+CURVE_SLOTS = budget("REPRO_FIELD_SCALE_SLOTS", 100)
+SPEEDUP_NETWORKS = budget("REPRO_FIELD_SCALE_SPEEDUP_NETS", 256)
+SPEEDUP_SLOTS = budget("REPRO_FIELD_SCALE_SPEEDUP_SLOTS", 20)
 
 #: Filled as the tests run; snapshotted into the artifact's ``extra``.
 SUMMARY: dict[str, object] = {}

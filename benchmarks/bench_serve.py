@@ -27,11 +27,10 @@ committed baseline in ``benchmarks/baselines/`` gates regressions via
 from __future__ import annotations
 
 import asyncio
-import os
 import time
 
 import numpy as np
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, budget
 
 from repro.exec import timing
 from repro.nn.network import mlp
@@ -49,10 +48,10 @@ from repro.rng import derive
 from repro.serve.loadgen import make_clients
 
 #: Acceptance fleet: 256 concurrent networks sharing 4 trained policies.
-NETWORKS = int(os.environ.get("REPRO_SERVE_BENCH_NETWORKS", "256"))
-REQUESTS = int(os.environ.get("REPRO_SERVE_BENCH_REQUESTS", "8"))
-POLICIES = int(os.environ.get("REPRO_SERVE_BENCH_POLICIES", "4"))
-ROUNDS = int(os.environ.get("REPRO_SERVE_BENCH_ROUNDS", "3"))
+NETWORKS = budget("REPRO_SERVE_BENCH_NETWORKS", 256)
+REQUESTS = budget("REPRO_SERVE_BENCH_REQUESTS", 8)
+POLICIES = budget("REPRO_SERVE_BENCH_POLICIES", 4)
+ROUNDS = budget("REPRO_SERVE_BENCH_ROUNDS", 3)
 SEED = 0
 
 #: Filled as the tests run; snapshotted into the artifact's ``extra``.

@@ -24,7 +24,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from conftest import RESULTS_DIR
+from conftest import RESULTS_DIR, budget
 
 from repro.exec import timing
 from repro.obs import telemetry as obs_telemetry
@@ -32,10 +32,12 @@ from repro.sim.field import FieldConfig
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.sim.shard import FieldGrid, GridConfig
 
-NETWORKS = int(os.environ.get("REPRO_TELEM_BENCH_NETWORKS", "256"))
-SLOTS = int(os.environ.get("REPRO_TELEM_BENCH_SLOTS", "200"))
-ROUNDS = int(os.environ.get("REPRO_TELEM_BENCH_ROUNDS", "5"))
-THRESHOLD = float(os.environ.get("REPRO_TELEM_BENCH_THRESHOLD", "1.05"))
+NETWORKS = budget("REPRO_TELEM_BENCH_NETWORKS", 256)
+SLOTS = budget("REPRO_TELEM_BENCH_SLOTS", 200)
+ROUNDS = budget("REPRO_TELEM_BENCH_ROUNDS", 5)
+THRESHOLD = budget(
+    "REPRO_TELEM_BENCH_THRESHOLD", 1.05, kind="float", minimum=None, positive=True
+)
 
 
 def _grid() -> FieldGrid:

@@ -50,7 +50,7 @@ from repro.exec import timing
 from repro.jamming.strategies import STRATEGY_NAMES
 from repro.nn.serialize import artifact_size_bytes, parameter_count, save_parameters
 from repro.obs import log as obs_log
-from repro.obs import telemetry as obs_telemetry
+from repro.obs import sink
 from repro.obs import trace as obs_trace
 from repro.phy.emulation import WaveformEmulator
 from repro.sim.scenario import SCHEMES
@@ -903,16 +903,13 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    # Imported lazily: the readers are only needed by this command.
+    # Imported lazily: the renderers are only needed by this command.
     from repro.obs.summary import render_summary
-    from repro.obs.telemetry import is_telemetry_file
+    from repro.obs.watch import render_dashboard
 
-    if is_telemetry_file(args.trace):
-        from repro.obs.watch import render_dashboard
-
-        print(render_dashboard(args.trace, top=args.top))
-        return 0
-    print(render_summary(args.trace, top=args.top))
+    doc = sink.read(args.trace)
+    render = render_dashboard if doc.stream == sink.TELEM else render_summary
+    print(render(doc, top=args.top))
     return 0
 
 
@@ -1300,12 +1297,10 @@ def main(argv: list[str] | None = None) -> int:
     # ``obs`` reads traces/telemetry; it must never record into the very
     # file it is asked to summarise when REPRO_TRACE/REPRO_TELEM point
     # at it.
-    tracing = False
     if args.command == "obs":
-        obs_trace.disable()
-        obs_telemetry.disable()
+        sink.disable()
     else:
-        tracing = obs_trace.start_run(command=args.command)
+        obs_trace.start_run(command=args.command)
     try:
         with timing.stage(f"cli.{args.command}"):
             with obs_trace.span(f"cli/{args.command}"):
@@ -1314,14 +1309,11 @@ def main(argv: list[str] | None = None) -> int:
         log.error("command failed", command=args.command, error=str(exc))
         return 1
     finally:
-        if args.command != "obs":
-            telem_path = obs_telemetry.finish_run()
-            if telem_path is not None:
-                log.info("telemetry written", path=str(telem_path))
-        if tracing:
-            path = obs_trace.finish_run()
+        # Telemetry closes first, so its log line still lands in the trace.
+        for stream, what in ((sink.TELEM, "telemetry"), (sink.RUN, "trace")):
+            path = sink.finish(stream).get(stream)
             if path is not None:
-                log.info("trace written", path=str(path))
+                log.info(f"{what} written", path=str(path))
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ from repro import knobs
 from repro.errors import ConfigurationError
 from repro.exec.faults import FaultCounters, FaultPolicy, run_with_faults
 from repro.exec.timing import REGISTRY, TimingRegistry
-from repro.obs import telemetry as obs_telemetry
+from repro.obs import sink
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.obs.profile import maybe_profile
@@ -60,39 +60,23 @@ def _seeded_task(payload: tuple) -> Any:
 
 
 def _traced_task(payload: tuple) -> Any:
-    """Pool trampoline carrying the parent's trace context.
+    """Pool trampoline carrying the parent's observability context.
 
     In a pool worker: adopt the shipped context (same trace id, spans
     parented under the dispatch span), buffer everything the task
-    records, and return a :class:`repro.obs.trace.TracedResult` envelope
-    so the parent can merge the telemetry and unwrap the raw result. On
-    the serial/rescue path (same process as the dispatcher) the ambient
-    context is already live, so the task runs under a plain span and the
-    result passes through unwrapped.
+    records, and return a :class:`repro.obs.sink.TracedResult` envelope
+    for the parent to absorb. On the serial/rescue path (same process as
+    the dispatcher) the ambient context is already live, so the task runs
+    under a plain span and the result passes through unwrapped.
     """
     task_fn, spec, ctx = payload
-    if obs_trace.in_origin(ctx):
+    if sink.in_origin(ctx):
         with obs_trace.span("exec/task"):
             return task_fn(spec)
-    obs_trace.activate_worker(ctx)
+    sink.activate_worker(ctx)
     with obs_trace.span("exec/task"):
         result = task_fn(spec)
-    return obs_trace.TracedResult(
-        result=result,
-        records=obs_trace.drain_worker(),
-        metrics=METRICS.snapshot(),
-        telemetry=obs_telemetry.drain_worker(),
-    )
-
-
-def _absorb_traced(result: Any) -> Any:
-    """Unwrap a :class:`TracedResult`: merge telemetry, return the payload."""
-    if isinstance(result, obs_trace.TracedResult):
-        obs_trace.absorb(result.records)
-        obs_telemetry.absorb(result.telemetry)
-        METRICS.merge(result.metrics)
-        return result.result
-    return result  # TaskFailure sentinels and serial-path results
+    return sink.drain_worker(result)
 
 
 class ParallelRunner:
@@ -217,13 +201,17 @@ class ParallelRunner:
         # events, metrics, and telemetry frames come back with the
         # results and merge into the parent's sinks. With both off the
         # payloads are untouched.
-        ctx = obs_trace.worker_context() if workers > 1 else None
+        ctx = sink.worker_context() if workers > 1 else None
         if ctx is not None:
             specs = [(task_fn, spec, ctx) for spec in specs]
             task_fn = _traced_task
         results = self._raw_dispatch(task_fn, specs, workers, counters)
         if ctx is not None:
-            results = [_absorb_traced(result) for result in results]
+            # TaskFailure sentinels and serial-path results pass through.
+            results = [
+                sink.absorb(r) if isinstance(r, sink.TracedResult) else r
+                for r in results
+            ]
         return results
 
     def _raw_dispatch(

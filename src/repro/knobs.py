@@ -188,10 +188,12 @@ def _parse(knob: Knob, text: str) -> Any:
     raise ValueError(text)
 
 
-def get(name: str, override: Any = None) -> Any:
-    """Resolve knob ``name`` from ``override`` (when not None) or the env."""
-    knob = KNOBS[name]
-    raw = os.environ.get(name) if override is None else override
+def parse(knob: Knob, raw: Any) -> Any:
+    """Parse ``raw`` (``None`` when unset) under ``knob``'s grammar.
+
+    Also serves variables outside :data:`KNOBS` that share the grammar,
+    such as the benchmark budgets.
+    """
     text = "" if raw is None else str(raw).strip()
     if not text:
         return knob.default
@@ -199,8 +201,14 @@ def get(name: str, override: Any = None) -> Any:
         return _parse(knob, text)
     except ValueError:
         raise ConfigurationError(
-            f"{name} must be {_expected(knob)}, got {str(raw)!r}"
+            f"{knob.name} must be {_expected(knob)}, got {str(raw)!r}"
         ) from None
+
+
+def get(name: str, override: Any = None) -> Any:
+    """Resolve knob ``name`` from ``override`` (when not None) or the env."""
+    raw = os.environ.get(name) if override is None else override
+    return parse(KNOBS[name], raw)
 
 
 def resolved() -> dict[str, Any]:

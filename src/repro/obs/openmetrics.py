@@ -25,7 +25,7 @@ from typing import Mapping
 
 from repro.errors import ReproError
 from repro.obs.metrics import label_key, parse_metric_key
-from repro.obs.telemetry import TelemetryDoc, load_telemetry, merge_frames
+from repro.obs.telemetry import load_telemetry, merge_frames
 
 _NAME_BAD = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -149,7 +149,7 @@ def export_telemetry(
     deduplicated and shard-merged so it is bit-identical for any
     ``REPRO_SHARDS``/``REPRO_WORKERS`` decomposition.
     """
-    doc: TelemetryDoc = load_telemetry(path)
+    doc = load_telemetry(path)
     merged = merge_frames(doc)
     src = Path(path)
 

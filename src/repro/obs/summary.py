@@ -1,6 +1,7 @@
 """Offline trace summarisation behind the ``repro obs`` CLI subcommand.
 
-Reads a ``RUN_*.jsonl`` trace and renders, as plain text: the manifest
+Reads a ``RUN_*.jsonl`` trace (parsed by :func:`repro.obs.sink.read`)
+and renders, as plain text: the manifest
 header, the span tree with per-name wall-clock rollups (spans sharing a
 name under the same parent aggregate into one line — 4 pool tasks under
 one dispatch show as ``exec/task 4x``), event counts, top counters, and
@@ -12,56 +13,10 @@ summariser can read a trace without dragging in numpy-heavy modules.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import ReproError
 from repro.obs.metrics import quantile_from_buckets
-
-
-@dataclass
-class TraceDoc:
-    """Parsed trace: records bucketed by type."""
-
-    path: Path
-    manifest: dict | None = None
-    spans: list[dict] = field(default_factory=list)
-    events: list[dict] = field(default_factory=list)
-    metrics: dict | None = None  # last metrics record wins
-    malformed: int = 0
-
-
-def load_trace(path: Path | str) -> TraceDoc:
-    """Parse a JSONL trace file, tolerating truncated/garbled lines."""
-    path = Path(path)
-    if not path.is_file():
-        raise ReproError(f"trace file not found: {path}")
-    doc = TraceDoc(path=path)
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                doc.malformed += 1
-                continue
-            kind = record.get("type")
-            if kind == "manifest" and doc.manifest is None:
-                doc.manifest = record
-            elif kind == "span":
-                doc.spans.append(record)
-            elif kind == "event":
-                doc.events.append(record)
-            elif kind == "metrics":
-                doc.metrics = record
-            else:
-                doc.malformed += 1
-    if doc.manifest is None and not doc.spans and not doc.events:
-        raise ReproError(f"no trace records in {path}")
-    return doc
+from repro.obs.sink import RUN, ObsDoc, read
 
 
 # -- span tree ----------------------------------------------------------------------
@@ -91,7 +46,7 @@ def _aggregate(spans: list[dict], children_of: dict[str | None, list[dict]]) -> 
     return rows
 
 
-def span_tree(doc: TraceDoc) -> list:
+def span_tree(doc: ObsDoc) -> list:
     """Aggregated span forest: ``[(name, count, total_dur, children), ...]``."""
     known = {span.get("id") for span in doc.spans}
     children_of: dict[str | None, list[dict]] = {}
@@ -123,12 +78,12 @@ def _fmt_seconds(seconds: float) -> str:
 # -- rendering ----------------------------------------------------------------------
 
 
-def render_summary(path: Path | str, *, top: int = 10) -> str:
-    """Human-readable summary of one trace file."""
-    doc = load_trace(path)
+def render_summary(source: ObsDoc | Path | str, *, top: int = 10) -> str:
+    """Human-readable summary of one trace file (or its parsed document)."""
+    doc = source if isinstance(source, ObsDoc) else read(source, RUN)
     lines: list[str] = []
 
-    manifest = doc.manifest or {}
+    manifest = doc.head or {}
     lines.append(f"trace {doc.path}")
     header = [
         ("run", manifest.get("run")),
@@ -207,4 +162,4 @@ def render_summary(path: Path | str, *, top: int = 10) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["TraceDoc", "load_trace", "span_tree", "render_summary"]
+__all__ = ["span_tree", "render_summary"]

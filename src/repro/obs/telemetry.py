@@ -39,43 +39,37 @@ Record types, one JSON object per line:
     the final labelled :data:`repro.obs.metrics.METRICS` snapshot,
     written by :func:`finish_run`.
 
-Cross-process: the :class:`repro.exec.ParallelRunner` envelope carries a
-``telem_interval`` next to the trace context; the pool trampoline calls
-:func:`activate_worker`, frames buffer in the worker, return inside the
-:class:`~repro.obs.trace.TracedResult`, and the parent appends them via
-:func:`absorb`. A retried task's failed attempt never returns an
-envelope, and :func:`merge_frames` additionally dedupes on
-``(series, window, shard)`` last-wins, so fault-policy retries cannot
-double-count a window. Telemetry never touches a simulation random
-stream: engine results are bit-identical with telemetry on or off.
+Frames go through :mod:`repro.obs.sink`, which also carries them back
+from :class:`repro.exec.ParallelRunner` pool workers. A retried task's
+failed attempt never returns an envelope, and :func:`merge_frames`
+additionally dedupes on ``(series, window, shard)`` last-wins, so
+fault-policy retries cannot double-count a window. Telemetry never
+touches a simulation random stream: engine results are bit-identical
+with telemetry on or off.
 """
 
 from __future__ import annotations
 
-import atexit
-import json
-import os
-import time
 from collections import deque
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping, TextIO
+from typing import Any, Iterable, Mapping
 
 from repro import knobs
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError
+from repro.obs import sink
 from repro.obs.metrics import DEFAULT_BUCKETS, METRICS
-from repro.obs.paths import run_target
+from repro.obs.sink import (
+    DEFAULT_INTERVAL,
+    TELEM_ENV,
+    TELEM_INTERVAL_ENV,
+    ObsDoc,
+    ObsState,
+    disable,
+    reset,
+)
 
-TELEM_ENV = "REPRO_TELEM"
-TELEM_INTERVAL_ENV = "REPRO_TELEM_INTERVAL"
 TELEM_WINDOW_ENV = "REPRO_TELEM_WINDOW"
-
-#: Default window length (slots or episodes per frame).
-DEFAULT_INTERVAL = knobs.KNOBS[TELEM_INTERVAL_ENV].default
-
-#: Default ring capacity (frames kept in memory per recorder).
-DEFAULT_RING = knobs.KNOBS[TELEM_WINDOW_ENV].default
 
 #: Bucket bounds of the per-window negotiation-latency histogram carried
 #: by field frames. Fixed globally so shard-side bucket counts (integers)
@@ -85,7 +79,7 @@ LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
 
 def telem_target() -> Path | None:
     """Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off."""
-    return run_target(knobs.get(TELEM_ENV), "TELEM")
+    return sink.target(sink.TELEM)
 
 
 def telem_interval() -> int:
@@ -98,68 +92,20 @@ def telem_window() -> int:
     return knobs.get(TELEM_WINDOW_ENV)
 
 
-class _TelemState:
-    """Per-process telemetry state (file sink in the parent, buffer in workers)."""
-
-    __slots__ = ("enabled", "pid", "interval", "path", "file", "buffer")
-
-    def __init__(
-        self,
-        *,
-        enabled: bool,
-        pid: int,
-        interval: int = DEFAULT_INTERVAL,
-        path: Path | None = None,
-        buffer: list[dict] | None = None,
-    ) -> None:
-        self.enabled = enabled
-        self.pid = pid
-        self.interval = interval
-        self.path = path
-        self.file: TextIO | None = None
-        self.buffer = buffer
-
-
-_STATE: _TelemState | None = None
-
-
-def _fresh_state() -> _TelemState:
-    target = telem_target()
-    if target is None:
-        return _TelemState(enabled=False, pid=os.getpid())
-    return _TelemState(
-        enabled=True, pid=os.getpid(), interval=telem_interval(), path=target
-    )
-
-
-def _state() -> _TelemState:
-    global _STATE
-    if _STATE is None:
-        _STATE = _fresh_state()
-    elif _STATE.pid != os.getpid():
-        # A forked pool worker inherited the parent's state. Frames stay
-        # off until the runner's trampoline calls activate_worker().
-        _STATE = _TelemState(enabled=False, pid=os.getpid())
-    return _STATE
-
-
 def enabled() -> bool:
     """True when this process is currently recording telemetry frames."""
-    return _state().enabled
+    return sink.TELEM in sink.state().streams
 
 
 def interval() -> int:
     """The active window length (parent: env; worker: shipped context)."""
-    return _state().interval
+    return sink.state().interval
 
 
-def _header_record(state: _TelemState) -> dict:
-    name = state.path.stem if state.path is not None else "run"
-    if name.startswith("TELEM_"):
-        name = name[6:]
+def _header_record(state: ObsState, run: str) -> dict:
     return {
         "type": "header",
-        "run": name,
+        "run": run,
         "time": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "interval": state.interval,
         "latency_buckets": list(LATENCY_BUCKETS),
@@ -168,29 +114,13 @@ def _header_record(state: _TelemState) -> dict:
     }
 
 
-def _open_sink(state: _TelemState) -> None:
-    assert state.path is not None
-    state.path.parent.mkdir(parents=True, exist_ok=True)
-    state.file = state.path.open("a", encoding="utf-8")
-    state.file.write(json.dumps(_header_record(state)) + "\n")
-    state.file.flush()
+sink.HEADS[sink.TELEM] = _header_record
 
 
 def record_frame(frame: Mapping[str, Any]) -> None:
     """Append one frame (parent: to the file; worker: to the task buffer)."""
-    state = _state()
-    if not state.enabled:
-        return
-    if state.buffer is not None:
-        state.buffer.append(dict(frame))
-        return
-    if state.file is None:
-        _open_sink(state)
-    state.file.write(json.dumps(dict(frame)) + "\n")
-    state.file.flush()
-
-
-# -- run lifecycle -------------------------------------------------------------------
+    if enabled():
+        sink.emit(dict(frame))
 
 
 def finish_run() -> Path | None:
@@ -199,92 +129,7 @@ def finish_run() -> Path | None:
     Returns the telemetry path when a file was written, else ``None``.
     Telemetry stays disabled afterwards (tests re-arm with :func:`reset`).
     """
-    global _STATE
-    state = _state()
-    path: Path | None = None
-    if state.enabled and state.file is not None:
-        record_frame(
-            {
-                "type": "metrics",
-                "t": round(time.time(), 6),
-                **METRICS.snapshot(),
-            }
-        )
-        state.file.close()
-        state.file = None
-        path = state.path
-    _STATE = _TelemState(enabled=False, pid=os.getpid())
-    return path
-
-
-def disable() -> None:
-    """Turn telemetry off for this process regardless of ``REPRO_TELEM``."""
-    global _STATE
-    if _STATE is not None and _STATE.file is not None:
-        _STATE.file.close()
-    _STATE = _TelemState(enabled=False, pid=os.getpid())
-
-
-def reset() -> None:
-    """Drop telemetry state without writing (tests re-read the env lazily)."""
-    global _STATE
-    if _STATE is not None and _STATE.file is not None:
-        _STATE.file.close()
-    _STATE = None
-
-
-@atexit.register
-def _close_at_exit() -> None:
-    state = _STATE
-    if state is not None and state.file is not None:
-        try:
-            finish_run()
-        except (OSError, ValueError):
-            pass
-
-
-# -- cross-process propagation -------------------------------------------------------
-
-
-def activate_worker(interval: int) -> None:
-    """Adopt the parent's telemetry context in a pool worker.
-
-    ``interval <= 0`` means the parent had telemetry off: the worker
-    stays disabled. Each activation starts a fresh buffer, so a worker
-    serving several tasks (or retrying one) never leaks frames from a
-    previous attempt into the next envelope.
-    """
-    global _STATE
-    if interval <= 0:
-        _STATE = _TelemState(enabled=False, pid=os.getpid())
-        return
-    _STATE = _TelemState(
-        enabled=True, pid=os.getpid(), interval=int(interval), buffer=[]
-    )
-
-
-def worker_interval() -> int:
-    """The interval to ship inside pool payloads (0 when telemetry is off)."""
-    state = _state()
-    return state.interval if state.enabled else 0
-
-
-def drain_worker() -> tuple[dict, ...]:
-    """Take (and clear) the frames buffered since :func:`activate_worker`."""
-    state = _state()
-    frames = tuple(state.buffer or ())
-    if state.buffer is not None:
-        state.buffer = []
-    return frames
-
-
-def absorb(frames: Iterable[Mapping[str, Any]]) -> None:
-    """Write worker-buffered frames into this process's sink."""
-    state = _state()
-    if not state.enabled:
-        return
-    for frame in frames:
-        record_frame(frame)
+    return sink.finish(sink.TELEM).get(sink.TELEM)
 
 
 # -- frame builders ------------------------------------------------------------------
@@ -376,7 +221,7 @@ class FlightRecorder:
         self.series = str(series)
         self.labels = {str(k): str(v) for k, v in sorted((labels or {}).items())}
         self.enabled = enabled()
-        self.interval = int(interval) if interval is not None else _state().interval
+        self.interval = int(interval) if interval is not None else sink.state().interval
         if self.interval < 1:
             raise ConfigurationError(
                 f"recorder interval must be >= 1, got {self.interval}"
@@ -437,70 +282,13 @@ class FlightRecorder:
 # -- the read side -------------------------------------------------------------------
 
 
-@dataclass
-class TelemetryDoc:
-    """Parsed ``TELEM_*.jsonl``: records bucketed by type."""
-
-    path: Path
-    header: dict | None = None
-    frames: list[dict] = field(default_factory=list)
-    metrics: dict | None = None  # last metrics record wins
-    malformed: int = 0
-
-
-def is_telemetry_file(path: Path | str) -> bool:
-    """True when the file's first JSON record is a telemetry header/frame.
-
-    Lets ``repro obs summary`` route ``TELEM_*.jsonl`` files to the
-    dashboard renderer while ``RUN_*.jsonl`` traces keep the span tree.
-    """
-    path = Path(path)
-    if not path.is_file():
-        return False
-    try:
-        with path.open(encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    return False
-                return record.get("type") in {"header", "frame"}
-    except OSError:
-        return False
-    return False
-
-
-def load_telemetry(path: Path | str) -> TelemetryDoc:
+def load_telemetry(path: Path | str) -> ObsDoc:
     """Parse a telemetry file, tolerating truncated/garbled lines."""
-    path = Path(path)
-    if not path.is_file():
-        raise ReproError(f"telemetry file not found: {path}")
-    doc = TelemetryDoc(path=path)
-    with path.open(encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                doc.malformed += 1
-                continue
-            kind = record.get("type")
-            if kind == "header" and doc.header is None:
-                doc.header = record
-            elif kind == "frame":
-                doc.frames.append(record)
-            elif kind == "metrics":
-                doc.metrics = record
-            else:
-                doc.malformed += 1
-    if doc.header is None and not doc.frames:
-        raise ReproError(f"no telemetry records in {path}")
-    return doc
+    return sink.read(path, sink.TELEM)
+
+
+#: Per-network integer columns of a field frame.
+_NET_COUNTS = ("jammed", "attempts", "delivered", "attempted", "hops")
 
 
 def _merge_field_windows(frames: list[dict]) -> list[dict]:
@@ -526,71 +314,40 @@ def _merge_field_windows(frames: list[dict]) -> list[dict]:
         shards = by_window[window]
         per_net: dict[int, dict[str, float]] = {}
         lat_counts = [0] * (len(LATENCY_BUCKETS) + 1)
-        lat_min: float | None = None
-        lat_max: float | None = None
-        slots = 0
-        slot0 = None
-        labels: dict = {}
-        has_tokens = False
         for frame in shards:
-            slots = max(slots, int(frame["slots"]))
-            slot0 = (
-                int(frame["slot0"])
-                if slot0 is None
-                else min(slot0, int(frame["slot0"]))
-            )
-            labels = frame.get("labels", labels) or labels
-            counts = frame.get("lat_counts", ())
-            for i, count in enumerate(counts):
+            for i, count in enumerate(frame.get("lat_counts", ())):
                 lat_counts[i] += int(count)
-            if frame.get("lat_min") is not None:
-                lat_min = (
-                    frame["lat_min"]
-                    if lat_min is None
-                    else min(lat_min, frame["lat_min"])
-                )
-            if frame.get("lat_max") is not None:
-                lat_max = (
-                    frame["lat_max"]
-                    if lat_max is None
-                    else max(lat_max, frame["lat_max"])
-                )
             tokens = frame.get("tokens")
-            has_tokens = has_tokens or tokens is not None
             for k, net in enumerate(frame["networks"]):
-                row = per_net[int(net)] = {
-                    "jammed": int(frame["jammed"][k]),
-                    "attempts": int(frame["attempts"][k]),
-                    "delivered": int(frame["delivered"][k]),
-                    "attempted": int(frame["attempted"][k]),
-                    "hops": int(frame["hops"][k]),
-                    "neg_sum": float(frame["neg_sum"][k]),
-                }
+                row = {key: int(frame[key][k]) for key in _NET_COUNTS}
+                row["neg_sum"] = float(frame["neg_sum"][k])
                 if tokens is not None:
                     row["tokens"] = float(tokens[k])
+                per_net[int(net)] = row
         networks = sorted(per_net)
-        jammed = [per_net[g]["jammed"] for g in networks]
-        delivered = [per_net[g]["delivered"] for g in networks]
+        columns = {
+            key: [per_net[g][key] for g in networks]
+            for key in (*_NET_COUNTS, "neg_sum")
+        }
+        slots = max(int(frame["slots"]) for frame in shards)
         total_slots = slots * len(networks)
+        labelled = [frame["labels"] for frame in shards if frame.get("labels")]
+        lat_mins = [f["lat_min"] for f in shards if f.get("lat_min") is not None]
+        lat_maxs = [f["lat_max"] for f in shards if f.get("lat_max") is not None]
         row = {
             "window": window,
-            "slot0": slot0,
+            "slot0": min(int(frame["slot0"]) for frame in shards),
             "slots": slots,
-            "labels": labels,
+            "labels": labelled[-1] if labelled else {},
             "networks": networks,
-            "jammed": jammed,
-            "attempts": [per_net[g]["attempts"] for g in networks],
-            "delivered": delivered,
-            "attempted": [per_net[g]["attempted"] for g in networks],
-            "hops": [per_net[g]["hops"] for g in networks],
-            "neg_sum": [per_net[g]["neg_sum"] for g in networks],
+            **columns,
             "lat_counts": lat_counts,
-            "lat_min": lat_min,
-            "lat_max": lat_max,
-            "jam_rate": sum(jammed) / total_slots if total_slots else 0.0,
-            "goodput": sum(delivered) / total_slots if total_slots else 0.0,
+            "lat_min": min(lat_mins, default=None),
+            "lat_max": max(lat_maxs, default=None),
+            "jam_rate": sum(columns["jammed"]) / total_slots if total_slots else 0.0,
+            "goodput": sum(columns["delivered"]) / total_slots if total_slots else 0.0,
         }
-        if has_tokens:
+        if any(frame.get("tokens") is not None for frame in shards):
             row["tokens"] = [per_net[g].get("tokens", 0.0) for g in networks]
         merged.append(row)
     return merged
@@ -604,7 +361,7 @@ def _merge_generic_windows(frames: list[dict]) -> list[dict]:
     return [latest[w] for w in sorted(latest)]
 
 
-def merge_frames(doc: TelemetryDoc) -> dict[str, list[dict]]:
+def merge_frames(doc: ObsDoc) -> dict[str, list[dict]]:
     """Canonical merged view: series name -> merged window list.
 
     The ``"field"`` series merges shard-wise (see
@@ -639,14 +396,8 @@ __all__ = [
     "finish_run",
     "disable",
     "reset",
-    "activate_worker",
-    "worker_interval",
-    "drain_worker",
-    "absorb",
     "field_frame",
     "FlightRecorder",
-    "TelemetryDoc",
-    "is_telemetry_file",
     "load_telemetry",
     "merge_frames",
 ]

@@ -33,48 +33,33 @@ Record types, one JSON object per line:
     the final :data:`repro.obs.metrics.METRICS` snapshot, written by
     :func:`finish_run` (or at interpreter exit).
 
-Cross-process propagation: :class:`repro.exec.ParallelRunner` snapshots
-the ambient context (:func:`worker_context`), ships it inside each task
-payload, and the pool-side trampoline activates a *buffering* state
-(:func:`activate_worker`) whose records return with the result and are
-merged into the parent's file (:func:`absorb`) — one trace file per run,
-worker spans parented under the dispatch span, same trace id throughout.
-A forked worker that was never activated keeps tracing disabled rather
-than corrupting the parent's file.
+Records go through :mod:`repro.obs.sink`, which also carries them back
+from :class:`repro.exec.ParallelRunner` pool workers: one trace file per
+run, worker spans parented under the dispatch span, same trace id
+throughout.
 """
 
 from __future__ import annotations
 
-import atexit
-import json
 import math
-import os
 import platform
 import subprocess
 import sys
 import time
-import uuid
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterator, TextIO
+from typing import Any, Iterator
 
 from repro import knobs
-from repro.obs import telemetry as obs_telemetry
-from repro.obs.metrics import METRICS
-from repro.obs.paths import run_target
+from repro.obs import sink
+from repro.obs.sink import SAMPLE_ENV, TRACE_ENV, ObsState, disable, reset
 
-#: Environment variable enabling tracing (run name, path, or truthy flag).
-TRACE_ENV = "REPRO_TRACE"
-
-#: Environment variable setting the event sampling rate (float in (0, 1]).
-SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 
 def trace_target() -> Path | None:
     """Trace file selected by ``REPRO_TRACE``, or ``None`` when disabled."""
-    return run_target(knobs.get(TRACE_ENV), "RUN")
+    return sink.target(sink.RUN)
 
 
 def sample_rate() -> float:
@@ -82,81 +67,14 @@ def sample_rate() -> float:
     return knobs.get(SAMPLE_ENV)
 
 
-class _TraceState:
-    """Per-process trace state (file sink in the parent, buffer in workers)."""
-
-    __slots__ = (
-        "enabled",
-        "pid",
-        "trace_id",
-        "sample",
-        "path",
-        "file",
-        "buffer",
-        "parent",
-        "seq",
-        "extra",
-    )
-
-    def __init__(
-        self,
-        *,
-        enabled: bool,
-        pid: int,
-        trace_id: str = "",
-        sample: float = 1.0,
-        path: Path | None = None,
-        buffer: list[dict] | None = None,
-        parent: str | None = None,
-    ) -> None:
-        self.enabled = enabled
-        self.pid = pid
-        self.trace_id = trace_id
-        self.sample = sample
-        self.path = path
-        self.file: TextIO | None = None
-        self.buffer = buffer
-        self.parent = parent
-        self.seq = 0
-        self.extra: dict = {}
-
-
-_STATE: _TraceState | None = None
-
-
-def _fresh_state() -> _TraceState:
-    target = trace_target()
-    if target is None:
-        return _TraceState(enabled=False, pid=os.getpid())
-    return _TraceState(
-        enabled=True,
-        pid=os.getpid(),
-        trace_id=uuid.uuid4().hex[:16],
-        sample=sample_rate(),
-        path=target,
-    )
-
-
-def _state() -> _TraceState:
-    global _STATE
-    if _STATE is None:
-        _STATE = _fresh_state()
-    elif _STATE.pid != os.getpid():
-        # A forked pool worker inherited the parent's state. Never write
-        # to the parent's file from here: tracing stays off until the
-        # runner's trampoline calls activate_worker() with an envelope.
-        _STATE = _TraceState(enabled=False, pid=os.getpid())
-    return _STATE
-
-
 def enabled() -> bool:
     """True when this process is currently recording trace data."""
-    return _state().enabled
+    return sink.RUN in sink.state().streams
 
 
 def current_trace_id() -> str | None:
-    state = _state()
-    return state.trace_id if state.enabled else None
+    state = sink.state()
+    return state.trace_id if sink.RUN in state.streams else None
 
 
 # -- serialisation ------------------------------------------------------------------
@@ -196,13 +114,10 @@ def _git_sha() -> str | None:
     return sha if proc.returncode == 0 and sha else None
 
 
-def _manifest_record(state: _TraceState) -> dict:
-    name = state.path.stem if state.path is not None else "run"
-    if name.startswith("RUN_"):
-        name = name[4:]
+def _manifest_record(state: ObsState, run: str) -> dict:
     return {
         "type": "manifest",
-        "run": name,
+        "run": run,
         "trace": state.trace_id,
         "time": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "git_sha": _git_sha(),
@@ -217,31 +132,7 @@ def _manifest_record(state: _TraceState) -> dict:
     }
 
 
-def _metrics_record(state: _TraceState) -> dict:
-    return {
-        "type": "metrics",
-        "trace": state.trace_id,
-        "t": round(time.time(), 6),
-        **METRICS.snapshot(),
-    }
-
-
-def _open_sink(state: _TraceState) -> None:
-    assert state.path is not None
-    state.path.parent.mkdir(parents=True, exist_ok=True)
-    state.file = state.path.open("a", encoding="utf-8")
-    state.file.write(json.dumps(_manifest_record(state)) + "\n")
-    state.file.flush()
-
-
-def _emit(state: _TraceState, record: dict) -> None:
-    if state.buffer is not None:
-        state.buffer.append(record)
-        return
-    if state.file is None:
-        _open_sink(state)
-    state.file.write(json.dumps(record) + "\n")
-    state.file.flush()
+sink.HEADS[sink.RUN] = _manifest_record
 
 
 # -- the recording API ---------------------------------------------------------------
@@ -255,8 +146,8 @@ def span(name: str, **attrs: Any) -> Iterator[str | None]:
     parent automatically; events fired inside attach to the innermost
     open span.
     """
-    state = _state()
-    if not state.enabled:
+    state = sink.state()
+    if sink.RUN not in state.streams:
         yield None
         return
     state.seq += 1
@@ -269,8 +160,7 @@ def span(name: str, **attrs: Any) -> Iterator[str | None]:
         yield sid
     finally:
         state.parent = parent
-        _emit(
-            state,
+        sink.emit(
             {
                 "type": "span",
                 "trace": state.trace_id,
@@ -291,14 +181,13 @@ def _keep(trace_id: str, seq: int, rate: float) -> bool:
 
 def event(name: str, **fields: Any) -> None:
     """Record a point-in-time event (subject to ``REPRO_TRACE_SAMPLE``)."""
-    state = _state()
-    if not state.enabled:
+    state = sink.state()
+    if sink.RUN not in state.streams:
         return
     state.seq += 1
     if state.sample < 1.0 and not _keep(state.trace_id, state.seq, state.sample):
         return
-    _emit(
-        state,
+    sink.emit(
         {
             "type": "event",
             "trace": state.trace_id,
@@ -321,8 +210,8 @@ def start_run(**extra: Any) -> bool:
     lazily with the first record, so a traced process that never records
     anything leaves no file behind.
     """
-    state = _state()
-    if not state.enabled:
+    state = sink.state()
+    if sink.RUN not in state.streams:
         return False
     state.extra.update(extra)
     return True
@@ -336,143 +225,7 @@ def finish_run() -> Path | None:
     late stragglers (exit-path log lines, atexit hooks) must not start a
     second trace in the same file. Tests use :func:`reset` to re-arm.
     """
-    global _STATE
-    state = _state()
-    path: Path | None = None
-    if state.enabled and state.file is not None:
-        _emit(state, _metrics_record(state))
-        state.file.close()
-        path = state.path
-    _STATE = _TraceState(enabled=False, pid=os.getpid())
-    return path
-
-
-def disable() -> None:
-    """Turn tracing off for this process regardless of ``REPRO_TRACE``.
-
-    Trace *readers* (``repro obs``) call this first thing so their own
-    spans and log mirrors can never append to the file under inspection.
-    """
-    global _STATE
-    if _STATE is not None and _STATE.file is not None:
-        _STATE.file.close()
-    _STATE = _TraceState(enabled=False, pid=os.getpid())
-
-
-def reset() -> None:
-    """Drop trace state without writing (tests re-read the env lazily)."""
-    global _STATE
-    if _STATE is not None and _STATE.file is not None:
-        _STATE.file.close()
-    _STATE = None
-
-
-@atexit.register
-def _close_at_exit() -> None:
-    state = _STATE
-    if state is not None and state.file is not None:
-        try:
-            _emit(state, _metrics_record(state))
-            state.file.close()
-        except (OSError, ValueError):
-            pass
-
-
-# -- cross-process propagation -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WorkerContext:
-    """Ambient observability context, snapshotted into pool-task payloads.
-
-    ``trace_id`` is empty when only telemetry (not tracing) is active;
-    ``telem_interval`` is 0 when telemetry is off in the parent.
-    """
-
-    trace_id: str
-    parent: str | None
-    sample: float
-    origin_pid: int
-    telem_interval: int = 0
-
-
-@dataclass(frozen=True)
-class TracedResult:
-    """Envelope a traced pool task returns: result + buffered telemetry."""
-
-    result: Any
-    records: tuple[dict, ...]
-    metrics: dict
-    telemetry: tuple = ()
-
-
-def worker_context() -> WorkerContext | None:
-    """Snapshot of the current context, or ``None`` when fully off.
-
-    Returns a context when tracing **or** telemetry is active — either
-    one needs the pool envelope (buffered records / frames plus the
-    worker metrics snapshot) shipped back to the parent.
-    """
-    state = _state()
-    telem_interval = obs_telemetry.worker_interval()
-    if not state.enabled and telem_interval == 0:
-        return None
-    return WorkerContext(
-        trace_id=state.trace_id if state.enabled else "",
-        parent=state.parent if state.enabled else None,
-        sample=state.sample,
-        origin_pid=state.pid,
-        telem_interval=telem_interval,
-    )
-
-
-def in_origin(ctx: WorkerContext) -> bool:
-    """True when running in the process that created ``ctx`` (serial path)."""
-    return os.getpid() == ctx.origin_pid
-
-
-def activate_worker(ctx: WorkerContext) -> None:
-    """Adopt ``ctx`` in a pool worker: buffer records, reset worker metrics.
-
-    An empty ``ctx.trace_id`` (telemetry-only run) leaves tracing off in
-    the worker while still resetting the metrics registry and arming the
-    telemetry frame buffer, so the envelope's metrics snapshot covers
-    exactly this task.
-    """
-    global _STATE
-    METRICS.reset()
-    obs_telemetry.activate_worker(ctx.telem_interval)
-    # Span ids are ``pid.seq``; a worker serving several tasks must keep
-    # counting across activations or its spans would collide in the file.
-    prev = _state()
-    state = _TraceState(
-        enabled=bool(ctx.trace_id),
-        pid=os.getpid(),
-        trace_id=ctx.trace_id,
-        sample=ctx.sample,
-        buffer=[] if ctx.trace_id else None,
-        parent=ctx.parent,
-    )
-    state.seq = prev.seq
-    _STATE = state
-
-
-def drain_worker() -> tuple[dict, ...]:
-    """Take (and clear) the records buffered since :func:`activate_worker`."""
-    state = _state()
-    records = tuple(state.buffer or ())
-    if state.buffer is not None:
-        state.buffer = []
-    return records
-
-
-def absorb(records: tuple[dict, ...] | list[dict]) -> None:
-    """Write worker-buffered records into this process's sink."""
-    state = _state()
-    if not state.enabled:
-        return
-    for record in records:
-        _emit(state, record)
+    return sink.finish(sink.RUN).get(sink.RUN)
 
 
 __all__ = [
@@ -488,11 +241,4 @@ __all__ = [
     "finish_run",
     "disable",
     "reset",
-    "WorkerContext",
-    "TracedResult",
-    "worker_context",
-    "in_origin",
-    "activate_worker",
-    "drain_worker",
-    "absorb",
 ]

@@ -22,12 +22,8 @@ from typing import TextIO
 
 from repro.errors import ReproError
 from repro.obs.metrics import parse_metric_key, quantile_from_buckets
-from repro.obs.telemetry import (
-    LATENCY_BUCKETS,
-    TelemetryDoc,
-    load_telemetry,
-    merge_frames,
-)
+from repro.obs.sink import ObsDoc
+from repro.obs.telemetry import LATENCY_BUCKETS, load_telemetry, merge_frames
 
 #: Eight-level block characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -143,7 +139,7 @@ def _render_generic(
             lines.append(_series_line(key, per_tick, width))
 
 
-def _render_adversary_counters(doc: TelemetryDoc, lines: list[str], *, top: int) -> None:
+def _render_adversary_counters(doc: ObsDoc, lines: list[str], *, top: int) -> None:
     """Aggregate final jam.*/defense.* labelled counters over networks."""
     counters = (doc.metrics or {}).get("counters", {})
     rollup: dict[tuple[str, str], float] = {}
@@ -163,14 +159,14 @@ def _render_adversary_counters(doc: TelemetryDoc, lines: list[str], *, top: int)
 
 
 def render_dashboard(
-    path: Path | str, *, top: int = 5, width: int = 60
+    source: ObsDoc | Path | str, *, top: int = 5, width: int = 60
 ) -> str:
-    """One full dashboard frame for a telemetry file, as plain text."""
-    doc = load_telemetry(path)
+    """One full dashboard frame for a telemetry file (or its parsed document)."""
+    doc = source if isinstance(source, ObsDoc) else load_telemetry(source)
     merged = merge_frames(doc)
     lines: list[str] = []
 
-    header = doc.header or {}
+    header = doc.head or {}
     lines.append(f"telemetry {doc.path}")
     described = "  ".join(
         f"{k}={v}"

@@ -2,24 +2,25 @@
 
 import pytest
 
-from repro.obs import telemetry, trace
+from repro.obs import sink
 from repro.obs.metrics import METRICS
 
 
 @pytest.fixture(autouse=True)
 def clean_obs_state(monkeypatch):
-    """Isolate trace/telemetry/metrics globals and the REPRO_* env between tests."""
-    monkeypatch.delenv(trace.TRACE_ENV, raising=False)
-    monkeypatch.delenv(trace.SAMPLE_ENV, raising=False)
-    monkeypatch.delenv(telemetry.TELEM_ENV, raising=False)
-    monkeypatch.delenv(telemetry.TELEM_INTERVAL_ENV, raising=False)
-    monkeypatch.delenv(telemetry.TELEM_WINDOW_ENV, raising=False)
-    monkeypatch.delenv("REPRO_PROFILE", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    trace.reset()
-    telemetry.reset()
+    """Isolate the obs sink, metrics globals and the REPRO_* env between tests."""
+    for name in (
+        sink.TRACE_ENV,
+        sink.SAMPLE_ENV,
+        sink.TELEM_ENV,
+        sink.TELEM_INTERVAL_ENV,
+        "REPRO_TELEM_WINDOW",
+        "REPRO_PROFILE",
+        "REPRO_WORKERS",
+    ):
+        monkeypatch.delenv(name, raising=False)
+    sink.reset()
     METRICS.reset()
     yield
-    trace.reset()
-    telemetry.reset()
+    sink.reset()
     METRICS.reset()

@@ -8,7 +8,8 @@ from repro.cli import main
 from repro.errors import ReproError
 from repro.obs import trace
 from repro.obs.metrics import METRICS
-from repro.obs.summary import load_trace, render_summary, span_tree
+from repro.obs.sink import ObsDoc, read
+from repro.obs.summary import render_summary, span_tree
 
 
 def write_demo_trace(monkeypatch, tmp_path, name="demo"):
@@ -29,8 +30,8 @@ def write_demo_trace(monkeypatch, tmp_path, name="demo"):
 
 class TestLoadTrace:
     def test_buckets_record_types(self, monkeypatch, tmp_path):
-        doc = load_trace(write_demo_trace(monkeypatch, tmp_path))
-        assert doc.manifest["run"] == "demo"
+        doc = read(write_demo_trace(monkeypatch, tmp_path))
+        assert doc.head["run"] == "demo"
         assert len(doc.spans) == 2
         assert len(doc.events) == 3
         assert doc.metrics["counters"]["sim.slots"] == 3
@@ -38,27 +39,27 @@ class TestLoadTrace:
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(ReproError):
-            load_trace(tmp_path / "nope.jsonl")
+            read(tmp_path / "nope.jsonl")
 
     def test_empty_file_raises(self, tmp_path):
         empty = tmp_path / "RUN_empty.jsonl"
         empty.write_text("")
         with pytest.raises(ReproError):
-            load_trace(empty)
+            read(empty)
 
     def test_garbled_lines_tolerated(self, monkeypatch, tmp_path):
         target = write_demo_trace(monkeypatch, tmp_path)
         with target.open("a") as handle:
             handle.write("{truncated\n")
             handle.write(json.dumps({"type": "mystery"}) + "\n")
-        doc = load_trace(target)
+        doc = read(target)
         assert doc.malformed == 2
         assert len(doc.spans) == 2  # good records still load
 
 
 class TestSpanTree:
     def test_aggregates_siblings_by_name(self, monkeypatch, tmp_path):
-        doc = load_trace(write_demo_trace(monkeypatch, tmp_path))
+        doc = read(write_demo_trace(monkeypatch, tmp_path))
         tree = span_tree(doc)
         assert len(tree) == 1
         name, count, dur, children = tree[0]
@@ -66,9 +67,7 @@ class TestSpanTree:
         assert children[0][0] == "sim/run"
 
     def test_orphaned_parent_becomes_root(self):
-        from repro.obs.summary import TraceDoc
-
-        doc = TraceDoc(path=None)
+        doc = ObsDoc(path=None)
         doc.spans = [
             {"id": "1.1", "parent": "ghost", "name": "lost", "dur": 0.1},
         ]

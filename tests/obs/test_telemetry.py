@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
-from repro.obs import telemetry
+from repro.obs import sink, telemetry, trace
 from repro.obs.metrics import METRICS
 
 
@@ -83,34 +83,51 @@ class TestLifecycle:
         assert telemetry.finish_run() is None
 
 
+def _telem_context(interval):
+    return sink.WorkerContext(
+        trace_id="", parent=None, sample=1.0, origin_pid=0, telem_interval=interval
+    )
+
+
 class TestWorkerProtocol:
     def test_activation_buffers_frames(self, monkeypatch, tmp_path):
         _set_target(monkeypatch, tmp_path)
-        assert telemetry.worker_interval() == telemetry.DEFAULT_INTERVAL
-        telemetry.activate_worker(5)
+        ctx = sink.worker_context()
+        assert ctx.telem_interval == telemetry.DEFAULT_INTERVAL
+        assert ctx.trace_id == ""  # tracing is off
+        sink.activate_worker(_telem_context(5))
         assert telemetry.enabled()
         assert telemetry.interval() == 5
         telemetry.record_frame({"type": "frame", "series": "x", "window": 0})
-        frames = telemetry.drain_worker()
+        frames = sink.drain_worker(None).records
         assert [f["window"] for f in frames] == [0]
-        assert telemetry.drain_worker() == ()  # drained
+        assert sink.drain_worker(None).records == ()  # drained
 
     def test_activation_with_zero_disables(self):
-        telemetry.activate_worker(0)
+        sink.activate_worker(_telem_context(0))
         assert not telemetry.enabled()
-        assert telemetry.worker_interval() == 0
+        assert sink.worker_context() is None
+
+    def test_telemetry_only_context_resets_metrics(self, monkeypatch, tmp_path):
+        _set_target(monkeypatch, tmp_path)
+        METRICS.inc("sim.slots", 5)
+        sink.activate_worker(sink.worker_context())
+        assert telemetry.enabled()
+        assert not trace.enabled()
+        assert METRICS.snapshot()["counters"] == {}
 
     def test_reactivation_clears_stale_frames(self):
-        telemetry.activate_worker(5)
+        sink.activate_worker(_telem_context(5))
         telemetry.record_frame({"type": "frame", "window": 0})
-        telemetry.activate_worker(5)  # retry / next task
-        assert telemetry.drain_worker() == ()
+        sink.activate_worker(_telem_context(5))  # retry / next task
+        assert sink.drain_worker(None).records == ()
 
     def test_absorb_appends_to_parent_sink(self, monkeypatch, tmp_path):
         path = _set_target(monkeypatch, tmp_path)
-        telemetry.absorb(
-            [{"type": "frame", "series": "x", "window": w} for w in (0, 1)]
+        frames = tuple(
+            {"type": "frame", "series": "x", "window": w} for w in (0, 1)
         )
+        sink.absorb(sink.TracedResult(result=None, records=frames, metrics={}))
         telemetry.finish_run()
         kinds = [r["type"] for r in _records(path)]
         assert kinds == ["header", "frame", "frame", "metrics"]
@@ -186,7 +203,7 @@ class TestReadSide:
             handle.write("garbage\n")
         doc = telemetry.load_telemetry(path)
         assert doc.malformed == 1
-        assert doc.header is not None
+        assert doc.head["type"] == "header"
         assert doc.metrics is not None
         assert len(doc.frames) == 1
 
@@ -194,11 +211,10 @@ class TestReadSide:
         path = _set_target(monkeypatch, tmp_path)
         telemetry.record_frame({"type": "frame", "series": "x", "window": 0})
         telemetry.finish_run()
-        assert telemetry.is_telemetry_file(path)
-        trace = tmp_path / "RUN_x.jsonl"
-        trace.write_text(json.dumps({"type": "manifest"}) + "\n")
-        assert not telemetry.is_telemetry_file(trace)
-        assert not telemetry.is_telemetry_file(tmp_path / "absent.jsonl")
+        assert sink.read(path).stream == sink.TELEM
+        trace_file = tmp_path / "RUN_x.jsonl"
+        trace_file.write_text(json.dumps({"type": "manifest"}) + "\n")
+        assert sink.read(trace_file).stream == sink.RUN
 
 
 def _shard_frame(window, shard, networks, jammed, **overrides):
@@ -225,7 +241,7 @@ def _shard_frame(window, shard, networks, jammed, **overrides):
 
 class TestMergeFrames:
     def _doc(self, frames, tmp_path):
-        doc = telemetry.TelemetryDoc(path=tmp_path / "t.jsonl")
+        doc = sink.ObsDoc(path=tmp_path / "t.jsonl")
         doc.frames = list(frames)
         return doc
 

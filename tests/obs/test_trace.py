@@ -1,6 +1,7 @@
 """Tests for span/event recording and cross-process trace merging."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, train_dqn_multi_seed
 from repro.errors import ConfigurationError
-from repro.obs import trace
+from repro.obs import sink, trace
 from repro.obs.metrics import METRICS
 
 
@@ -148,30 +149,56 @@ class TestWorkerEnvelope:
     def test_context_roundtrip(self, monkeypatch, tmp_path):
         target = enable(monkeypatch, tmp_path)
         with trace.span("dispatch") as dispatch_id:
-            ctx = trace.worker_context()
+            ctx = sink.worker_context()
         assert ctx is not None
         assert ctx.parent == dispatch_id
-        assert trace.in_origin(ctx)
+        assert ctx.telem_interval == 0  # telemetry is off
+        assert sink.in_origin(ctx)
 
         # Simulate the worker side: buffer, then merge back at the origin.
         parent_state_id = trace.current_trace_id()
-        trace.activate_worker(ctx)
+        sink.activate_worker(ctx)
         with trace.span("task"):
             trace.event("inside")
-        records = trace.drain_worker()
-        assert [r["type"] for r in records] == ["event", "span"]
-        assert all(r["trace"] == parent_state_id for r in records)
-        assert trace.drain_worker() == ()  # drained
+        envelope = sink.drain_worker("result")
+        assert [r["type"] for r in envelope.records] == ["event", "span"]
+        assert all(r["trace"] == parent_state_id for r in envelope.records)
+        assert sink.drain_worker(None).records == ()  # drained
 
-        trace.reset()
+        sink.reset()
         enable(monkeypatch, tmp_path)
-        trace.absorb(records)
+        assert sink.absorb(envelope) == "result"
         trace.finish_run()
         absorbed = read_records(target)
         assert any(r.get("name") == "task" for r in absorbed)
 
+    def test_span_ids_continue_across_activations(self, monkeypatch, tmp_path):
+        enable(monkeypatch, tmp_path)
+        ctx = sink.worker_context()
+        seqs = []
+        for _ in range(3):  # one worker serving three tasks
+            sink.activate_worker(ctx)
+            with trace.span("task") as sid:
+                seqs.append(int(sid.split(".")[1], 16))
+        assert seqs == sorted(set(seqs))
+
     def test_worker_context_none_when_disabled(self):
-        assert trace.worker_context() is None
+        assert sink.worker_context() is None
+
+    def test_unactivated_fork_records_nothing(self, monkeypatch, tmp_path):
+        target = enable(monkeypatch, tmp_path)
+        trace.event("parent")
+        size = target.stat().st_size
+        pid = os.fork()
+        if pid == 0:  # the child: everything must stay off
+            quiet = not trace.enabled() and sink.worker_context() is None
+            with trace.span("child"):
+                trace.event("child")
+            os._exit(0 if quiet and sink.finish() == {} else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert target.stat().st_size == size
+        assert trace.enabled()
 
 
 class TestParallelMergedTrace:

@@ -412,6 +412,43 @@ class TestTelemetryInvariance:
         assert series == base_series
         assert counters == base_counters
 
+    def test_trace_and_telemetry_share_one_pool(self, monkeypatch, tmp_path):
+        """Both streams on with a pool: the one path whose worker context
+        carries a trace id and a telemetry interval together."""
+        import json
+
+        _, base_series, _ = self._run_with_telemetry(
+            monkeypatch, tmp_path, "serial", shards=3, workers=1
+        )
+        run_path = tmp_path / "RUN_both.jsonl"
+        _, series, _ = self._run_with_telemetry(
+            monkeypatch,
+            tmp_path,
+            "both",
+            shards=3,
+            workers=2,
+            env=(("REPRO_TRACE", str(run_path)),),
+        )
+        assert series == base_series
+
+        def kinds(path):
+            lines = path.read_text().splitlines()
+            return [json.loads(line) for line in lines]
+
+        run = kinds(run_path)
+        telem = kinds(tmp_path / "TELEM_both.jsonl")
+        spans = {}
+        for record in run:
+            if record["type"] == "span":
+                spans.setdefault(record["name"], []).append(record)
+        (dispatch,) = spans["exec/dispatch"]
+        tasks = spans["exec/task"]
+        assert len(tasks) == 3
+        assert {t["parent"] for t in tasks} == {dispatch["id"]}
+        assert {s["parent"] for s in spans["sim/shard"]} == {t["id"] for t in tasks}
+        assert {r["type"] for r in run} <= {"manifest", "span", "event"}
+        assert {r["type"] for r in telem} == {"header", "frame", "metrics"}
+
     def test_frames_carry_duty_tokens_and_labels(self, monkeypatch, tmp_path):
         _, series, counters = self._run_with_telemetry(
             monkeypatch, tmp_path, "tok", shards=3, workers=1
