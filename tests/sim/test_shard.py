@@ -257,6 +257,79 @@ class TestDQNGrid:
             assert got.metrics[i] == solo.metrics
 
 
+class _FleetFactory:
+    """Picklable factory: a few distinct agents assigned round-robin."""
+
+    def __init__(self, agents, grid_seed, num_networks):
+        self.agents = agents
+        self.order = {
+            network_seed(grid_seed, i): i for i in range(num_networks)
+        }
+
+    def __call__(self, mdp, net_seed):
+        from repro.rng import derive
+
+        agent = self.agents[self.order[net_seed] % len(self.agents)]
+        return DQNPolicyAdapter(
+            agent, mdp, seed=derive(net_seed, "grid-adapter")
+        )
+
+
+class TestMixedFleet:
+    """Three distinct DQN agents round-robin over 24 networks.
+
+    The fleet shape of Fig. 11a at scale: a few policies, many networks.
+    The interfering digest was generated before the stacked forward
+    de-duplicated its weight slices and must not move.
+    """
+
+    NETWORKS = 24
+    SEED = 29
+    DIGEST = "2b0822a33ce45eaf296527c93f5b22a98343ea869b7e0f96ba4f579d2305b8af"
+
+    def _factory(self):
+        mdp = paper_defaults().mdp
+        cfg = DQNConfig(
+            observation_size=15,
+            num_actions=mdp.num_channels * mdp.num_power_levels,
+        )
+        agents = [DQNAgent(cfg, seed=100 + i) for i in range(3)]
+        return _FleetFactory(agents, self.SEED, self.NETWORKS)
+
+    def test_every_network_matches_its_solo_replay(self):
+        factory = self._factory()
+        cfg = _grid_config(num_networks=self.NETWORKS, adapter_factory=factory)
+        got = FieldGrid(cfg, seed=self.SEED).run(SLOTS)
+        mdp = cfg.field.mdp
+        for i in range(self.NETWORKS):
+            net = network_seed(self.SEED, i)
+            solo = FieldExperiment(
+                cfg.field, factory(mdp, net), seed=net
+            ).run_experiment(SLOTS)
+            assert got.goodput_pkts_per_slot[i] == solo.goodput_pkts_per_slot
+            assert got.utilization[i] == solo.utilization
+            assert got.metrics[i] == solo.metrics
+
+    def test_interfering_fleet_digest(self):
+        import hashlib
+
+        cfg = _grid_config(
+            num_networks=self.NETWORKS,
+            width_m=40.0,
+            height_m=40.0,
+            adapter_factory=self._factory(),
+            interference=InterferenceModel(),
+        )
+        got = FieldGrid(cfg, seed=self.SEED, shards=2).run(SLOTS)
+        payload = (
+            got.goodput_pkts_per_slot.tolist(),
+            got.utilization.tolist(),
+            [dataclasses.astuple(m) for m in got.metrics],
+        )
+        digest = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
+
+
 class TestAdversaryGrids:
     """The harder adversaries ride the same shard-invariance contract."""
 
