@@ -8,6 +8,8 @@ replaced (and is pinned bit-identical to by the equivalence suites):
 * Viterbi decode — vectorised ACS vs the per-state reference loop,
 * batched DQN stepping — stacked ε-greedy act / TD update across N seeds
   vs N serial single-agent calls,
+* policy stack — the cached greedy fleet forward vs a per-call restack,
+  and a 1024-network fleet over 1 to 1024 distinct policies per kernel,
 * waveform trials — the batched ``(N, samples)`` trial engine with its
   jammer bank vs the serial per-trial encode/mix/decode loop,
 * DSSS despreading — the ±1 GEMM against ``CHIP_TABLE_PM`` vs the
@@ -232,6 +234,47 @@ def test_policy_stack_cache_speedup():
     SPEEDUPS["policy_stack"] = cold_s / warm_s
     _write_artifact()
     assert SPEEDUPS["policy_stack"] > 1.5
+
+
+def test_policy_stack_fleet_mix(monkeypatch):
+    """Greedy forward of a 1024-network fleet running U distinct policies.
+
+    The shipped stage ``kernels.policy_stack.fleet_u<U>`` stacks each
+    distinct network once and picks its kernel from the mean rows per
+    network; ``.grouped`` and ``.per_row`` force one kernel each (one
+    broadcast chain per network vs one stacked slice per row), which is
+    where ``vecenv.GROUP_MIN_ROWS`` comes from. Every case must equal the
+    serial ``network.predict`` decisions bit-for-bit.
+    """
+    from repro.core import vecenv
+    from repro.nn.network import mlp
+
+    n = 1024
+    rng = np.random.default_rng(11)
+    obs = rng.standard_normal((n, 15))
+    pool = [mlp(15, (48, 48), 160, seed=derive(s, "fleet-policy")) for s in range(n)]
+    shipped = vecenv.GROUP_MIN_ROWS
+    for distinct in (1, 4, 64, 128, 256, 512, 1024):
+        nets = [pool[i % distinct] for i in range(n)]
+        serial = np.array(
+            [int(np.argmax(net.predict(row))) for net, row in zip(nets, obs)]
+        )
+
+        def forward():
+            return vecenv.get_policy_stack(nets).greedy_actions(obs)
+
+        for suffix, group_min_rows in (
+            ("", shipped),
+            (".grouped", 1),
+            (".per_row", n + 1),
+        ):
+            monkeypatch.setattr(vecenv, "GROUP_MIN_ROWS", group_min_rows)
+            vecenv.clear_policy_stack_cache()
+            np.testing.assert_array_equal(forward(), serial)
+            stage = f"kernels.policy_stack.fleet_u{distinct}{suffix}"
+            _timed(stage, forward, repeats=5)
+    vecenv.clear_policy_stack_cache()
+    _write_artifact()
 
 
 def test_waveform_trial_speedup():

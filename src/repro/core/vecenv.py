@@ -317,29 +317,54 @@ class _StackedMLP:
             agent.optimizer._t = self.adam_t
 
 
+#: Mean rows per distinct network from which :meth:`PolicyStack.forward`
+#: scores each network's rows as one group instead of stacking one weight
+#: slice per row. Below it the per-group call overhead outweighs streaming
+#: the per-row slices (``kernels.policy_stack.fleet_u*`` in
+#: ``benchmarks/bench_kernels.py``).
+GROUP_MIN_ROWS = 8
+
+
+def _row_groups(index: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(slice, rows)`` pairs: the rows each distinct slice scores."""
+    return [(k, np.flatnonzero(index == k)) for k in np.unique(index).tolist()]
+
+
 class PolicyStack:
     """Inference-only stacked mirror of N structurally identical networks.
 
-    Unlike :class:`_StackedMLP` this holds no gradients, target copies, or
-    Adam state — just the stacked online weights — so it is cheap enough
-    to keep alive between calls. Staleness is tracked through each source
+    Each *distinct* network (by identity) is stacked exactly once, and
+    ``index`` maps row i to the slice of its network. Unlike
+    :class:`_StackedMLP` this holds no gradients, target copies, or Adam
+    state — just the stacked online weights — so it is cheap enough to keep
+    alive between calls. Staleness is tracked through each source
     :class:`~repro.nn.network.Network`'s ``version`` counter:
     :meth:`refresh` re-copies only the slices whose network mutated since
     the stack was built.
 
-    When every entry is the *same* network object (a shared deployed
-    policy), the stack keeps live references to its 2-D arrays instead of
-    copying — broadcasting in the forward pass — so it can never go stale.
-    Each stacked slice applies the same IEEE operations as the serial
-    ``network.predict(obs_i)``, so results are bit-identical to scoring
-    one network at a time.
+    :meth:`forward` picks its kernel from the rows per distinct network
+    (:data:`GROUP_MIN_ROWS`): a fleet of a few policies over many rows is
+    scored one broadcast ``(rows, 1, in) @ (in, out)`` chain per network;
+    a fleet of mostly distinct networks by one ``(N, 1, in) @ (N, in, out)``
+    chain over per-row slices. Either way each row goes through the same
+    IEEE operations as the serial ``network.predict(obs_i)``, so results
+    are bit-identical to scoring one network at a time.
     """
 
     def __init__(self, networks: list) -> None:
         if not networks:
             raise TrainingError("a PolicyStack needs at least one network")
         self.networks = list(networks)
-        first = self.networks[0]
+        slices: dict[int, int] = {}
+        self.sources: list = []
+        for net in self.networks:
+            if id(net) not in slices:
+                slices[id(net)] = len(self.sources)
+                self.sources.append(net)
+        self.index = np.array(
+            [slices[id(net)] for net in self.networks], dtype=np.intp
+        )
+        first = self.sources[0]
         self.spec: list[str] = []
         for layer in first.layers:
             if isinstance(layer, Dense):
@@ -351,40 +376,23 @@ class PolicyStack:
                     f"stacked inference supports Dense/ReLU only, got "
                     f"{type(layer).__name__}"
                 )
-        self.shared = all(net is first for net in self.networks)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        if self.shared:
-            # Live views of the single network's arrays: every mutation
-            # path writes parameters in place, so these never go stale.
-            for li, kind in enumerate(self.spec):
-                if kind == "dense":
-                    self.weights.append(first.layers[li].weight)
-                    self.biases.append(first.layers[li].bias)
-        else:
-            for net in self.networks[1:]:
-                if len(net.layers) != len(first.layers) or any(
-                    isinstance(a, Dense)
-                    and (
-                        not isinstance(b, Dense)
-                        or a.weight.shape != b.weight.shape
-                    )
-                    for a, b in zip(first.layers, net.layers)
-                ):
-                    raise TrainingError("all agents must share geometry")
-            for li, kind in enumerate(self.spec):
-                if kind == "dense":
-                    self.weights.append(
-                        np.stack([net.layers[li].weight for net in self.networks])
-                    )
-                    self.biases.append(
-                        np.stack([net.layers[li].bias for net in self.networks])
-                    )
-        self._versions = [net.version for net in self.networks]
-
-    @property
-    def num_stacked(self) -> int:
-        return len(self.networks)
+        for net in self.sources[1:]:
+            if len(net.layers) != len(first.layers) or any(
+                isinstance(a, Dense)
+                and (not isinstance(b, Dense) or a.weight.shape != b.weight.shape)
+                for a, b in zip(first.layers, net.layers)
+            ):
+                raise TrainingError("all agents must share geometry")
+        dense = [li for li, kind in enumerate(self.spec) if kind == "dense"]
+        self.weights = [
+            np.stack([net.layers[li].weight for net in self.sources]) for li in dense
+        ]
+        self.biases = [
+            np.stack([net.layers[li].bias for net in self.sources]) for li in dense
+        ]
+        self._versions = [net.version for net in self.sources]
+        self._groups: list | None = None
+        self._per_row: tuple[list, list] | None = None
 
     @property
     def observation_size(self) -> int:
@@ -396,44 +404,80 @@ class PolicyStack:
 
     def refresh(self) -> int:
         """Re-copy slices whose source network mutated; returns the count."""
-        if self.shared:
-            return 0
         stale = 0
-        for i, net in enumerate(self.networks):
-            if net.version == self._versions[i]:
+        for k, net in enumerate(self.sources):
+            if net.version == self._versions[k]:
                 continue
             dense = 0
             for li, kind in enumerate(self.spec):
                 if kind == "dense":
-                    self.weights[dense][i] = net.layers[li].weight
-                    self.biases[dense][i] = net.layers[li].bias
+                    self.weights[dense][k] = net.layers[li].weight
+                    self.biases[dense][k] = net.layers[li].bias
                     dense += 1
-            self._versions[i] = net.version
+            self._versions[k] = net.version
             stale += 1
+        if stale:
+            self._per_row = None
         return stale
 
-    def forward(self, obs: np.ndarray) -> np.ndarray:
-        """Q-values (N, 1, actions) for stacked observations (N, obs)."""
-        out = obs[:, None, :]
+    def forward(
+        self, obs: np.ndarray, entries: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Q-values (B, actions) for observations (B, obs).
+
+        Row i is scored by ``networks[entries[i]]``; without ``entries`` the
+        B = N observations are scored row by row against ``networks``. Only
+        the stack's own rows may take the per-row kernel: its per-row slices
+        are copied once and reused, where ``entries`` would need a per-call
+        weight gather.
+        """
+        x = obs[:, None, :]
+        if entries is None:
+            if self.index.size < GROUP_MIN_ROWS * len(self.sources):
+                if self._per_row is None:
+                    self._per_row = self._slices_per_row()
+                weights, biases = self._per_row
+                return self._chain(x, weights, [b[:, None, :] for b in biases])
+            if self._groups is None:
+                self._groups = _row_groups(self.index)
+            groups = self._groups
+        else:
+            groups = _row_groups(self.index[entries])
+        q = np.empty((x.shape[0], self.num_actions))
+        for k, members in groups:
+            q[members] = self._chain(
+                x[members], [w[k] for w in self.weights], [b[k] for b in self.biases]
+            )
+        return q
+
+    def _slices_per_row(self) -> tuple[list, list]:
+        """Per-row (weights, biases): the stack itself when row i is slice i."""
+        if len(self.sources) == self.index.size:
+            return self.weights, self.biases
+        return (
+            [w[self.index] for w in self.weights],
+            [b[self.index] for b in self.biases],
+        )
+
+    def _chain(
+        self, x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
+    ) -> np.ndarray:
+        """The Dense/ReLU chain over (B, 1, in) rows; returns (B, actions)."""
         dense = 0
         for kind in self.spec:
             if kind == "dense":
-                if self.shared:
-                    out = np.matmul(out, self.weights[dense]) + self.biases[dense]
-                else:
-                    out = (
-                        np.matmul(out, self.weights[dense])
-                        + self.biases[dense][:, None, :]
-                    )
+                x = np.matmul(x, weights[dense]) + biases[dense]
                 dense += 1
             else:
-                out = np.where(out > 0, out, 0.0)
-        return out
+                x = np.where(x > 0, x, 0.0)
+        return x[:, 0]
 
-    def greedy_actions(self, obs: np.ndarray) -> np.ndarray:
+    def greedy_actions(
+        self, obs: np.ndarray, entries: np.ndarray | None = None
+    ) -> np.ndarray:
         """Greedy action per row; refreshes stale slices first."""
         self.refresh()
-        return self.forward(obs).argmax(axis=2)[:, 0]
+        return self.forward(obs, entries).argmax(axis=1)
 
 
 #: Cached stacks keyed on the identity tuple of their source networks. A
@@ -475,12 +519,12 @@ def greedy_policy_actions(agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray
     """Greedy actions for N agents from one stacked forward pass.
 
     ``obs`` has shape (N, observation_size); row i is scored by
-    ``agents[i]``. Greedy action selection consumes no rng, and each
-    stacked slice applies the same IEEE operations as the serial
+    ``agents[i]``. Greedy action selection consumes no rng, and every row
+    goes through the same IEEE operations as the serial
     ``agent.act(obs_i, greedy=True)``, so the result is bit-identical to
-    acting one agent at a time. When every entry is the *same* agent
-    object (a shared deployed policy), its 2-D weights broadcast across
-    the stack without copying.
+    acting one agent at a time. Agents repeated across rows (a fleet
+    running a few deployed policies) are stacked once and score all of
+    their rows in one broadcast chain; see :class:`PolicyStack`.
 
     The stacked weights come from the :func:`get_policy_stack` cache:
     calling this in a loop (as ``sim/shard`` does every slot) rebuilds
@@ -488,20 +532,15 @@ def greedy_policy_actions(agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray
     """
     if not agents:
         raise TrainingError("need at least one agent")
-    first = agents[0]
+    # The stack checks geometry when it is built, so a cached one needs
+    # no per-call scan of the N agents.
+    stack = get_policy_stack([agent.online for agent in agents])
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (len(agents), first.config.observation_size):
+    if obs.shape != (len(agents), stack.observation_size):
         raise TrainingError(
             f"expected observations of shape "
-            f"({len(agents)}, {first.config.observation_size}), got {obs.shape}"
+            f"({len(agents)}, {stack.observation_size}), got {obs.shape}"
         )
-    for agent in agents[1:]:
-        if (
-            agent.config.observation_size != first.config.observation_size
-            or agent.config.num_actions != first.config.num_actions
-        ):
-            raise TrainingError("all agents must share geometry")
-    stack = get_policy_stack([agent.online for agent in agents])
     return stack.greedy_actions(obs)
 
 

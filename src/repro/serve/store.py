@@ -6,14 +6,16 @@ one geometry and answers "which action for this observation?" two ways:
 * :meth:`decide_serial` — one ``network.predict`` per request, the
   reference path every batched answer must match bit-for-bit.
 * :meth:`decide_batch` — one stacked forward for B requests that may
-  reference any mix of the P policies. Per-request weight slices are
-  gathered into ``(B, in, out)`` tensors so each slice applies exactly
-  the 2-D operations of the serial path (a single shared policy
-  broadcasts its 2-D weights instead of copying).
+  reference any mix of the P policies. The per-request policies index the
+  same :class:`repro.core.vecenv.PolicyStack` forward the field engine
+  uses: the rows sharing a policy are scored together by one broadcast
+  ``(rows, 1, in) @ (in, out)`` chain over that policy's 2-D weights, so
+  each row applies exactly the 2-D operations of the serial path and no
+  weights are gathered or copied per request.
 
-Stacking is built once on a :class:`repro.core.vecenv.PolicyStack` and
-reused across calls; slices refresh automatically when a source network's
-parameters mutate (tracked through ``Network.version``).
+The stack is built once and reused across calls; slices refresh
+automatically when a source network's parameters mutate (tracked through
+``Network.version``).
 """
 
 from __future__ import annotations
@@ -162,9 +164,8 @@ class PolicyStore:
 
         ``policies[i]`` selects the store entry scoring row i of
         ``observations`` (B, obs). Bit-identical to calling
-        :meth:`decide_serial` per row: the gathered ``(B, 1, in) @
-        (B, in, out)`` matmul applies the serial 2-D operations slice by
-        slice.
+        :meth:`decide_serial` per row (see
+        :meth:`repro.core.vecenv.PolicyStack.forward`).
         """
         policies = np.asarray(policies, dtype=np.intp).reshape(-1)
         observations = np.asarray(observations, dtype=np.float64)
@@ -184,42 +185,7 @@ class PolicyStore:
                 f"policy indices must lie in [0, {len(self.networks)}), "
                 f"got range [{policies.min()}, {policies.max()}]"
             )
-        stack = self._stack
-        stack.refresh()
-        if stack.shared:
-            # One policy: its live 2-D weights broadcast over the batch.
-            return self._forward_2d(
-                observations, stack.weights, stack.biases
-            ).argmax(axis=2)[:, 0]
-        # Group rows by policy and broadcast each policy's 2-D weight
-        # views over its group — no per-request weight gather (which would
-        # copy megabytes of parameters per flush), and still bit-identical:
-        # every (1, in) @ (in, out) slice is the serial operation.
-        actions = np.empty(policies.size, dtype=np.int64)
-        for policy in np.unique(policies):
-            rows = np.flatnonzero(policies == policy)
-            weights = [w[policy] for w in stack.weights]
-            biases = [b[policy] for b in stack.biases]
-            q = self._forward_2d(observations[rows], weights, biases)
-            actions[rows] = q.argmax(axis=2)[:, 0]
-        return actions
-
-    def _forward_2d(
-        self,
-        observations: np.ndarray,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-    ) -> np.ndarray:
-        """(B, 1, in) @ (in, out) broadcast forward over one policy's weights."""
-        out = observations[:, None, :]
-        dense = 0
-        for kind in self._stack.spec:
-            if kind == "dense":
-                out = np.matmul(out, weights[dense]) + biases[dense]
-                dense += 1
-            else:
-                out = np.where(out > 0, out, 0.0)
-        return out
+        return self._stack.greedy_actions(observations, policies)
 
 
 __all__ = ["PolicyStore"]

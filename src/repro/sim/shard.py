@@ -14,8 +14,8 @@ is a resumable run of a one-network engine.
 * :class:`FieldGrid` places N star networks at deterministic positions and
   runs the loop over them, with a :class:`FieldJammerBank` of per-network
   time-domain jammers and batched policy adapters (table-probed
-  :class:`StatePolicyAdapter`, one stacked greedy forward for
-  :class:`DQNPolicyAdapter` fleets).
+  :class:`StatePolicyAdapter`, one greedy forward for
+  :class:`DQNPolicyAdapter` fleets that stacks each distinct agent once).
 * The field is partitioned into vertical strips (shards). Co-channel
   interference between neighbouring networks only affects *delivery*,
   never the control path (channel choice, jammer dynamics, rng streams),

@@ -352,6 +352,80 @@ class TestPolicyStackCache:
         serial = np.array([agent.act(o, greedy=True) for o in obs])
         np.testing.assert_array_equal(batched, serial)
 
+    @pytest.mark.parametrize("distinct", [3, 40])
+    def test_round_robin_fleet_bit_identical_to_serial(self, distinct):
+        # 3 agents over 60 rows score as groups, 40 over 60 row by row.
+        pool = self._agents(distinct)
+        agents = [pool[i % distinct] for i in range(60)]
+        obs = self._obs(agents, seed=distinct)
+        batched = greedy_policy_actions(agents, obs)
+        serial = np.array(
+            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
+        )
+        np.testing.assert_array_equal(batched, serial)
+
+    @pytest.mark.parametrize("group_min_rows", [1, 10**6])
+    def test_both_kernels_bit_identical_to_serial(
+        self, monkeypatch, group_min_rows
+    ):
+        from repro.core import vecenv
+
+        monkeypatch.setattr(vecenv, "GROUP_MIN_ROWS", group_min_rows)
+        clear_policy_stack_cache()
+        pool = self._agents(4)
+        agents = [pool[(i * 7) % 4] for i in range(30)]
+        # A fresh observation set per case, so no kernel can pass on a
+        # buffer left over from the previous one.
+        obs = self._obs(agents, seed=3 + (group_min_rows > 1))
+        batched = greedy_policy_actions(agents, obs)
+        serial = np.array(
+            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
+        )
+        np.testing.assert_array_equal(batched, serial)
+        q = get_policy_stack([a.online for a in agents]).forward(obs)
+        want = np.stack([a.online.predict(o) for a, o in zip(agents, obs)])
+        np.testing.assert_array_equal(q, want)
+
+    def test_one_slice_per_distinct_network(self):
+        pool = self._agents(3)
+        agents = [pool[i % 3] for i in range(60)]
+        stack = get_policy_stack([a.online for a in agents])
+        assert stack.weights[0].shape[0] == 3
+        assert stack.biases[-1].shape[0] == 3
+        np.testing.assert_array_equal(stack.index, np.arange(60) % 3)
+
+    @pytest.mark.parametrize("distinct", [3, 40])
+    def test_set_weights_on_shared_agent_updates_every_row(self, distinct):
+        pool = self._agents(distinct)
+        agents = [pool[i % distinct] for i in range(60)]
+        obs = self._obs(agents, seed=8)
+        stack = get_policy_stack([a.online for a in agents])
+        greedy_policy_actions(agents, obs)  # settle the cached stack
+        donor = DQNAgent(pool[0].config, seed=99)
+        pool[1].online.set_weights(donor.online.get_weights())
+        assert stack.refresh() == 1
+        assert stack.refresh() == 0
+        batched = stack.greedy_actions(obs)
+        serial = np.array(
+            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
+        )
+        np.testing.assert_array_equal(batched, serial)
+
+    @pytest.mark.parametrize("batch", [1, 7, 64])
+    @pytest.mark.parametrize("policies", [3, 40])
+    def test_store_decide_batch_matches_serial(self, batch, policies):
+        from repro.serve import PolicyStore
+
+        store = PolicyStore.from_agents(self._agents(policies))
+        rng = np.random.default_rng(batch * policies)
+        obs = rng.random((batch, store.observation_size))
+        chosen = rng.integers(0, policies, size=batch)
+        batched = store.decide_batch(chosen, obs)
+        serial = np.array(
+            [store.decide_serial(int(p), o) for p, o in zip(chosen, obs)]
+        )
+        np.testing.assert_array_equal(batched, serial)
+
     def test_repeat_calls_reuse_the_cached_stack(self):
         clear_policy_stack_cache()
         agents = self._agents()
