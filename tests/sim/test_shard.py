@@ -330,6 +330,65 @@ class TestMixedFleet:
         assert digest == self.DIGEST
 
 
+class TestTabledHopGrid:
+    """Table policies on a hop set against a fast, max-power jammer.
+
+    The golden digests only pin random power, a 3 s jammer slot and a
+    1 s Tx slot; this grid pins the other corner the fleet paths take:
+    ``max`` power, a 0.7 s jammer slot against 3 s Tx slots, and hops
+    drawn from a five-channel hop set. The digest was generated before
+    the jammer bank and the table hops became arrays.
+    """
+
+    NETWORKS = 48
+    SEED = 37
+    HOPS = (1, 4, 7, 11, 14)
+    DIGEST = "46b02df5193d60e082c62d75013ac197df2482d109627733baf2b410ba79242a"
+
+    def _field(self) -> FieldConfig:
+        defaults = paper_defaults()
+        return FieldConfig(
+            mdp=defaults.mdp,
+            jammer=field_jammer_config(defaults, slot_duration_s=0.7),
+            sampling="aggregate",
+        )
+
+    def _grid(self, **kwargs) -> GridConfig:
+        return GridConfig(
+            field=self._field(),
+            num_networks=self.NETWORKS,
+            adapter_factory=SchemeAdapterFactory("optimal", hop_channels=self.HOPS),
+            **kwargs,
+        )
+
+    def test_interfering_digest(self):
+        import hashlib
+
+        got = FieldGrid(
+            self._grid(interference=InterferenceModel()), seed=self.SEED, shards=2
+        ).run(SLOTS)
+        payload = (
+            got.goodput_pkts_per_slot.tolist(),
+            got.utilization.tolist(),
+            [dataclasses.astuple(m) for m in got.metrics],
+        )
+        digest = hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
+        assert digest == self.DIGEST
+
+    def test_networks_match_solo_replays(self):
+        got = FieldGrid(self._grid(), seed=self.SEED).run(SLOTS)
+        factory = SchemeAdapterFactory("optimal", hop_channels=self.HOPS)
+        for i in range(0, self.NETWORKS, 5):
+            net = network_seed(self.SEED, i)
+            adapter = factory(self._field().mdp, net)
+            solo = FieldExperiment(self._field(), adapter, seed=net).run_experiment(
+                SLOTS
+            )
+            assert got.goodput_pkts_per_slot[i] == solo.goodput_pkts_per_slot
+            assert got.utilization[i] == solo.utilization
+            assert got.metrics[i] == solo.metrics
+
+
 class TestAdversaryGrids:
     """The harder adversaries ride the same shard-invariance contract."""
 
