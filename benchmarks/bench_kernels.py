@@ -10,6 +10,8 @@ replaced (and is pinned bit-identical to by the equivalence suites):
   vs N serial single-agent calls,
 * policy stack — the cached greedy fleet forward vs a per-call restack,
   and a 1024-network fleet over 1 to 1024 distinct policies per kernel,
+* jammer bank — the paper's sweep jammers of a 1024-network field as
+  arrays vs one :class:`~repro.jamming.jammer.FieldJammer` per network,
 * waveform trials — the batched ``(N, samples)`` trial engine with its
   jammer bank vs the serial per-trial encode/mix/decode loop,
 * DSSS despreading — the ±1 GEMM against ``CHIP_TABLE_PM`` vs the
@@ -275,6 +277,52 @@ def test_policy_stack_fleet_mix(monkeypatch):
             _timed(stage, forward, repeats=5)
     vecenv.clear_policy_stack_cache()
     _write_artifact()
+
+
+def test_jammer_bank():
+    """The paper's sweep jammer bank as arrays vs one object per network.
+
+    ``kernels.jammer_bank.{array,object}.{max,random}`` time 100 victim
+    windows of a 1024-network bank under each jammer power mode; the
+    array bank must answer every window bit-identically to the objects.
+    """
+    from repro.jamming.adversary import make_field_jammer
+    from repro.sim.scenario import field_jammer_config, paper_defaults
+    from repro.sim.shard import FieldJammerBank
+
+    n, windows = 1024, 100
+    rng = np.random.default_rng(17)
+    channels = [rng.integers(0, 16, n)]
+    for _ in range(3 * windows - 1):  # _timed runs three rounds
+        move = rng.random(n) < 0.4
+        channels.append(np.where(move, rng.integers(0, 16, n), channels[-1]))
+    for mode in ("max", "random"):
+        config = field_jammer_config(paper_defaults(mode))
+        seconds, outputs = {}, {}
+        for path in ("array", "object"):
+            bank = FieldJammerBank(
+                [
+                    make_field_jammer(config, seed=derive(s, "bench-jammer"))
+                    for s in range(n)
+                ],
+                arrays=path == "array",
+            )
+            seen = outputs[path] = []
+
+            def step(bank=bank, seen=seen):
+                k = len(seen)
+                seen.append(bank.attack_profiles(3.0 * k, 3.0 * k + 3.0, channels[k]))
+
+            seconds[path] = _timed(
+                f"kernels.jammer_bank.{path}.{mode}", step, repeats=windows
+            )
+        for mine, ref in zip(outputs["array"], outputs["object"], strict=True):
+            for a, b in zip(mine, ref):
+                np.testing.assert_array_equal(a, b)
+        SPEEDUPS[f"jammer_bank_{mode}"] = seconds["object"] / seconds["array"]
+    _write_artifact()
+    assert SPEEDUPS["jammer_bank_max"] >= 5.0
+    assert SPEEDUPS["jammer_bank_random"] >= 5.0
 
 
 def test_waveform_trial_speedup():

@@ -24,7 +24,9 @@ import numpy as np
 from repro.channel.fidelity import JamAdjudicator
 from repro.constants import DEFAULT_HISTORY_LENGTH
 from repro.core.mdp import (
+    J_CODE,
     TJ,
+    TJ_CODE,
     J,
     Action,
     AntiJammingMDP,
@@ -72,6 +74,30 @@ def history_row(
         outcome,
         channel / max(config.num_channels - 1, 1),
         power_index / max(config.num_power_levels - 1, 1),
+    )
+
+
+def history_rows(
+    codes: np.ndarray,
+    channels: np.ndarray,
+    power_indices: np.ndarray,
+    config: MDPConfig,
+) -> np.ndarray:
+    """:func:`history_row` for N slots at once, from int state codes.
+
+    Row i of the (N, 3) float64 result equals ``history_row(
+    code_state(codes[i]), channels[i], power_indices[i], config)`` bit
+    for bit; the DQN fleet of :mod:`repro.sim.shard` encodes with this.
+    """
+    codes = np.asarray(codes)
+    outcome = np.where(codes == J_CODE, 0.0, np.where(codes == TJ_CODE, 0.5, 1.0))
+    return np.stack(
+        [
+            outcome,
+            np.asarray(channels) / max(config.num_channels - 1, 1),
+            np.asarray(power_indices) / max(config.num_power_levels - 1, 1),
+        ],
+        axis=1,
     )
 
 
@@ -402,4 +428,10 @@ class SweepJammingEnv:
         return self.observation(), reward, info
 
 
-__all__ = ["history_row", "StepInfo", "AnalyticJammingEnv", "SweepJammingEnv"]
+__all__ = [
+    "history_row",
+    "history_rows",
+    "StepInfo",
+    "AnalyticJammingEnv",
+    "SweepJammingEnv",
+]

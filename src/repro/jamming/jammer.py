@@ -22,8 +22,15 @@ must start at or after the previous window's end (gaps are fine — the
 jammer simply makes its next decision late). Handing it a window that
 starts *before* the last advanced time would replay decisions against
 stale ``_active_block``/``_next_decision`` state, so it raises
-:class:`~repro.errors.ConfigurationError` instead. :meth:`FieldJammer.reset`
-rewinds the clock to zero along with all attack state.
+:class:`~repro.errors.ConfigurationError` instead, as it does for a
+zero-length window or an out-of-range victim channel.
+:meth:`FieldJammer.reset` rewinds the clock to zero along with all attack
+state.
+
+:class:`~repro.sim.shard.FieldJammerBank` keeps the same contract for N
+jammers at once: one window for all of them, the same three errors. For
+the paper's sweep jammer it moves the attack state into arrays seeded
+from the jammer objects, which are stale from then on.
 """
 
 from __future__ import annotations

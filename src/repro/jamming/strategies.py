@@ -17,6 +17,7 @@ probe the defence beyond the paper's model:
 from __future__ import annotations
 
 import abc
+import functools
 import inspect
 
 import numpy as np
@@ -166,11 +167,13 @@ def _lookup(name: str) -> type[SweepStrategy]:
         ) from None
 
 
+@functools.cache
 def strategy_options(name: str) -> tuple[str, ...]:
     """Keyword options the named strategy accepts (besides ``num_blocks``).
 
     ``"seed" in strategy_options(name)`` tells a caller whether the
     strategy is randomised at all — :class:`SequentialSweep` is not.
+    Memoised: every jammer of a grid asks twice while it is built.
     """
     params = inspect.signature(_lookup(name).__init__).parameters
     return tuple(p for p in params if p not in ("self", "num_blocks"))

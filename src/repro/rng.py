@@ -9,6 +9,7 @@ make results depend on call ordering).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Union
 
@@ -73,6 +74,118 @@ def stable_hash(*parts: object) -> str:
     return digest.hexdigest()[:16]
 
 
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+class BoundedDraws:
+    """``Generator.integers(k)`` on many PCG64 streams at once, bit for bit.
+
+    NumPy draws a bound ``1 < k < 2**32`` with Lemire's method over the
+    stream's 32-bit halves: the low half of a ``random_raw`` word first,
+    its high half cached for the next draw. A half ``h`` is rejected
+    while the low word of ``h * k`` is below ``(2**32 - k) % k``;
+    otherwise the draw is the high word. ``k == 1`` consumes nothing.
+
+    Each row pre-draws a block of raw words from its generator, so from
+    construction on the generators belong to this object: a direct draw
+    would skip the words it holds. A half an earlier draw left cached
+    (``bit_generator.state["has_uint32"]``) is consumed first.
+    :func:`bounded_draws_exact` checks the emulation once per process.
+    """
+
+    def __init__(self, generators: list[np.random.Generator], *, block: int = 64):
+        n = len(generators)
+        self._bitgens = [g.bit_generator for g in generators]
+        self._block = int(block)
+        self._halves = np.zeros((n, 2 * self._block), dtype=np.uint64)
+        self._cursor = np.zeros(n, dtype=np.intp)
+        self._end = np.zeros(n, dtype=np.intp)
+        for i, bitgen in enumerate(self._bitgens):
+            state = bitgen.state
+            if state["has_uint32"]:
+                self._halves[i, 0] = state["uinteger"]
+                self._end[i] = 1
+                bitgen.state = {**state, "has_uint32": 0, "uinteger": 0}
+
+    @staticmethod
+    def supports(generators: list[np.random.Generator]) -> bool:
+        """Whether these generators can be drawn through this class exactly.
+
+        They must be distinct PCG64 streams, and the emulation must have
+        passed its self-check in this process.
+        """
+        return (
+            len({id(g) for g in generators}) == len(generators)
+            and all(type(g.bit_generator) is np.random.PCG64 for g in generators)
+            and bounded_draws_exact()
+        )
+
+    def _next(self, rows: np.ndarray) -> np.ndarray:
+        """The next 32-bit half of each (distinct) row's stream."""
+        empty = rows[self._cursor[rows] >= self._end[rows]]
+        if len(empty):
+            words = np.array([self._bitgens[i].random_raw(self._block) for i in empty])
+            self._halves[empty, 0::2] = words & _LOW32
+            self._halves[empty, 1::2] = words >> np.uint64(32)
+            self._cursor[empty] = 0
+            self._end[empty] = 2 * self._block
+        halves = self._halves[rows, self._cursor[rows]]
+        self._cursor[rows] += 1
+        return halves
+
+    def integers(self, rows, bounds) -> np.ndarray:
+        """One ``integers(bound)`` draw from each listed row's stream.
+
+        ``rows`` must be distinct; ``bounds`` (one per row, or one for
+        all) must lie in ``[1, 2**32)``. Returns int64 draws.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        bounds = np.broadcast_to(np.asarray(bounds, dtype=np.uint64), rows.shape)
+        out = np.zeros(len(rows), dtype=np.int64)
+        draw = bounds > 1
+        if not draw.any():
+            return out
+        rows, k = rows[draw], bounds[draw]
+        product = self._next(rows) * k
+        threshold = (np.uint64(1 << 32) - k) % k
+        for j in np.flatnonzero((product & _LOW32) < threshold):
+            # Rejection is rare (p < k / 2**32): retry that row alone.
+            while (product[j] & _LOW32) < threshold[j]:
+                product[j] = self._next(rows[j : j + 1])[0] * k[j]
+        out[draw] = product >> np.uint64(32)
+        return out
+
+
+@functools.cache
+def bounded_draws_exact() -> bool:
+    """Whether :class:`BoundedDraws` reproduces ``Generator.integers`` here.
+
+    The emulation leans on how NumPy's PCG64 consumes its stream, which
+    NumPy does not promise. Checked once per process, from fresh and
+    half-cached states, with a bound that forces rejections; callers
+    fall back to per-generator draws when it fails.
+    """
+    bounds = (1, 2, 3, 5, 16, 7, 3 << 30, 15, 3 << 30, 4)
+    try:
+        for cached in (False, True):
+            mine = [np.random.default_rng(seed) for seed in range(4)]
+            reference = [np.random.default_rng(seed) for seed in range(4)]
+            if cached:
+                for g in (*mine, *reference):
+                    g.integers(16)
+            draws = BoundedDraws(mine, block=2)
+            rows = np.arange(4)
+            for _ in range(4):
+                for k in bounds:
+                    want = [int(g.integers(k)) for g in reference]
+                    if draws.integers(rows, k).tolist() != want:
+                        return False
+    except (KeyError, TypeError, ValueError):
+        # The bit generator's state layout changed under us.
+        return False
+    return True
+
+
 def check_probability(p: float, name: str = "probability") -> float:
     """Validate that ``p`` lies in [0, 1] and return it as a float."""
     p = float(p)
@@ -87,5 +200,7 @@ __all__ = [
     "spawn",
     "derive",
     "stable_hash",
+    "BoundedDraws",
+    "bounded_draws_exact",
     "check_probability",
 ]

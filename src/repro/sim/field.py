@@ -44,6 +44,8 @@ class StatePolicyAdapter:
     implementations cycle through a configured channel list. A small hop
     set is what makes a *slow* camping jammer dangerous — the victim keeps
     hopping back into the stale camped channel (paper Fig. 11(b)).
+    A grid whose fleet shares one hop set draws the hops itself, on this
+    adapter's stream (:class:`~repro.rng.BoundedDraws`).
     """
 
     def __init__(
@@ -91,7 +93,10 @@ class DQNPolicyAdapter:
 
     Maintains the 3·I history the agent was trained on in
     :class:`~repro.core.envs.SweepJammingEnv`, encoded by the same
-    :func:`~repro.core.envs.history_row`.
+    :func:`~repro.core.envs.history_row`. A grid keeps its fleet's
+    histories itself, as one ring encoded by
+    :func:`~repro.core.envs.history_rows`, and only reads this adapter's
+    agent and initial history.
     """
 
     def __init__(

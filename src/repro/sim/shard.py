@@ -12,10 +12,14 @@ each network's own generator. :class:`~repro.sim.field.FieldExperiment`
 is a resumable run of a one-network engine.
 
 * :class:`FieldGrid` places N star networks at deterministic positions and
-  runs the loop over them, with a :class:`FieldJammerBank` of per-network
-  time-domain jammers and batched policy adapters (table-probed
-  :class:`StatePolicyAdapter`, one greedy forward for
-  :class:`DQNPolicyAdapter` fleets that stacks each distinct agent once).
+  runs the loop over them as arrays. Its :class:`FieldJammerBank` holds
+  the paper's sweep jammers as one array state; table policies are probed
+  once per state and hop through emulated draws on each adapter's stream
+  (:class:`~repro.rng.BoundedDraws`); a :class:`DQNPolicyAdapter` fleet
+  keeps its histories as one N × I × 3 ring and acts through one greedy
+  forward that stacks each distinct agent once. Every array path is
+  bit-identical to stepping the objects, which is what a solo
+  :class:`FieldExperiment` (whose caller holds the adapter) still does.
 * The field is partitioned into vertical strips (shards). Co-channel
   interference between neighbouring networks only affects *delivery*,
   never the control path (channel choice, jammer dynamics, rng streams),
@@ -46,11 +50,13 @@ from repro.channel.propagation import LogDistancePathLoss
 from repro.core.mdp import (
     J_CODE,
     TJ_CODE,
+    JammerMode,
     MDPConfig,
     code_state,
     slot_reward,
     slot_transition,
 )
+from repro.core.envs import history_rows
 from repro.core.metrics import MetricSummary, SlotLog
 from repro.core.policy import TabularPolicy, ThresholdPolicy
 from repro.core.vecenv import greedy_policy_actions
@@ -58,12 +64,13 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
 from repro.exec.runner import ParallelRunner
 from repro.jamming.adversary import make_field_jammer
-from repro.jamming.jammer import FieldJammer
+from repro.jamming.jammer import _CLOCK_EPS, FieldJammer
+from repro.jamming.strategies import RandomSweep
 from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS, drain_labelled_counters
-from repro.rng import SeedLike, derive, make_rng
+from repro.rng import BoundedDraws, SeedLike, derive, make_rng
 from repro.sim.engine import check_num_slots, resolve_field_batch
 from repro.sim.field import (
     DeceptionAdapter,
@@ -211,23 +218,75 @@ class SchemeAdapterFactory:
 
 
 class FieldJammerBank:
-    """N independent time-domain jammers advanced as one batch query."""
+    """N per-network time-domain jammers, advanced as one batch query.
 
-    def __init__(self, jammers: list[FieldJammer]) -> None:
+    The paper's jammer (``sweep`` with a :class:`RandomSweep` order drawing
+    on the jammer's own stream) runs as arrays: the camping block (-1 for
+    none), an N × S unvisited-block mask, the active block (-1 for none),
+    its power and start, the next decision time and the clock.
+    :meth:`attack_profiles` runs :meth:`FieldJammer.attack_profile`'s
+    decide/segment loop over all rows at once, and the sweep picks and
+    power draws come from :class:`~repro.rng.BoundedDraws` on each
+    jammer's stream, so every answer is bit-identical to stepping the
+    jammers one at a time. The state is seeded from the jammers given,
+    which are stale from then on; the sweep jammer counts nothing and
+    ignores decoys, so nothing reads them.
+
+    Any other adversary or strategy, a bank built with ``arrays=False``,
+    or a process whose :func:`~repro.rng.bounded_draws_exact` check
+    fails, steps the jammer objects one at a time instead.
+    """
+
+    def __init__(self, jammers: list[FieldJammer], *, arrays: bool = True) -> None:
         if not jammers:
             raise ConfigurationError("a jammer bank needs at least one jammer")
         self.jammers = list(jammers)
+        self._draws: BoundedDraws | None = None
+        if arrays and _paper_sweep(self.jammers):
+            self._load_arrays()
 
     def __len__(self) -> int:
         return len(self.jammers)
+
+    def _load_arrays(self) -> None:
+        first = self.jammers[0]
+        cfg = first.config
+        self._slot_s = cfg.slot_duration_s
+        self._levels = np.asarray(cfg.power_levels, dtype=np.float64)
+        self._max_mode = cfg.mode == JammerMode.MAX
+        self._block_of = np.empty(cfg.num_channels, dtype=np.intp)
+        for b, block in enumerate(first.blocks):
+            self._block_of[list(block)] = b
+        n, s = len(self.jammers), len(first.blocks)
+        self._camping = np.full(n, -1, dtype=np.intp)
+        self._unvisited = np.zeros((n, s), dtype=bool)
+        self._active = np.full(n, -1, dtype=np.intp)
+        self._power = np.zeros(n)
+        self._from = np.zeros(n)
+        self._next = np.zeros(n)
+        self._clock = np.zeros(n)
+        for i, j in enumerate(self.jammers):
+            if j._camping is not None:
+                self._camping[i] = j._camping
+            self._unvisited[i, j.strategy._unvisited] = True
+            if j._active_block:
+                self._active[i] = self._block_of[j._active_block[0]]
+            self._power[i] = j._active_power
+            self._from[i] = j._active_from
+            self._next[i] = j._next_decision
+            self._clock[i] = j._clock
+        self._draws = BoundedDraws([j._rng for j in self.jammers])
 
     def attack_profiles(
         self, window_start: float, window_end: float, victim_channels
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Advance every jammer across the window against its own victim.
 
-        Returns ``(jammed_fraction, attempted, max_power)`` arrays.
+        Returns ``(jammed_fraction, attempted, max_power)`` arrays. The
+        clock contract is :meth:`FieldJammer.attack_profile`'s.
         """
+        if self._draws is not None:
+            return self._attack_arrays(window_start, window_end, victim_channels)
         n = len(self.jammers)
         fraction = np.zeros(n)
         attempted = np.zeros(n, dtype=bool)
@@ -241,15 +300,126 @@ class FieldJammerBank:
             max_power[i] = profile.max_power
         return fraction, attempted, max_power
 
+    def _attack_arrays(self, window_start, window_end, victim_channels):
+        channels = np.asarray(victim_channels)
+        if window_end <= window_start:
+            raise ConfigurationError("window must have positive length")
+        clock = float(self._clock.max())
+        if window_start < clock - _CLOCK_EPS:
+            raise ConfigurationError(
+                f"window starting at {window_start} begins before the jammer "
+                f"clock ({clock}); attack_profile windows must be "
+                "monotone — call reset() to rewind to time zero"
+            )
+        bad = (channels < 0) | (channels >= len(self._block_of))
+        if bad.any():
+            raise ConfigurationError(
+                f"victim channel {int(channels[bad][0])} out of range"
+            )
+        n = len(self.jammers)
+        victim = self._block_of[channels]
+        t = np.full(n, float(window_start))
+        jammed = np.zeros(n)
+        attempted = np.zeros(n, dtype=bool)
+        max_power = np.zeros(n)
+        live = np.arange(n)
+        while len(live):
+            now = t[live]
+            due = now >= self._next[live]
+            if due.any():
+                rows = live[due]
+                self._decide(rows, now[due], victim[rows])
+                self._next[rows] = np.maximum(now[due], self._next[rows]) + self._slot_s
+            seg_end = np.minimum(window_end, self._next[live])
+            covered = seg_end - np.maximum(now, self._from[live])
+            hit = (
+                (self._active[live] == victim[live])
+                & (self._power[live] > 0)
+                & (covered > 0)
+            )
+            if hit.any():
+                rows = live[hit]
+                attempted[rows] = True
+                jammed[rows] += covered[hit]
+                max_power[rows] = np.maximum(max_power[rows], self._power[rows])
+            t[live] = seg_end
+            live = live[seg_end < window_end]
+        self._clock[:] = window_end
+        return jammed / (window_end - window_start), attempted, max_power
+
+    def _decide(self, rows: np.ndarray, t: np.ndarray, victim: np.ndarray) -> None:
+        """:meth:`FieldJammer._decide` for the listed rows at times ``t``."""
+        camp = self._camping[rows]
+        camped = camp >= 0
+        stay = camped & (camp == victim)
+        lost = camped & ~stay
+        if lost.any():
+            # Victim escaped: burn this decision, restart the sweep
+            # without the block it left (RandomSweep.notify_lost).
+            gone = rows[lost]
+            self._unvisited[gone] = True
+            self._unvisited[gone, camp[lost]] = False
+            self._camping[gone] = -1
+            self._active[gone] = -1
+            self._power[gone] = 0.0
+            self._from[gone] = t[lost]
+        self._active[rows[stay]] = camp[stay]
+        search = rows[~camped]
+        if len(search):
+            # RandomSweep pops index i of its ascending unvisited list:
+            # the i-th set bit of the row's mask (a fresh cycle if empty).
+            mask = self._unvisited[search]
+            mask[~mask.any(axis=1)] = True
+            i = self._draws.integers(search, mask.sum(axis=1))
+            pick = np.argmax(np.cumsum(mask, axis=1) > i[:, None], axis=1)
+            mask[np.arange(len(search)), pick] = False
+            self._unvisited[search] = mask
+            self._active[search] = pick
+            found = pick == victim[~camped]
+            self._camping[search[found]] = pick[found]
+        # Every attacking row draws its power after its sweep pick.
+        attack = stay | ~camped
+        rows = rows[attack]
+        if self._max_mode:
+            self._power[rows] = self._levels[-1]
+        else:
+            self._power[rows] = self._levels[
+                self._draws.integers(rows, len(self._levels))
+            ]
+        self._from[rows] = t[attack]
+
     def attacking(self, networks, channels) -> np.ndarray:
         """Whether each listed network's jammer now attacks its paired channel."""
-        return np.array(
-            [
-                self.jammers[int(i)].is_attacking(int(c))
-                for i, c in zip(networks, channels)
-            ],
-            dtype=bool,
+        if self._draws is None:
+            return np.array(
+                [
+                    self.jammers[int(i)].is_attacking(int(c))
+                    for i, c in zip(networks, channels)
+                ],
+                dtype=bool,
+            )
+        networks = np.asarray(networks, dtype=np.intp)
+        channels = np.asarray(channels, dtype=np.intp)
+        bad = (channels < 0) | (channels >= len(self._block_of))
+        if bad.any():
+            raise ConfigurationError(f"channel {int(channels[bad][0])} out of range")
+        # A sweep decision starts inside the window it was made in, so
+        # ``_active_from < clock`` (FieldJammer.active_channels) always holds.
+        return (self._active[networks] == self._block_of[channels]) & (
+            self._power[networks] > 0
         )
+
+
+def _paper_sweep(jammers: list[FieldJammer]) -> bool:
+    """Whether a bank of these jammers can run as arrays, exactly."""
+    config = jammers[0].config
+    return all(
+        type(j) is FieldJammer
+        and type(j.strategy) is RandomSweep
+        and j.strategy._rng is j._rng
+        and j.config == config
+        for j in jammers
+    ) and BoundedDraws.supports([j._rng for j in jammers])
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,11 +540,14 @@ class _InterferenceEngine:
         out = np.ones(self.num_local)
         if not len(self.src):
             return out
-        co = channels[self.src] == channels[self.vic]
-        if not co.any():
+        # Other edges would multiply by exactly 1.0, so skipping them keeps
+        # every product (taken in edge order) bit-identical.
+        co = np.flatnonzero(channels[self.src] == channels[self.vic])
+        if not len(co):
             return out
-        per = self.per[self.bins, powers[self.src], powers[self.vic]]
-        np.multiply.at(out, self.vic, np.where(co, 1.0 - per, 1.0))
+        src, vic = self.src[co], self.vic[co]
+        per = self.per[self.bins[co], powers[src], powers[vic]]
+        np.multiply.at(out, vic, 1.0 - per)
         return out
 
 
@@ -435,7 +608,11 @@ class _ShardEngine:
         self.spec = spec
         self.cfg = spec.config
         self.fld = fld = spec.config.field
-        if adapters is None:
+        # An engine that builds its own adapters (a grid's) owns them and
+        # its jammers outright, so it runs them as arrays. A caller's
+        # adapter (a solo FieldExperiment's) stays live, stepped per object.
+        fleet = adapters is None
+        if fleet:
             adapters = _make_adapters(spec)
             self.scheme = self._grid_scheme()
         else:
@@ -473,38 +650,37 @@ class _ShardEngine:
                 [
                     make_field_jammer(fld.jammer, seed=derive(s, "field-jammer"))
                     for s in spec.net_seeds
-                ]
+                ],
+                arrays=fleet,
             )
             if fld.jammer is not None
             else None
         )
         # Channel-tier jam adjudication: the analytic default is the exact
         # threshold contest with no draws; other tiers draw one uniform per
-        # network per slot from its own "field-channel" stream, so
-        # negotiation/delivery draws are the same under every tier.
+        # network per slot from its own "field-channel" stream (refilled
+        # block-wise like the field streams), so negotiation/delivery draws
+        # are the same under every tier.
         self.adjudicator = JamAdjudicator(fld.channel)
         self.jam_streams = (
-            [make_rng(derive(s, "field-channel")) for s in spec.net_seeds]
+            _StreamMatrix(
+                [make_rng(derive(s, "field-channel")) for s in spec.net_seeds],
+                1,
+                spec.field_batch,
+            )
             if (self.bank is not None and not self.adjudicator.analytic)
             else None
         )
         self.has_decoys = any(hasattr(a, "active_decoy") for a in adapters)
 
         # Decide-phase strategy: stateless table policies vectorise, a
-        # DQN fleet acts through one stacked forward, anything else loops.
+        # grid's DQN fleet acts through one stacked forward, anything else
+        # (a solo DQN adapter too) loops over decide().
         self.plain_state = all(type(a) is StatePolicyAdapter for a in adapters)
         tabled = self.plain_state and all(
             isinstance(a.policy, (TabularPolicy, ThresholdPolicy)) for a in adapters
         )
-        # Hoisted once: the same agent list every slot keeps the stacked
-        # weights hot in the vecenv policy-stack cache instead of
-        # restacking them per slot.
-        self.dqn_agents = (
-            [a.agent for a in adapters]
-            if all(isinstance(a, DQNPolicyAdapter) for a in adapters)
-            else None
-        )
-        self.hop_table = self.power_table = None
+        self.hop_table = self.power_table = self.hop_draws = None
         if tabled:
             # Probe each (stateless) policy once per reachable state.
             state_codes = [J_CODE, TJ_CODE, *range(1, mdp.sweep_cycle)]
@@ -515,6 +691,36 @@ class _ShardEngine:
                     action = adapter.policy.action(code_state(code))
                     self.hop_table[i, j] = action.hop
                     self.power_table[i, j] = action.power_index
+            # A fleet sharing one hop pool hops through emulated draws on
+            # each adapter's own stream: StatePolicyAdapter.hop's others[j]
+            # is pool[j + (j >= position of the current channel)].
+            pools = {
+                tuple(a.hop_channels or range(mdp.num_channels)) for a in adapters
+            }
+            pool = next(iter(pools))
+            if (
+                fleet
+                and len(pools) == 1
+                and len(set(pool)) == len(pool)
+                and all(a.channel in pool for a in adapters)
+                and BoundedDraws.supports([a._rng for a in adapters])
+            ):
+                self.hop_pool = np.asarray(pool, dtype=np.intp)
+                self.hop_position = np.zeros(mdp.num_channels, dtype=np.intp)
+                self.hop_position[self.hop_pool] = np.arange(len(pool))
+                self.hop_draws = BoundedDraws([a._rng for a in adapters])
+        # A DQN fleet keeps its histories as one N × I × 3 ring, oldest
+        # slot first, seeded from each adapter's initial history. The agent
+        # list is hoisted once: the same list every slot keeps the stacked
+        # weights hot in the vecenv policy-stack cache.
+        self.dqn_agents = self.ring = None
+        if (
+            fleet
+            and all(type(a) is DQNPolicyAdapter for a in adapters)
+            and len({len(a._history) for a in adapters}) == 1
+        ):
+            self.dqn_agents = [a.agent for a in adapters]
+            self.ring = np.array([a._history for a in adapters], dtype=np.float64)
 
         self.tx_levels = np.asarray(mdp.tx_power_levels, dtype=np.float64)
         self.rows = np.arange(n)
@@ -659,14 +865,17 @@ class _ShardEngine:
             idx = np.where(code < 0, code + 2, code + 1)
             hop = self.hop_table[self.rows, idx]
             powers = self.power_table[self.rows, idx]
-            for k in np.flatnonzero(hop):
-                channels[k] = adapters[k].hop()
-        elif self.dqn_agents is not None:
-            obs = np.stack([a.observation() for a in adapters])
-            actions = greedy_policy_actions(self.dqn_agents, obs)
-            powers = np.empty(n, dtype=np.intp)
-            for k, adapter in enumerate(adapters):
-                channels[k], powers[k] = adapter.apply(int(actions[k]))
+            movers = np.flatnonzero(hop)
+            if self.hop_draws is None:
+                for k in movers:
+                    channels[k] = adapters[k].hop()
+            elif len(movers):
+                j = self.hop_draws.integers(movers, len(self.hop_pool) - 1)
+                j += j >= self.hop_position[channels[movers]]
+                channels[movers] = self.hop_pool[j]
+        elif self.ring is not None:
+            actions = greedy_policy_actions(self.dqn_agents, self.ring.reshape(n, -1))
+            channels[:], powers = np.divmod(actions, fld.mdp.num_power_levels)
         else:
             powers = np.empty(n, dtype=np.intp)
             for k, adapter in enumerate(adapters):
@@ -718,7 +927,7 @@ class _ShardEngine:
             if self.jam_streams is None:
                 defeated = attempted & (tx_power >= max_power)
             else:
-                us = np.array([r.random() for r in self.jam_streams])
+                us = self.jam_streams.next_slots()[:, 0]
                 defeated = np.zeros(n, dtype=bool)
                 hit = np.flatnonzero(attempted)
                 if len(hit):
@@ -791,7 +1000,10 @@ class _ShardEngine:
         self.util += effective / duration
         self.slot = t + 1
 
-        if not self.plain_state:
+        if self.ring is not None:
+            self.ring[:, :-1] = self.ring[:, 1:]
+            self.ring[:, -1] = history_rows(self.code, channels, powers, fld.mdp)
+        elif not self.plain_state:
             for k, adapter in enumerate(adapters):
                 adapter.observe(
                     code_state(int(self.code[k])), int(channels[k]), int(powers[k])

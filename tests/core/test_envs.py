@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.envs import AnalyticJammingEnv, SweepJammingEnv
-from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig
+from repro.core.envs import (
+    AnalyticJammingEnv,
+    SweepJammingEnv,
+    history_row,
+    history_rows,
+)
+from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig, code_state
 from repro.errors import ConfigurationError, SimulationError
 
 
@@ -319,3 +324,20 @@ class TestChannelTiers:
         for i in range(50):
             state, reward, info = env.step(Action(hop=i % 2 == 0, power_index=0))
             assert state in env.mdp.states
+
+
+class TestHistoryRows:
+    @pytest.mark.parametrize("num_channels", [2, 16])
+    def test_matches_history_row(self, num_channels):
+        cfg = MDPConfig(num_channels=num_channels, jam_width=1)
+        rng = np.random.default_rng(3)
+        codes = rng.choice([-2, -1, *range(1, cfg.sweep_cycle)], 200)  # J, TJ, streaks
+        channels = rng.integers(0, cfg.num_channels, 200)
+        powers = rng.integers(0, cfg.num_power_levels, 200)
+        got = history_rows(codes, channels, powers, cfg)
+        want = [
+            history_row(code_state(int(c)), int(ch), int(p), cfg)
+            for c, ch, p in zip(codes, channels, powers)
+        ]
+        assert got.dtype == np.float64
+        assert got.tolist() == [list(row) for row in want]
