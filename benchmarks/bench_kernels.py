@@ -298,21 +298,40 @@ def test_jammer_bank():
         channels.append(np.where(move, rng.integers(0, 16, n), channels[-1]))
     for mode in ("max", "random"):
         config = field_jammer_config(paper_defaults(mode))
-        seconds, outputs = {}, {}
-        for path in ("array", "object"):
-            bank = FieldJammerBank(
-                [
-                    make_field_jammer(config, seed=derive(s, "bench-jammer"))
-                    for s in range(n)
-                ],
-                arrays=path == "array",
+        def jammers():
+            return [
+                make_field_jammer(config, seed=derive(s, "bench-jammer"))
+                for s in range(n)
+            ]
+
+        # The bank draws on its jammers' streams, so the reference objects
+        # are a second set built from the same seeds.
+        bank = FieldJammerBank(jammers())
+        reference = jammers()
+        array_seen, object_seen = [], []
+
+        def array_step():
+            k = len(array_seen)
+            array_seen.append(
+                bank.attack_profiles(3.0 * k, 3.0 * k + 3.0, channels[k])
             )
-            seen = outputs[path] = []
 
-            def step(bank=bank, seen=seen):
-                k = len(seen)
-                seen.append(bank.attack_profiles(3.0 * k, 3.0 * k + 3.0, channels[k]))
+        def object_step():
+            k = len(object_seen)
+            profiles = [
+                j.attack_profile(3.0 * k, 3.0 * k + 3.0, int(c))
+                for j, c in zip(reference, channels[k])
+            ]
+            object_seen.append(
+                (
+                    np.array([p.jammed_fraction for p in profiles]),
+                    np.array([p.attempted for p in profiles]),
+                    np.array([p.max_power for p in profiles]),
+                )
+            )
 
+        seconds, outputs = {}, {"array": array_seen, "object": object_seen}
+        for path, step in (("array", array_step), ("object", object_step)):
             seconds[path] = _timed(
                 f"kernels.jammer_bank.{path}.{mode}", step, repeats=windows
             )

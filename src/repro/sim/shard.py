@@ -18,8 +18,8 @@ is a resumable run of a one-network engine.
   (:class:`~repro.rng.BoundedDraws`); a :class:`DQNPolicyAdapter` fleet
   keeps its histories as one N × I × 3 ring and acts through one greedy
   forward that stacks each distinct agent once. Every array path is
-  bit-identical to stepping the objects, which is what a solo
-  :class:`FieldExperiment` (whose caller holds the adapter) still does.
+  bit-identical to stepping the objects. A solo :class:`FieldExperiment`
+  runs its jammer through the same bank but steps its caller's adapter.
 * The field is partitioned into vertical strips (shards). Co-channel
   interference between neighbouring networks only affects *delivery*,
   never the control path (channel choice, jammer dynamics, rng streams),
@@ -232,17 +232,17 @@ class FieldJammerBank:
     which are stale from then on; the sweep jammer counts nothing and
     ignores decoys, so nothing reads them.
 
-    Any other adversary or strategy, a bank built with ``arrays=False``,
-    or a process whose :func:`~repro.rng.bounded_draws_exact` check
-    fails, steps the jammer objects one at a time instead.
+    Any other adversary or strategy, or a process whose
+    :func:`~repro.rng.bounded_draws_exact` check fails, steps the jammer
+    objects one at a time instead.
     """
 
-    def __init__(self, jammers: list[FieldJammer], *, arrays: bool = True) -> None:
+    def __init__(self, jammers: list[FieldJammer]) -> None:
         if not jammers:
             raise ConfigurationError("a jammer bank needs at least one jammer")
         self.jammers = list(jammers)
         self._draws: BoundedDraws | None = None
-        if arrays and _paper_sweep(self.jammers):
+        if _paper_sweep(self.jammers):
             self._load_arrays()
 
     def __len__(self) -> int:
@@ -540,14 +540,11 @@ class _InterferenceEngine:
         out = np.ones(self.num_local)
         if not len(self.src):
             return out
-        # Other edges would multiply by exactly 1.0, so skipping them keeps
-        # every product (taken in edge order) bit-identical.
-        co = np.flatnonzero(channels[self.src] == channels[self.vic])
-        if not len(co):
+        co = channels[self.src] == channels[self.vic]
+        if not co.any():
             return out
-        src, vic = self.src[co], self.vic[co]
-        per = self.per[self.bins[co], powers[src], powers[vic]]
-        np.multiply.at(out, vic, 1.0 - per)
+        per = self.per[self.bins, powers[self.src], powers[self.vic]]
+        np.multiply.at(out, self.vic, np.where(co, 1.0 - per, 1.0))
         return out
 
 
@@ -608,9 +605,9 @@ class _ShardEngine:
         self.spec = spec
         self.cfg = spec.config
         self.fld = fld = spec.config.field
-        # An engine that builds its own adapters (a grid's) owns them and
-        # its jammers outright, so it runs them as arrays. A caller's
-        # adapter (a solo FieldExperiment's) stays live, stepped per object.
+        # An engine that builds its own adapters (a grid's) owns them, so
+        # it runs them as arrays. A caller's adapter (a solo
+        # FieldExperiment's) stays live, stepped per object.
         fleet = adapters is None
         if fleet:
             adapters = _make_adapters(spec)
@@ -650,24 +647,18 @@ class _ShardEngine:
                 [
                     make_field_jammer(fld.jammer, seed=derive(s, "field-jammer"))
                     for s in spec.net_seeds
-                ],
-                arrays=fleet,
+                ]
             )
             if fld.jammer is not None
             else None
         )
         # Channel-tier jam adjudication: the analytic default is the exact
         # threshold contest with no draws; other tiers draw one uniform per
-        # network per slot from its own "field-channel" stream (refilled
-        # block-wise like the field streams), so negotiation/delivery draws
-        # are the same under every tier.
+        # network per slot from its own "field-channel" stream, so
+        # negotiation/delivery draws are the same under every tier.
         self.adjudicator = JamAdjudicator(fld.channel)
         self.jam_streams = (
-            _StreamMatrix(
-                [make_rng(derive(s, "field-channel")) for s in spec.net_seeds],
-                1,
-                spec.field_batch,
-            )
+            [make_rng(derive(s, "field-channel")) for s in spec.net_seeds]
             if (self.bank is not None and not self.adjudicator.analytic)
             else None
         )
@@ -927,7 +918,7 @@ class _ShardEngine:
             if self.jam_streams is None:
                 defeated = attempted & (tx_power >= max_power)
             else:
-                us = self.jam_streams.next_slots()[:, 0]
+                us = np.array([r.random() for r in self.jam_streams])
                 defeated = np.zeros(n, dtype=bool)
                 hit = np.flatnonzero(attempted)
                 if len(hit):
