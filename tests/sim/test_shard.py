@@ -173,6 +173,23 @@ class TestKnobInvariance:
         assert np.array_equal(
             small.goodput_pkts_per_slot, large.goodput_pkts_per_slot
         )
+        # The hybrid tier also blocks its adjudication uniforms, and its
+        # co-channel neighbours interfere.
+        hybrid = GridConfig(
+            field=dataclasses.replace(_field_config(), channel="hybrid"),
+            num_networks=12,
+            width_m=30.0,
+            height_m=30.0,
+            interference=InterferenceModel(),
+        )
+        base = FieldGrid(hybrid, seed=9, field_batch=1).run(SLOTS)
+        for batch in (7, 256):
+            got = FieldGrid(hybrid, seed=9, field_batch=batch).run(SLOTS)
+            assert np.array_equal(
+                got.goodput_pkts_per_slot, base.goodput_pkts_per_slot
+            )
+            assert np.array_equal(got.utilization, base.utilization)
+            assert got.metrics == base.metrics
 
     def test_keep_records_invariance(self):
         cfg = _grid_config(num_networks=4)

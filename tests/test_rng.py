@@ -1,22 +1,85 @@
-"""Guards for the emulated bounded draw, :class:`repro.rng.BoundedDraws`.
+"""Guards for :func:`repro.rng.derive` and the emulated bounded draw.
 
-The emulation replays how NumPy's PCG64 ``Generator.integers(k)``
-consumes its stream, which NumPy does not promise. These tests pin it
-against the real thing, and check that a process where the self-check
-fails runs the field grid on per-object draws with identical results.
+``derive`` hands NumPy its entropy as one ``uint32`` array; the first
+tests pin every derived stream to the list-of-ints ``SeedSequence`` it
+replaces.
+
+:class:`repro.rng.BoundedDraws` replays how NumPy's PCG64
+``Generator.integers(k)`` consumes its stream, which NumPy does not
+promise. The other tests pin it against the real thing, and check that
+a process where the self-check fails runs the field grid on per-object
+draws with identical results.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import rng as rng_module
 from repro.jamming.jammer import FieldJammer
-from repro.rng import BoundedDraws, bounded_draws_exact
+from repro.rng import BoundedDraws, bounded_draws_exact, derive
 from repro.sim.field import FieldConfig, StatePolicyAdapter
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.sim.shard import FieldGrid, GridConfig, SchemeAdapterFactory
+
+
+def _list_entropy_stream(base: int, stream: str) -> np.random.Generator:
+    """``derive``'s stream as a list of Python ints seeds it."""
+    tag = list(stream.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence([base, *tag]))
+
+
+def _assert_same_stream(got: np.random.Generator, want: np.random.Generator):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(
+        got.bit_generator.random_raw(8), want.bit_generator.random_raw(8)
+    )
+
+
+_EDGE_BASES = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+_STREAM_NAMES = ["", "grid-net[2559]", "kanal-Ω-信道"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.one_of(st.sampled_from(_EDGE_BASES), st.integers(0, 2**64 - 1)),
+    stream=st.sampled_from(_STREAM_NAMES),
+    kind=st.sampled_from(["int", "int64", "seed_sequence", "generator", "none"]),
+)
+def test_derive_matches_list_entropy(base, stream, kind):
+    if kind == "int":
+        seed, want_base = base, base
+    elif kind == "int64":
+        seed = np.int64(base & (2**63 - 1))
+        want_base = int(seed)
+    elif kind == "seed_sequence":
+        seed = np.random.SeedSequence(base)
+        want_base = int(np.random.SeedSequence(base).generate_state(1)[0])
+    elif kind == "generator":
+        seed = np.random.default_rng(base)
+        twin = np.random.default_rng(base)
+        want_base = int(twin.integers(0, 2**63 - 1))
+    else:
+        seed, want_base = None, 0
+    _assert_same_stream(derive(seed, stream), _list_entropy_stream(want_base, stream))
+    if kind == "generator":
+        # The seed generator advanced exactly as the reference's did.
+        assert seed.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("base", [-1, -(2**40), 2**64, 2**64 + 7, 2**100])
+@pytest.mark.parametrize("stream", _STREAM_NAMES)
+def test_derive_out_of_range_bases_behave_as_list_entropy(base, stream):
+    try:
+        want = _list_entropy_stream(base, stream)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        with pytest.raises(type(exc)):
+            derive(base, stream)
+    else:
+        _assert_same_stream(derive(base, stream), want)
 
 
 def _streams(n: int, cached: bool) -> list[np.random.Generator]:
