@@ -7,7 +7,11 @@ Two measurements land in ``benchmarks/results/BENCH_field_scale.json``:
   against 256 serial :class:`repro.sim.field.FieldExperiment` runs (the
   pre-PR per-packet engine) on the same derived per-network seeds,
 * ``field_scale.n<N>`` — the slots/sec-vs-node-count curve, swept up to
-  2560 networks (10 240 nodes at the paper's 1 hub + 3 peripherals).
+  2560 networks (10 240 nodes at the paper's 1 hub + 3 peripherals),
+* ``field_scale.interference.n<N>`` — the same curve with co-channel
+  interference on, each point recording its directed interference edges
+  and the co-channel edges per slot, so the interference cost reads
+  against density apart from the per-run grid build.
 
 Budgets shrink for CI via ``REPRO_FIELD_SCALE_NETWORKS`` (comma list of
 curve points), ``REPRO_FIELD_SCALE_SLOTS`` (curve slots per point) and
@@ -29,7 +33,9 @@ from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.sim.shard import (
     FieldGrid,
     GridConfig,
+    InterferenceModel,
     SchemeAdapterFactory,
+    _InterferenceEngine,
     network_seed,
 )
 
@@ -136,3 +142,52 @@ def test_field_scale_curve():
     # Batching must amortise: the largest grid's per-slot throughput may
     # not collapse below the smallest grid's.
     assert curve[-1]["net_slots_per_sec"] >= 0.5 * curve[0]["net_slots_per_sec"]
+
+
+def test_field_scale_interference_curve(monkeypatch):
+    """The curve again with co-channel interference on, edges per point."""
+    # Keep each slot's channels (a small copy) to count its co-channel
+    # edges after the timed run.
+    seen: list[tuple[_InterferenceEngine, object]] = []
+    factors = _InterferenceEngine.factors
+
+    def recording(self, channels, powers):
+        seen.append((self, channels.copy()))
+        return factors(self, channels, powers)
+
+    monkeypatch.setattr(_InterferenceEngine, "factors", recording)
+    curve: list[dict[str, float]] = []
+    for n in CURVE_NETWORKS:
+        grid = FieldGrid(
+            GridConfig(
+                field=_field_config("aggregate"),
+                num_networks=n,
+                interference=InterferenceModel(),
+            ),
+            seed=0,
+        )
+        seen.clear()
+        start = time.perf_counter()
+        result = grid.run(CURVE_SLOTS)
+        elapsed = time.perf_counter() - start
+        timing.REGISTRY.record(
+            f"field_scale.interference.n{n}", elapsed, items=n * CURVE_SLOTS
+        )
+        engines = {id(engine): engine for engine, _ in seen}
+        co_channel = sum(
+            int((channels[e.src] == channels[e.vic]).sum()) for e, channels in seen
+        )
+        curve.append(
+            {
+                "networks": n,
+                "edges": sum(len(e.src) for e in engines.values()),
+                "co_channel_edges_per_slot": co_channel / CURVE_SLOTS,
+                "net_slots_per_sec": n * CURVE_SLOTS / elapsed,
+                "mean_goodput": result.mean_goodput,
+            }
+        )
+    SUMMARY["interference_curve"] = curve
+    _write_artifact()
+    assert all(point["net_slots_per_sec"] > 0 for point in curve)
+    # Denser fields couple more networks.
+    assert curve[-1]["edges"] >= curve[0]["edges"]

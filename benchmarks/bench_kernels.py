@@ -12,6 +12,10 @@ replaced (and is pinned bit-identical to by the equivalence suites):
   and a 1024-network fleet over 1 to 1024 distinct policies per kernel,
 * jammer bank — the paper's sweep jammers of a 1024-network field as
   arrays vs one :class:`~repro.jamming.jammer.FieldJammer` per network,
+* stream derivation — :func:`repro.rng.derive`'s ``uint32`` entropy
+  array vs the list-of-ints ``SeedSequence`` it replaced,
+* grid interference — delivery factors over the co-channel edges only vs
+  every edge of a 2560-network hybrid-tier field,
 * waveform trials — the batched ``(N, samples)`` trial engine with its
   jammer bank vs the serial per-trial encode/mix/decode loop,
 * DSSS despreading — the ±1 GEMM against ``CHIP_TABLE_PM`` vs the
@@ -342,6 +346,94 @@ def test_jammer_bank():
     _write_artifact()
     assert SPEEDUPS["jammer_bank_max"] >= 5.0
     assert SPEEDUPS["jammer_bank_random"] >= 5.0
+
+
+def test_derive_entropy():
+    """``derive`` with array entropy vs the list-of-ints ``SeedSequence``.
+
+    ``kernels.derive.{list,array}`` time the 2560 derives of one stream
+    name a 2560-network grid makes; both must seed identical streams.
+    """
+    seeds = [
+        int(derive(7, f"bench-net[{i}]").integers(0, 2**63 - 1)) for i in range(2560)
+    ]
+
+    def listed():
+        streams = []
+        for s in seeds:
+            tag = np.frombuffer("field-channel".encode("utf-8"), dtype=np.uint8)
+            mix = np.random.SeedSequence([s, *tag.tolist()])
+            streams.append(np.random.default_rng(mix))
+        return streams
+
+    def arrayed():
+        return [derive(s, "field-channel") for s in seeds]
+
+    for mine, ref in zip(arrayed(), listed(), strict=True):
+        assert mine.bit_generator.state == ref.bit_generator.state
+    list_s = _timed("kernels.derive.list", listed, repeats=1, rounds=5)
+    array_s = _timed("kernels.derive.array", arrayed, repeats=1, rounds=5)
+    SPEEDUPS["derive_array"] = list_s / array_s
+    _write_artifact()
+    assert SPEEDUPS["derive_array"] >= 2.0
+
+
+def test_interference_co_channel():
+    """Delivery factors over co-channel edges only vs over every edge.
+
+    ``kernels.interference.{all_edges,co_channel}`` time 20 slots of the
+    grid-table-hybrid geometry: 2560 networks on a 100 x 100 m field,
+    a 12 m radius and the hybrid tier, with uniform random channels and
+    powers. The all-edge side multiplies 1.0 into every edge that is not
+    co-channel; both must return the same bits.
+    """
+    from repro.sim.scenario import paper_defaults
+    from repro.sim.shard import (
+        InterferenceModel,
+        _InterferenceEngine,
+        network_positions,
+    )
+
+    n, slots = 2560, 20
+    mdp = paper_defaults().mdp
+    engine = _InterferenceEngine(
+        InterferenceModel(radius_m=12.0, channel="hybrid"),
+        mdp,
+        network_positions(7, n, 100.0, 100.0),
+        tuple(range(n)),
+    )
+    rng = np.random.default_rng(23)
+    draws = [
+        (
+            rng.integers(0, mdp.num_channels, n),
+            rng.integers(0, len(mdp.tx_power_levels), n),
+        )
+        for _ in range(slots)
+    ]
+
+    def all_edges(channels, powers):
+        out = np.ones(n)
+        co = channels[engine.src] == channels[engine.vic]
+        per = engine.per[engine.bins, powers[engine.src], powers[engine.vic]]
+        np.multiply.at(out, engine.vic, np.where(co, 1.0 - per, 1.0))
+        return out
+
+    for channels, powers in draws:
+        np.testing.assert_array_equal(
+            engine.factors(channels, powers), all_edges(channels, powers)
+        )
+    seconds = {}
+    for path, fn in (("all_edges", all_edges), ("co_channel", engine.factors)):
+        seconds[path] = _timed(
+            f"kernels.interference.{path}",
+            lambda: [fn(c, p) for c, p in draws],
+            repeats=1,
+        )
+    SPEEDUPS["interference_co_channel"] = (
+        seconds["all_edges"] / seconds["co_channel"]
+    )
+    _write_artifact()
+    assert SPEEDUPS["interference_co_channel"] >= 2.0
 
 
 def test_waveform_trial_speedup():

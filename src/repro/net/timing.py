@@ -219,6 +219,8 @@ class TimingModel:
         indicator x n, recovery x n]``. ``include_recovery`` may be a bool
         array broadcast against the leading axes. Elementwise in the
         uniforms, so each batch row matches the same row computed solo.
+        The recovery quantile is evaluated only for off-channel nodes of
+        rows that include recovery; every other entry adds an exact 0.0.
         """
         n = int(num_nodes)
         count = self.negotiation_uniform_count(n)
@@ -234,14 +236,14 @@ class TimingModel:
             u[..., 1 : 1 + n], self.polling_per_node_mean_s, self.jitter_cv
         ).sum(axis=-1)
         off = u[..., 1 + n : 1 + 2 * n] < self.off_channel_probability
-        recovery = (
-            gamma_from_uniform(
-                u[..., 1 + 2 * n :],
-                self.off_channel_recovery_mean_s,
-                OFF_CHANNEL_RECOVERY_CV,
-            )
-            * off
-        ).sum(axis=-1)
+        used = off & np.asarray(include_recovery, dtype=bool)[..., None]
+        recovery = np.zeros(used.shape)
+        recovery[used] = gamma_from_uniform(
+            np.broadcast_to(u[..., 1 + 2 * n :], used.shape)[used],
+            self.off_channel_recovery_mean_s,
+            OFF_CHANNEL_RECOVERY_CV,
+        )
+        recovery = recovery.sum(axis=-1)
         return dqn + polling + np.where(include_recovery, recovery, 0.0)
 
 

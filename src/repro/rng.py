@@ -37,12 +37,29 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
+@functools.lru_cache(maxsize=64)
+def _stream_words(stream: str) -> np.ndarray:
+    """One ``uint32`` entropy word per UTF-8 byte of a stream name (read-only)."""
+    words = np.frombuffer(stream.encode("utf-8"), dtype=np.uint8).astype(np.uint32)
+    words.flags.writeable = False
+    return words
+
+
 def derive(seed: SeedLike, stream: str) -> np.random.Generator:
     """Derive a named, reproducible stream from ``seed``.
 
     Unlike :func:`spawn`, the result depends only on ``seed`` and ``stream``
     (never on how many other streams were derived first), which keeps
     experiment components reproducible when new components are added.
+
+    The stream is seeded with the entropy ``SeedSequence([base, *bytes])``
+    would assemble from the seed's integer ``base`` and the name's UTF-8
+    bytes, handed over as one ``uint32`` array: the base's 32-bit words,
+    least significant first (one word below ``2**32``, two below
+    ``2**64``), then one word per byte. NumPy splits each list entry
+    into exactly those words, so the pool and every draw are the same;
+    the array only skips the per-entry coercion. Other bases keep the
+    list, and with it NumPy's errors.
     """
     if isinstance(seed, np.random.Generator):
         # Generators carry no recoverable seed; fall back to drawing one.
@@ -53,9 +70,15 @@ def derive(seed: SeedLike, stream: str) -> np.random.Generator:
         base = 0
     else:
         base = int(seed)
-    tag = np.frombuffer(stream.encode("utf-8"), dtype=np.uint8)
-    mix = np.random.SeedSequence([base, *tag.tolist()])
-    return np.random.default_rng(mix)
+    tag = _stream_words(stream)
+    if 0 <= base < 1 << 32:
+        entropy = np.concatenate((np.array([base], dtype=np.uint32), tag))
+    elif 0 <= base < 1 << 64:
+        head = np.array([base & 0xFFFFFFFF, base >> 32], dtype=np.uint32)
+        entropy = np.concatenate((head, tag))
+    else:
+        entropy = [base, *tag.tolist()]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def stable_hash(*parts: object) -> str:

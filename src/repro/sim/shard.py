@@ -70,7 +70,7 @@ from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS, drain_labelled_counters
-from repro.rng import BoundedDraws, SeedLike, derive, make_rng
+from repro.rng import BoundedDraws, SeedLike, derive
 from repro.sim.engine import check_num_slots, resolve_field_batch
 from repro.sim.field import (
     DeceptionAdapter,
@@ -536,15 +536,20 @@ class _InterferenceEngine:
                     )
 
     def factors(self, channels: np.ndarray, powers: np.ndarray) -> np.ndarray:
-        """Per-network delivery factor ∏ (1 − PER) over co-channel edges."""
+        """Per-network delivery factor ∏ (1 − PER) over co-channel edges.
+
+        Only co-channel edges are gathered and multiplied in: every other
+        edge would multiply by exactly 1.0, and the kept edges keep their
+        victim-then-source order, so the products are bit-identical to
+        multiplying over all edges.
+        """
         out = np.ones(self.num_local)
-        if not len(self.src):
+        co = np.flatnonzero(channels[self.src] == channels[self.vic])
+        if not len(co):
             return out
-        co = channels[self.src] == channels[self.vic]
-        if not co.any():
-            return out
-        per = self.per[self.bins, powers[self.src], powers[self.vic]]
-        np.multiply.at(out, self.vic, np.where(co, 1.0 - per, 1.0))
+        src, vic = self.src[co], self.vic[co]
+        per = self.per[self.bins[co], powers[src], powers[vic]]
+        np.multiply.at(out, vic, 1.0 - per)
         return out
 
 
@@ -555,7 +560,9 @@ class _StreamMatrix:
     size: ``Generator.random(n)`` yields exactly the doubles ``n``
     sequential draws would, which is what makes ``REPRO_FIELD_BATCH``
     (``block_slots``, resolved by :func:`resolve_field_batch`) a pure
-    performance knob.
+    performance knob. It serves the ``field`` streams (negotiation and
+    delivery) and the ``field-channel`` streams (one jam-adjudication
+    uniform per network per slot), which nothing else draws on.
     """
 
     def __init__(
@@ -658,7 +665,11 @@ class _ShardEngine:
         # negotiation/delivery draws are the same under every tier.
         self.adjudicator = JamAdjudicator(fld.channel)
         self.jam_streams = (
-            [make_rng(derive(s, "field-channel")) for s in spec.net_seeds]
+            _StreamMatrix(
+                [derive(s, "field-channel") for s in spec.net_seeds],
+                1,
+                spec.field_batch,
+            )
             if (self.bank is not None and not self.adjudicator.analytic)
             else None
         )
@@ -918,7 +929,7 @@ class _ShardEngine:
             if self.jam_streams is None:
                 defeated = attempted & (tx_power >= max_power)
             else:
-                us = np.array([r.random() for r in self.jam_streams])
+                us = self.jam_streams.next_slots()[:, 0]
                 defeated = np.zeros(n, dtype=bool)
                 hit = np.flatnonzero(attempted)
                 if len(hit):
