@@ -243,8 +243,7 @@ class TimingModel:
             self.off_channel_recovery_mean_s,
             OFF_CHANNEL_RECOVERY_CV,
         )
-        recovery = recovery.sum(axis=-1)
-        return dqn + polling + np.where(include_recovery, recovery, 0.0)
+        return dqn + polling + np.where(include_recovery, recovery.sum(axis=-1), 0.0)
 
 
 __all__ = [

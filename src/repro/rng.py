@@ -71,11 +71,9 @@ def derive(seed: SeedLike, stream: str) -> np.random.Generator:
     else:
         base = int(seed)
     tag = _stream_words(stream)
-    if 0 <= base < 1 << 32:
-        entropy = np.concatenate((np.array([base], dtype=np.uint32), tag))
-    elif 0 <= base < 1 << 64:
-        head = np.array([base & 0xFFFFFFFF, base >> 32], dtype=np.uint32)
-        entropy = np.concatenate((head, tag))
+    if 0 <= base < 1 << 64:
+        words = [base & 0xFFFFFFFF, base >> 32] if base >> 32 else [base]
+        entropy = np.concatenate((np.array(words, dtype=np.uint32), tag))
     else:
         entropy = [base, *tag.tolist()]
     return np.random.default_rng(np.random.SeedSequence(entropy))
