@@ -146,8 +146,17 @@ def test_field_scale_curve():
 
 def test_field_scale_interference_curve(monkeypatch):
     """The curve again with co-channel interference on, edges per point."""
-    # Keep each slot's channels (a small copy) to count its co-channel
-    # edges after the timed run.
+
+    def grid_of(n):
+        config = GridConfig(
+            field=_field_config("aggregate"),
+            num_networks=n,
+            interference=InterferenceModel(),
+        )
+        return FieldGrid(config, seed=0)
+
+    # The edge counts come from a second, untimed run of the same seed
+    # (so the same channels) that keeps each slot's channels.
     seen: list[tuple[_InterferenceEngine, object]] = []
     factors = _InterferenceEngine.factors
 
@@ -155,24 +164,19 @@ def test_field_scale_interference_curve(monkeypatch):
         seen.append((self, channels.copy()))
         return factors(self, channels, powers)
 
-    monkeypatch.setattr(_InterferenceEngine, "factors", recording)
     curve: list[dict[str, float]] = []
     for n in CURVE_NETWORKS:
-        grid = FieldGrid(
-            GridConfig(
-                field=_field_config("aggregate"),
-                num_networks=n,
-                interference=InterferenceModel(),
-            ),
-            seed=0,
-        )
-        seen.clear()
+        grid = grid_of(n)
         start = time.perf_counter()
         result = grid.run(CURVE_SLOTS)
         elapsed = time.perf_counter() - start
         timing.REGISTRY.record(
             f"field_scale.interference.n{n}", elapsed, items=n * CURVE_SLOTS
         )
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(_InterferenceEngine, "factors", recording)
+            grid_of(n).run(CURVE_SLOTS)
         engines = {id(engine): engine for engine, _ in seen}
         co_channel = sum(
             int((channels[e.src] == channels[e.vic]).sum()) for e, channels in seen

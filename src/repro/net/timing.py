@@ -243,7 +243,7 @@ class TimingModel:
             self.off_channel_recovery_mean_s,
             OFF_CHANNEL_RECOVERY_CV,
         )
-        return dqn + polling + np.where(include_recovery, recovery.sum(axis=-1), 0.0)
+        return dqn + polling + recovery.sum(axis=-1)
 
 
 __all__ = [

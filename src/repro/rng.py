@@ -37,14 +37,6 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(int(s)) for s in seeds]
 
 
-@functools.lru_cache(maxsize=64)
-def _stream_words(stream: str) -> np.ndarray:
-    """One ``uint32`` entropy word per UTF-8 byte of a stream name (read-only)."""
-    words = np.frombuffer(stream.encode("utf-8"), dtype=np.uint8).astype(np.uint32)
-    words.flags.writeable = False
-    return words
-
-
 def derive(seed: SeedLike, stream: str) -> np.random.Generator:
     """Derive a named, reproducible stream from ``seed``.
 
@@ -52,14 +44,13 @@ def derive(seed: SeedLike, stream: str) -> np.random.Generator:
     (never on how many other streams were derived first), which keeps
     experiment components reproducible when new components are added.
 
-    The stream is seeded with the entropy ``SeedSequence([base, *bytes])``
-    would assemble from the seed's integer ``base`` and the name's UTF-8
-    bytes, handed over as one ``uint32`` array: the base's 32-bit words,
-    least significant first (one word below ``2**32``, two below
-    ``2**64``), then one word per byte. NumPy splits each list entry
-    into exactly those words, so the pool and every draw are the same;
-    the array only skips the per-entry coercion. Other bases keep the
-    list, and with it NumPy's errors.
+    The stream is seeded with ``SeedSequence([base, words])``, where
+    ``words`` is a ``uint32`` array with one entry per UTF-8 byte of the
+    name. NumPy coerces each list entry to 32-bit words (an int by its own
+    split, a ``uint32`` array as a copy) and concatenates them, so the pool
+    and every draw equal those of ``SeedSequence([base, *bytes])``; the
+    array only skips coercing the name byte by byte. The base still goes
+    through NumPy's int split, so out-of-range bases keep its errors.
     """
     if isinstance(seed, np.random.Generator):
         # Generators carry no recoverable seed; fall back to drawing one.
@@ -70,13 +61,8 @@ def derive(seed: SeedLike, stream: str) -> np.random.Generator:
         base = 0
     else:
         base = int(seed)
-    tag = _stream_words(stream)
-    if 0 <= base < 1 << 64:
-        words = [base & 0xFFFFFFFF, base >> 32] if base >> 32 else [base]
-        entropy = np.concatenate((np.array(words, dtype=np.uint32), tag))
-    else:
-        entropy = [base, *tag.tolist()]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = np.frombuffer(stream.encode("utf-8"), dtype=np.uint8).astype(np.uint32)
+    return np.random.default_rng(np.random.SeedSequence([base, words]))
 
 
 def stable_hash(*parts: object) -> str:

@@ -1,8 +1,8 @@
 """Guards for :func:`repro.rng.derive` and the emulated bounded draw.
 
-``derive`` hands NumPy its entropy as one ``uint32`` array; the first
-tests pin every derived stream to the list-of-ints ``SeedSequence`` it
-replaces.
+``derive`` hands NumPy the stream name as one ``uint32`` array; the
+first tests pin every derived stream to the list-of-ints
+``SeedSequence`` it replaces.
 
 :class:`repro.rng.BoundedDraws` replays how NumPy's PCG64
 ``Generator.integers(k)`` consumes its stream, which NumPy does not
