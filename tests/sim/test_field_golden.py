@@ -3,7 +3,10 @@
 Each case runs a small seeded simulation and hashes everything it
 reports — goodput, utilisation, the Table-I :class:`MetricSummary` and
 ``astuple`` of every per-slot record (or, for the env, every observation,
-reward and :class:`StepInfo`). The digests in
+reward and :class:`StepInfo`). Beyond the sweep/reactive/follower field
+grid the cases pin the slot env against every adversary, a self-play
+rollout, the solo field learning jammer and the two non-paper sweep
+orders on both clocks. The digests in
 ``data/field_golden.json`` are the cross-commit oracle: a refactor of the
 slot loop must reproduce them bit-for-bit.
 
@@ -25,7 +28,10 @@ import pytest
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import Action, JammerMode, MDPConfig
+from repro.core.selfplay import SelfPlayEnv
+from repro.jamming.adversary import make_slot_jammer_factory
 from repro.jamming.jammer import FollowerJammerConfig, ReactiveJammerConfig
+from repro.jamming.strategies import make_strategy
 from repro.rng import derive
 from repro.sim.field import DQNPolicyAdapter, FieldConfig, FieldExperiment
 from repro.sim.scenario import field_jammer_config, paper_defaults
@@ -62,6 +68,28 @@ FIELD_CASES = [
 ]
 ENV_CASES = [f"env-{channel}" for channel in CHANNELS]
 WINDOW_CASES = ["windows-packet", "windows-aggregate"]
+SLOT_ADVERSARY_CASES = ["env-reactive", "env-follower", "env-learning"]
+SELFPLAY_CASES = ["selfplay"]
+LEARNING_CASES = [
+    "-".join(("solo", sampling, "learning", scheme, channel))
+    for sampling in SAMPLINGS
+    for scheme in SCHEMES
+    for channel in CHANNELS
+]
+STRATEGY_CASES = [
+    f"strategy-{clock}-{strategy}"
+    for clock in ("env", "solo")
+    for strategy in ("sequential", "adaptive")
+]
+
+#: The slot-side reactive jammer: duty-limited, latency-bound (0.2 s of a
+#: 3 s slot), with imperfect detection and a leaky negotiation.
+SLOT_REACTIVE = ReactiveJammerConfig(
+    duty_cycle=0.7,
+    response_latency_s=0.2,
+    detection_probability=0.8,
+    eavesdrop_probability=0.5,
+)
 
 
 class _FixedDQNFactory:
@@ -83,21 +111,37 @@ class _FixedDQNFactory:
         )
 
 
+def _jammer_agent(mdp: MDPConfig) -> DQNAgent:
+    """A seed-fixed, untrained jammer DQN: 3·I inputs, one output per block."""
+    return DQNAgent(
+        DQNConfig(
+            observation_size=15, num_actions=mdp.sweep_cycle, hidden_sizes=(16,)
+        ),
+        seed=3,
+    )
+
+
 def _digest(payload) -> str:
     return hashlib.sha256(repr(payload).encode("utf-8")).hexdigest()
 
 
-def _field_config(sampling: str, adversary: str, channel: str) -> FieldConfig:
+def _field_config(
+    sampling: str, adversary: str, channel: str, sweep_strategy: str = "random"
+) -> FieldConfig:
     # A random-power jammer makes the power contest (and so the channel
     # tier's adjudication) matter; at max power it always wins.
     defaults = paper_defaults(JammerMode.RANDOM)
     jammer = field_jammer_config(
         defaults,
         adversary=adversary,
+        sweep_strategy=sweep_strategy,
         reactive=ReactiveJammerConfig(
             duty_cycle=0.7, response_latency_s=0.2, decoy_discrimination=0.25
         ),
         follower=FollowerJammerConfig(lag_slots=1),
+        learning_agent=(
+            _jammer_agent(defaults.mdp) if adversary == "learning" else None
+        ),
     )
     # A 1 s Tx slot keeps the per-packet cases to ~100 packets per slot.
     return FieldConfig(
@@ -187,12 +231,29 @@ def window_case(case: str) -> str:
     )
 
 
+def _slot_env(case: str) -> SweepJammingEnv:
+    """The env a slot case runs: a channel tier, an adversary or a strategy."""
+    cfg = MDPConfig(jammer_mode=JammerMode.RANDOM)
+    kind = case.split("-")[-1]
+    if kind in CHANNELS:
+        return SweepJammingEnv(cfg, seed=99, channel=kind)
+    if kind in ("sequential", "adaptive"):
+        seed = 5 if kind == "adaptive" else None
+        strategy = make_strategy(kind, cfg.sweep_cycle, seed=seed)
+        return SweepJammingEnv(cfg, seed=99, sweep_strategy=strategy)
+    factory = make_slot_jammer_factory(
+        kind,
+        reactive=SLOT_REACTIVE,
+        follower=FollowerJammerConfig(lag_slots=1),
+        agent=_jammer_agent(cfg),
+        slot_duration_s=3.0,
+    )
+    return SweepJammingEnv(cfg, seed=99, jammer_factory=factory)
+
+
 def env_case(case: str) -> str:
     """A seeded 500-step ``SweepJammingEnv`` rollout mixing both action APIs."""
-    channel = case.split("-")[1]
-    env = SweepJammingEnv(
-        MDPConfig(jammer_mode=JammerMode.RANDOM), seed=99, channel=channel
-    )
+    env = _slot_env(case)
     actions = np.random.default_rng(7)
     rows = [env.reset().tolist()]
     for step in range(ENV_STEPS):
@@ -209,15 +270,62 @@ def env_case(case: str) -> str:
     return _digest(rows)
 
 
+def selfplay_case(case: str) -> str:
+    """A seeded :class:`SelfPlayEnv` rollout with random jammer blocks."""
+    env = SelfPlayEnv(MDPConfig(jammer_mode=JammerMode.RANDOM), seed=21)
+    actions = np.random.default_rng(8)
+    victim_obs, jammer_obs = env.reset()
+    rows = [(victim_obs.tolist(), jammer_obs.tolist())]
+    for _ in range(ENV_STEPS):
+        victim_obs, jammer_obs, victim_reward, jammer_reward, info = env.step(
+            int(actions.integers(env.num_victim_actions)),
+            int(actions.integers(env.num_blocks)),
+        )
+        rows.append(
+            (
+                victim_obs.tolist(),
+                jammer_obs.tolist(),
+                victim_reward,
+                jammer_reward,
+                dataclasses.astuple(info),
+            )
+        )
+    return _digest(rows)
+
+
+def strategy_case(case: str) -> str:
+    """A non-paper sweep order on the slot env or a solo field run."""
+    _, clock, strategy = case.split("-")
+    if clock == "env":
+        return env_case(case)
+    cfg = _field_config("packet", "sweep", "analytic", sweep_strategy=strategy)
+    seed = 1234
+    adapter = SchemeAdapterFactory("rand")(cfg.mdp, seed)
+    experiment = FieldExperiment(cfg, adapter, seed=seed)
+    return _digest(_result_payload(experiment.run_experiment(SOLO_SLOTS)))
+
+
 def compute(case: str) -> str:
     if case.startswith("env-"):
         return env_case(case)
     if case.startswith("windows-"):
         return window_case(case)
+    if case.startswith("selfplay"):
+        return selfplay_case(case)
+    if case.startswith("strategy-"):
+        return strategy_case(case)
     return field_case(case)
 
 
-ALL_CASES = FIELD_CASES + WINDOW_CASES + ENV_CASES
+ALL_CASES = (
+    FIELD_CASES
+    + WINDOW_CASES
+    + ENV_CASES
+    + SLOT_ADVERSARY_CASES
+    + SELFPLAY_CASES
+    + LEARNING_CASES
+    + STRATEGY_CASES
+)
 
 
 @pytest.fixture(scope="module")
