@@ -8,7 +8,9 @@ Two implementations of the victim/jammer competition:
   same kernel.
 * :class:`SweepJammingEnv` simulates the mechanics the kernel abstracts: a
   jammer sweeping m-channel blocks without replacement, camping on the
-  victim once found, losing a slot when the victim escapes. A property test
+  victim once found, losing a slot when the victim escapes (the paper's
+  :class:`~repro.jamming.jammer.SweepCore` on the slot clock, or any other
+  adversary's core through ``jammer_factory``). A property test
   verifies its empirical transition frequencies approach the analytic
   kernel. Its observation is the 3·I history vector the paper's DQN
   consumes (state/channel/power of the previous I slots, §III-C).
@@ -30,7 +32,6 @@ from repro.core.mdp import (
     J,
     Action,
     AntiJammingMDP,
-    JammerMode,
     MDPConfig,
     State,
     code_state,
@@ -39,6 +40,7 @@ from repro.core.mdp import (
     state_code,
 )
 from repro.errors import ConfigurationError, SimulationError
+from repro.jamming.jammer import SlotJammer, SweepCore
 from repro.rng import SeedLike, make_rng
 
 
@@ -189,81 +191,6 @@ class AnalyticJammingEnv:
         return next_state, reward, info
 
 
-class _SweepingJammer:
-    """The mechanistic cross-technology jammer (paper §II-C).
-
-    Sweeps blocks of ``jam_width`` consecutive channels, one block per slot,
-    without replacement; camps on the victim's block once found; spends one
-    slot re-acquiring when the victim escapes.
-    """
-
-    def __init__(
-        self,
-        config: MDPConfig,
-        rng: np.random.Generator,
-        strategy=None,
-    ) -> None:
-        from repro.jamming.strategies import RandomSweep
-
-        self.config = config
-        self._rng = rng
-        s = config.sweep_cycle
-        # Block partition by index; with an overridden sweep cycle we just
-        # split the channel space into that many (near-)equal blocks.
-        bounds = np.linspace(0, config.num_channels, s + 1).astype(int)
-        self.blocks: list[tuple[int, ...]] = [
-            tuple(range(bounds[i], bounds[i + 1])) for i in range(s)
-        ]
-        if any(len(b) == 0 for b in self.blocks):
-            raise ConfigurationError(
-                f"cannot split {config.num_channels} channels into "
-                f"{s} non-empty sweep blocks"
-            )
-        self.strategy = strategy or RandomSweep(len(self.blocks), seed=rng)
-        if self.strategy.num_blocks != len(self.blocks):
-            raise ConfigurationError(
-                f"strategy expects {self.strategy.num_blocks} blocks; "
-                f"geometry has {len(self.blocks)}"
-            )
-        self.reset()
-
-    def reset(self) -> None:
-        self.strategy.reset()
-        self._camping: int | None = None
-
-    def _power(self) -> float:
-        levels = self.config.jammer_power_levels
-        if self.config.jammer_mode == JammerMode.MAX:
-            return levels[-1]
-        return levels[int(self._rng.integers(len(levels)))]
-
-    def observe_and_attack(self, victim_channel: int) -> tuple[bool, float, tuple[int, ...]]:
-        """Advance the jammer one slot.
-
-        Returns ``(attacked, jam_power, attacked_channels)`` where
-        ``attacked`` says whether the victim's channel was inside the
-        attacked block this slot (an empty tuple means the jammer spent the
-        slot re-acquiring).
-        """
-        if self._camping is not None:
-            block = self.blocks[self._camping]
-            if victim_channel in block:
-                return True, self._power(), block
-            # Victim escaped: burn this slot noticing; the strategy learns
-            # which stale block to exclude from the next sweep.
-            stale = self._camping
-            self._camping = None
-            self.strategy.notify_lost(stale)
-            return False, 0.0, ()
-        pick = self.strategy.next_block()
-        block = self.blocks[pick]
-        if victim_channel in block:
-            self._camping = pick
-            self.strategy.notify_found(pick)
-            return True, self._power(), block
-        return False, 0.0, block
-
-
 class SweepJammingEnv:
     """Mechanistic slotted environment with the 3·I history observation.
 
@@ -305,12 +232,17 @@ class SweepJammingEnv:
         self._jammer = self._build_jammer()
         self.reset()
 
-    def _build_jammer(self) -> _SweepingJammer:
+    def _build_jammer(self) -> SlotJammer:
         if self._jammer_factory is not None:
             return self._jammer_factory(self.config, self._rng)
-        return _SweepingJammer(
-            self.config, self._rng, copy.deepcopy(self._sweep_strategy)
+        cfg = self.config
+        core = SweepCore(
+            cfg.num_channels,
+            cfg.sweep_cycle,
+            self._rng,
+            copy.deepcopy(self._sweep_strategy),
         )
+        return SlotJammer(cfg, core)
 
     # -- space geometry --------------------------------------------------------
 

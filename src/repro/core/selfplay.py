@@ -23,28 +23,27 @@ import numpy as np
 
 from repro.constants import DEFAULT_HISTORY_LENGTH
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
-from repro.core.envs import StepInfo, SweepJammingEnv, _SweepingJammer
+from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.core.vecenv import _batched_act, _batched_train_step, _StackedMLP
 from repro.errors import ConfigurationError
 from repro.jamming.adversary import JammerMemory
+from repro.jamming.jammer import SlotJammer, SweepCore
 from repro.obs import telemetry as obs_telemetry
 from repro.rng import SeedLike, derive
 
 
-class _PuppetJammer(_SweepingJammer):
-    """A slot jammer whose block choice is commanded by an external agent."""
+class _PuppetJammer(SweepCore):
+    """A jammer core whose block choice is commanded by an external agent."""
 
-    def __init__(self, config: MDPConfig, rng: np.random.Generator) -> None:
-        super().__init__(config, rng)
+    def __init__(
+        self, num_channels: int, num_blocks: int, rng: np.random.Generator
+    ) -> None:
+        super().__init__(num_channels, num_blocks, rng)
         self.commanded = 0
 
-    def observe_and_attack(
-        self, victim_channel: int
-    ) -> tuple[bool, float, tuple[int, ...]]:
-        block = self.blocks[self.commanded]
-        hit = victim_channel in block
-        return (hit, self._power() if hit else 0.0, block)
+    def decide(self, victim_channel: int) -> tuple[int, ...]:
+        return self.blocks[self.commanded]
 
 
 class SelfPlayEnv:
@@ -71,9 +70,9 @@ class SelfPlayEnv:
     ) -> None:
         self._puppet: _PuppetJammer | None = None
 
-        def factory(cfg: MDPConfig, rng: np.random.Generator) -> _PuppetJammer:
-            self._puppet = _PuppetJammer(cfg, rng)
-            return self._puppet
+        def factory(cfg: MDPConfig, rng: np.random.Generator) -> SlotJammer:
+            self._puppet = _PuppetJammer(cfg.num_channels, cfg.sweep_cycle, rng)
+            return SlotJammer(cfg, self._puppet)
 
         self.env = SweepJammingEnv(
             config,

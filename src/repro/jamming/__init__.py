@@ -1,26 +1,28 @@
 """The cross-technology attacker.
 
-:mod:`repro.jamming.jammer` implements the time-domain sweeping jammer used
-by the field-experiment simulator — it runs on its *own* slot cadence,
-which may differ from the victim's (the Fig. 11(b) study). The slot-level
-abstraction used for DQN training lives in :mod:`repro.core.envs`.
+Every adversary is one per-decision core driven by one of two clocks.
+:mod:`repro.jamming.jammer` holds the paper's sweep/camp core
+(:class:`SweepCore`), the field clock (:class:`FieldJammer`, which runs
+on its *own* slot cadence, possibly different from the victim's — the
+Fig. 11(b) study) and the slot clock (:class:`SlotJammer`, one decision
+per victim slot of :class:`~repro.core.envs.SweepJammingEnv`).
 
 :mod:`repro.jamming.detector` models how the jammer finds its victim
 (energy sensing, ACK eavesdropping) and how hard the EmuBee signal is for
 the victim to recognise as jamming (stealthiness).
 
 :mod:`repro.jamming.adversary` goes beyond the paper's threat model with
-reactive, follower, and learning jammers for both timing models.
+reactive, follower, and learning cores, each on either clock.
 """
 
 from repro.jamming.adversary import (
+    FollowerCore,
     FollowerFieldJammer,
-    FollowerSlotJammer,
     JammerMemory,
+    LearningCore,
     LearningFieldJammer,
-    LearningSlotJammer,
+    ReactiveCore,
     ReactiveFieldJammer,
-    ReactiveSlotJammer,
     make_field_jammer,
     make_slot_jammer_factory,
 )
@@ -32,6 +34,8 @@ from repro.jamming.jammer import (
     FieldJammerConfig,
     FollowerJammerConfig,
     ReactiveJammerConfig,
+    SlotJammer,
+    SweepCore,
     channel_blocks,
 )
 from repro.jamming.strategies import (
@@ -51,19 +55,21 @@ __all__ = [
     "stealth_assessment",
     "ADVERSARIES",
     "AttackProfile",
+    "SweepCore",
     "FieldJammer",
+    "SlotJammer",
     "FieldJammerConfig",
     "FollowerJammerConfig",
     "ReactiveJammerConfig",
     "channel_blocks",
     "JammerMemory",
+    "ReactiveCore",
+    "FollowerCore",
+    "LearningCore",
     "ReactiveFieldJammer",
     "FollowerFieldJammer",
     "LearningFieldJammer",
     "make_field_jammer",
-    "ReactiveSlotJammer",
-    "FollowerSlotJammer",
-    "LearningSlotJammer",
     "make_slot_jammer_factory",
     "AdaptiveSweep",
     "RandomSweep",

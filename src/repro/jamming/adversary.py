@@ -3,17 +3,22 @@
 The paper's threat model is a proactive sweep/camp jammer. Related work
 (reactive jammers with a sense→classify→transmit budget, follower jammers
 against FHSS, learning jammers, and deception defences that bait them)
-motivates four further adversaries, each available in *both* timing
-models the repo simulates:
+motivates three further adversaries. Each adversary is one decision
+core (see :mod:`repro.jamming.jammer`) that either clock can drive:
 
-==============  =============================  ==============================
-adversary       slot-aligned (``core.envs``)   time-domain (``sim.field``)
-==============  =============================  ==============================
-``sweep``       ``_SweepingJammer`` (paper)    :class:`~repro.jamming.jammer.FieldJammer`
-``reactive``    :class:`ReactiveSlotJammer`    :class:`ReactiveFieldJammer`
-``follower``    :class:`FollowerSlotJammer`    :class:`FollowerFieldJammer`
-``learning``    :class:`LearningSlotJammer`    :class:`LearningFieldJammer`
-==============  =============================  ==============================
+==============  ===========================  ==============================
+adversary       decision core                field clock (``sim.field``)
+==============  ===========================  ==============================
+``sweep``       ``SweepCore`` (paper)        ``FieldJammer``
+``reactive``    :class:`ReactiveCore`        :class:`ReactiveFieldJammer`
+``follower``    :class:`FollowerCore`        :class:`FollowerFieldJammer`
+``learning``    :class:`LearningCore`        :class:`LearningFieldJammer`
+==============  ===========================  ==============================
+
+On the slot clock of :class:`~repro.core.envs.SweepJammingEnv` every
+core runs inside the one :class:`~repro.jamming.jammer.SlotJammer`. The
+field subclasses only choose their core; the reactive one also exposes
+its duty bucket as :attr:`ReactiveFieldJammer.duty_tokens`.
 
 :func:`make_field_jammer` dispatches on
 :attr:`~repro.jamming.jammer.FieldJammerConfig.adversary`, which is how
@@ -36,8 +41,6 @@ from collections import deque
 import numpy as np
 
 from repro.constants import DEFAULT_HISTORY_LENGTH
-from repro.core.envs import _SweepingJammer
-from repro.core.mdp import MDPConfig
 from repro.errors import ConfigurationError
 from repro.jamming.detector import AckEavesdropper, EnergyDetector
 from repro.jamming.jammer import (
@@ -45,7 +48,8 @@ from repro.jamming.jammer import (
     FieldJammerConfig,
     FollowerJammerConfig,
     ReactiveJammerConfig,
-    block_index,
+    SlotJammer,
+    SweepCore,
 )
 from repro.rng import SeedLike, derive, make_rng
 
@@ -113,53 +117,50 @@ def _check_learning_agent(agent, num_blocks: int, history_length: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Time-domain adversaries (the FieldJammer clock)
+# Decision cores
 # ---------------------------------------------------------------------------
 
 
-class ReactiveFieldJammer(FieldJammer):
-    """Sense→classify→transmit jammer on the field clock.
+class ReactiveCore(SweepCore):
+    """Sense→classify→transmit decisions of a reactive jammer.
 
     Each decision starts with a sensing pass over one block (the camped
-    block, or the next sweep pick). A classified target is attacked after
-    ``response_latency_s`` of turnaround, for as long as the duty-cycle
-    token bucket allows. Decoy transmissions
+    block, or the next sweep pick). A classified target is attacked; the
+    response latency and the duty-cycle budget are the clocks' gate
+    (:attr:`response_latency_s`, :attr:`duty_cycle`). Decoy transmissions
     (:class:`~repro.sim.field.DeceptionAdapter`) read as victims unless
     unmasked, baiting the jammer into camping on — and burning duty
     against — an empty block. Configured by
-    :class:`~repro.jamming.jammer.ReactiveJammerConfig` (``config.reactive``).
+    :class:`~repro.jamming.jammer.ReactiveJammerConfig`.
     """
 
     def __init__(
         self,
-        config: FieldJammerConfig | None = None,
-        *,
-        seed: SeedLike = None,
+        num_channels: int,
+        num_blocks: int,
+        rng: np.random.Generator,
         strategy=None,
+        *,
+        reactive: ReactiveJammerConfig | None = None,
     ) -> None:
-        cfg = config or FieldJammerConfig()
-        self._rc = cfg.reactive or ReactiveJammerConfig()
-        self._detector = EnergyDetector(self._rc.sensitivity_dbm)
-        super().__init__(cfg, seed=seed, strategy=strategy)
+        self.reactive = reactive or ReactiveJammerConfig()
+        self.response_latency_s = self.reactive.response_latency_s
+        self.duty_cycle = self.reactive.duty_cycle
+        self._detector = EnergyDetector(self.reactive.sensitivity_dbm)
+        super().__init__(num_channels, num_blocks, rng, strategy)
 
     def reset(self) -> None:
         super().reset()
-        rc = self._rc
-        # Token bucket: one jammer slot of burst capacity, refilled at
-        # ``duty_cycle`` seconds of TX per second of wall time.
-        self._budget_cap = self.config.slot_duration_s
-        self._budget = self._budget_cap
-        self._budget_mark = 0.0
         self._tip: int | None = None
         self._decoy: int | None = None
         self._camped_decoy = False
         # Lazily created so the ideal configuration consumes no extra
-        # draws from the shared stream (bit-for-bit with FieldJammer).
+        # draws from the shared stream (bit-for-bit with SweepCore).
         self._sense_rng: np.random.Generator | None = None
         self._eavesdropper: AckEavesdropper | None = None
 
     def observe_decoy(self, channel: int | None) -> None:
-        if channel is not None and not 0 <= channel < self.config.num_channels:
+        if channel is not None and not 0 <= channel < self.num_channels:
             raise ConfigurationError(f"decoy channel {channel} out of range")
         self._decoy = channel
 
@@ -167,34 +168,34 @@ class ReactiveFieldJammer(FieldJammer):
 
     def _sense(self) -> np.random.Generator:
         if self._sense_rng is None:
-            self._sense_rng = make_rng(int(self._rng.integers(2**63 - 1)))
+            self._sense_rng = make_rng(int(self.rng.integers(2**63 - 1)))
         return self._sense_rng
 
     def _detects(self, victim_channel: int, block: tuple[int, ...]) -> bool:
         """Whether the sensing pass classifies the victim inside ``block``."""
         if victim_channel not in block:
             return False
-        if not self._detector.detects(self._rc.victim_rx_dbm):
+        if not self._detector.detects(self.reactive.victim_rx_dbm):
             return False
-        if self._rc.detection_probability >= 1.0:
+        if self.reactive.detection_probability >= 1.0:
             return True
-        return self._sense().random() < self._rc.detection_probability
+        return self._sense().random() < self.reactive.detection_probability
 
     def _lured(self, block: tuple[int, ...]) -> bool:
         """Whether a decoy in ``block`` passes for a victim this sense."""
         if self._decoy is None or self._decoy not in block:
             return False
-        if self._rc.decoy_discrimination <= 0.0:
+        if self.reactive.decoy_discrimination <= 0.0:
             return True
-        return self._sense().random() >= self._rc.decoy_discrimination
+        return self._sense().random() >= self.reactive.decoy_discrimination
 
     def _overhears_escape(self, victim_channel: int) -> None:
         """ACK/negotiation sniffing on escape: maybe learn the new block."""
-        if self._rc.eavesdrop_probability <= 0.0:
+        if self.reactive.eavesdrop_probability <= 0.0:
             return
         if self._eavesdropper is None:
             self._eavesdropper = AckEavesdropper(
-                self._rc.eavesdrop_probability,
+                self.reactive.eavesdrop_probability,
                 seed=derive(self._sense(), "reactive-eavesdrop"),
             )
         if self._eavesdropper.observe(True) is not None:
@@ -202,49 +203,22 @@ class ReactiveFieldJammer(FieldJammer):
 
     # -- decisions -------------------------------------------------------------
 
-    def _transmit(self, t: float, block: tuple[int, ...]) -> None:
-        rc = self._rc
-        if rc.duty_cycle < 1.0:
-            self._budget = min(
-                self._budget_cap,
-                self._budget + (t - self._budget_mark) * rc.duty_cycle,
-            )
-            self._budget_mark = t
-            cost = max(self.config.slot_duration_s - rc.response_latency_s, 0.0)
-            if self._budget + 1e-12 < cost:
-                self._count("duty_starved")
-                self._idle(t)  # budget exhausted: sit this decision out
-                return
-            self._budget -= cost
-            self._count("duty_spent_s", cost)
-        self._active_block = block
-        self._active_power = self._power()
-        self._active_from = t + rc.response_latency_s
-
-    @property
-    def duty_tokens(self) -> float:
-        """Remaining transmit budget in seconds (the token bucket level)."""
-        return self._budget
-
-    def _decide(self, t: float, victim_channel: int) -> None:
-        rc = self._rc
-        if self._camping is not None:
-            block = self.blocks[self._camping]
+    def decide(self, victim_channel: int) -> tuple[int, ...] | None:
+        if self.camping is not None:
+            block = self.blocks[self.camping]
             if self._detects(victim_channel, block) or (
                 self._camped_decoy and self._lured(block)
             ):
-                self._transmit(t, block)
-                return
+                return block
             # The camped signal vanished (victim hopped / decoy unmasked):
             # burn this decision noticing, maybe sniff where it went.
-            stale = self._camping
-            self._camping = None
+            stale = self.camping
+            self.camping = None
             self._camped_decoy = False
-            self._count("lock_losses")
+            self.count("lock_losses")
             self.strategy.notify_lost(stale)
-            self._idle(t)
             self._overhears_escape(victim_channel)
-            return
+            return None
         if self._tip is not None:
             pick, self._tip = self._tip, None
         else:
@@ -253,76 +227,72 @@ class ReactiveFieldJammer(FieldJammer):
         detected = self._detects(victim_channel, block)
         lured = False if detected else self._lured(block)
         if detected or lured:
-            self._camping = pick
+            self.camping = pick
             self._camped_decoy = lured
-            self._count("locks")
+            self.count("locks")
             if lured:
-                self._count("decoy_baits")
+                self.count("decoy_baits")
             self.strategy.notify_found(pick)
-            self._transmit(t, block)
-        elif rc.transmit_on_sweep:
-            self._transmit(t, block)
-        else:
-            self._idle(t)
+            return block
+        # Sweep-and-jam acquisition transmits on the pick; a sense-only
+        # jammer sends nothing until it has classified a target.
+        return block if self.reactive.transmit_on_sweep else None
 
 
-class FollowerFieldJammer(FieldJammer):
+class FollowerCore(SweepCore):
     """Chases the victim's hops with a configurable processing lag.
 
-    Wideband-senses the victim's channel every jammer slot and attacks the
+    Wideband-senses the victim's channel every decision and attacks the
     block it occupied ``lag_slots`` decisions ago — the measurement →
     retune pipeline delay of follower jammers against FHSS. Idles until
     the trail is deep enough (or the victim is inaudible). Configured by
-    :class:`~repro.jamming.jammer.FollowerJammerConfig` (``config.follower``).
+    :class:`~repro.jamming.jammer.FollowerJammerConfig`.
     """
 
     def __init__(
         self,
-        config: FieldJammerConfig | None = None,
-        *,
-        seed: SeedLike = None,
+        num_channels: int,
+        num_blocks: int,
+        rng: np.random.Generator,
         strategy=None,
+        *,
+        follower: FollowerJammerConfig | None = None,
     ) -> None:
-        cfg = config or FieldJammerConfig()
-        self._fc = cfg.follower or FollowerJammerConfig()
-        self._detector = EnergyDetector(self._fc.sensitivity_dbm)
-        super().__init__(cfg, seed=seed, strategy=strategy)
+        self.follower = follower or FollowerJammerConfig()
+        self._detector = EnergyDetector(self.follower.sensitivity_dbm)
+        super().__init__(num_channels, num_blocks, rng, strategy)
 
     def reset(self) -> None:
         super().reset()
-        self._trail: deque[int] = deque(maxlen=self._fc.lag_slots + 1)
+        self._trail: deque[int] = deque(maxlen=self.follower.lag_slots + 1)
         self._on_target = False
 
     def _mark_target(self, on_target: bool) -> None:
         """Count lock/loss transitions of the chase (trail hits victim)."""
         if on_target and not self._on_target:
-            self._count("locks")
+            self.count("locks")
         elif not on_target and self._on_target:
-            self._count("lock_losses")
+            self.count("lock_losses")
         self._on_target = on_target
 
-    def _decide(self, t: float, victim_channel: int) -> None:
-        fc = self._fc
+    def decide(self, victim_channel: int) -> tuple[int, ...] | None:
+        fc = self.follower
         heard = self._detector.detects(fc.victim_rx_dbm)
         self._trail.append(victim_channel if heard else -1)
         if len(self._trail) <= fc.lag_slots:
             self._mark_target(False)
-            self._idle(t)
-            return
+            return None
         target = self._trail[0]
         if target < 0:
             self._mark_target(False)
-            self._idle(t)
-            return
+            return None
         block = self.blocks[self.block_of(target)]
         self._mark_target(victim_channel in block)
-        self._active_block = block
-        self._active_power = self._power()
-        self._active_from = t
+        return block
 
 
-class LearningFieldJammer(FieldJammer):
-    """Deploys a self-play-trained jammer DQN greedily on the field clock.
+class LearningCore(SweepCore):
+    """Deploys a self-play-trained jammer DQN greedily.
 
     Per decision it appends the previous burst's outcome to its
     :class:`JammerMemory`, runs one greedy forward pass, and jams the
@@ -332,30 +302,88 @@ class LearningFieldJammer(FieldJammer):
 
     def __init__(
         self,
+        num_channels: int,
+        num_blocks: int,
+        rng: np.random.Generator,
+        strategy=None,
+        *,
+        agent,
+        history_length: int = DEFAULT_HISTORY_LENGTH,
+    ) -> None:
+        _check_learning_agent(agent, num_blocks, history_length)
+        self.agent = agent
+        self.memory = JammerMemory(num_blocks, history_length)
+        super().__init__(num_channels, num_blocks, rng, strategy)
+
+    def reset(self) -> None:
+        super().reset()
+        self.memory.reset()
+
+    def decide(self, victim_channel: int) -> tuple[int, ...]:
+        action = int(self.agent.act(self.memory.observation(), greedy=True))
+        block = self.blocks[action]
+        self.memory.update(hit=victim_channel in block, block=action)
+        return block
+
+
+# ---------------------------------------------------------------------------
+# The field clock
+# ---------------------------------------------------------------------------
+
+
+class ReactiveFieldJammer(FieldJammer):
+    """:class:`ReactiveCore` on the field clock (``config.reactive``).
+
+    A classified target is attacked after ``response_latency_s`` of
+    turnaround, for as long as the duty-cycle token bucket allows.
+    """
+
+    def _build_core(self, rng: np.random.Generator, strategy) -> ReactiveCore:
+        cfg = self.config
+        return ReactiveCore(
+            cfg.num_channels, cfg.num_blocks, rng, strategy, reactive=cfg.reactive
+        )
+
+    @property
+    def duty_tokens(self) -> float:
+        """Remaining transmit budget in seconds (the token bucket level)."""
+        return self._budget
+
+
+class FollowerFieldJammer(FieldJammer):
+    """:class:`FollowerCore` on the field clock (``config.follower``)."""
+
+    def _build_core(self, rng: np.random.Generator, strategy) -> FollowerCore:
+        cfg = self.config
+        return FollowerCore(
+            cfg.num_channels, cfg.num_blocks, rng, strategy, follower=cfg.follower
+        )
+
+
+class LearningFieldJammer(FieldJammer):
+    """:class:`LearningCore` on the field clock (``config.learning_agent``)."""
+
+    def __init__(
+        self,
         config: FieldJammerConfig | None = None,
         *,
         seed: SeedLike = None,
         strategy=None,
         history_length: int = DEFAULT_HISTORY_LENGTH,
     ) -> None:
-        cfg = config or FieldJammerConfig()
-        _check_learning_agent(cfg.learning_agent, cfg.num_blocks, history_length)
-        self._agent = cfg.learning_agent
-        self._memory = JammerMemory(cfg.num_blocks, history_length)
-        super().__init__(cfg, seed=seed, strategy=strategy)
+        self._history_length = history_length
+        super().__init__(config, seed=seed, strategy=strategy)
 
-    def reset(self) -> None:
-        super().reset()
-        self._memory.reset()
-
-    def _decide(self, t: float, victim_channel: int) -> None:
-        action = int(self._agent.act(self._memory.observation(), greedy=True))
-        block = self.blocks[action]
-        hit = victim_channel in block
-        self._memory.update(hit=hit, block=action)
-        self._active_block = block
-        self._active_power = self._power()
-        self._active_from = t
+    def _build_core(self, rng: np.random.Generator, strategy) -> LearningCore:
+        cfg = self.config
+        return LearningCore(
+            cfg.num_channels,
+            cfg.num_blocks,
+            rng,
+            strategy,
+            agent=cfg.learning_agent,
+            history_length=self._history_length,
+        )
 
 
 def make_field_jammer(
@@ -374,191 +402,8 @@ def make_field_jammer(
 
 
 # ---------------------------------------------------------------------------
-# Slot-aligned adversaries (SweepJammingEnv)
+# The slot clock
 # ---------------------------------------------------------------------------
-
-
-class ReactiveSlotJammer(_SweepingJammer):
-    """Slot-aligned reactive jammer for :class:`~repro.core.envs.SweepJammingEnv`.
-
-    Same sensing/camping logic as :class:`ReactiveFieldJammer`, quantised
-    to victim slots: the duty-cycle token bucket accrues per slot, and a
-    burst only counts as an attack when the post-latency transmission
-    still covers at least half the slot (``slot_duration_s`` converts the
-    time-domain latency knob).
-    """
-
-    def __init__(
-        self,
-        config: MDPConfig,
-        rng: np.random.Generator,
-        strategy=None,
-        *,
-        reactive: ReactiveJammerConfig | None = None,
-        slot_duration_s: float = 3.0,
-    ) -> None:
-        if slot_duration_s <= 0:
-            raise ConfigurationError("slot duration must be positive")
-        self._rc = reactive or ReactiveJammerConfig()
-        self._slot_s = slot_duration_s
-        self._detector = EnergyDetector(self._rc.sensitivity_dbm)
-        # Transmissions land as slot attacks only when the post-latency
-        # burst covers at least half the slot (the field engine's
-        # jam_state_threshold, collapsed to the binary slot world).
-        self._effective = self._rc.response_latency_s < 0.5 * slot_duration_s
-        self._jam_counters: dict[str, float] = {}
-        super().__init__(config, rng, strategy)
-
-    def reset(self) -> None:
-        super().reset()
-        self._budget = 1.0  # slots of burst capacity
-        self._tip: int | None = None
-        self._decoy: int | None = None
-        self._camped_decoy = False
-        self._sense_rng: np.random.Generator | None = None
-        self._eavesdropper: AckEavesdropper | None = None
-
-    def block_of(self, channel: int) -> int:
-        return block_index(self.blocks, channel)
-
-    def observe_decoy(self, channel: int | None) -> None:
-        self._decoy = channel
-
-    _sense = ReactiveFieldJammer._sense
-    _detects = ReactiveFieldJammer._detects
-    _lured = ReactiveFieldJammer._lured
-    _overhears_escape = ReactiveFieldJammer._overhears_escape
-    _count = FieldJammer._count
-    drain_counters = FieldJammer.drain_counters
-
-    def _burst(
-        self, victim_channel: int, block: tuple[int, ...]
-    ) -> tuple[bool, float, tuple[int, ...]]:
-        """Transmit on ``block`` for this slot if latency/duty allow."""
-        if not self._effective:
-            return False, 0.0, ()
-        if self._rc.duty_cycle < 1.0:
-            if self._budget + 1e-12 < 1.0:
-                self._count("duty_starved")
-                return False, 0.0, ()
-            self._budget -= 1.0
-            self._count("duty_spent_slots")
-        hit = victim_channel in block
-        return (hit, self._power() if hit else 0.0, block)
-
-    def observe_and_attack(
-        self, victim_channel: int
-    ) -> tuple[bool, float, tuple[int, ...]]:
-        rc = self._rc
-        if rc.duty_cycle < 1.0:
-            self._budget = min(1.0, self._budget + rc.duty_cycle)
-        if self._camping is not None:
-            block = self.blocks[self._camping]
-            if self._detects(victim_channel, block) or (
-                self._camped_decoy and self._lured(block)
-            ):
-                return self._burst(victim_channel, block)
-            stale = self._camping
-            self._camping = None
-            self._camped_decoy = False
-            self._count("lock_losses")
-            self.strategy.notify_lost(stale)
-            self._overhears_escape(victim_channel)
-            return False, 0.0, ()
-        if self._tip is not None:
-            pick, self._tip = self._tip, None
-        else:
-            pick = self.strategy.next_block()
-        block = self.blocks[pick]
-        detected = self._detects(victim_channel, block)
-        lured = False if detected else self._lured(block)
-        if detected or lured:
-            self._camping = pick
-            self._camped_decoy = lured
-            self._count("locks")
-            if lured:
-                self._count("decoy_baits")
-            self.strategy.notify_found(pick)
-            return self._burst(victim_channel, block)
-        if rc.transmit_on_sweep:
-            return self._burst(victim_channel, block)
-        return False, 0.0, ()
-
-
-class FollowerSlotJammer(_SweepingJammer):
-    """Slot-aligned follower: attacks the victim's channel from ``lag`` slots ago."""
-
-    def __init__(
-        self,
-        config: MDPConfig,
-        rng: np.random.Generator,
-        strategy=None,
-        *,
-        follower: FollowerJammerConfig | None = None,
-    ) -> None:
-        self._fc = follower or FollowerJammerConfig()
-        self._detector = EnergyDetector(self._fc.sensitivity_dbm)
-        self._jam_counters: dict[str, float] = {}
-        super().__init__(config, rng, strategy)
-
-    def reset(self) -> None:
-        super().reset()
-        self._trail: deque[int] = deque(maxlen=self._fc.lag_slots + 1)
-        self._on_target = False
-
-    _count = FieldJammer._count
-    drain_counters = FieldJammer.drain_counters
-    _mark_target = FollowerFieldJammer._mark_target
-
-    def observe_and_attack(
-        self, victim_channel: int
-    ) -> tuple[bool, float, tuple[int, ...]]:
-        fc = self._fc
-        heard = self._detector.detects(fc.victim_rx_dbm)
-        self._trail.append(victim_channel if heard else -1)
-        if len(self._trail) <= fc.lag_slots:
-            self._mark_target(False)
-            return False, 0.0, ()
-        target = self._trail[0]
-        if target < 0:
-            self._mark_target(False)
-            return False, 0.0, ()
-        block = self.blocks[block_index(self.blocks, target)]
-        hit = victim_channel in block
-        self._mark_target(hit)
-        return (hit, self._power() if hit else 0.0, block)
-
-
-class LearningSlotJammer(_SweepingJammer):
-    """Deploys a trained jammer DQN greedily inside the slot-aligned env."""
-
-    def __init__(
-        self,
-        config: MDPConfig,
-        rng: np.random.Generator,
-        *,
-        agent,
-        history_length: int = DEFAULT_HISTORY_LENGTH,
-    ) -> None:
-        super().__init__(config, rng)
-        _check_learning_agent(agent, len(self.blocks), history_length)
-        self._agent = agent
-        self._memory = JammerMemory(len(self.blocks), history_length)
-
-    def reset(self) -> None:
-        super().reset()
-        # reset() runs from the base __init__ before _memory exists.
-        if hasattr(self, "_memory"):
-            self._memory.reset()
-
-    def observe_and_attack(
-        self, victim_channel: int
-    ) -> tuple[bool, float, tuple[int, ...]]:
-        action = int(self._agent.act(self._memory.observation(), greedy=True))
-        block = self.blocks[action]
-        hit = victim_channel in block
-        self._memory.update(hit=hit, block=action)
-        return (hit, self._power() if hit else 0.0, block)
 
 
 def make_slot_jammer_factory(
@@ -572,34 +417,55 @@ def make_slot_jammer_factory(
 ):
     """A ``jammer_factory`` for :class:`~repro.core.envs.SweepJammingEnv`.
 
-    Returns ``None`` for ``"sweep"`` so callers can pass the result
-    straight through (the env then builds the paper's jammer itself).
+    The factory builds the adversary's core over the MDP's
+    ``sweep_cycle`` blocks on the env's stream and wraps it in a
+    :class:`~repro.jamming.jammer.SlotJammer`; ``slot_duration_s``
+    converts the reactive jammer's latency into slots. Returns ``None``
+    for ``"sweep"`` so callers can pass the result straight through (the
+    env then builds the paper's jammer itself).
     """
     if adversary == "sweep":
         return None
     if adversary == "reactive":
-        return lambda config, rng: ReactiveSlotJammer(
-            config, rng, reactive=reactive, slot_duration_s=slot_duration_s
-        )
-    if adversary == "follower":
-        return lambda config, rng: FollowerSlotJammer(
-            config, rng, follower=follower
-        )
-    if adversary == "learning":
-        return lambda config, rng: LearningSlotJammer(
-            config, rng, agent=agent, history_length=history_length
-        )
-    raise ConfigurationError(f"unknown adversary {adversary!r}")
+
+        def core(config, rng):
+            return ReactiveCore(
+                config.num_channels, config.sweep_cycle, rng, reactive=reactive
+            )
+
+    elif adversary == "follower":
+
+        def core(config, rng):
+            return FollowerCore(
+                config.num_channels, config.sweep_cycle, rng, follower=follower
+            )
+
+    elif adversary == "learning":
+
+        def core(config, rng):
+            return LearningCore(
+                config.num_channels,
+                config.sweep_cycle,
+                rng,
+                agent=agent,
+                history_length=history_length,
+            )
+
+    else:
+        raise ConfigurationError(f"unknown adversary {adversary!r}")
+    return lambda config, rng: SlotJammer(
+        config, core(config, rng), slot_duration_s=slot_duration_s
+    )
 
 
 __all__ = [
     "JammerMemory",
+    "ReactiveCore",
+    "FollowerCore",
+    "LearningCore",
     "ReactiveFieldJammer",
     "FollowerFieldJammer",
     "LearningFieldJammer",
     "make_field_jammer",
-    "ReactiveSlotJammer",
-    "FollowerSlotJammer",
-    "LearningSlotJammer",
     "make_slot_jammer_factory",
 ]

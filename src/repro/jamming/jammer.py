@@ -1,18 +1,40 @@
-"""Time-domain cross-technology jammer for the field simulator.
+"""The sweep/camp jammer core and the two clocks that drive every core.
 
-Unlike the slot-aligned jammer inside :mod:`repro.core.envs`, this jammer
-runs on its own clock: every ``slot_duration_s`` it makes one decision —
-sweep the next unvisited block of ZigBee channels, camp on the victim, or
-spend the interval re-acquiring a lost victim. Fig. 11(b) varies this
-duration against a fixed victim slot to show both faster *and* slower
-jammers degrade the defence differently.
+Each adversary is one per-decision *core*: given the victim's channel,
+``decide`` returns the block the jammer transmits on, or ``None`` for an
+idle or re-acquiring decision. The core owns the camping, strategy and
+counter state. :class:`SweepCore` is the paper's proactive jammer —
+sweep the next unvisited block of ZigBee channels, camp on the victim,
+spend a decision re-acquiring a lost victim — and the harder cores of
+:mod:`repro.jamming.adversary` subclass it. Two thin clocks drive a core:
+
+* :class:`FieldJammer` runs on its own clock for the field simulator:
+  every ``slot_duration_s`` it makes one decision. Fig. 11(b) varies
+  this duration against a fixed victim slot to show both faster *and*
+  slower jammers degrade the defence differently.
+* :class:`SlotJammer` makes one decision per victim slot for
+  :class:`~repro.core.envs.SweepJammingEnv`.
+
+The clocks differ in three rules only:
+
+* **Block geometry.** The slot clock splits the channels into the MDP's
+  ``sweep_cycle`` blocks, the field clock into ``ceil(C/jam_width)``;
+  both are a block count passed to :func:`split_blocks`.
+* **Power draws.** The slot clock draws a power level only when the
+  attack hits the victim; the field clock on every transmission.
+* **Duty/latency gate.** The slot clock works in whole slots: a burst
+  counts only if the post-latency transmission covers half the slot,
+  and the duty bucket holds one slot, refilled every slot. The field
+  clock works in seconds: a burst starts ``response_latency_s`` late
+  and costs ``slot_duration_s - latency`` from a bucket refilled lazily
+  at each transmission. The two refills round differently, so each
+  clock keeps its own arithmetic.
 
 The adversary model is pluggable (:attr:`FieldJammerConfig.adversary`):
 beyond the paper's proactive sweep/camp jammer this module carries the
-*configs* for the harder adversaries of :mod:`repro.jamming.adversary` —
-a reactive jammer with a sense→classify→transmit budget
-(:class:`ReactiveJammerConfig`) and a follower that chases hops with a
-lag (:class:`FollowerJammerConfig`).
+*configs* for the harder adversaries — a reactive jammer with a
+sense→classify→transmit budget (:class:`ReactiveJammerConfig`) and a
+follower that chases hops with a lag (:class:`FollowerJammerConfig`).
 
 Clock contract
 --------------
@@ -45,8 +67,9 @@ from repro.constants import (
     NUM_ZIGBEE_CHANNELS,
     ZIGBEE_CHANNELS_PER_WIFI,
 )
-from repro.core.mdp import JammerMode
+from repro.core.mdp import JammerMode, MDPConfig
 from repro.errors import ConfigurationError
+from repro.jamming.strategies import RandomSweep, make_strategy, strategy_options
 from repro.rng import SeedLike, make_rng
 
 #: Adversary models :func:`repro.jamming.adversary.make_field_jammer`
@@ -58,11 +81,21 @@ ADVERSARIES = knobs.KNOBS["REPRO_ADVERSARIES"].choices
 _CLOCK_EPS = 1e-9
 
 
+def split_blocks(num_channels: int, num_blocks: int) -> list[tuple[int, ...]]:
+    """Split ``num_channels`` into ``num_blocks`` contiguous (near-)equal blocks."""
+    bounds = np.linspace(0, num_channels, num_blocks + 1).astype(int)
+    blocks = [tuple(range(bounds[i], bounds[i + 1])) for i in range(num_blocks)]
+    if any(len(b) == 0 for b in blocks):
+        raise ConfigurationError(
+            f"cannot split {num_channels} channels into "
+            f"{num_blocks} non-empty sweep blocks"
+        )
+    return blocks
+
+
 def channel_blocks(num_channels: int, jam_width: int) -> list[tuple[int, ...]]:
     """Partition ``num_channels`` into ``ceil(C/m)`` contiguous jam blocks."""
-    num_blocks = -(-num_channels // jam_width)
-    bounds = np.linspace(0, num_channels, num_blocks + 1).astype(int)
-    return [tuple(range(bounds[i], bounds[i + 1])) for i in range(num_blocks)]
+    return split_blocks(num_channels, -(-num_channels // jam_width))
 
 
 def block_index(blocks: list[tuple[int, ...]], channel: int) -> int:
@@ -71,6 +104,15 @@ def block_index(blocks: list[tuple[int, ...]], channel: int) -> int:
         if channel in block:
             return i
     raise ConfigurationError(f"channel {channel} is in no block")
+
+
+def draw_power(
+    rng: np.random.Generator, levels: tuple[float, ...], mode: str
+) -> float:
+    """A jamming power level: the strongest in ``max`` mode, else uniform."""
+    if mode == JammerMode.MAX:
+        return levels[-1]
+    return levels[int(rng.integers(len(levels)))]
 
 
 @dataclass(frozen=True)
@@ -215,15 +257,105 @@ class AttackProfile:
         return not self.attempted
 
 
-class FieldJammer:
-    """Sweep/camp jammer advanced lazily along the time axis.
+class SweepCore:
+    """The paper's sweep/camp jammer (§II-C), one decision at a time.
 
-    The sweep order is pluggable (see :mod:`repro.jamming.strategies`);
-    the default :class:`~repro.jamming.strategies.RandomSweep` is the
-    paper's uniform without-replacement search. Subclasses implement the
-    harder adversaries by overriding :meth:`_decide` — the window/segment
-    accounting (including attacks that start mid-decision via
-    ``_active_from``) lives here.
+    Sweeps blocks in the strategy's order — the default
+    :class:`~repro.jamming.strategies.RandomSweep` is the paper's uniform
+    without-replacement search, drawing on ``rng`` — camps on the
+    victim's block once found, and spends one decision re-acquiring when
+    the victim escapes. ``rng`` is the jammer's stream; the clocks draw
+    its power levels from it too.
+
+    The harder adversaries of :mod:`repro.jamming.adversary` subclass it
+    and override :meth:`decide`.
+    """
+
+    #: The duty/latency gate both clocks apply: the paper's jammer turns
+    #: around instantly and may transmit at every decision.
+    response_latency_s = 0.0
+    duty_cycle = 1.0
+
+    def __init__(
+        self,
+        num_channels: int,
+        num_blocks: int,
+        rng: np.random.Generator,
+        strategy=None,
+    ) -> None:
+        self.num_channels = num_channels
+        self.blocks: list[tuple[int, ...]] = split_blocks(num_channels, num_blocks)
+        self.rng = rng
+        self.strategy = strategy or RandomSweep(num_blocks, seed=rng)
+        if self.strategy.num_blocks != num_blocks:
+            raise ConfigurationError(
+                f"strategy expects {self.strategy.num_blocks} blocks; "
+                f"geometry has {num_blocks}"
+            )
+        self._counters: dict[str, float] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Restart the search; the counters survive."""
+        self.strategy.reset()
+        self.camping: int | None = None
+
+    def block_of(self, channel: int) -> int:
+        """Index of the jam block containing ``channel``."""
+        return block_index(self.blocks, channel)
+
+    # -- instrumentation ---------------------------------------------------------
+
+    def count(self, key: str, amount: float = 1.0) -> None:
+        """Bump a local adversary counter (flushed via :meth:`drain_counters`)."""
+        self._counters[key] = self._counters.get(key, 0.0) + amount
+
+    def drain_counters(self) -> dict[str, float]:
+        """Return and clear the adversary counters accumulated so far."""
+        counters = self._counters
+        self._counters = {}
+        return counters
+
+    # -- decision making --------------------------------------------------------
+
+    def observe_decoy(self, channel: int | None) -> None:
+        """Note a decoy transmission heard before the next decision.
+
+        The proactive jammer never senses, so this is a no-op; the
+        reactive core can be baited by it. ``None`` clears any prior decoy.
+        """
+
+    def decide(self, victim_channel: int) -> tuple[int, ...] | None:
+        """The block to transmit on this decision, or ``None`` to idle."""
+        if self.camping is not None:
+            block = self.blocks[self.camping]
+            if victim_channel in block:
+                return block
+            # Victim escaped: burn this decision re-acquiring; the
+            # strategy learns which stale block to exclude from the next
+            # sweep.
+            stale = self.camping
+            self.camping = None
+            self.strategy.notify_lost(stale)
+            return None
+        pick = self.strategy.next_block()
+        block = self.blocks[pick]
+        if victim_channel in block:
+            self.camping = pick
+            self.strategy.notify_found(pick)
+        return block
+
+
+class FieldJammer:
+    """A jammer core advanced lazily along the time axis.
+
+    One core decision every ``config.slot_duration_s``. The sweep order
+    is pluggable (see :mod:`repro.jamming.strategies`). This class runs
+    the paper's :class:`SweepCore`; the subclasses in
+    :mod:`repro.jamming.adversary` swap in a harder core through
+    :meth:`_build_core`. The window/segment accounting (including attacks
+    that start mid-decision via ``_active_from``) and the field clock's
+    power and duty/latency rules live here.
     """
 
     def __init__(
@@ -233,14 +365,9 @@ class FieldJammer:
         seed: SeedLike = None,
         strategy=None,
     ) -> None:
-        from repro.jamming.strategies import make_strategy, strategy_options
-
         self.config = config or FieldJammerConfig()
-        self._rng = make_rng(seed)
         cfg = self.config
-        self.blocks: list[tuple[int, ...]] = channel_blocks(
-            cfg.num_channels, cfg.jam_width
-        )
+        rng = make_rng(seed)
         if strategy is None:
             # The default strategy shares the jammer's rng stream (the
             # paper's jammer interleaves sweep and power draws on one
@@ -248,96 +375,88 @@ class FieldJammer:
             seeded = "seed" in strategy_options(cfg.sweep_strategy)
             strategy = make_strategy(
                 cfg.sweep_strategy,
-                len(self.blocks),
-                seed=self._rng if seeded else None,
+                cfg.num_blocks,
+                seed=rng if seeded else None,
                 **dict(cfg.strategy_options),
             )
-        self.strategy = strategy
-        if self.strategy.num_blocks != len(self.blocks):
-            raise ConfigurationError(
-                f"strategy expects {self.strategy.num_blocks} blocks; "
-                f"geometry has {len(self.blocks)}"
-            )
-        self._jam_counters: dict[str, float] = {}
+        self.core = self._build_core(rng, strategy)
+        self.blocks = self.core.blocks
         self.reset()
+
+    def _build_core(self, rng: np.random.Generator, strategy) -> SweepCore:
+        cfg = self.config
+        return SweepCore(cfg.num_channels, cfg.num_blocks, rng, strategy)
 
     def reset(self) -> None:
         """Restart the search and rewind the clock to time zero."""
-        self.strategy.reset()
-        self._camping: int | None = None
+        self.core.reset()
         self._active_block: tuple[int, ...] = ()
         self._active_power: float = 0.0
         self._active_from: float = 0.0
         self._next_decision: float = 0.0
         self._clock: float = 0.0
-
-    def block_of(self, channel: int) -> int:
-        """Index of the jam block containing ``channel``."""
-        return block_index(self.blocks, channel)
-
-    # -- instrumentation ---------------------------------------------------------
-
-    def _count(self, key: str, amount: float = 1.0) -> None:
-        """Bump a local adversary counter (flushed via :meth:`drain_counters`)."""
-        self._jam_counters[key] = self._jam_counters.get(key, 0.0) + amount
+        # Duty token bucket: one jammer slot of burst capacity, refilled
+        # at ``duty_cycle`` seconds of TX per second of wall time.
+        self._budget = self.config.slot_duration_s
+        self._budget_mark = 0.0
 
     def drain_counters(self) -> dict[str, float]:
         """Return and clear the adversary counters accumulated so far.
 
         Counters are process-local and survive :meth:`reset` — the field
         engines drain them once per run into the metrics registry under
-        ``jam.<key>{adversary=...}`` labels. The base sweep jammer counts
-        nothing; subclasses record duty spend/starvation, lock/loss
-        transitions, and decoy baits here.
+        ``jam.<key>{adversary=...}`` labels. The sweep jammer counts
+        nothing; the other cores record lock/loss transitions and decoy
+        baits, and this clock records duty spend/starvation.
         """
-        counters = self._jam_counters
-        self._jam_counters = {}
-        return counters
+        return self.core.drain_counters()
+
+    def observe_decoy(self, channel: int | None) -> None:
+        """Note a decoy transmission heard during the coming window."""
+        self.core.observe_decoy(channel)
 
     # -- decision making --------------------------------------------------------
 
-    def _power(self) -> float:
-        levels = self.config.power_levels
-        if self.config.mode == JammerMode.MAX:
-            return levels[-1]
-        return levels[int(self._rng.integers(len(levels)))]
-
     def _decide(self, t: float, victim_channel: int) -> None:
         """One jammer slot's decision given where the victim currently is."""
-        if self._camping is not None:
-            block = self.blocks[self._camping]
-            if victim_channel in block:
-                self._active_block = block
-                self._active_power = self._power()
-                self._active_from = t
-                return
-            # Victim escaped: burn this jammer slot re-acquiring.
-            stale = self._camping
-            self._camping = None
-            self.strategy.notify_lost(stale)
+        block = self.core.decide(victim_channel)
+        if block is None:
             self._idle(t)
-            return
-        pick = self.strategy.next_block()
-        block = self.blocks[pick]
+        else:
+            self._transmit(t, block)
+
+    def _transmit(self, t: float, block: tuple[int, ...]) -> None:
+        """Attack ``block`` from ``t`` if the duty-cycle budget allows.
+
+        Every transmission draws its power level. The burst starts after
+        the core's response latency; a duty-limited core pays the rest of
+        the jammer slot from the bucket, refilled lazily up to ``t``.
+        """
+        core = self.core
+        slot_s = self.config.slot_duration_s
+        if core.duty_cycle < 1.0:
+            self._budget = min(
+                slot_s, self._budget + (t - self._budget_mark) * core.duty_cycle
+            )
+            self._budget_mark = t
+            cost = max(slot_s - core.response_latency_s, 0.0)
+            if self._budget + 1e-12 < cost:
+                core.count("duty_starved")
+                self._idle(t)  # budget exhausted: sit this decision out
+                return
+            self._budget -= cost
+            core.count("duty_spent_s", cost)
         self._active_block = block
-        self._active_power = self._power()
-        self._active_from = t
-        if victim_channel in block:
-            self._camping = pick
-            self.strategy.notify_found(pick)
+        self._active_power = draw_power(
+            core.rng, self.config.power_levels, self.config.mode
+        )
+        self._active_from = t + core.response_latency_s
 
     def _idle(self, t: float) -> None:
         """Transmit nothing for this decision."""
         self._active_block = ()
         self._active_power = 0.0
         self._active_from = t
-
-    def observe_decoy(self, channel: int | None) -> None:
-        """Note a decoy transmission heard during the coming window.
-
-        The proactive jammer never senses, so this is a no-op; reactive
-        subclasses can be baited by it. ``None`` clears any prior decoy.
-        """
 
     # -- querying ------------------------------------------------------------------
 
@@ -390,7 +509,7 @@ class FieldJammer:
 
     @property
     def is_camping(self) -> bool:
-        return self._camping is not None
+        return self.core.camping is not None
 
     @property
     def active_channels(self) -> tuple[int, ...]:
@@ -415,13 +534,83 @@ class FieldJammer:
         return channel in self.active_channels
 
 
+class SlotJammer:
+    """A jammer core stepped once per victim slot.
+
+    :class:`~repro.core.envs.SweepJammingEnv` calls
+    :meth:`observe_and_attack` once per slot, and the core's blocks split
+    the MDP's channels into ``sweep_cycle`` blocks. A power level is
+    drawn only when the attack hits the victim. A latency-bound core's
+    burst counts as a slot attack only when the post-latency transmission
+    still covers at least half the slot (the field engine's
+    ``jam_state_threshold``, collapsed to the binary slot world;
+    ``slot_duration_s`` converts the time-domain latency knob). A
+    duty-limited core pays one slot per burst from a bucket of one slot,
+    refilled by ``duty_cycle`` at the start of every slot.
+    """
+
+    def __init__(
+        self, config: MDPConfig, core: SweepCore, *, slot_duration_s: float = 3.0
+    ) -> None:
+        if slot_duration_s <= 0:
+            raise ConfigurationError("slot duration must be positive")
+        self.config = config
+        self.core = core
+        self._effective = core.response_latency_s < 0.5 * slot_duration_s
+        self.reset()
+
+    def reset(self) -> None:
+        self.core.reset()
+        self._budget = 1.0  # slots of burst capacity
+
+    def observe_decoy(self, channel: int | None) -> None:
+        """Note a decoy transmission heard before the next slot."""
+        self.core.observe_decoy(channel)
+
+    def drain_counters(self) -> dict[str, float]:
+        """Return and clear the adversary counters accumulated so far."""
+        return self.core.drain_counters()
+
+    def observe_and_attack(
+        self, victim_channel: int
+    ) -> tuple[bool, float, tuple[int, ...]]:
+        """Advance the jammer one slot.
+
+        Returns ``(attacked, jam_power, attacked_channels)`` where
+        ``attacked`` says whether the victim's channel was inside the
+        attacked block this slot (an empty tuple means the jammer sent
+        nothing: it spent the slot re-acquiring, idled, or was gated).
+        """
+        core = self.core
+        if core.duty_cycle < 1.0:
+            self._budget = min(1.0, self._budget + core.duty_cycle)
+        block = core.decide(victim_channel)
+        if block is None or not self._effective:
+            return False, 0.0, ()
+        if core.duty_cycle < 1.0:
+            if self._budget + 1e-12 < 1.0:
+                core.count("duty_starved")
+                return False, 0.0, ()
+            self._budget -= 1.0
+            core.count("duty_spent_slots")
+        if victim_channel not in block:
+            return False, 0.0, block
+        cfg = self.config
+        power = draw_power(core.rng, cfg.jammer_power_levels, cfg.jammer_mode)
+        return True, power, block
+
+
 __all__ = [
     "ADVERSARIES",
+    "split_blocks",
     "channel_blocks",
     "block_index",
+    "draw_power",
     "ReactiveJammerConfig",
     "FollowerJammerConfig",
     "FieldJammerConfig",
     "AttackProfile",
+    "SweepCore",
     "FieldJammer",
+    "SlotJammer",
 ]

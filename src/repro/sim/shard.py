@@ -64,7 +64,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
 from repro.exec.runner import ParallelRunner
 from repro.jamming.adversary import make_field_jammer
-from repro.jamming.jammer import _CLOCK_EPS, FieldJammer
+from repro.jamming.jammer import _CLOCK_EPS, FieldJammer, SweepCore
 from repro.jamming.strategies import RandomSweep
 from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
 from repro.obs import telemetry as obs_telemetry
@@ -220,17 +220,19 @@ class SchemeAdapterFactory:
 class FieldJammerBank:
     """N per-network time-domain jammers, advanced as one batch query.
 
-    The paper's jammer (``sweep`` with a :class:`RandomSweep` order drawing
-    on the jammer's own stream) runs as arrays: the camping block (-1 for
-    none), an N × S unvisited-block mask, the active block (-1 for none),
-    its power and start, the next decision time and the clock.
+    The paper's jammer (a :class:`FieldJammer` whose
+    :class:`~repro.jamming.jammer.SweepCore` sweeps in
+    :class:`RandomSweep` order on the jammer's own stream) runs as arrays:
+    the camping block (-1 for none), an N × S unvisited-block mask, the
+    active block (-1 for none), its power and start, the next decision
+    time and the clock.
     :meth:`attack_profiles` runs :meth:`FieldJammer.attack_profile`'s
     decide/segment loop over all rows at once, and the sweep picks and
     power draws come from :class:`~repro.rng.BoundedDraws` on each
     jammer's stream, so every answer is bit-identical to stepping the
-    jammers one at a time. The state is seeded from the jammers given,
-    which are stale from then on; the sweep jammer counts nothing and
-    ignores decoys, so nothing reads them.
+    jammers one at a time. The state is seeded from the jammers given and
+    their cores, which are stale from then on; the sweep jammer counts
+    nothing and ignores decoys, so nothing reads them.
 
     Any other adversary or strategy, or a process whose
     :func:`~repro.rng.bounded_draws_exact` check fails, steps the jammer
@@ -266,16 +268,16 @@ class FieldJammerBank:
         self._next = np.zeros(n)
         self._clock = np.zeros(n)
         for i, j in enumerate(self.jammers):
-            if j._camping is not None:
-                self._camping[i] = j._camping
-            self._unvisited[i, j.strategy._unvisited] = True
+            if j.core.camping is not None:
+                self._camping[i] = j.core.camping
+            self._unvisited[i, j.core.strategy._unvisited] = True
             if j._active_block:
                 self._active[i] = self._block_of[j._active_block[0]]
             self._power[i] = j._active_power
             self._from[i] = j._active_from
             self._next[i] = j._next_decision
             self._clock[i] = j._clock
-        self._draws = BoundedDraws([j._rng for j in self.jammers])
+        self._draws = BoundedDraws([j.core.rng for j in self.jammers])
 
     def attack_profiles(
         self, window_start: float, window_end: float, victim_channels
@@ -348,7 +350,7 @@ class FieldJammerBank:
         return jammed / (window_end - window_start), attempted, max_power
 
     def _decide(self, rows: np.ndarray, t: np.ndarray, victim: np.ndarray) -> None:
-        """:meth:`FieldJammer._decide` for the listed rows at times ``t``."""
+        """:meth:`SweepCore.decide` on the field clock, for ``rows`` at ``t``."""
         camp = self._camping[rows]
         camped = camp >= 0
         stay = camped & (camp == victim)
@@ -415,11 +417,12 @@ def _paper_sweep(jammers: list[FieldJammer]) -> bool:
     config = jammers[0].config
     return all(
         type(j) is FieldJammer
-        and type(j.strategy) is RandomSweep
-        and j.strategy._rng is j._rng
+        and type(j.core) is SweepCore
+        and type(j.core.strategy) is RandomSweep
+        and j.core.strategy._rng is j.core.rng
         and j.config == config
         for j in jammers
-    ) and BoundedDraws.supports([j._rng for j in jammers])
+    ) and BoundedDraws.supports([j.core.rng for j in jammers])
 
 
 @dataclass(frozen=True, eq=False)

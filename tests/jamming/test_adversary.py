@@ -184,6 +184,16 @@ class TestReactiveField:
             jammer.observe_decoy(99)
         jammer.observe_decoy(None)  # clearing is always fine
 
+    def test_slot_decoy_range_validated(self):
+        jammer = make_slot_jammer_factory("reactive")(
+            MDPConfig(), np.random.default_rng(0)
+        )
+        with pytest.raises(ConfigurationError, match="decoy channel"):
+            jammer.observe_decoy(16)
+        with pytest.raises(ConfigurationError, match="decoy channel"):
+            jammer.observe_decoy(-1)
+        jammer.observe_decoy(None)  # clearing is always fine
+
 
 class TestFollowerField:
     def _hopping_profiles(self, fc, *, windows=12, seed=0):
@@ -434,13 +444,9 @@ class TestInstrumentationCounters:
         assert jammer.drain_counters()["lock_losses"] == 1
 
     def test_reactive_slot_counters(self):
-        from repro.jamming.adversary import ReactiveSlotJammer
-
-        jammer = ReactiveSlotJammer(
-            MDPConfig(),
-            np.random.default_rng(0),
-            reactive=ReactiveJammerConfig(duty_cycle=0.5),
-        )
+        jammer = make_slot_jammer_factory(
+            "reactive", reactive=ReactiveJammerConfig(duty_cycle=0.5)
+        )(MDPConfig(), np.random.default_rng(0))
         for _ in range(40):
             jammer.observe_and_attack(7)
         counters = jammer.drain_counters()
@@ -449,13 +455,9 @@ class TestInstrumentationCounters:
         assert counters["duty_starved"] >= 1
 
     def test_follower_slot_counters(self):
-        from repro.jamming.adversary import FollowerSlotJammer
-
-        jammer = FollowerSlotJammer(
-            MDPConfig(),
-            np.random.default_rng(0),
-            follower=FollowerJammerConfig(lag_slots=1),
-        )
+        jammer = make_slot_jammer_factory(
+            "follower", follower=FollowerJammerConfig(lag_slots=1)
+        )(MDPConfig(), np.random.default_rng(0))
         for _ in range(4):
             jammer.observe_and_attack(7)
         assert jammer.drain_counters()["locks"] == 1
