@@ -41,6 +41,7 @@ from collections import deque
 import numpy as np
 
 from repro.constants import DEFAULT_HISTORY_LENGTH
+from repro.core.mdp import MDPConfig
 from repro.errors import ConfigurationError
 from repro.jamming.detector import AckEavesdropper, EnergyDetector
 from repro.jamming.jammer import (
@@ -427,35 +428,20 @@ def make_slot_jammer_factory(
     if adversary == "sweep":
         return None
     if adversary == "reactive":
-
-        def core(config, rng):
-            return ReactiveCore(
-                config.num_channels, config.sweep_cycle, rng, reactive=reactive
-            )
-
+        core, options = ReactiveCore, {"reactive": reactive}
     elif adversary == "follower":
-
-        def core(config, rng):
-            return FollowerCore(
-                config.num_channels, config.sweep_cycle, rng, follower=follower
-            )
-
+        core, options = FollowerCore, {"follower": follower}
     elif adversary == "learning":
-
-        def core(config, rng):
-            return LearningCore(
-                config.num_channels,
-                config.sweep_cycle,
-                rng,
-                agent=agent,
-                history_length=history_length,
-            )
-
+        core = LearningCore
+        options = {"agent": agent, "history_length": history_length}
     else:
         raise ConfigurationError(f"unknown adversary {adversary!r}")
-    return lambda config, rng: SlotJammer(
-        config, core(config, rng), slot_duration_s=slot_duration_s
-    )
+
+    def factory(config: MDPConfig, rng: np.random.Generator) -> SlotJammer:
+        decisions = core(config.num_channels, config.sweep_cycle, rng, **options)
+        return SlotJammer(config, decisions, slot_duration_s=slot_duration_s)
+
+    return factory
 
 
 __all__ = [
