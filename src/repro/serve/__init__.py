@@ -9,13 +9,15 @@ policies behind a micro-batching front-end:
   (loaded from ``save_parameters`` artifacts or live agents) behind one
   cached stacked-inference handle; batched answers are bit-identical to
   per-request greedy actions.
-* :class:`~repro.serve.batcher.MicroBatcher` — synchronous
-  size-or-deadline batching (``REPRO_SERVE_BATCH``,
-  ``REPRO_SERVE_DEADLINE_MS``) with queue/shed/degrade admission
-  control (``REPRO_SERVE_QUEUE``, ``REPRO_SERVE_ADMISSION``),
-  deterministic under a :class:`~repro.serve.clock.VirtualClock`.
-* :class:`~repro.serve.server.DecisionServer` — the asyncio front-end:
-  bounded queues, deadline timers, graceful drain.
+* :class:`~repro.serve.batcher.MicroBatcher` — the one home of the
+  serving rules: size-or-deadline batching (``REPRO_SERVE_BATCH``,
+  ``REPRO_SERVE_DEADLINE_MS``), queue/shed/degrade admission control
+  (``REPRO_SERVE_QUEUE``, ``REPRO_SERVE_ADMISSION``), the stacked flush
+  and the ``serve.*`` metrics; deterministic under a
+  :class:`~repro.serve.clock.VirtualClock`.
+* :class:`~repro.serve.server.DecisionServer` — the asyncio front-end, a
+  thin driver over one batcher on the loop's clock: per-request futures,
+  the deadline timer, queue-mode waiting, graceful drain.
 * :mod:`~repro.serve.loadgen` — a seeded closed-loop load generator
   driving either front-end (same seed, same request trace).
 """

@@ -1,5 +1,12 @@
 """Micro-batching scheduler for the decision service.
 
+This module is the one home of the serving rules: the four
+``REPRO_SERVE_*`` knobs, the pending FIFO, admission control, building
+:class:`DecisionRequest` objects, and the flush (stacked forward,
+``serve.*`` metrics, one :class:`Decision` per request). Both front-ends
+run them: :class:`MicroBatcher` on its own, and the asyncio
+:class:`~repro.serve.server.DecisionServer` through one batcher.
+
 Concurrent decision requests are coalesced under a size-or-deadline
 trigger into single stacked forward passes through the
 :class:`~repro.serve.store.PolicyStore`, with results fanned back per
@@ -14,12 +21,13 @@ sentinel instead of an exception, and a degrade-to-serial fallback
 instead of a hard failure:
 
 * ``queue`` — when the queue is full, flush immediately to make room
-  (the sync analogue of blocking until capacity frees up).
+  (the asyncio server instead blocks the caller until capacity frees up).
 * ``shed`` — refuse the request with a :class:`ShedDecision` sentinel,
   the analogue of ``faults.TaskFailure`` for skipped tasks.
 * ``degrade`` — answer the overflow request serially right away
   (batch of one), the analogue of the process pool degrading to serial
-  execution after a pool failure.
+  execution after a pool failure. Its latency is the serial forward
+  time on the batcher's clock (so 0.0 on a virtual clock).
 
 All timing flows through a clock object, so driving the batcher with a
 :class:`~repro.serve.clock.VirtualClock` makes every flush instant — and
@@ -107,11 +115,12 @@ class MicroBatcher:
 
     :meth:`submit` returns whatever decisions the submission caused to be
     served (a full batch flushing, an admission outcome) — usually an
-    empty list while the batch is still filling. The driver is
-    responsible for polling :meth:`poll` when :meth:`next_deadline`
-    passes and calling :meth:`drain` at the end; the asyncio front-end in
-    :mod:`repro.serve.server` automates exactly that against the wall
-    clock.
+    empty list while the batch is still filling. It is :meth:`refuse`
+    then :meth:`enqueue`, the two steps the asyncio front-end in
+    :mod:`repro.serve.server` calls directly. The driver is responsible
+    for polling :meth:`poll` when :meth:`next_deadline` passes and
+    calling :meth:`drain` at the end; the server arms a loop timer that
+    calls :meth:`flush` instead.
     """
 
     def __init__(
@@ -136,6 +145,11 @@ class MicroBatcher:
     def pending_depth(self) -> int:
         return len(self._pending)
 
+    @property
+    def full(self) -> bool:
+        """Whether the pending queue is at ``queue_limit``."""
+        return len(self._pending) >= self.queue_limit
+
     def next_deadline(self) -> float | None:
         """When the oldest pending request must be flushed (None if idle)."""
         if not self._pending:
@@ -146,34 +160,53 @@ class MicroBatcher:
         self, network_id: int, policy: int, observation: np.ndarray
     ) -> list[Decision | ShedDecision]:
         """Enqueue one request; returns any decisions this submit produced."""
+        refused = self.refuse(network_id, policy, observation)
+        if refused is not None:
+            return [refused]
+        # queue: flush immediately to make room.
+        produced = self.flush() if self.full else []
+        return produced + self.enqueue(network_id, policy, observation)
+
+    def refuse(
+        self, network_id: int, policy: int, observation: np.ndarray
+    ) -> Decision | ShedDecision | None:
+        """Answer a request the full queue cannot take, per admission mode.
+
+        ``None`` means the request is for the queue: there is room, or the
+        mode is ``queue`` and the caller makes room (this batcher flushes,
+        the asyncio server waits for a flush). A degraded answer's latency
+        is its serial forward time on this batcher's clock.
+        """
+        if not self.full or self.admission == "queue":
+            return None
+        if self.admission == "shed":
+            METRICS.inc("serve.shed")
+            return ShedDecision(
+                network_id=int(network_id), queue_depth=len(self._pending)
+            )
+        started = self.clock.now()
+        action = self.store.decide_serial(policy, observation)
+        latency = self.clock.now() - started
+        METRICS.inc("serve.degraded")
+        METRICS.inc("serve.decisions")
+        METRICS.observe("serve.batch_size", 1)
+        METRICS.observe("serve.latency_s", latency)
+        return Decision(
+            network_id=int(network_id),
+            action=action,
+            batch_size=1,
+            latency_s=latency,
+            degraded=True,
+        )
+
+    def enqueue(
+        self, network_id: int, policy: int, observation: np.ndarray
+    ) -> list[Decision]:
+        """Queue one request, flushing the batch if this fills it.
+
+        Admission is the caller's: see :meth:`refuse`.
+        """
         now = self.clock.now()
-        produced: list[Decision | ShedDecision] = []
-        if len(self._pending) >= self.queue_limit:
-            if self.admission == "shed":
-                METRICS.inc("serve.shed")
-                return [
-                    ShedDecision(
-                        network_id=int(network_id),
-                        queue_depth=len(self._pending),
-                    )
-                ]
-            if self.admission == "degrade":
-                METRICS.inc("serve.degraded")
-                METRICS.inc("serve.decisions")
-                action = self.store.decide_serial(policy, observation)
-                METRICS.observe("serve.batch_size", 1)
-                METRICS.observe("serve.latency_s", 0.0)
-                return [
-                    Decision(
-                        network_id=int(network_id),
-                        action=action,
-                        batch_size=1,
-                        latency_s=0.0,
-                        degraded=True,
-                    )
-                ]
-            # queue: flush immediately to make room.
-            produced.extend(self._flush(now))
         self._pending.append(
             DecisionRequest(
                 network_id=int(network_id),
@@ -183,8 +216,8 @@ class MicroBatcher:
             )
         )
         if len(self._pending) >= self.max_batch:
-            produced.extend(self._flush(now))
-        return produced
+            return self.flush(now)
+        return []
 
     def poll(self, now: float | None = None) -> list[Decision]:
         """Flush if the oldest pending request's deadline has passed."""
@@ -193,15 +226,25 @@ class MicroBatcher:
         deadline = self.next_deadline()
         if deadline is None or now < deadline:
             return []
-        return self._flush(now)
+        return self.flush(now)
 
     def drain(self) -> list[Decision]:
-        """Flush everything still pending (graceful shutdown)."""
-        return self._flush(self.clock.now())
+        """Flush everything still pending (graceful shutdown).
 
-    def _flush(self, now: float) -> list[Decision]:
+        One flush suffices: a queue reaching ``max_batch`` flushes at once.
+        """
+        return self.flush()
+
+    def flush(self, now: float | None = None) -> list[Decision]:
+        """Serve the oldest ``max_batch`` pending requests now, deadline or not.
+
+        One stacked forward answers the whole batch; each decision's
+        latency is ``now`` minus its own submit time.
+        """
         if not self._pending:
             return []
+        if now is None:
+            now = self.clock.now()
         batch = self._pending[: self.max_batch]
         self._pending = self._pending[self.max_batch :]
         policies = np.array([r.policy for r in batch], dtype=np.intp)

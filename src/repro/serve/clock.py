@@ -6,11 +6,14 @@ code runs against the wall clock in production and against a
 :class:`VirtualClock` in tests and benchmarks, where time only moves when
 the harness says so. That is what makes the batcher deterministic: with a
 seeded load generator driving a virtual clock, every flush happens at an
-exactly reproducible instant.
+exactly reproducible instant. The asyncio server hands its batcher a
+:class:`LoopClock`, so deadlines and latencies share the timeline its
+``loop.call_at`` timers run on.
 """
 
 from __future__ import annotations
 
+import asyncio
 import time
 
 from repro.errors import ConfigurationError
@@ -21,6 +24,13 @@ class MonotonicClock:
 
     def now(self) -> float:
         return time.monotonic()
+
+
+class LoopClock:
+    """The running event loop's ``loop.time()`` (the asyncio server's clock)."""
+
+    def now(self) -> float:
+        return asyncio.get_running_loop().time()
 
 
 class VirtualClock:
@@ -52,4 +62,4 @@ class VirtualClock:
         return self._now
 
 
-__all__ = ["MonotonicClock", "VirtualClock"]
+__all__ = ["LoopClock", "MonotonicClock", "VirtualClock"]

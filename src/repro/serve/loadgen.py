@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.rng import derive, make_rng
-from repro.serve.batcher import MicroBatcher, ShedDecision
+from repro.serve.batcher import Decision, MicroBatcher, ShedDecision
 from repro.serve.server import DecisionServer
 from repro.serve.store import PolicyStore
 
@@ -153,9 +154,32 @@ def make_clients(store: PolicyStore, config: LoadGenConfig) -> list[_NetworkClie
     ]
 
 
-def run_closed_loop(
-    batcher: MicroBatcher, config: LoadGenConfig
-) -> LoadReport:
+class _Tally:
+    """Outcome counts and trace rows, shared by both drivers."""
+
+    def __init__(self, clients: list[_NetworkClient]) -> None:
+        self.clients = clients
+        self.counts = {"decisions": 0, "shed": 0, "degraded": 0}
+        self.trace: list[tuple[float, int, int]] = []
+
+    def record(self, now: float, out: Decision | ShedDecision) -> _NetworkClient:
+        """Count one answer, feed it to its client, append its trace row."""
+        client = self.clients[out.network_id]
+        if isinstance(out, ShedDecision):
+            self.counts["shed"] += 1
+            self.trace.append((now, client.index, -1))
+        else:
+            self.counts["decisions"] += 1
+            self.counts["degraded"] += bool(out.degraded)
+            client.absorb(out.action)
+            self.trace.append((now, client.index, out.action))
+        return client
+
+    def report(self, duration_s: float) -> LoadReport:
+        return LoadReport(**self.counts, duration_s=duration_s, trace=tuple(self.trace))
+
+
+def run_closed_loop(batcher: MicroBatcher, config: LoadGenConfig) -> LoadReport:
     """Drive the sync batcher with an event-driven closed loop.
 
     Arrivals and batch deadlines are merged on one timeline read from —
@@ -168,47 +192,28 @@ def run_closed_loop(
     warp = getattr(clock, "set", None)
     start = clock.now()
 
-    counts = {"decisions": 0, "shed": 0, "degraded": 0}
-    trace: list[tuple[float, int, int]] = []
+    tally = _Tally(clients)
     arrivals: list[tuple[float, int, int]] = []  # (time, seq, client index)
-    seq = 0
+    seq = itertools.count()
+
+    def schedule(client: _NetworkClient, now: float) -> None:
+        think = client.think_time(config.mean_think_time_s)
+        heapq.heappush(arrivals, (now + think, next(seq), client.index))
+
     for client in clients:
-        heapq.heappush(
-            arrivals,
-            (start + client.think_time(config.mean_think_time_s), seq, client.index),
-        )
-        seq += 1
+        schedule(client, start)
 
     def deliver(outputs: list) -> None:
-        nonlocal seq
         now = clock.now()
         for out in outputs:
-            client = clients[out.network_id]
-            if isinstance(out, ShedDecision):
-                counts["shed"] += 1
-                trace.append((now, client.index, -1))
-            else:
-                counts["decisions"] += 1
-                counts["degraded"] += bool(out.degraded)
-                client.absorb(out.action)
-                trace.append((now, client.index, out.action))
+            client = tally.record(now, out)
             if client.remaining > 0:
-                heapq.heappush(
-                    arrivals,
-                    (
-                        now + client.think_time(config.mean_think_time_s),
-                        seq,
-                        client.index,
-                    ),
-                )
-                seq += 1
+                schedule(client, now)
 
     while arrivals or batcher.pending_depth:
         next_arrival = arrivals[0][0] if arrivals else None
         deadline = batcher.next_deadline()
-        if next_arrival is None or (
-            deadline is not None and deadline <= next_arrival
-        ):
+        if next_arrival is None or (deadline is not None and deadline <= next_arrival):
             if warp is not None:
                 warp(max(deadline, clock.now()))
             deliver(batcher.poll(clock.now()))
@@ -218,28 +223,17 @@ def run_closed_loop(
                 warp(max(when, clock.now()))
             client = clients[index]
             client.remaining -= 1
-            deliver(
-                batcher.submit(client.index, client.policy, client.observation())
-            )
+            deliver(batcher.submit(client.index, client.policy, client.observation()))
 
-    return LoadReport(
-        decisions=counts["decisions"],
-        shed=counts["shed"],
-        degraded=counts["degraded"],
-        duration_s=clock.now() - start,
-        trace=tuple(trace),
-    )
+    return tally.report(clock.now() - start)
 
 
-async def run_server_load(
-    server: DecisionServer, config: LoadGenConfig
-) -> LoadReport:
+async def run_server_load(server: DecisionServer, config: LoadGenConfig) -> LoadReport:
     """Drive the asyncio server with one closed-loop task per network."""
     clients = make_clients(server.store, config)
     loop = asyncio.get_running_loop()
     start = loop.time()
-    counts = {"decisions": 0, "shed": 0, "degraded": 0}
-    trace: list[tuple[float, int, int]] = []
+    tally = _Tally(clients)
 
     async def one(client: _NetworkClient) -> None:
         while client.remaining > 0:
@@ -250,24 +244,10 @@ async def run_server_load(
             result = await server.decide(
                 client.index, client.policy, client.observation()
             )
-            now = loop.time() - start
-            if isinstance(result, ShedDecision):
-                counts["shed"] += 1
-                trace.append((now, client.index, -1))
-            else:
-                counts["decisions"] += 1
-                counts["degraded"] += bool(result.degraded)
-                client.absorb(result.action)
-                trace.append((now, client.index, result.action))
+            tally.record(loop.time() - start, result)
 
     await asyncio.gather(*(one(client) for client in clients))
-    return LoadReport(
-        decisions=counts["decisions"],
-        shed=counts["shed"],
-        degraded=counts["degraded"],
-        duration_s=loop.time() - start,
-        trace=tuple(trace),
-    )
+    return tally.report(loop.time() - start)
 
 
 __all__ = [

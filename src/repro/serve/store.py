@@ -98,9 +98,7 @@ class PolicyStore:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_artifacts(
-        cls, paths: list[str | os.PathLike]
-    ) -> "PolicyStore":
+    def from_artifacts(cls, paths: list[str | os.PathLike]) -> "PolicyStore":
         """Load artifacts saved by ``nn.serialize.save_parameters``.
 
         Geometry is cross-validated by

@@ -31,6 +31,18 @@ def obs_for(store, seed=0):
     return np.random.default_rng(seed).random(store.observation_size)
 
 
+class SteppingClock:
+    """Advances ``step`` seconds on every ``now()`` call."""
+
+    def __init__(self, step):
+        self.step = step
+        self.time = 0.0
+
+    def now(self):
+        self.time += self.step
+        return self.time
+
+
 class TestResolvers:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(SERVE_BATCH_ENV, raising=False)
@@ -81,17 +93,12 @@ class TestSizeTrigger:
 
     def test_flushed_actions_match_serial(self):
         store = store_of(3)
-        batcher = MicroBatcher(
-            store, max_batch=6, deadline_ms=10, clock=VirtualClock()
-        )
+        batcher = MicroBatcher(store, max_batch=6, deadline_ms=10, clock=VirtualClock())
         observations = [obs_for(store, i) for i in range(6)]
         outs = []
         for i, obs in enumerate(observations):
             outs += batcher.submit(i, i % 3, obs)
-        serial = [
-            store.decide_serial(i % 3, obs)
-            for i, obs in enumerate(observations)
-        ]
+        serial = [store.decide_serial(i % 3, obs) for i, obs in enumerate(observations)]
         assert [o.action for o in outs] == serial
 
 
@@ -99,9 +106,7 @@ class TestDeadlineTrigger:
     def test_partial_batch_flushes_at_deadline(self):
         store = store_of()
         clock = VirtualClock()
-        batcher = MicroBatcher(
-            store, max_batch=64, deadline_ms=2.0, clock=clock
-        )
+        batcher = MicroBatcher(store, max_batch=64, deadline_ms=2.0, clock=clock)
         batcher.submit(0, 0, obs_for(store, 0))
         clock.advance(0.001)
         batcher.submit(1, 1, obs_for(store, 1))
@@ -167,6 +172,25 @@ class TestAdmission:
         assert outs[0].action == store.decide_serial(1, obs)
         assert batcher.pending_depth == 2
 
+    def test_degraded_latency_is_serial_forward_time(self):
+        # A clock that moves a fixed step per reading: the degraded answer
+        # reports the time its serial forward took on that clock.
+        step = 0.25e-3
+        store = store_of()
+        clock = SteppingClock(step)
+        batcher = MicroBatcher(
+            store,
+            max_batch=64,
+            deadline_ms=50,
+            queue_limit=1,
+            admission="degrade",
+            clock=clock,
+        )
+        batcher.submit(0, 0, obs_for(store, 0))
+        (out,) = batcher.submit(1, 1, obs_for(store, 1))
+        assert out.degraded
+        assert out.latency_s == pytest.approx(step)
+
     def test_queue_mode_flushes_to_make_room(self):
         store, batcher = self._full_batcher("queue")
         outs = batcher.submit(2, 0, obs_for(store, 2))
@@ -201,8 +225,7 @@ class TestAdmission:
                     )
                 ]
             log += [
-                (type(o).__name__, o.network_id, clock.now())
-                for o in batcher.drain()
+                (type(o).__name__, o.network_id, clock.now()) for o in batcher.drain()
             ]
             return log
 

@@ -24,9 +24,7 @@ def store_of(policies=2):
 
 
 def fresh_batcher(store, **kw):
-    defaults = dict(
-        max_batch=16, deadline_ms=2.0, queue_limit=64, admission="queue"
-    )
+    defaults = dict(max_batch=16, deadline_ms=2.0, queue_limit=64, admission="queue")
     defaults.update(kw)
     return MicroBatcher(store, clock=VirtualClock(), **defaults)
 
@@ -128,9 +126,7 @@ class TestAccounting:
     def test_rejects_unfactorable_store(self):
         store = PolicyStore([mlp(15, (8,), 7, seed=0)])  # 7 actions
         with pytest.raises(ConfigurationError, match="power levels"):
-            run_closed_loop(
-                fresh_batcher(store), LoadGenConfig(networks=2)
-            )
+            run_closed_loop(fresh_batcher(store), LoadGenConfig(networks=2))
 
 
 class TestServerLoad:
@@ -158,9 +154,7 @@ class TestServerLoad:
         # the async run decides exactly what the virtual-time run decides
         sync = run_closed_loop(fresh_batcher(store), config)
         for network in range(config.networks):
-            async_actions = [
-                a for _, n, a in report.trace if n == network
-            ]
+            async_actions = [a for _, n, a in report.trace if n == network]
             sync_actions = [a for _, n, a in sync.trace if n == network]
             assert async_actions == sync_actions
 

@@ -22,8 +22,7 @@ class TestBatchingEndToEnd:
     def test_concurrent_clients_share_one_batch(self):
         store = store_of()
         observations = [
-            np.random.default_rng(i).random(store.observation_size)
-            for i in range(8)
+            np.random.default_rng(i).random(store.observation_size) for i in range(8)
         ]
 
         async def main():
@@ -31,10 +30,7 @@ class TestBatchingEndToEnd:
                 store, max_batch=8, deadline_ms=1000, queue_limit=64
             )
             results = await asyncio.gather(
-                *(
-                    server.decide(i, i % 2, observations[i])
-                    for i in range(8)
-                )
+                *(server.decide(i, i % 2, observations[i]) for i in range(8))
             )
             await server.stop()
             return results
@@ -43,21 +39,15 @@ class TestBatchingEndToEnd:
         assert all(isinstance(r, Decision) for r in results)
         # all eight coalesced into one stacked forward
         assert {r.batch_size for r in results} == {8}
-        serial = [
-            store.decide_serial(i % 2, observations[i]) for i in range(8)
-        ]
+        serial = [store.decide_serial(i % 2, observations[i]) for i in range(8)]
         assert [r.action for r in results] == serial
 
     def test_deadline_flushes_partial_batch(self):
         store = store_of()
 
         async def main():
-            server = DecisionServer(
-                store, max_batch=64, deadline_ms=5, queue_limit=64
-            )
-            result = await server.decide(
-                0, 0, np.zeros(store.observation_size)
-            )
+            server = DecisionServer(store, max_batch=64, deadline_ms=5, queue_limit=64)
+            result = await server.decide(0, 0, np.zeros(store.observation_size))
             await server.stop()
             return result
 
@@ -92,9 +82,7 @@ class TestBatchingEndToEnd:
 class TestAdmission:
     def _fill(self, server, store, n):
         return [
-            asyncio.create_task(
-                server.decide(i, 0, np.zeros(store.observation_size))
-            )
+            asyncio.create_task(server.decide(i, 0, np.zeros(store.observation_size)))
             for i in range(n)
         ]
 
@@ -111,9 +99,7 @@ class TestAdmission:
             )
             tasks = self._fill(server, store, 2)
             await asyncio.sleep(0)
-            shed = await server.decide(
-                9, 0, np.zeros(store.observation_size)
-            )
+            shed = await server.decide(9, 0, np.zeros(store.observation_size))
             await server.stop()
             await asyncio.gather(*tasks)
             return shed

@@ -11,9 +11,7 @@ from repro.serve import PolicyStore
 
 
 def small_cfg(**kw):
-    defaults = dict(
-        observation_size=15, num_actions=160, hidden_sizes=(24, 24)
-    )
+    defaults = dict(observation_size=15, num_actions=160, hidden_sizes=(24, 24))
     defaults.update(kw)
     return DQNConfig(**defaults)
 
@@ -52,10 +50,7 @@ class TestBitIdentity:
         policies = rng.integers(0, 3, size=9)
         batched = store.decide_batch(policies, obs)
         serial = np.array(
-            [
-                agents[int(p)].act(o, greedy=True)
-                for p, o in zip(policies, obs)
-            ]
+            [agents[int(p)].act(o, greedy=True) for p, o in zip(policies, obs)]
         )
         np.testing.assert_array_equal(batched, serial)
 
@@ -66,9 +61,7 @@ class TestBitIdentity:
         donor = mlp(15, (24, 24), 160, seed=77)
         store.networks[1].set_weights(donor.get_weights())
         batched = store.decide_batch(np.arange(3), obs)
-        serial = np.array(
-            [store.decide_serial(i, obs[i]) for i in range(3)]
-        )
+        serial = np.array([store.decide_serial(i, obs[i]) for i in range(3)])
         np.testing.assert_array_equal(batched, serial)
 
 
@@ -87,9 +80,7 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="policy index"):
             store.decide_serial(5, np.zeros(store.observation_size))
         with pytest.raises(ConfigurationError, match="policy indices"):
-            store.decide_batch(
-                np.array([0, 3]), np.zeros((2, store.observation_size))
-            )
+            store.decide_batch(np.array([0, 3]), np.zeros((2, store.observation_size)))
 
     def test_bad_observation_shape(self):
         store = store_of(2)
