@@ -176,18 +176,6 @@ class MultiSeedResult:
         return self.results[int(np.argmax(self.final_rewards))]
 
 
-def _train_task(spec: tuple) -> TrainingResult:
-    """One independently-seeded training run (pool-dispatchable)."""
-    env_config, trainer, dqn, history_length, seed = spec
-    return train_dqn(
-        env_config,
-        trainer=trainer,
-        dqn=dqn,
-        history_length=history_length,
-        seed=seed,
-    )
-
-
 def train_dqn_multi_seed(
     env_config: MDPConfig | None = None,
     *,
@@ -229,30 +217,18 @@ def train_dqn_multi_seed(
         raise TrainingError("need at least one seed")
     batch = resolve_env_batch(env_batch)
     runner = ParallelRunner(workers, name="train_dqn_multi_seed.map", policy=policy)
-    if batch > 1:
-        chunks = [
-            seed_list[i : i + batch] for i in range(0, len(seed_list), batch)
-        ]
-        raw = runner.map(
-            _train_batch_task,
-            [(env_config, trainer, dqn, history_length, c) for c in chunks],
-        )
-        failures = tuple(r for r in raw if isinstance(r, TaskFailure))
-        kept = [
-            (s, result)
-            for chunk, group in zip(chunks, raw)
-            if not isinstance(group, TaskFailure)
-            for s, result in zip(chunk, group)
-        ]
-    else:
-        raw = runner.map(
-            _train_task,
-            [(env_config, trainer, dqn, history_length, s) for s in seed_list],
-        )
-        failures = tuple(r for r in raw if isinstance(r, TaskFailure))
-        kept = [
-            (s, r) for s, r in zip(seed_list, raw) if not isinstance(r, TaskFailure)
-        ]
+    chunks = [seed_list[i : i + batch] for i in range(0, len(seed_list), batch)]
+    raw = runner.map(
+        _train_batch_task,
+        [(env_config, trainer, dqn, history_length, c) for c in chunks],
+    )
+    failures = tuple(r for r in raw if isinstance(r, TaskFailure))
+    kept = [
+        (s, result)
+        for chunk, group in zip(chunks, raw)
+        if not isinstance(group, TaskFailure)
+        for s, result in zip(chunk, group)
+    ]
     if not kept:
         raise TrainingError(
             f"all {len(seed_list)} training seeds failed; first failure "
