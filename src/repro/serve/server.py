@@ -121,10 +121,9 @@ class DecisionServer:
                 self._timer = None
             if not self.batcher.full:
                 self._space.set()
-        deadline = self.batcher.next_deadline()
-        if deadline is not None and self._timer is None:
+        if self._timer is None and self.batcher.pending_depth:
             self._timer = asyncio.get_running_loop().call_at(
-                deadline, self._on_deadline
+                self.batcher.next_deadline(), self._on_deadline
             )
 
 
