@@ -77,11 +77,11 @@ class DecisionServer:
         while True:
             if self._closed:
                 raise ExecutionError("decision server is draining")
+            if not self.batcher.full:
+                break
             refused = self.batcher.refuse(network_id, policy, observation)
             if refused is not None:
                 return refused
-            if not self.batcher.full:
-                break
             # queue: wait until a flush frees capacity, then re-check.
             self._space.clear()
             await self._space.wait()
