@@ -64,13 +64,12 @@ def run_batcher(store, admission):
     clock = VirtualClock()
     batcher = MicroBatcher(store, admission=admission, clock=clock, **SETTINGS)
     outs, first = [], 0
-    for count in PHASES[:-1]:
+    for index, count in enumerate(PHASES):
         for request in requests(store, count, first):
             outs += batcher.submit(*request)
         first += count
-        outs += batcher.poll(clock.advance(SETTINGS["deadline_ms"] / 1000.0))
-    for request in requests(store, PHASES[-1], first):
-        outs += batcher.submit(*request)
+        if index < len(PHASES) - 1:  # the deadline flush
+            outs += batcher.poll(clock.advance(SETTINGS["deadline_ms"] / 1000.0))
     outs += batcher.drain()
     return outs
 
