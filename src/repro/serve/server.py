@@ -87,7 +87,7 @@ class DecisionServer:
             await self._space.wait()
         future = asyncio.get_running_loop().create_future()
         self._futures.append(future)
-        self._settle(self.batcher.enqueue(network_id, policy, observation))
+        self._run(self.batcher.enqueue, network_id, policy, observation)
         return await future
 
     # -- lifecycle -------------------------------------------------------------
@@ -95,7 +95,7 @@ class DecisionServer:
     async def stop(self) -> None:
         """Refuse new work, answer everything queued, release waiters."""
         self._closed = True
-        self._settle(self.batcher.drain())
+        self._run(self.batcher.drain)
         self._space.set()
         # Let resolved futures' awaiters run before we return.
         await asyncio.sleep(0)
@@ -107,15 +107,38 @@ class DecisionServer:
         # call_at handle up to one clock resolution early, when poll()'s
         # deadline check would flush nothing and leave no timer armed.
         self._timer = None
-        self._settle(self.batcher.flush())
+        self._run(self.batcher.flush)
 
-    def _settle(self, decisions: list[Decision]) -> None:
-        """Resolve flushed requests' futures, wake waiters, re-arm the timer."""
-        for decision in decisions:
-            future = self._futures.popleft()
-            if not future.done():  # skip a cancelled waiter
-                future.set_result(decision)
-        if decisions:
+    def _run(self, step, *args) -> None:
+        """Run one batcher step, answer its futures, wake waiters, re-arm.
+
+        Keeps one future per queued request, in the batcher's order. If
+        the step raises, the futures of the requests it took off the
+        queue (a failed flush) or never queued (a bad enqueue) get the
+        error, so later answers still reach their own callers.
+        """
+        depth = self.batcher.pending_depth
+        try:
+            outcomes = step(*args)
+            take = self._futures.popleft
+        except Exception as exc:
+            failed = len(self._futures) - self.batcher.pending_depth
+            outcomes = [exc] * failed
+            # An unchanged depth means the request never reached the
+            # queue: its future is the newest, not the oldest. (With
+            # max_batch 1 a failed enqueue flush also leaves the depth
+            # unchanged, but then the one future is both.)
+            unqueued = self.batcher.pending_depth == depth
+            take = self._futures.pop if unqueued else self._futures.popleft
+        for outcome in outcomes:
+            future = take()
+            if future.done():  # skip a cancelled waiter
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+        if outcomes:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None

@@ -5,7 +5,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import ConfigurationError, ExecutionError
 from repro.nn.network import mlp
 from repro.serve import Decision, DecisionServer, PolicyStore, ShedDecision
 
@@ -157,3 +157,97 @@ class TestAdmission:
         early, late = run(main())
         assert all(isinstance(r, Decision) for r in early)
         assert isinstance(late, Decision)
+
+
+class TestFailedSteps:
+    """A request the store rejects fails only its own batch's callers."""
+
+    def run(self, main):
+        # Misrouted futures leave a caller waiting forever: fail, not hang.
+        return run(asyncio.wait_for(main(), timeout=10))
+
+    def test_bad_batch_fails_its_callers_and_later_answers_route(self):
+        store = store_of()
+        observations = [
+            np.random.default_rng(i).random(store.observation_size) for i in range(8)
+        ]
+        policies = [0, 1, 99, 0, 1, 0, 1, 1]
+
+        async def main():
+            server = DecisionServer(
+                store, max_batch=4, deadline_ms=10_000, queue_limit=64
+            )
+            bad = await asyncio.gather(
+                *(server.decide(i, policies[i], observations[i]) for i in range(4)),
+                return_exceptions=True,
+            )
+            good = await asyncio.gather(
+                *(server.decide(i, policies[i], observations[i]) for i in range(4, 8))
+            )
+            await server.stop()
+            return bad, good, server.pending_depth
+
+        bad, good, depth = self.run(main)
+        assert all(isinstance(r, ConfigurationError) for r in bad)
+        assert [r.network_id for r in good] == [4, 5, 6, 7]
+        assert [r.action for r in good] == [
+            store.decide_serial(policies[i], observations[i]) for i in range(4, 8)
+        ]
+        assert depth == 0
+
+    def test_unqueued_request_fails_alone(self):
+        store = store_of()
+        observations = [
+            np.random.default_rng(i).random(store.observation_size) for i in range(4)
+        ]
+
+        async def main():
+            server = DecisionServer(
+                store, max_batch=4, deadline_ms=10_000, queue_limit=64
+            )
+            first = [
+                asyncio.create_task(server.decide(i, i % 2, observations[i]))
+                for i in range(2)
+            ]
+            await asyncio.sleep(0)
+            with pytest.raises(ValueError):
+                await server.decide(9, "not-a-policy", observations[0])
+            rest = [
+                asyncio.create_task(server.decide(i, i % 2, observations[i]))
+                for i in range(2, 4)
+            ]
+            results = await asyncio.gather(*first, *rest)
+            await server.stop()
+            return results
+
+        results = self.run(main)
+        assert [r.network_id for r in results] == [0, 1, 2, 3]
+        assert {r.batch_size for r in results} == {4}
+        assert [r.action for r in results] == [
+            store.decide_serial(i % 2, observations[i]) for i in range(4)
+        ]
+
+    def test_failed_deadline_flush_keeps_serving(self):
+        store = store_of()
+        obs = np.random.default_rng(5).random(store.observation_size)
+
+        async def main():
+            server = DecisionServer(store, max_batch=64, deadline_ms=2, queue_limit=64)
+            bad = await asyncio.gather(
+                server.decide(0, 0, obs),
+                server.decide(1, 0, obs[:-1]),
+                return_exceptions=True,
+            )
+            late = await asyncio.gather(
+                server.decide(2, 1, obs), server.decide(3, 0, obs)
+            )
+            await server.stop()
+            return bad, late
+
+        bad, late = self.run(main)
+        assert all(isinstance(r, Exception) for r in bad)
+        assert [r.network_id for r in late] == [2, 3]
+        assert [r.action for r in late] == [
+            store.decide_serial(1, obs),
+            store.decide_serial(0, obs),
+        ]
