@@ -135,11 +135,12 @@ class ReplayBuffer:
                 "or pass allow_undersized=True"
             )
         idx = self._rng.integers(0, self._size, size=batch_size)
+        # Fancy indexing already returns fresh copies.
         return Batch(
-            observations=self._obs[idx].copy(),
-            actions=self._actions[idx].copy(),
-            rewards=self._rewards[idx].copy(),
-            next_observations=self._next_obs[idx].copy(),
+            observations=self._obs[idx],
+            actions=self._actions[idx],
+            rewards=self._rewards[idx],
+            next_observations=self._next_obs[idx],
         )
 
     def clear(self) -> None:

@@ -26,6 +26,18 @@ of the stacked tensors and their final weights written back. The
 equivalence suite pins per-seed rewards, losses, and final weights
 against N serial runs.
 
+The train step allocates little beyond the ``matmul`` outputs.
+:class:`_StackedMLP` keeps online and target parameters, gradients and
+Adam moments each in one flat ``(N, P)`` buffer (Adam and the target
+syncs are whole-buffer ufuncs), plus a workspace of scratch buffers that
+every step reuses and ``compact`` re-slices. Forward adds bias and applies
+ReLU in place on the fresh ``matmul`` output. Aliasing rule: an activation
+cached for ``backward`` never shares a buffer that anything writes before
+``backward`` reads it. The TD error is sparse: the serial error
+``prediction - target`` has ``target`` a copy of ``prediction`` but at
+the taken action, so every other entry is ``p - p = +0.0`` for finite
+``p``, whose Huber value and gradient are ``+0.0`` too.
+
 The in-process batch width composes with the
 :class:`~repro.exec.ParallelRunner` process pool (processes × batch) via
 ``train_dqn_multi_seed(env_batch=...)`` or ``REPRO_ENV_BATCH``.
@@ -44,7 +56,7 @@ from repro.nn.layers import Dense, ReLU
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.rng import SeedLike, derive
+from repro.rng import derive
 
 #: Environment variable selecting the in-process seed-batch width used by
 #: ``train_dqn_multi_seed``. ``1``/``off`` restores the purely serial path.
@@ -151,10 +163,9 @@ class VectorEnv:
 class _StackedMLP:
     """(N, ...) stacked mirror of N structurally identical online networks.
 
-    Holds stacked online parameters/gradients, stacked target parameters,
-    and stacked Adam state. All math runs as 3-D ``matmul`` + elementwise
-    ops, which apply per slice exactly the 2-D operations of the serial
-    :class:`repro.nn.network.Network`.
+    Each flat ``(N, P)`` buffer row is laid out like the serial
+    ``network.parameters`` list; ``weights``/``biases`` (and their ``t_``
+    and ``grad_`` twins) are per-layer ``(N, in, out)``/``(N, out)`` views.
     """
 
     def __init__(self, agents: list[DQNAgent]) -> None:
@@ -170,29 +181,47 @@ class _StackedMLP:
                     f"batched training supports Dense/ReLU only, got "
                     f"{type(layer).__name__}"
                 )
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        self.t_weights: list[np.ndarray] = []
-        self.t_biases: list[np.ndarray] = []
-        for li, kind in enumerate(self.spec):
-            if kind != "dense":
-                continue
-            self.weights.append(np.stack([a.online.layers[li].weight for a in agents]))
-            self.biases.append(np.stack([a.online.layers[li].bias for a in agents]))
-            self.t_weights.append(np.stack([a.target.layers[li].weight for a in agents]))
-            self.t_biases.append(np.stack([a.target.layers[li].bias for a in agents]))
-        self.grad_weights = [np.zeros_like(w) for w in self.weights]
-        self.grad_biases = [np.zeros_like(b) for b in self.biases]
-        # Adam state, created lazily like repro.nn.optimizers.Adam.
-        self.adam_m: list[np.ndarray] | None = None
-        self.adam_v: list[np.ndarray] | None = None
+        self._shapes = [p.shape for p in agents[0].online.parameters]
+        self.params = np.stack(
+            [np.concatenate([p.ravel() for p in a.online.parameters]) for a in agents]
+        )
+        self.t_params = np.stack(
+            [np.concatenate([p.ravel() for p in a.target.parameters]) for a in agents]
+        )
+        self.grads = np.zeros_like(self.params)
+        # Adam state; written back to an agent only once a step has run,
+        # like the lazily created state of repro.nn.optimizers.Adam.
+        self.adam_m = np.zeros_like(self.params)
+        self.adam_v = np.zeros_like(self.params)
         self.adam_t = 0
+        # Workspace: Adam and soft-sync scratch, the (N, B, A) TD buffer and
+        # the flat offset of each (seed, row)'s Q-values inside it.
+        cfg = agents[0].config
+        n, batch = len(agents), cfg.batch_size
+        self._scratch = (np.empty_like(self.params), np.empty_like(self.params))
+        self._td = np.empty((n, batch, cfg.num_actions))
+        self._rows = np.arange(n * batch).reshape(n, batch) * cfg.num_actions
         self._cache_inputs: list[np.ndarray] = []
         self._cache_masks: list[np.ndarray] = []
+        self._bind()
+
+    def _split(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-layer (weights, biases) views of one flat (N, P) buffer."""
+        views, start = [], 0
+        for shape in self._shapes:
+            size = int(np.prod(shape))
+            views.append(flat[:, start : start + size].reshape(len(flat), *shape))
+            start += size
+        return views[0::2], views[1::2]
+
+    def _bind(self) -> None:
+        self.weights, self.biases = self._split(self.params)
+        self.t_weights, self.t_biases = self._split(self.t_params)
+        self.grad_weights, self.grad_biases = self._split(self.grads)
 
     @property
     def num_stacked(self) -> int:
-        return self.weights[0].shape[0]
+        return self.params.shape[0]
 
     # -- forward/backward -----------------------------------------------------
 
@@ -204,6 +233,7 @@ class _StackedMLP:
         *,
         cache: bool,
     ) -> np.ndarray:
+        # The chain starts with a Dense layer (mlp): ``x`` is never written.
         if cache:
             self._cache_inputs.clear()
             self._cache_masks.clear()
@@ -213,13 +243,13 @@ class _StackedMLP:
             if kind == "dense":
                 if cache:
                     self._cache_inputs.append(out)
-                out = np.matmul(out, weights[dense]) + biases[dense][:, None, :]
+                out = np.matmul(out, weights[dense])
+                out += biases[dense][:, None, :]
                 dense += 1
             else:
-                mask = out > 0
                 if cache:
-                    self._cache_masks.append(mask)
-                out = np.where(mask, out, 0.0)
+                    self._cache_masks.append(out > 0)
+                np.maximum(out, 0.0, out=out)
         return out
 
     def forward_online(self, x: np.ndarray, *, cache: bool = False) -> np.ndarray:
@@ -230,90 +260,82 @@ class _StackedMLP:
         return self._forward(x, self.t_weights, self.t_biases, cache=False)
 
     def backward(self, grad: np.ndarray) -> None:
-        """Accumulate stacked parameter gradients from dL/d(output)."""
+        """Write the stacked parameter gradients from dL/d(output)."""
         dense = len(self.weights) - 1
         relu = len(self._cache_masks) - 1
         for kind in reversed(self.spec):
             if kind == "dense":
                 x = self._cache_inputs[dense]
-                self.grad_weights[dense] += np.matmul(x.transpose(0, 2, 1), grad)
-                self.grad_biases[dense] += grad.sum(axis=1)
+                np.matmul(x.transpose(0, 2, 1), grad, out=self.grad_weights[dense])
+                np.sum(grad, axis=1, out=self.grad_biases[dense])
+                if dense == 0:
+                    break  # nothing reads the first layer's input gradient
                 grad = np.matmul(grad, self.weights[dense].transpose(0, 2, 1))
                 dense -= 1
             else:
-                grad = grad * self._cache_masks[relu]
+                np.multiply(grad, self._cache_masks[relu], out=grad)
                 relu -= 1
+        # The serial layers add into zeroed gradients: 0.0 + g, which turns
+        # -0.0 into +0.0 and leaves every other value as it is.
+        self.grads += 0.0
 
     def adam_step(self, optimizer) -> None:
         """One stacked Adam update, mirroring ``Adam.step`` exactly."""
-        params = []
-        grads = []
-        for w, b, gw, gb in zip(
-            self.weights, self.biases, self.grad_weights, self.grad_biases
-        ):
-            params += [w, b]
-            grads += [gw, gb]
-        if self.adam_m is None:
-            self.adam_m = [np.zeros_like(p) for p in params]
-            self.adam_v = [np.zeros_like(p) for p in params]
         self.adam_t += 1
         beta1, beta2, eps = optimizer.beta1, optimizer.beta2, optimizer.epsilon
         lr = optimizer.learning_rate
         b1t = 1.0 - beta1**self.adam_t
         b2t = 1.0 - beta2**self.adam_t
-        for p, g, m, v in zip(params, grads, self.adam_m, self.adam_v):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * g * g
-            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
-            g[...] = 0.0
+        g, m, v = self.grads, self.adam_m, self.adam_v
+        step, denom = self._scratch
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=step)
+        v *= beta2
+        np.multiply(g, 1.0 - beta2, out=step)
+        v += np.multiply(step, g, out=step)
+        # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps), one ufunc at a time.
+        np.multiply(np.divide(m, b1t, out=step), lr, out=step)
+        np.add(np.sqrt(np.divide(v, b2t, out=denom), out=denom), eps, out=denom)
+        self.params -= np.divide(step, denom, out=step)
 
     # -- target sync ----------------------------------------------------------
 
     def hard_sync(self) -> None:
-        for tw, w in zip(self.t_weights, self.weights):
-            tw[...] = w
-        for tb, b in zip(self.t_biases, self.biases):
-            tb[...] = b
+        self.t_params[...] = self.params
 
     def soft_sync(self, tau: float) -> None:
-        for tw, w in zip(self.t_weights, self.weights):
-            tw *= 1.0 - tau
-            tw += tau * w
-        for tb, b in zip(self.t_biases, self.biases):
-            tb *= 1.0 - tau
-            tb += tau * b
+        self.t_params *= 1.0 - tau
+        self.t_params += np.multiply(self.params, tau, out=self._scratch[0])
 
     # -- slice management ------------------------------------------------------
 
     def compact(self, keep: list[int]) -> None:
         """Drop finished seeds' slices (matmul is per-slice for any N)."""
-        self.weights = [w[keep] for w in self.weights]
-        self.biases = [b[keep] for b in self.biases]
-        self.t_weights = [w[keep] for w in self.t_weights]
-        self.t_biases = [b[keep] for b in self.t_biases]
-        self.grad_weights = [g[keep] for g in self.grad_weights]
-        self.grad_biases = [g[keep] for g in self.grad_biases]
-        if self.adam_m is not None:
-            self.adam_m = [m[keep] for m in self.adam_m]
-            self.adam_v = [v[keep] for v in self.adam_v]
+        self.params = self.params[keep]
+        self.t_params = self.t_params[keep]
+        self.grads = self.grads[keep]
+        self.adam_m = self.adam_m[keep]
+        self.adam_v = self.adam_v[keep]
+        n = len(keep)
+        self._scratch = tuple(s[:n] for s in self._scratch)
+        self._td = self._td[:n]
+        self._rows = self._rows[:n]
         self._cache_inputs.clear()
         self._cache_masks.clear()
+        self._bind()
 
     def write_back(self, position: int, agent: DQNAgent) -> None:
         """Copy slice ``position`` into the agent's real network/optimizer."""
-        weights: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            weights += [w[position].copy(), b[position].copy()]
-        agent.online.set_weights(weights)
-        t_weights: list[np.ndarray] = []
-        for w, b in zip(self.t_weights, self.t_biases):
-            t_weights += [w[position].copy(), b[position].copy()]
-        agent.target.set_weights(t_weights)
+
+        def unflat(flat: np.ndarray) -> list[np.ndarray]:
+            weights, biases = self._split(flat[position : position + 1].copy())
+            return [p[0] for pair in zip(weights, biases) for p in pair]
+
+        agent.online.set_weights(unflat(self.params))
+        agent.target.set_weights(unflat(self.t_params))
         if self.adam_t > 0:
-            agent.optimizer._m = [m[position].copy() for m in self.adam_m]
-            agent.optimizer._v = [v[position].copy() for v in self.adam_v]
+            agent.optimizer._m = unflat(self.adam_m)
+            agent.optimizer._v = unflat(self.adam_v)
             agent.optimizer._t = self.adam_t
 
 
@@ -466,10 +488,11 @@ class PolicyStack:
         dense = 0
         for kind in self.spec:
             if kind == "dense":
-                x = np.matmul(x, weights[dense]) + biases[dense]
+                x = np.matmul(x, weights[dense])
+                x += biases[dense]
                 dense += 1
             else:
-                x = np.where(x > 0, x, 0.0)
+                x = np.maximum(x, 0.0)
         return x[:, 0]
 
     def greedy_actions(
@@ -578,35 +601,35 @@ def _batched_train_step(
     actions = np.stack([b.actions for b in batches])
     rewards = np.stack([b.rewards for b in batches])
     next_obs = np.stack([b.next_observations for b in batches])
-    n, batch_size = actions.shape
 
+    # Flat offset of each (seed, row)'s Q-values in an (N, B, A) array.
+    rows = stack._rows
     next_q_target = stack.forward_target(next_obs)
     if cfg.double_dqn:
-        next_q_online = stack.forward_online(next_obs)
-        best_next = next_q_online.argmax(axis=2)
-        bootstrap = np.take_along_axis(
-            next_q_target, best_next[:, :, None], axis=2
-        )[:, :, 0]
+        best_next = stack.forward_online(next_obs).argmax(axis=2)
+        bootstrap = next_q_target.reshape(-1)[rows + best_next]
     else:
         bootstrap = next_q_target.max(axis=2)
     targets_for_actions = rewards + cfg.discount * bootstrap
 
     prediction = stack.forward_online(obs, cache=True)
-    target = prediction.copy()
-    rows = np.arange(n)[:, None], np.arange(batch_size)[None, :], actions
-    target[rows] = targets_for_actions
-    mask = np.zeros_like(target)
-    mask[rows] = 1.0
-
+    taken = rows + actions
+    # The serial TD error is prediction - target with target a copy of the
+    # prediction, so every entry but the taken action's is p - p = +0.0.
+    err = prediction.reshape(-1)[taken] - targets_for_actions
     delta = agents[0].loss.delta
-    err = prediction - target
     abs_err = np.abs(err)
     quad = np.minimum(abs_err, delta)
-    losses = np.mean(0.5 * quad**2 + delta * (abs_err - quad), axis=(1, 2))
+    td = stack._td
+    flat_td = td.reshape(-1)
+    td.fill(0.0)
+    flat_td[taken] = 0.5 * quad**2 + delta * (abs_err - quad)
+    losses = np.mean(td, axis=(1, 2))
     # Per-slice gradient: divide by the slice's element count (B·A), the
-    # ``p.size`` the serial HuberLoss sees, not the stacked size.
-    grad = np.clip(err, -delta, delta) / (batch_size * prediction.shape[2]) * mask
-    stack.backward(grad)
+    # ``p.size`` the serial HuberLoss sees, not the stacked size. The
+    # action mask multiplies the taken entries by 1.0 and the rest are +0.0.
+    flat_td[taken] = np.clip(err, -delta, delta) / td[0].size
+    stack.backward(td)
     stack.adam_step(agents[0].optimizer)
 
     for agent in agents:
@@ -694,8 +717,6 @@ def train_dqn_batch(
             counters=("link.per_cache_hits", "link.per_cache_misses"),
         )
         for _ in range(trainer.episodes):
-            if not active:
-                break
             live = [agents[i] for i in active]
             obs = vec.reset()
             ep_rewards = [0.0] * len(active)
@@ -783,9 +804,11 @@ def train_dqn_batch(
                 for pos in finished:
                     stack.write_back(pos, agents[active[pos]])
                 keep = [p for p in range(len(active)) if p not in finished]
+                active = [active[p] for p in keep]
+                if not active:
+                    break
                 stack.compact(keep)
                 vec = vec.select(keep)
-                active = [active[p] for p in keep]
         telem.flush()
 
     for pos, i in enumerate(active):

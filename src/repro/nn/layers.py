@@ -79,7 +79,9 @@ class Dense(Layer):
                 f"expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
         self._input = x
-        return x @ self.weight + self.bias
+        out = x @ self.weight
+        out += self.bias
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -99,7 +101,14 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    """Elementwise rectifier, the paper's chosen activation (§III-C)."""
+    """Elementwise rectifier, the paper's chosen activation (§III-C).
+
+    ``np.maximum(x, 0.0)`` is the one ReLU rule of the package (the stacked
+    chains in :mod:`repro.core.vecenv` use it too). It equals
+    ``np.where(x > 0, x, 0.0)`` bit for bit on every non-NaN input, -0.0
+    included, but a NaN input now propagates to the output instead of being
+    zeroed silently; its gradient is still masked to zero.
+    """
 
     def __init__(self) -> None:
         self._mask: np.ndarray | None = None
@@ -107,7 +116,7 @@ class ReLU(Layer):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        return np.maximum(x, 0.0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
