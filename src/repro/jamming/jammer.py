@@ -57,6 +57,7 @@ from the jammer objects, which are stale from then on.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +84,14 @@ _CLOCK_EPS = 1e-9
 
 def split_blocks(num_channels: int, num_blocks: int) -> list[tuple[int, ...]]:
     """Split ``num_channels`` into ``num_blocks`` contiguous (near-)equal blocks."""
+    return list(_split_blocks(num_channels, num_blocks))
+
+
+@functools.cache
+def _split_blocks(num_channels: int, num_blocks: int) -> tuple[tuple[int, ...], ...]:
+    # One split per geometry: every jammer of a fleet asks for the same one.
     bounds = np.linspace(0, num_channels, num_blocks + 1).astype(int)
-    blocks = [tuple(range(bounds[i], bounds[i + 1])) for i in range(num_blocks)]
+    blocks = tuple(tuple(range(bounds[i], bounds[i + 1])) for i in range(num_blocks))
     if any(len(b) == 0 for b in blocks):
         raise ConfigurationError(
             f"cannot split {num_channels} channels into "

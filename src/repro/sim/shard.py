@@ -27,6 +27,11 @@ is a resumable run of a one-network engine.
   neighbours exactly and discards the halo's outputs — K-shard results are
   bitwise equal to 1-shard results, and shards dispatch across
   :class:`~repro.exec.ParallelRunner` workers worker-count-invariantly.
+* A grid builds each shard once, on its first run (:class:`_ShardBuild`):
+  the interference edges and PER grid, the seeded per-network streams and
+  the paper sweep's jammers. Every later run rewinds the streams to their
+  seeded state, so a run is still a pure function of the config, seed and
+  slot count. Specs pickled for pool workers carry the arrays only.
 * Aggregation streams: per-network counters accumulate slot by slot and
   per-slot records are retained only under ``keep_records=True``, so
   million-slot runs hold O(N) state.
@@ -38,7 +43,9 @@ be replayed alone bit-for-bit (absent interference).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -249,6 +256,26 @@ class FieldJammerBank:
 
     def __len__(self) -> int:
         return len(self.jammers)
+
+    @property
+    def arrays(self) -> bool:
+        """Whether this bank runs as arrays (and never writes to its jammers)."""
+        return self._draws is not None
+
+    def copy(self) -> FieldJammerBank:
+        """An array bank in this one's state, over the same jammer objects.
+
+        The copy draws afresh from the jammers' streams as they stand now;
+        the two banks share nothing they write.
+        """
+        if not self.arrays:
+            raise ConfigurationError("only an array bank can be copied")
+        bank = copy.copy(self)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(bank, name, value.copy())
+        bank._draws = BoundedDraws([j.core.rng for j in self.jammers])
+        return bank
 
     def _load_arrays(self) -> None:
         first = self.jammers[0]
@@ -475,6 +502,8 @@ class _ShardSpec:
     own_local: tuple[int, ...]
     positions: np.ndarray
     net_seeds: tuple[SeedLike, ...]
+    #: What the shard reuses across runs (``None``: the engine's own, fresh).
+    build: _ShardBuild | None = None
 
 
 class _InterferenceEngine:
@@ -594,6 +623,94 @@ class _StreamMatrix:
         return out
 
 
+class _ShardStreams:
+    """A shard's seeded per-network streams, rewound for every run.
+
+    Holds the ``field``, ``field-jammer`` and ``field-channel`` generators
+    and their states as derived. :meth:`rewind` restores each saved
+    ``bit_generator.state``, which leaves a generator exactly as freshly
+    derived at about a tenth of the cost. An array jammer bank never
+    writes to its jammer objects, so the first such bank is kept and each
+    later run copies it; any other bank's jammers are built per run on
+    the rewound streams.
+    """
+
+    def __init__(self, spec: _ShardSpec, adjudicated: bool) -> None:
+        seeds = spec.net_seeds
+        jammed = spec.config.field.jammer is not None
+        # A solo engine's seed may be a caller's generator, which each
+        # derive draws on: keep the order field, jammer, channel.
+        self.field = [derive(s, "field") for s in seeds]
+        self.jammer = [derive(s, "field-jammer") for s in seeds] if jammed else []
+        self.channel = (
+            [derive(s, "field-channel") for s in seeds]
+            if jammed and adjudicated
+            else None
+        )
+        self._generators = [*self.field, *self.jammer, *(self.channel or ())]
+        self._states = [g.bit_generator.state for g in self._generators]
+        self._bank: FieldJammerBank | None = None
+
+    def rewind(self) -> None:
+        """Restore every stream to its state as derived."""
+        for generator, state in zip(self._generators, self._states):
+            generator.bit_generator.state = state
+
+    def jammer_bank(self, config) -> FieldJammerBank:
+        """This run's jammer bank, drawing on the jammer streams."""
+        if self._bank is None:
+            bank = FieldJammerBank(
+                [make_field_jammer(config, seed=g) for g in self.jammer]
+            )
+            if not bank.arrays:
+                return bank
+            # The paper sweep draws nothing while it is built, so the saved
+            # states are the kept jammers' states too.
+            self._bank = bank
+        return self._bank.copy()
+
+
+class _ShardBuild:
+    """What a shard builds on its first run and reuses on every later one.
+
+    The engine that steps the shard fills it on first use, in whichever
+    process runs it: the co-channel edges and PER grid (``interference``,
+    which a run only reads) and the streams (:class:`_ShardStreams`). A
+    pickled build keeps the arrays but drops the streams, since a
+    generator takes longer to pickle than to derive: a pool worker derives
+    its own streams, and the arrays it built ride back with its result
+    (:func:`_run_shard_task`) into the next run's spec.
+    """
+
+    def __init__(self) -> None:
+        self.interference: _InterferenceEngine | None = None
+        self._streams: _ShardStreams | None = None
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_streams": None}
+
+    def interference_for(self, spec: _ShardSpec) -> _InterferenceEngine | None:
+        """The shard's co-channel coupling (``None`` when nothing couples)."""
+        cfg = spec.config
+        if (
+            self.interference is None
+            and cfg.interference is not None
+            and len(spec.global_indices) > 1
+        ):
+            self.interference = _InterferenceEngine(
+                cfg.interference, cfg.field.mdp, spec.positions, spec.global_indices
+            )
+        return self.interference
+
+    def streams(self, spec: _ShardSpec, adjudicated: bool) -> _ShardStreams:
+        """The shard's streams at their seeded state."""
+        if self._streams is None:
+            self._streams = _ShardStreams(spec, adjudicated)
+        else:
+            self._streams.rewind()
+        return self._streams
+
+
 def _make_adapters(spec: _ShardSpec) -> list:
     factory = spec.config.adapter_factory or SchemeAdapterFactory(
         spec.config.scheme
@@ -628,52 +745,35 @@ class _ShardEngine:
         self.adapters = adapters
         n = len(adapters)
         mdp = fld.mdp
-        self.interference = (
-            _InterferenceEngine(
-                self.cfg.interference,
-                mdp,
-                spec.positions,
-                spec.global_indices,
-            )
-            if self.cfg.interference is not None and len(spec.global_indices) > 1
-            else None
-        )
+        build = spec.build if spec.build is not None else _ShardBuild()
+        self.interference = build.interference_for(spec)
         self.goodput = GoodputModel(timing=fld.timing, num_nodes=fld.num_peripherals)
         self.draws_neg = fld.timing.negotiation_uniform_count(fld.num_peripherals)
-
-        # Negotiation and delivery draw from each network's "field" stream:
-        # as fixed per-slot uniform blocks, or sequentially per packet.
-        rngs = [derive(s, "field") for s in spec.net_seeds]
-        self.stream: _StreamMatrix | None = None
-        self.rngs: list[np.random.Generator] | None = None
-        if fld.sampling == "aggregate":
-            self.stream = _StreamMatrix(
-                rngs, self.draws_neg + AGGREGATE_DRAWS_PER_SLOT, spec.field_batch
-            )
-        else:
-            self.rngs = rngs
-        self.bank = (
-            FieldJammerBank(
-                [
-                    make_field_jammer(fld.jammer, seed=derive(s, "field-jammer"))
-                    for s in spec.net_seeds
-                ]
-            )
-            if fld.jammer is not None
-            else None
-        )
         # Channel-tier jam adjudication: the analytic default is the exact
         # threshold contest with no draws; other tiers draw one uniform per
         # network per slot from its own "field-channel" stream, so
         # negotiation/delivery draws are the same under every tier.
         self.adjudicator = JamAdjudicator(fld.channel)
-        self.jam_streams = (
-            _StreamMatrix(
-                [derive(s, "field-channel") for s in spec.net_seeds],
-                1,
+        streams = build.streams(spec, adjudicated=not self.adjudicator.analytic)
+
+        # Negotiation and delivery draw from each network's "field" stream:
+        # as fixed per-slot uniform blocks, or sequentially per packet.
+        self.stream: _StreamMatrix | None = None
+        self.rngs: list[np.random.Generator] | None = None
+        if fld.sampling == "aggregate":
+            self.stream = _StreamMatrix(
+                streams.field,
+                self.draws_neg + AGGREGATE_DRAWS_PER_SLOT,
                 spec.field_batch,
             )
-            if (self.bank is not None and not self.adjudicator.analytic)
+        else:
+            self.rngs = streams.field
+        self.bank = (
+            streams.jammer_bank(fld.jammer) if fld.jammer is not None else None
+        )
+        self.jam_streams = (
+            _StreamMatrix(streams.channel, 1, spec.field_batch)
+            if streams.channel is not None
             else None
         )
         self.has_decoys = any(hasattr(a, "active_decoy") for a in adapters)
@@ -1086,8 +1186,8 @@ class _ShardEngine:
 
 
 def _run_shard_task(spec: _ShardSpec) -> dict:
-    """Pool-dispatchable entry point: simulate one shard."""
-    return _ShardEngine(spec).run()
+    """Pool-dispatchable entry point: simulate one shard, return its build too."""
+    return {**_ShardEngine(spec).run(), "build": spec.build}
 
 
 class FieldGrid:
@@ -1096,8 +1196,12 @@ class FieldGrid:
     Positions and per-network seeds derive deterministically from ``seed``,
     so results are invariant to shard count, worker count, field-batch
     size, and ``keep_records`` — those are pure performance/memory knobs.
-    ``run`` is a pure function of ``(config, seed, num_slots)``: engines
-    are rebuilt per call, so calling it twice returns identical results.
+    ``run`` is a pure function of ``(config, seed, num_slots)``. The first
+    call builds each shard's invariants once (:class:`_ShardBuild`: the
+    interference arrays, the seeded streams, the paper sweep's jammers)
+    and later calls reuse them, rewinding every stream to its seeded
+    state, so calling it twice returns identical results. Adapters come
+    from the factory on every call.
     """
 
     def __init__(
@@ -1119,8 +1223,13 @@ class FieldGrid:
         self.network_seeds = tuple(
             network_seed(seed, i) for i in range(config.num_networks)
         )
+        # The shards' specs and builds, made by the first run. A run takes
+        # them and hands them back once it completes, so no two runs share
+        # streams: a run that finds them taken builds its own.
+        self._specs: list[_ShardSpec] | None = None
+        self._specs_lock = threading.Lock()
 
-    def _shard_specs(self, num_slots: int) -> list[_ShardSpec]:
+    def _shard_specs(self) -> list[_ShardSpec]:
         cfg = self.config
         x = self.positions[:, 0]
         edges = np.linspace(0.0, cfg.width_m, self.shards + 1)
@@ -1146,7 +1255,7 @@ class FieldGrid:
             specs.append(
                 _ShardSpec(
                     config=cfg,
-                    num_slots=num_slots,
+                    num_slots=0,  # set per run
                     field_batch=self.field_batch,
                     shard_index=s,
                     global_indices=local_global,
@@ -1155,6 +1264,7 @@ class FieldGrid:
                     net_seeds=tuple(
                         self.network_seeds[g] for g in local_global
                     ),
+                    build=_ShardBuild(),
                 )
             )
         return specs
@@ -1162,7 +1272,11 @@ class FieldGrid:
     def run(self, num_slots: int) -> GridResult:
         num_slots = check_num_slots(num_slots)
         cfg = self.config
-        specs = self._shard_specs(num_slots)
+        with self._specs_lock:
+            built, self._specs = self._specs, None
+        if built is None:
+            built = self._shard_specs()
+        specs = [replace(spec, num_slots=num_slots) for spec in built]
         with obs_trace.span(
             "sim/grid",
             networks=cfg.num_networks,
@@ -1196,6 +1310,13 @@ class FieldGrid:
                     records[g] = result["records"][k]
         if any(m is None for m in metrics):
             raise SimulationError("shard partition lost a network")
+        # A pool worker's result carries the arrays it built (not its streams).
+        built = [
+            replace(spec, build=result["build"])
+            for spec, result in zip(built, results)
+        ]
+        with self._specs_lock:
+            self._specs = built
         return GridResult(
             slots=num_slots,
             shards=len(specs),
