@@ -31,7 +31,8 @@ is a resumable run of a one-network engine.
   the interference edges and PER grid, the seeded per-network streams and
   the paper sweep's jammers. Every later run rewinds the streams to their
   seeded state, so a run is still a pure function of the config, seed and
-  slot count. Specs pickled for pool workers carry the arrays only.
+  slot count. A spec pickled for a pool worker carries an empty build, so
+  pooled shards are built in their worker on every run.
 * Aggregation streams: per-network counters accumulate slot by slot and
   per-slot records are retained only under ``keep_records=True``, so
   million-slot runs hold O(N) state.
@@ -43,9 +44,8 @@ be replayed alone bit-for-bit (absent interference).
 
 from __future__ import annotations
 
-import copy
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -261,21 +261,6 @@ class FieldJammerBank:
     def arrays(self) -> bool:
         """Whether this bank runs as arrays (and never writes to its jammers)."""
         return self._draws is not None
-
-    def copy(self) -> FieldJammerBank:
-        """An array bank in this one's state, over the same jammer objects.
-
-        The copy draws afresh from the jammers' streams as they stand now;
-        the two banks share nothing they write.
-        """
-        if not self.arrays:
-            raise ConfigurationError("only an array bank can be copied")
-        bank = copy.copy(self)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(bank, name, value.copy())
-        bank._draws = BoundedDraws([j.core.rng for j in self.jammers])
-        return bank
 
     def _load_arrays(self) -> None:
         first = self.jammers[0]
@@ -623,71 +608,29 @@ class _StreamMatrix:
         return out
 
 
-class _ShardStreams:
-    """A shard's seeded per-network streams, rewound for every run.
-
-    Holds the ``field``, ``field-jammer`` and ``field-channel`` generators
-    and their states as derived. :meth:`rewind` restores each saved
-    ``bit_generator.state``, which leaves a generator exactly as freshly
-    derived at about a tenth of the cost. An array jammer bank never
-    writes to its jammer objects, so the first such bank is kept and each
-    later run copies it; any other bank's jammers are built per run on
-    the rewound streams.
-    """
-
-    def __init__(self, spec: _ShardSpec, adjudicated: bool) -> None:
-        seeds = spec.net_seeds
-        jammed = spec.config.field.jammer is not None
-        # A solo engine's seed may be a caller's generator, which each
-        # derive draws on: keep the order field, jammer, channel.
-        self.field = [derive(s, "field") for s in seeds]
-        self.jammer = [derive(s, "field-jammer") for s in seeds] if jammed else []
-        self.channel = (
-            [derive(s, "field-channel") for s in seeds]
-            if jammed and adjudicated
-            else None
-        )
-        self._generators = [*self.field, *self.jammer, *(self.channel or ())]
-        self._states = [g.bit_generator.state for g in self._generators]
-        self._bank: FieldJammerBank | None = None
-
-    def rewind(self) -> None:
-        """Restore every stream to its state as derived."""
-        for generator, state in zip(self._generators, self._states):
-            generator.bit_generator.state = state
-
-    def jammer_bank(self, config) -> FieldJammerBank:
-        """This run's jammer bank, drawing on the jammer streams."""
-        if self._bank is None:
-            bank = FieldJammerBank(
-                [make_field_jammer(config, seed=g) for g in self.jammer]
-            )
-            if not bank.arrays:
-                return bank
-            # The paper sweep draws nothing while it is built, so the saved
-            # states are the kept jammers' states too.
-            self._bank = bank
-        return self._bank.copy()
-
-
 class _ShardBuild:
     """What a shard builds on its first run and reuses on every later one.
 
-    The engine that steps the shard fills it on first use, in whichever
-    process runs it: the co-channel edges and PER grid (``interference``,
-    which a run only reads) and the streams (:class:`_ShardStreams`). A
-    pickled build keeps the arrays but drops the streams, since a
-    generator takes longer to pickle than to derive: a pool worker derives
-    its own streams, and the arrays it built ride back with its result
-    (:func:`_run_shard_task`) into the next run's spec.
+    The engine that steps the shard fills it on first use: the co-channel
+    edges and PER grid (``interference``, which a run only reads), the
+    ``field``, ``field-jammer`` and ``field-channel`` generators with
+    their states as derived, and the paper sweep's jammers. Every later
+    :meth:`streams` call restores each saved ``bit_generator.state``,
+    which leaves a generator exactly as freshly derived at about a tenth
+    of the cost. A pickled build is empty, since a generator takes longer
+    to pickle than to derive: a pool worker builds its shard afresh.
     """
 
     def __init__(self) -> None:
         self.interference: _InterferenceEngine | None = None
-        self._streams: _ShardStreams | None = None
+        self.field: list[np.random.Generator] = []
+        self.jammer: list[np.random.Generator] = []
+        self.channel: list[np.random.Generator] | None = None
+        self._states: list[dict] | None = None
+        self._jammers: list[FieldJammer] | None = None
 
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_streams": None}
+    def __reduce__(self):
+        return (_ShardBuild, ())
 
     def interference_for(self, spec: _ShardSpec) -> _InterferenceEngine | None:
         """The shard's co-channel coupling (``None`` when nothing couples)."""
@@ -702,13 +645,36 @@ class _ShardBuild:
             )
         return self.interference
 
-    def streams(self, spec: _ShardSpec, adjudicated: bool) -> _ShardStreams:
-        """The shard's streams at their seeded state."""
-        if self._streams is None:
-            self._streams = _ShardStreams(spec, adjudicated)
-        else:
-            self._streams.rewind()
-        return self._streams
+    def streams(self, spec: _ShardSpec, adjudicated: bool) -> None:
+        """Put the shard's streams at their seeded state, deriving them once."""
+        if self._states is not None:
+            for generator, state in zip(self._generators(), self._states):
+                generator.bit_generator.state = state
+            return
+        seeds = spec.net_seeds
+        jammed = spec.config.field.jammer is not None
+        # A solo engine's seed may be a caller's generator, which each
+        # derive draws on: keep the order field, jammer, channel.
+        self.field = [derive(s, "field") for s in seeds]
+        self.jammer = [derive(s, "field-jammer") for s in seeds] if jammed else []
+        if jammed and adjudicated:
+            self.channel = [derive(s, "field-channel") for s in seeds]
+        self._states = [g.bit_generator.state for g in self._generators()]
+
+    def _generators(self) -> list[np.random.Generator]:
+        return [*self.field, *self.jammer, *(self.channel or ())]
+
+    def jammer_bank(self, config) -> FieldJammerBank:
+        """This run's jammer bank, drawing on the jammer streams."""
+        jammers = self._jammers or [
+            make_field_jammer(config, seed=g) for g in self.jammer
+        ]
+        bank = FieldJammerBank(jammers)
+        # An array bank never writes to its jammers, and the paper sweep
+        # draws nothing while it is built, so its jammers serve every run.
+        # Any other bank steps its jammers: they are built per run.
+        self._jammers = jammers if bank.arrays else None
+        return bank
 
 
 def _make_adapters(spec: _ShardSpec) -> list:
@@ -754,7 +720,7 @@ class _ShardEngine:
         # network per slot from its own "field-channel" stream, so
         # negotiation/delivery draws are the same under every tier.
         self.adjudicator = JamAdjudicator(fld.channel)
-        streams = build.streams(spec, adjudicated=not self.adjudicator.analytic)
+        build.streams(spec, adjudicated=not self.adjudicator.analytic)
 
         # Negotiation and delivery draw from each network's "field" stream:
         # as fixed per-slot uniform blocks, or sequentially per packet.
@@ -762,18 +728,16 @@ class _ShardEngine:
         self.rngs: list[np.random.Generator] | None = None
         if fld.sampling == "aggregate":
             self.stream = _StreamMatrix(
-                streams.field,
+                build.field,
                 self.draws_neg + AGGREGATE_DRAWS_PER_SLOT,
                 spec.field_batch,
             )
         else:
-            self.rngs = streams.field
-        self.bank = (
-            streams.jammer_bank(fld.jammer) if fld.jammer is not None else None
-        )
+            self.rngs = build.field
+        self.bank = build.jammer_bank(fld.jammer) if fld.jammer is not None else None
         self.jam_streams = (
-            _StreamMatrix(streams.channel, 1, spec.field_batch)
-            if streams.channel is not None
+            _StreamMatrix(build.channel, 1, spec.field_batch)
+            if build.channel is not None
             else None
         )
         self.has_decoys = any(hasattr(a, "active_decoy") for a in adapters)
@@ -1186,8 +1150,8 @@ class _ShardEngine:
 
 
 def _run_shard_task(spec: _ShardSpec) -> dict:
-    """Pool-dispatchable entry point: simulate one shard, return its build too."""
-    return {**_ShardEngine(spec).run(), "build": spec.build}
+    """Pool-dispatchable entry point: simulate one shard."""
+    return _ShardEngine(spec).run()
 
 
 class FieldGrid:
@@ -1201,7 +1165,8 @@ class FieldGrid:
     interference arrays, the seeded streams, the paper sweep's jammers)
     and later calls reuse them, rewinding every stream to its seeded
     state, so calling it twice returns identical results. Adapters come
-    from the factory on every call.
+    from the factory on every call, and shards run in pool workers are
+    built there on every call.
     """
 
     def __init__(
@@ -1223,13 +1188,15 @@ class FieldGrid:
         self.network_seeds = tuple(
             network_seed(seed, i) for i in range(config.num_networks)
         )
-        # The shards' specs and builds, made by the first run. A run takes
-        # them and hands them back once it completes, so no two runs share
-        # streams: a run that finds them taken builds its own.
-        self._specs: list[_ShardSpec] | None = None
-        self._specs_lock = threading.Lock()
+        # Each shard's build by shard index, filled by the first run. A run
+        # takes them and hands them back once it completes, so no two runs
+        # share streams: a run that finds them taken builds its own.
+        self._builds: dict[int, _ShardBuild] | None = None
+        self._builds_lock = threading.Lock()
 
-    def _shard_specs(self) -> list[_ShardSpec]:
+    def _shard_specs(
+        self, num_slots: int, builds: dict[int, _ShardBuild]
+    ) -> list[_ShardSpec]:
         cfg = self.config
         x = self.positions[:, 0]
         edges = np.linspace(0.0, cfg.width_m, self.shards + 1)
@@ -1255,7 +1222,7 @@ class FieldGrid:
             specs.append(
                 _ShardSpec(
                     config=cfg,
-                    num_slots=0,  # set per run
+                    num_slots=num_slots,
                     field_batch=self.field_batch,
                     shard_index=s,
                     global_indices=local_global,
@@ -1264,7 +1231,7 @@ class FieldGrid:
                     net_seeds=tuple(
                         self.network_seeds[g] for g in local_global
                     ),
-                    build=_ShardBuild(),
+                    build=builds.setdefault(s, _ShardBuild()),
                 )
             )
         return specs
@@ -1272,11 +1239,9 @@ class FieldGrid:
     def run(self, num_slots: int) -> GridResult:
         num_slots = check_num_slots(num_slots)
         cfg = self.config
-        with self._specs_lock:
-            built, self._specs = self._specs, None
-        if built is None:
-            built = self._shard_specs()
-        specs = [replace(spec, num_slots=num_slots) for spec in built]
+        with self._builds_lock:
+            builds, self._builds = self._builds or {}, None
+        specs = self._shard_specs(num_slots, builds)
         with obs_trace.span(
             "sim/grid",
             networks=cfg.num_networks,
@@ -1310,13 +1275,8 @@ class FieldGrid:
                     records[g] = result["records"][k]
         if any(m is None for m in metrics):
             raise SimulationError("shard partition lost a network")
-        # A pool worker's result carries the arrays it built (not its streams).
-        built = [
-            replace(spec, build=result["build"])
-            for spec, result in zip(built, results)
-        ]
-        with self._specs_lock:
-            self._specs = built
+        with self._builds_lock:
+            self._builds = builds
         return GridResult(
             slots=num_slots,
             shards=len(specs),

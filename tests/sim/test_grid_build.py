@@ -5,8 +5,8 @@ and paper-sweep jammers from its first call and rewinds the streams on
 every later call. The contract under test: any sequence of runs on one
 grid equals the same runs on fresh grids, bit for bit, for every fleet
 shape, adversary and sampling mode; concurrent runs and runs after a
-failed one included. A spec shipped to a pool worker carries arrays
-only, never a generator.
+failed one included. A spec shipped to a pool worker carries an empty
+build, never a generator.
 """
 
 import dataclasses
@@ -142,10 +142,6 @@ def test_sharded_pool_runs_equal_one_shard():
     pooled = FieldGrid(cfg, seed=SEED, shards=3, workers=2)
     for slots in RUNS:
         _assert_same(pooled.run(slots), one.run(slots))
-    # The workers' interference arrays came back; their streams did not.
-    for spec in pooled._specs:
-        assert spec.build.interference is not None
-        assert spec.build._streams is None
 
 
 class _GeneratorFinder(pickle.Pickler):
@@ -162,17 +158,15 @@ class _GeneratorFinder(pickle.Pickler):
 def test_pickled_spec_holds_no_generator():
     grid = FieldGrid(_fleet("table-hybrid"), seed=SEED, shards=2)
     grid.run(5)
-    specs = grid._specs
-    assert specs is not None and all(s.build._streams is not None for s in specs)
+    specs = grid._shard_specs(5, grid._builds)
+    assert len(specs) == 2
     for spec in specs:
+        assert spec.build.interference is not None and spec.build.field
         finder = _GeneratorFinder(io.BytesIO())
         finder.dump(spec)
         assert finder.generators == 0
-        shipped = pickle.loads(pickle.dumps(spec))
-        assert shipped.build._streams is None
-        assert np.array_equal(
-            shipped.build.interference.per, spec.build.interference.per
-        )
+        shipped = pickle.loads(pickle.dumps(spec)).build
+        assert shipped.interference is None and not shipped.field
 
 
 def test_concurrent_runs_equal_a_fresh_grid():
