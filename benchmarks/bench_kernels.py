@@ -16,6 +16,8 @@ replaced (and is pinned bit-identical to by the equivalence suites):
   array vs the list-of-ints ``SeedSequence`` it replaced,
 * grid interference — delivery factors over the co-channel edges only vs
   every edge of a 2560-network hybrid-tier field,
+* gamma quantiles — the negotiation kernel's indexed quantile table vs
+  the ``np.interp`` search over it,
 * waveform trials — the batched ``(N, samples)`` trial engine with its
   jammer bank vs the serial per-trial encode/mix/decode loop,
 * DSSS despreading — the ±1 GEMM against ``CHIP_TABLE_PM`` vs the
@@ -434,6 +436,66 @@ def test_interference_co_channel():
     )
     _write_artifact()
     assert SPEEDUPS["interference_co_channel"] >= 2.0
+
+
+def test_gamma_quantile_indexed():
+    """Indexed gamma quantiles vs the ``np.interp`` search they replaced.
+
+    ``kernels.gamma_quantile.{interp,indexed}`` time the quantile calls of
+    100 slots of grid-table-hybrid negotiation: 2560 networks of three
+    peripherals, a (2560,) DQN draw and (2560, 3) polling draws at the
+    jitter cv, and the recovery draws of stranded off-channel nodes at
+    the recovery cv. Both sides must return the same bits.
+    """
+    from repro.net.timing import (
+        OFF_CHANNEL_RECOVERY_CV,
+        TimingModel,
+        _gamma_quantile_table,
+        gamma_from_uniform,
+    )
+
+    timing_model = TimingModel()
+    n, peripherals, slots = 2560, 3, 100
+    rng = np.random.default_rng(29)
+    calls = []
+    for _ in range(slots):
+        u = rng.random((n, 1 + 3 * peripherals))
+        stranded = rng.random(n) < 0.3
+        off = u[:, 1 + peripherals : 1 + 2 * peripherals] < 0.12
+        recovery = u[:, 1 + 2 * peripherals :][off & stranded[:, None]]
+        calls += [
+            (u[:, 0], timing_model.dqn_inference_mean_s, timing_model.jitter_cv),
+            (
+                u[:, 1 : 1 + peripherals],
+                timing_model.polling_per_node_mean_s,
+                timing_model.jitter_cv,
+            ),
+            (
+                recovery,
+                timing_model.off_channel_recovery_mean_s,
+                OFF_CHANNEL_RECOVERY_CV,
+            ),
+        ]
+
+    def interp(u, mean, cv):
+        shape = 1.0 / (cv * cv)
+        grid, table, _ = _gamma_quantile_table(shape)
+        return np.interp(u, grid, table) * (mean / shape)
+
+    for args in calls:
+        got, want = gamma_from_uniform(*args), interp(*args)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    seconds = {}
+    for path, fn in (("interp", interp), ("indexed", gamma_from_uniform)):
+        seconds[path] = _timed(
+            f"kernels.gamma_quantile.{path}",
+            lambda: [fn(*args) for args in calls],
+            repeats=1,
+            rounds=5,
+        )
+    SPEEDUPS["gamma_quantile_indexed"] = seconds["interp"] / seconds["indexed"]
+    _write_artifact()
+    assert SPEEDUPS["gamma_quantile_indexed"] >= 2.0
 
 
 def test_waveform_trial_speedup():

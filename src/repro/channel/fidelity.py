@@ -701,16 +701,25 @@ class JamAdjudicator:
         return result
 
     def survival_array(self, tx_powers, jam_powers) -> np.ndarray:
-        """Vectorised :meth:`survival_probability` over paired level arrays."""
+        """Vectorised :meth:`survival_probability` over paired level arrays.
+
+        Each distinct (tx, jam) pair is evaluated once and gathered back.
+        A pair is one complex value, so a single 1-D ``np.unique`` finds
+        the pairs present and the work never grows with the cross product
+        of the distinct tx and jam levels. Every NaN pair stays its own,
+        as each misses the scalar cache.
+        """
         tx = np.asarray(tx_powers, dtype=float)
         jam = np.asarray(jam_powers, dtype=float)
         tx, jam = np.broadcast_arrays(tx, jam)
-        return np.array(
-            [
-                self.survival_probability(t, j)
-                for t, j in zip(tx.ravel(), jam.ravel())
-            ]
-        ).reshape(tx.shape)
+        pairs = np.empty(tx.size, dtype=complex)
+        pairs.real, pairs.imag = tx.ravel(), jam.ravel()
+        distinct, inverse = np.unique(pairs, return_inverse=True, equal_nan=False)
+        survival = np.array(
+            [self.survival_probability(p.real, p.imag) for p in distinct],
+            dtype=float,
+        )
+        return survival[inverse].reshape(tx.shape)
 
     def defeats(
         self,

@@ -46,12 +46,20 @@ def _gamma_sample(
     return rng.gamma(shape, scale, size=size)
 
 
+#: Intervals of the quantile table: its grid points are exactly ``j / 4096``.
+_QUANTILE_STEPS = 4096
+
+
 @lru_cache(maxsize=32)
-def _gamma_quantile_table(shape: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense quantile grid of the unit-scale gamma with the given shape."""
-    grid = np.linspace(0.0, 1.0, 4097)
+def _gamma_quantile_table(shape: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense quantile grid of the unit-scale gamma with the given shape.
+
+    Returns the grid, the quantiles on it and the slope of each interval,
+    computed as :func:`numpy.interp` computes them.
+    """
+    grid = np.linspace(0.0, 1.0, _QUANTILE_STEPS + 1)
     table = gammaincinv(shape, np.clip(grid, _QUANTILE_EPS, 1.0 - _QUANTILE_EPS))
-    return grid, table
+    return grid, table, np.diff(table) / np.diff(grid)
 
 
 def gamma_from_uniform(u, mean: float, cv: float):
@@ -60,10 +68,23 @@ def gamma_from_uniform(u, mean: float, cv: float):
     Interpolated from a cached 4097-point table — the aggregate sampling
     path trades exact inverse-CDF evaluation for speed. Elementwise, so a
     row of a batched input maps exactly as the same row alone would.
+
+    The table's grid points are ``j / 4096`` exactly, so a ``u`` in
+    [0, 1) lies in interval ``floor(u * 4096)``: it is indexed directly,
+    with the arithmetic of :func:`numpy.interp`, instead of searched for.
+    Any other input (1.0, out of range, NaN, empty) goes through
+    :func:`numpy.interp` itself, so every input maps bit for bit as
+    ``np.interp(u, grid, table)`` would.
     """
     shape = 1.0 / (cv * cv)
-    grid, table = _gamma_quantile_table(shape)
-    return np.interp(u, grid, table) * (mean / shape)
+    grid, table, slopes = _gamma_quantile_table(shape)
+    u = np.asarray(u, dtype=np.float64)
+    if u.size and u.min() >= 0.0 and u.max() < 1.0:
+        j = (u * _QUANTILE_STEPS).astype(np.intp)
+        quantile = slopes[j] * (u - grid[j]) + table[j]
+    else:
+        quantile = np.interp(u, grid, table)
+    return quantile * (mean / shape)
 
 
 def normal_from_uniform(u):

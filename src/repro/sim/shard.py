@@ -28,11 +28,12 @@ is a resumable run of a one-network engine.
   bitwise equal to 1-shard results, and shards dispatch across
   :class:`~repro.exec.ParallelRunner` workers worker-count-invariantly.
 * A grid builds each shard once, on its first run (:class:`_ShardBuild`):
-  the interference edges and PER grid, the seeded per-network streams and
-  the paper sweep's jammers. Every later run rewinds the streams to their
-  seeded state, so a run is still a pure function of the config, seed and
-  slot count. A spec pickled for a pool worker carries an empty build, so
-  pooled shards are built in their worker on every run.
+  the interference edges and PER grid, the seeded per-network streams,
+  the paper sweep's jammers and a default-factory table fleet that runs
+  as arrays. Every later run rewinds the streams to their seeded state,
+  so a run is still a pure function of the config, seed and slot count.
+  A spec pickled for a pool worker carries an empty build, so pooled
+  shards are built in their worker on every run.
 * Aggregation streams: per-network counters accumulate slot by slot and
   per-slot records are retained only under ``keep_records=True``, so
   million-slot runs hold O(N) state.
@@ -83,7 +84,6 @@ from repro.sim.field import (
     DeceptionAdapter,
     DQNPolicyAdapter,
     FieldConfig,
-    FieldResult,
     FieldSlotRecord,
     FieldWindowRecorder,
     StatePolicyAdapter,
@@ -461,16 +461,6 @@ class GridResult:
     def mean_utilization(self) -> float:
         return float(self.utilization.mean())
 
-    def network_result(self, index: int) -> FieldResult:
-        """Network ``index``'s outcome in solo :class:`FieldResult` form."""
-        return FieldResult(
-            slots=self.slots,
-            goodput_pkts_per_slot=float(self.goodput_pkts_per_slot[index]),
-            utilization=float(self.utilization[index]),
-            metrics=self.metrics[index],
-            records=self.records[index] if self.records is not None else (),
-        )
-
 
 @dataclass(frozen=True)
 class _ShardSpec:
@@ -614,11 +604,13 @@ class _ShardBuild:
     The engine that steps the shard fills it on first use: the co-channel
     edges and PER grid (``interference``, which a run only reads), the
     ``field``, ``field-jammer`` and ``field-channel`` generators with
-    their states as derived, and the paper sweep's jammers. Every later
-    :meth:`streams` call restores each saved ``bit_generator.state``,
-    which leaves a generator exactly as freshly derived at about a tenth
-    of the cost. A pickled build is empty, since a generator takes longer
-    to pickle than to derive: a pool worker builds its shard afresh.
+    their states as derived, the paper sweep's jammers, and a
+    default-factory table fleet with its probed hop/power tables. Every
+    later :meth:`streams` and :meth:`adapters` call restores each saved
+    ``bit_generator.state``, which leaves a generator exactly as freshly
+    derived at about a tenth of the cost. A pickled build is empty, since
+    a generator takes longer to pickle than to derive: a pool worker
+    builds its shard afresh.
     """
 
     def __init__(self) -> None:
@@ -628,6 +620,10 @@ class _ShardBuild:
         self.channel: list[np.random.Generator] | None = None
         self._states: list[dict] | None = None
         self._jammers: list[FieldJammer] | None = None
+        #: The kept table fleet, its hop/power tables and its rng states.
+        self.fleet: list[StatePolicyAdapter] | None = None
+        self.tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._fleet_states: list[dict] = []
 
     def __reduce__(self):
         return (_ShardBuild, ())
@@ -676,13 +672,51 @@ class _ShardBuild:
         self._jammers = jammers if bank.arrays else None
         return bank
 
+    def adapters(self, spec: _ShardSpec) -> list:
+        """This run's fleet: the kept one rewound, else the factory's."""
+        if self.fleet is None:
+            factory = spec.config.adapter_factory or SchemeAdapterFactory(
+                spec.config.scheme
+            )
+            mdp = spec.config.field.mdp
+            return [factory(mdp, net_seed) for net_seed in spec.net_seeds]
+        for adapter, state in zip(self.fleet, self._fleet_states):
+            adapter._rng.bit_generator.state = state
+        return self.fleet
 
-def _make_adapters(spec: _ShardSpec) -> list:
-    factory = spec.config.adapter_factory or SchemeAdapterFactory(
-        spec.config.scheme
-    )
-    mdp = spec.config.field.mdp
-    return [factory(mdp, net_seed) for net_seed in spec.net_seeds]
+    def keep_fleet(
+        self, adapters: list | None, tables: tuple[np.ndarray, np.ndarray]
+    ) -> None:
+        """Keep a default-factory table fleet that runs as arrays.
+
+        Such a run only reads its adapters' starting channels and draws
+        their hops on their streams, so the fleet and its probed tables
+        serve every run once the streams are saved, before the first
+        draw. ``None`` drops the fleet: its adapters are stepped.
+        """
+        if adapters is None:
+            self.fleet = self.tables = None
+        elif self.fleet is None:
+            self.fleet, self.tables = adapters, tables
+            self._fleet_states = [a._rng.bit_generator.state for a in adapters]
+
+
+def _probe_tables(adapters: list, mdp: MDPConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(N, states) hop flags and power indices of stateless table policies.
+
+    Columns follow the state codes J, TJ, then streaks 1 .. sweep_cycle-1.
+    A policy object several adapters share is probed once.
+    """
+    state_codes = [J_CODE, TJ_CODE, *range(1, mdp.sweep_cycle)]
+    probed = {}
+    for policy in (a.policy for a in adapters):
+        if id(policy) not in probed:
+            probed[id(policy)] = [
+                (action.hop, action.power_index)
+                for action in (policy.action(code_state(c)) for c in state_codes)
+            ]
+    table = np.array([probed[id(a.policy)] for a in adapters], dtype=np.intp)
+    return table[..., 0].astype(bool), table[..., 1]
 
 
 class _ShardEngine:
@@ -702,8 +736,9 @@ class _ShardEngine:
         # it runs them as arrays. A caller's adapter (a solo
         # FieldExperiment's) stays live, stepped per object.
         fleet = adapters is None
+        build = spec.build if spec.build is not None else _ShardBuild()
         if fleet:
-            adapters = _make_adapters(spec)
+            adapters = build.adapters(spec)
             self.scheme = self._grid_scheme()
         else:
             # Caller-supplied adapters label the run with their own scheme.
@@ -711,7 +746,6 @@ class _ShardEngine:
         self.adapters = adapters
         n = len(adapters)
         mdp = fld.mdp
-        build = spec.build if spec.build is not None else _ShardBuild()
         self.interference = build.interference_for(spec)
         self.goodput = GoodputModel(timing=fld.timing, num_nodes=fld.num_peripherals)
         self.draws_neg = fld.timing.negotiation_uniform_count(fld.num_peripherals)
@@ -751,15 +785,11 @@ class _ShardEngine:
         )
         self.hop_table = self.power_table = self.hop_draws = None
         if tabled:
-            # Probe each (stateless) policy once per reachable state.
-            state_codes = [J_CODE, TJ_CODE, *range(1, mdp.sweep_cycle)]
-            self.hop_table = np.zeros((n, len(state_codes)), dtype=bool)
-            self.power_table = np.zeros((n, len(state_codes)), dtype=np.intp)
-            for i, adapter in enumerate(adapters):
-                for j, code in enumerate(state_codes):
-                    action = adapter.policy.action(code_state(code))
-                    self.hop_table[i, j] = action.hop
-                    self.power_table[i, j] = action.power_index
+            self.hop_table, self.power_table = (
+                build.tables
+                if adapters is build.fleet
+                else _probe_tables(adapters, mdp)
+            )
             # A fleet sharing one hop pool hops through emulated draws on
             # each adapter's own stream: StatePolicyAdapter.hop's others[j]
             # is pool[j + (j >= position of the current channel)].
@@ -767,13 +797,18 @@ class _ShardEngine:
                 tuple(a.hop_channels or range(mdp.num_channels)) for a in adapters
             }
             pool = next(iter(pools))
-            if (
+            arrays = (
                 fleet
                 and len(pools) == 1
                 and len(set(pool)) == len(pool)
                 and all(a.channel in pool for a in adapters)
                 and BoundedDraws.supports([a._rng for a in adapters])
-            ):
+            )
+            if fleet and self.cfg.adapter_factory is None:
+                build.keep_fleet(
+                    adapters if arrays else None, (self.hop_table, self.power_table)
+                )
+            if arrays:
                 self.hop_pool = np.asarray(pool, dtype=np.intp)
                 self.hop_position = np.zeros(mdp.num_channels, dtype=np.intp)
                 self.hop_position[self.hop_pool] = np.arange(len(pool))
@@ -1164,9 +1199,11 @@ class FieldGrid:
     call builds each shard's invariants once (:class:`_ShardBuild`: the
     interference arrays, the seeded streams, the paper sweep's jammers)
     and later calls reuse them, rewinding every stream to its seeded
-    state, so calling it twice returns identical results. Adapters come
-    from the factory on every call, and shards run in pool workers are
-    built there on every call.
+    state, so calling it twice returns identical results. The default
+    factory's table fleet (``scheme="optimal"``, run as table lookups
+    and hop draws) is kept the same way; any other fleet comes from its
+    factory on every call. Shards run in pool workers are built there
+    on every call.
     """
 
     def __init__(

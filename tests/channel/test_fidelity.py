@@ -10,6 +10,7 @@ traffic into the metrics registry.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.channel.fidelity import (
@@ -411,13 +412,54 @@ class TestJamAdjudicator:
         assert not adj.defeats(11.4, 10.0, uniform=min(s * 1.5, 0.999))
 
     def test_survival_array_matches_scalar(self):
+        # Against a fresh adjudicator's scalar per element, for every
+        # non-analytic tier: paired, broadcast, 2-D and empty inputs.
+        calibration = calibrate(**CAL_KW)
+        tiers = {
+            "hybrid": lambda: JamAdjudicator("hybrid", calibration=calibration),
+            "waveform": lambda: JamAdjudicator("waveform", seed=2, trials=4),
+        }
+        levels = [6.0, 11.4, 15.0]
+        cases = [
+            (levels, [10.0, 10.0, 10.0]),
+            (11.4, [8.0, 10.0, 12.0]),
+            (levels, 10.0),
+            (11.4, 10.0),
+            ([[6.0, 11.4, 15.0], [15.0, 6.0, 11.4]], [8.0, 10.0, 12.0]),
+            ([[6.0], [11.4]], [[8.0, 10.0, 12.0]]),
+            ([], []),
+            (np.empty((0, 3)), [8.0, 10.0, 12.0]),
+        ]
+        for make in tiers.values():
+            adj, ref = make(), make()
+            for tx, jam in cases:
+                arr = adj.survival_array(tx, jam)
+                want = np.broadcast_shapes(np.shape(tx), np.shape(jam))
+                assert arr.shape == want and arr.dtype == np.float64
+                pairs = zip(*(a.ravel() for a in np.broadcast_arrays(tx, jam)))
+                for (t, j), got in zip(pairs, arr.ravel()):
+                    assert got == ref.survival_probability(t, j)
+
+    def test_survival_array_evaluates_each_distinct_pair_once(self, monkeypatch):
+        # Continuous powers: ~2,000 distinct pairs, each present twice. A
+        # cross product of the distinct tx and jam values would be 4e6.
         adj = JamAdjudicator("hybrid", calibration=calibrate(**CAL_KW))
-        tx = [6.0, 11.4, 15.0]
-        jam = [10.0, 10.0, 10.0]
-        arr = adj.survival_array(tx, jam)
-        assert arr.shape == (3,)
-        for t, j, got in zip(tx, jam, arr):
-            assert got == adj.survival_probability(t, j)
+        rng = np.random.default_rng(7)
+        tx = np.tile(rng.uniform(0.0, 20.0, 2000), 2)
+        jam = np.tile(rng.uniform(0.0, 20.0, 2000), 2)
+        ref = JamAdjudicator("hybrid", calibration=calibrate(**CAL_KW))
+        want = [ref.survival_probability(t, j) for t, j in zip(tx, jam)]
+        calls = []
+        scalar = adj.survival_probability
+
+        def counting(t, j):
+            calls.append((t, j))
+            return scalar(t, j)
+
+        monkeypatch.setattr(adj, "survival_probability", counting)
+        got = adj.survival_array(tx, jam)
+        assert len(calls) == len(set(calls)) == 2000
+        assert got.tolist() == want
 
     def test_hybrid_jam_success_probability_modes(self):
         adj = JamAdjudicator(

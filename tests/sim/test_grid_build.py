@@ -1,12 +1,13 @@
 """A grid builds its shards once and reuses the build on every run.
 
-``FieldGrid.run`` keeps each shard's interference arrays, seeded streams
-and paper-sweep jammers from its first call and rewinds the streams on
-every later call. The contract under test: any sequence of runs on one
-grid equals the same runs on fresh grids, bit for bit, for every fleet
-shape, adversary and sampling mode; concurrent runs and runs after a
-failed one included. A spec shipped to a pool worker carries an empty
-build, never a generator.
+``FieldGrid.run`` keeps each shard's interference arrays, seeded streams,
+paper-sweep jammers and default-factory table fleet from its first call
+and rewinds the streams on every later call. The contract under test: any
+sequence of runs on one grid equals the same runs on fresh grids, bit for
+bit, for every fleet shape, adversary and sampling mode; concurrent runs
+and runs after a failed one included. Every other fleet comes from its
+factory on every run. A spec shipped to a pool worker carries an empty
+build, never a generator or a fleet.
 """
 
 import dataclasses
@@ -18,11 +19,13 @@ import threading
 import numpy as np
 import pytest
 
+from repro import rng as rng_module
 from repro.core.dqn import DQNAgent, DQNConfig
+from repro.core.policy import ThresholdPolicy
 from repro.jamming.jammer import ReactiveJammerConfig
 from repro.rng import derive
 from repro.sim import shard
-from repro.sim.field import DQNPolicyAdapter, FieldConfig
+from repro.sim.field import DQNPolicyAdapter, FieldConfig, StatePolicyAdapter
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.sim.shard import FieldGrid, GridConfig, InterferenceModel
 
@@ -39,6 +42,30 @@ class _DQNFleet:
     def __call__(self, mdp, net_seed):
         agent = self.agents[net_seed % len(self.agents)]
         return DQNPolicyAdapter(agent, mdp, seed=derive(net_seed, "grid-adapter"))
+
+
+class _ThresholdFleet:
+    """Picklable factory: one threshold table policy object per network."""
+
+    def __call__(self, mdp, net_seed):
+        policy = ThresholdPolicy(
+            threshold=1 + net_seed % (mdp.sweep_cycle - 1),
+            stay_power_index=net_seed % mdp.num_power_levels,
+            hop_power_index=0,
+        )
+        return StatePolicyAdapter(policy, mdp, seed=derive(net_seed, "grid-adapter"))
+
+
+class _CountingFactory:
+    """Wraps a factory and counts the adapters it makes."""
+
+    def __init__(self, factory):
+        self.factory = factory
+        self.calls = 0
+
+    def __call__(self, mdp, net_seed):
+        self.calls += 1
+        return self.factory(mdp, net_seed)
 
 
 def _field(sampling: str, channel: str | None = None, **jammer) -> FieldConfig:
@@ -78,6 +105,16 @@ def _fleet(name: str) -> GridConfig:
             interference=InterferenceModel(),
             **dense,
         )
+    if name == "threshold":
+        return GridConfig(
+            field=_field("aggregate", "hybrid"),
+            num_networks=8,
+            adapter_factory=_ThresholdFleet(),
+            interference=InterferenceModel(),
+            **dense,
+        )
+    if name in ("psv", "rand"):
+        return GridConfig(field=_field("aggregate"), num_networks=6, scheme=name)
     if name == "deception":
         return GridConfig(field=_field("aggregate"), num_networks=6, scheme="deception")
     if name == "packet":
@@ -102,7 +139,16 @@ def _fleet(name: str) -> GridConfig:
     raise ValueError(name)
 
 
-FLEETS = ("table-hybrid", "dqn", "deception", "packet", "reactive")
+FLEETS = (
+    "table-hybrid",
+    "dqn",
+    "threshold",
+    "psv",
+    "rand",
+    "deception",
+    "packet",
+    "reactive",
+)
 
 
 def _assert_same(got, want) -> None:
@@ -136,6 +182,58 @@ def test_reactive_jammers_are_built_per_run(monkeypatch):
         assert len(built) == per_run
 
 
+def test_default_table_fleet_is_built_once(monkeypatch):
+    made, derived = [], []
+    init = StatePolicyAdapter.__init__
+    derive_stream = shard.derive
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    def counting_derive(*args, **kwargs):
+        derived.append(1)
+        return derive_stream(*args, **kwargs)
+
+    monkeypatch.setattr(StatePolicyAdapter, "__init__", counting_init)
+    monkeypatch.setattr(shard, "derive", counting_derive)
+    # The optimal table fleet is kept; psv and rand policies are stepped,
+    # so their fleets (an adapter and a policy stream each) are rebuilt.
+    for fleet, per_network in (("table-hybrid", 0), ("psv", 1), ("rand", 1)):
+        cfg = _fleet(fleet)
+        grid = FieldGrid(cfg, seed=SEED)
+        grid.run(5)
+        made.clear()
+        derived.clear()
+        grid.run(5)
+        assert len(made) == per_network * cfg.num_networks
+        assert len(derived) == 2 * len(made)
+
+
+@pytest.mark.parametrize("fleet", ["dqn", "threshold"])
+def test_custom_factory_is_called_every_run(fleet):
+    cfg = _fleet(fleet)
+    factory = _CountingFactory(cfg.adapter_factory)
+    grid = FieldGrid(dataclasses.replace(cfg, adapter_factory=factory), seed=SEED)
+    for runs, slots in enumerate(RUNS, start=1):
+        grid.run(slots)
+        assert factory.calls == runs * cfg.num_networks
+
+
+def test_kept_fleet_dropped_once_it_is_stepped(monkeypatch):
+    # A kept fleet stepped as objects (no exact bounded draws) is written
+    # to, so the grid drops it and later runs build a fresh one.
+    cfg = _fleet("table-hybrid")
+    grid = FieldGrid(cfg, seed=SEED)
+    grid.run(10)
+    with monkeypatch.context() as patch:
+        patch.setattr(rng_module, "bounded_draws_exact", lambda: False)
+        _assert_same(grid.run(10), FieldGrid(cfg, seed=SEED).run(10))
+        assert grid._builds[0].fleet is None
+    _assert_same(grid.run(10), FieldGrid(cfg, seed=SEED).run(10))
+    assert grid._builds[0].fleet is not None
+
+
 def test_sharded_pool_runs_equal_one_shard():
     cfg = dataclasses.replace(_fleet("table-hybrid"), num_networks=10)
     one = FieldGrid(cfg, seed=SEED, shards=1)
@@ -162,11 +260,13 @@ def test_pickled_spec_holds_no_generator():
     assert len(specs) == 2
     for spec in specs:
         assert spec.build.interference is not None and spec.build.field
+        assert spec.build.fleet and spec.build.tables is not None
         finder = _GeneratorFinder(io.BytesIO())
         finder.dump(spec)
         assert finder.generators == 0
         shipped = pickle.loads(pickle.dumps(spec)).build
         assert shipped.interference is None and not shipped.field
+        assert shipped.fleet is None and shipped.tables is None
 
 
 def test_concurrent_runs_equal_a_fresh_grid():

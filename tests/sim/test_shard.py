@@ -18,6 +18,7 @@ from repro.sim.field import (
     DQNPolicyAdapter,
     FieldConfig,
     FieldExperiment,
+    FieldResult,
 )
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.sim.shard import (
@@ -44,6 +45,17 @@ def _field_config(sampling: str = "aggregate") -> FieldConfig:
 
 def _grid_config(sampling: str = "aggregate", **kwargs) -> GridConfig:
     return GridConfig(field=_field_config(sampling), **kwargs)
+
+
+def _network_result(result, index: int) -> FieldResult:
+    """Network ``index`` of a grid result in solo :class:`FieldResult` form."""
+    return FieldResult(
+        slots=result.slots,
+        goodput_pkts_per_slot=float(result.goodput_pkts_per_slot[index]),
+        utilization=float(result.utilization[index]),
+        metrics=result.metrics[index],
+        records=result.records[index] if result.records is not None else (),
+    )
 
 
 def _solo_result(sampling: str, seed: int, index: int, slots: int = SLOTS):
@@ -121,7 +133,7 @@ class TestSoloEquivalence:
         # a multi-network grid replays alone on its derived seed.
         seed, index = 3, 4
         grid = FieldGrid(_grid_config(sampling, num_networks=6), seed=seed)
-        got = grid.run(SLOTS).network_result(index)
+        got = _network_result(grid.run(SLOTS), index)
         want = _solo_result(sampling, seed, index)
         assert got.goodput_pkts_per_slot == want.goodput_pkts_per_slot
         assert got.utilization == want.utilization
@@ -640,7 +652,7 @@ class TestChannelTierGrids:
         # uniforms a solo replay of each network draws.
         seed, index = 3, 2
         cfg = self._cfg(sampling, "hybrid", num_networks=4)
-        got = FieldGrid(cfg, seed=seed).run(SLOTS).network_result(index)
+        got = _network_result(FieldGrid(cfg, seed=seed).run(SLOTS), index)
         net = network_seed(seed, index)
         adapter = SchemeAdapterFactory("optimal")(cfg.field.mdp, net)
         want = FieldExperiment(cfg.field, adapter, seed=net).run_experiment(
