@@ -1,10 +1,10 @@
-"""Shared fixtures for the figure-regeneration benchmarks.
+"""Shared fixtures for the figure and study benchmarks.
 
-Each benchmark reproduces one paper figure: it computes the figure's data
-(timed once via ``benchmark.pedantic``), asserts the qualitative shape the
-paper reports, prints the table to the terminal (bypassing capture),
-writes it to ``benchmarks/results/<test>.txt`` and snapshots the stage
-timings to ``benchmarks/results/BENCH_<figure-fn>.json``.
+A benchmark computes its data (timed once via ``benchmark.pedantic``),
+asserts the qualitative shape the paper reports, prints the table to the
+terminal (bypassing capture), writes it to
+``benchmarks/results/<test>.txt`` and snapshots the stage timings to
+``benchmarks/results/BENCH_<fn>.json``.
 
 Budgets: the evaluation slot count defaults to the paper's 20 000 and can
 be reduced for quick runs with ``REPRO_BENCH_SLOTS=2000 pytest benchmarks/``;
@@ -72,9 +72,9 @@ def field_slots() -> int:
 def report(request, capsys):
     """Print a result table to the terminal and persist it to disk."""
 
-    def _report(text: str) -> None:
+    def _report(text: str, name: str | None = None) -> None:
         RESULTS_DIR.mkdir(exist_ok=True)
-        name = request.node.name.replace("/", "_")
+        name = name or request.node.name.replace("/", "_")
         (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         with capsys.disabled():
             print(f"\n{text}\n")
@@ -82,14 +82,15 @@ def report(request, capsys):
     return _report
 
 
-def run_once(benchmark, fn, *args, **kwargs):
+def run_once(benchmark, fn, *args, stage: str | None = None, **kwargs):
     """Time ``fn`` exactly once (figure computations are minutes-scale).
 
-    Wall-clock lands in the timing registry under the figure function's
-    name and the whole registry is snapshotted to ``BENCH_<name>.json`` —
-    the per-stage perf trajectory artifact for this benchmark run.
+    Wall-clock lands in the timing registry under ``stage`` (default: the
+    function's name) and the whole registry is snapshotted to
+    ``BENCH_<stage>.json`` — the per-stage perf trajectory artifact for
+    this benchmark run.
     """
-    name = fn.__name__
+    name = stage or fn.__name__
     with obs_trace.span(f"bench/{name}"), timing.REGISTRY.stage(name):
         result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
     timing.write_bench(

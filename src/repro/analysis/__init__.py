@@ -1,8 +1,9 @@
 """Analysis utilities: statistics, table rendering, figure-data generators.
 
 :mod:`repro.analysis.figures` holds one function per data-bearing figure of
-the paper; the benchmark harness, the CLI and EXPERIMENTS.md all draw from
-these single sources of truth.
+the paper; :mod:`repro.analysis.registry` holds one row per figure (its
+compute call, printed table and claims), which ``repro figure``, the
+figure bench and ``tests/claims`` all read.
 """
 
 from repro.analysis.stats import SeriesSummary, mean_confidence_interval, summarize

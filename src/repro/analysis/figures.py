@@ -1,9 +1,9 @@
 """Figure-data generators — one entry point per data-bearing paper figure.
 
-Every generator returns plain data structures (lists of rows) so the
-benchmark harness can print them, tests can assert on their shape, and the
-CLI can dump them as tables. The heavy parameter sweeps of Figs. 6–8 share
-one cached computation.
+Every generator returns plain data structures (lists of rows);
+:mod:`repro.analysis.registry` turns each into a printed table and checks
+the paper's claims against it. The heavy parameter sweeps of Figs. 6–8
+share one cached computation.
 
 Policy choice for the sweeps: each point evaluates the *exact* value-
 iteration optimum of the configured MDP on the mechanistic sweep-jammer
@@ -269,36 +269,6 @@ def parameter_sweeps(
             continue
         out[sweep_name].append(SweepPoint(x, summary))
     return {name: tuple(points) for name, points in out.items()}
-
-
-def _select(sweeps, metric: str):
-    return {
-        name: [(p.x, getattr(p.metrics, metric)) for p in points]
-        for name, points in sweeps.items()
-    }
-
-
-def fig6_success_rate(jammer_mode: str, *, slots: int = 20_000, seed: int = 0):
-    """S_T vs L_J / sweep cycle / L_H / power floor (Fig. 6(a)-(d))."""
-    return _select(parameter_sweeps(jammer_mode, slots, seed), "success_rate")
-
-
-def fig7_adoption_rates(jammer_mode: str, *, slots: int = 20_000, seed: int = 0):
-    """A_H and A_P for the four sweeps (Fig. 7(a)-(h))."""
-    sweeps = parameter_sweeps(jammer_mode, slots, seed)
-    return {
-        "A_H": _select(sweeps, "fh_adoption_rate"),
-        "A_P": _select(sweeps, "pc_adoption_rate"),
-    }
-
-
-def fig8_action_success_rates(jammer_mode: str, *, slots: int = 20_000, seed: int = 0):
-    """S_H and S_P for the four sweeps (Fig. 8(a)-(h))."""
-    sweeps = parameter_sweeps(jammer_mode, slots, seed)
-    return {
-        "S_H": _select(sweeps, "fh_success_rate"),
-        "S_P": _select(sweeps, "pc_success_rate"),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +598,6 @@ __all__ = [
     "LP_LOWER_VALUES",
     "SweepPoint",
     "parameter_sweeps",
-    "fig6_success_rate",
-    "fig7_adoption_rates",
-    "fig8_action_success_rates",
     "fig9a_time_consumption",
     "fig9b_negotiation_time",
     "fig10_goodput_vs_duration",

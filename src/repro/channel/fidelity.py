@@ -690,6 +690,9 @@ class JamAdjudicator:
         cached = self._survival.get(key)
         if cached is not None:
             return cached
+        for name, power in zip(("tx_power", "jam_power"), key):
+            if math.isnan(power):
+                raise ChannelError(f"{name} is NaN (tx={key[0]}, jam={key[1]})")
         if self.analytic:
             result = 1.0 if key[0] >= key[1] else 0.0
         else:
@@ -706,8 +709,8 @@ class JamAdjudicator:
         Each distinct (tx, jam) pair is evaluated once and gathered back.
         A pair is one complex value, so a single 1-D ``np.unique`` finds
         the pairs present and the work never grows with the cross product
-        of the distinct tx and jam levels. Every NaN pair stays its own,
-        as each misses the scalar cache.
+        of the distinct tx and jam levels. A NaN power raises
+        :class:`ChannelError`, as it does in the scalar form.
         """
         tx = np.asarray(tx_powers, dtype=float)
         jam = np.asarray(jam_powers, dtype=float)

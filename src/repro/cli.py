@@ -25,8 +25,7 @@ import sys
 from pathlib import Path
 
 from repro import knobs
-from repro.analysis import figures as figures_mod
-from repro.analysis.stats import summarize
+from repro.analysis import registry
 from repro.analysis.tables import render_table
 from repro.core.mdp import AntiJammingMDP, JammerMode, MDPConfig
 from repro.core.solver import value_iteration
@@ -162,206 +161,37 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    name = args.name
-    if name == "2b":
-        rows = figures_mod.fig2b_jamming_effect()
-        table = [
-            [r.distance_m]
-            + [r.per[s] for s in ("EmuBee", "WiFi", "ZigBee")]
-            + [r.throughput_kbps[s] for s in ("EmuBee", "WiFi", "ZigBee")]
-            for r in rows
-        ]
-        print(
-            render_table(
-                [
-                    "d (m)",
-                    "PER EmuBee %",
-                    "PER WiFi %",
-                    "PER ZigBee %",
-                    "Tput Emu",
-                    "Tput WiFi",
-                    "Tput Zig",
-                ],
-                table,
-                title="Fig. 2(b): jamming effect vs distance",
-                digits=1,
+    figure = registry.BY_NAME[args.name]
+    budget = registry.Budget(
+        sweep_slots=args.slots,
+        field_slots=args.slots,
+        dqn_episodes=registry.PAPER_BUDGET.dqn_episodes if args.train_rl else 0,
+        waveform_trials=args.trials,
+        selfplay_episodes=args.selfplay_episodes,
+        sweep_strategy=args.sweep_strategy,
+        seed=args.seed,
+    )
+    results = figure.compute(budget)
+    print(figure.render(results))
+    if args.out and args.name == "adv":
+        out_path = Path(args.out)
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        out_path.write_text(
+            json.dumps(
+                {
+                    "figure": "adv",
+                    "slots": args.slots,
+                    "seed": args.seed,
+                    "sweep_strategy": args.sweep_strategy,
+                    "selfplay_episodes": args.selfplay_episodes,
+                    "results": results,
+                },
+                indent=2,
+                sort_keys=True,
             )
+            + "\n"
         )
-    elif name == "2b-wf":
-        runner = (
-            ParallelRunner(name="fig2b_waveform_validation.map")
-            if resolve_workers() > 1
-            else None
-        )
-        rows = figures_mod.fig2b_waveform_validation(
-            trials=args.trials, seed=args.seed, runner=runner
-        )
-        table = [
-            [
-                r.jam_to_signal_db,
-                r.measured["EmuBee"],
-                r.measured["WiFi"],
-                r.measured["ZigBee"],
-                r.predicted["EmuBee"],
-                r.predicted["ZigBee"],
-            ]
-            for r in rows
-        ]
-        print(
-            render_table(
-                [
-                    "J/S (dB)",
-                    "meas Emu",
-                    "meas WiFi",
-                    "meas Zig",
-                    "pred Emu",
-                    "pred Zig",
-                ],
-                table,
-                title="Fig. 2(b) validation: waveform trials vs chip-flip model",
-                digits=4,
-            )
-        )
-    elif name in ("6", "7", "8"):
-        for mode in JammerMode.ALL:
-            sweeps = figures_mod.parameter_sweeps(mode, args.slots, args.seed)
-            for sweep_name, points in sweeps.items():
-                rows = [
-                    [
-                        p.x,
-                        p.metrics.success_rate,
-                        p.metrics.fh_adoption_rate,
-                        p.metrics.fh_success_rate,
-                        p.metrics.pc_adoption_rate,
-                        p.metrics.pc_success_rate,
-                    ]
-                    for p in points
-                ]
-                print(
-                    render_table(
-                        [sweep_name, "S_T", "A_H", "S_H", "A_P", "S_P"],
-                        rows,
-                        title=f"Figs. 6-8 sweep: {sweep_name} ({mode} mode)",
-                    )
-                )
-                print()
-    elif name == "9a":
-        samples = figures_mod.fig9a_time_consumption(seed=args.seed)
-        rows = [
-            [k, s.mean * 1e3, s.std * 1e3, s.minimum * 1e3, s.maximum * 1e3]
-            for k, s in ((k, summarize(v)) for k, v in samples.items())
-        ]
-        print(
-            render_table(
-                ["function", "mean (ms)", "std", "min", "max"],
-                rows,
-                title="Fig. 9(a): time consumption (100 trials)",
-            )
-        )
-    elif name == "9b":
-        rows = figures_mod.fig9b_negotiation_time(seed=args.seed)
-        print(
-            render_table(
-                ["nodes", "mean (s)", "min (s)", "max (s)"],
-                rows,
-                title="Fig. 9(b): FH negotiation time vs network size",
-            )
-        )
-    elif name == "10":
-        rows = figures_mod.fig10_goodput_vs_duration(seed=args.seed)
-        print(
-            render_table(
-                ["slot (s)", "goodput (pkts/slot)", "utilization", "eff. Tx (s)"],
-                rows,
-                title="Fig. 10: goodput & utilisation vs Tx slot duration",
-            )
-        )
-    elif name == "11a":
-        agent = None
-        if args.train_rl:
-            log.info("training the RL FH agent (this takes a minute)")
-            agent = figures_mod.train_fig11_agent(seed=args.seed)
-        results = figures_mod.fig11a_scheme_comparison(
-            agent=agent,
-            slots=args.slots,
-            seed=args.seed,
-            sweep_strategy=args.sweep_strategy,
-        )
-        rows = [
-            [name_, vals["goodput"], vals["success_rate"], vals["utilization"]]
-            for name_, vals in results.items()
-        ]
-        print(
-            render_table(
-                ["scheme", "goodput (pkts/slot)", "S_T", "utilization"],
-                rows,
-                title="Fig. 11(a): anti-jamming scheme comparison",
-            )
-        )
-    elif name == "11b":
-        rows = figures_mod.fig11b_jammer_timeslot(
-            slots=args.slots, seed=args.seed, sweep_strategy=args.sweep_strategy
-        )
-        print(
-            render_table(
-                ["Jx slot (s)", "goodput (pkts/slot)"],
-                rows,
-                title="Fig. 11(b): goodput vs jammer slot duration (Tx slot 3 s)",
-            )
-        )
-    elif name == "adv":
-        adversaries = knobs.get("REPRO_ADVERSARIES", args.adversaries)
-        if "learning" in adversaries:
-            log.info(
-                "training the learning jammer via self-play",
-                episodes=args.selfplay_episodes,
-            )
-        results = figures_mod.adversary_scheme_comparison(
-            adversaries=adversaries,
-            slots=args.slots,
-            seed=args.seed,
-            selfplay_episodes=args.selfplay_episodes,
-            sweep_strategy=args.sweep_strategy,
-        )
-        rows = [
-            [
-                adversary,
-                scheme,
-                vals["goodput"],
-                vals["success_rate"],
-                vals["utilization"],
-            ]
-            for adversary, per_scheme in results.items()
-            for scheme, vals in per_scheme.items()
-        ]
-        print(
-            render_table(
-                ["adversary", "scheme", "goodput (pkts/slot)", "S_T", "utilization"],
-                rows,
-                title="Adversary suite: scheme comparison (fig 11(a) protocol)",
-            )
-        )
-        if args.out:
-            out_path = Path(args.out)
-            out_path.parent.mkdir(parents=True, exist_ok=True)
-            out_path.write_text(
-                json.dumps(
-                    {
-                        "figure": "adv",
-                        "slots": args.slots,
-                        "seed": args.seed,
-                        "sweep_strategy": args.sweep_strategy,
-                        "selfplay_episodes": args.selfplay_episodes,
-                        "results": results,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            log.info("wrote comparison artifact", path=str(out_path))
-    else:
-        raise ReproError(f"unknown figure {name!r}")
+        log.info("wrote comparison artifact", path=str(out_path))
     return 0
 
 
@@ -979,19 +809,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument(
         "name",
-        choices=[
-            "2b",
-            "2b-wf",
-            "6",
-            "7",
-            "8",
-            "9a",
-            "9b",
-            "10",
-            "11a",
-            "11b",
-            "adv",
-        ],
+        choices=list(registry.BY_NAME),
     )
     p.add_argument("--slots", type=int, default=5000)
     p.add_argument("--seed", type=int, default=0)
@@ -1025,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--train-rl",
         action="store_true",
-        help="train a DQN for fig 11a instead of using the exact optimum",
+        help="train a DQN for figs 11a/11b instead of using the exact optimum",
     )
     knobs.add_flags(p, "REPRO_CHANNEL")
     p.set_defaults(func=cmd_figure)

@@ -1,8 +1,9 @@
 """Shape tests for the figure-data generators (small budgets).
 
-The full-budget versions run in ``benchmarks/``; here each generator is
-exercised at reduced slot counts to assert the qualitative shapes the paper
-reports.
+The paper's claims for each figure are rows of
+``repro.analysis.registry.FIGURES``, checked by ``tests/claims`` and, at
+the full budget, by ``benchmarks/bench_figures.py``. These tests check
+the generators' structure and further shapes at reduced slot counts.
 """
 
 import numpy as np
@@ -43,9 +44,8 @@ class TestFig2b:
     def test_emubee_dominates_at_long_range(self):
         rows = F.fig2b_jamming_effect()
         long_range = [r for r in rows if r.distance_m >= 10]
-        for r in long_range:
-            assert r.per["EmuBee"] >= r.per["ZigBee"] >= r.per["WiFi"]
-        # And strictly dominant somewhere in that regime.
+        # The ranking itself is a Fig. 2(b) claim (tests/claims); here
+        # EmuBee leads ZigBee by > 10 points somewhere in that regime.
         assert any(r.per["EmuBee"] > r.per["ZigBee"] + 10 for r in long_range)
 
 
@@ -92,8 +92,8 @@ class TestFig6Shapes:
 
     def test_st_increases_with_sweep_cycle(self, sweeps_max):
         ys = [p.metrics.success_rate for p in sweeps_max["sweep_cycle"]]
-        assert ys[-1] > ys[0]
-        # Broadly increasing: Spearman correlation strongly positive.
+        # Broadly increasing (the endpoints are a Fig. 6(b) claim):
+        # correlation with the cycle strongly positive.
         xs = np.arange(len(ys))
         assert np.corrcoef(xs, ys)[0, 1] > 0.8
 
@@ -109,11 +109,6 @@ class TestFig6Shapes:
         )
         assert points[15.0] > 0.9
         assert points[15.0] > points[6.0]
-
-    def test_fig6_selector(self):
-        data = F.fig6_success_rate("max", slots=SLOTS, seed=0)
-        assert set(data) == {"loss_jam", "sweep_cycle", "loss_hop", "power_floor"}
-        assert all(len(v) > 0 for v in data.values())
 
 
 class TestFig7Shapes:
@@ -148,10 +143,6 @@ class TestFig7Shapes:
         ys = [p.metrics.pc_adoption_rate for p in sweeps_random["power_floor"]]
         assert ys[-1] >= ys[0]
 
-    def test_fig7_selector(self):
-        data = F.fig7_adoption_rates("max", slots=SLOTS, seed=0)
-        assert set(data) == {"A_H", "A_P"}
-
 
 class TestFig8Shapes:
     """Fig. 8: usefulness of FH and PC."""
@@ -172,10 +163,6 @@ class TestFig8Shapes:
         ys = [p.metrics.fh_success_rate for p in sweeps_max["sweep_cycle"]]
         nonzero = [y for y in ys if y > 0]
         assert nonzero[0] > nonzero[-1]
-
-    def test_fig8_selector(self):
-        data = F.fig8_action_success_rates("max", slots=SLOTS, seed=0)
-        assert set(data) == {"S_H", "S_P"}
 
 
 class TestFig9:

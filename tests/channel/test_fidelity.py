@@ -461,6 +461,18 @@ class TestJamAdjudicator:
         assert len(calls) == len(set(calls)) == 2000
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("tier", ["analytic", "hybrid", "waveform"])
+    def test_nan_power_raises_channel_error(self, tier):
+        adj = JamAdjudicator(tier, calibration=calibrate(**CAL_KW), trials=4)
+        bad = (("tx_power", math.nan, 10.0), ("jam_power", 10.0, math.nan))
+        for name, tx, jam in bad:
+            with pytest.raises(ChannelError, match=f"{name} is NaN"):
+                adj.survival_probability(tx, jam)
+            with pytest.raises(ChannelError, match=f"{name} is NaN"):
+                adj.survival_array([11.4, tx], [10.0, jam])
+        # Finite pairs still evaluate on the same adjudicator.
+        assert 0.0 <= adj.survival_probability(11.4, 10.0) <= 1.0
+
     def test_hybrid_jam_success_probability_modes(self):
         adj = JamAdjudicator(
             "hybrid", calibration=calibrate(**CAL_KW), packet_octets=4
