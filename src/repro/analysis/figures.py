@@ -120,7 +120,6 @@ def fig2b_waveform_validation(
     *,
     trials: int = 32,
     seed: int = 0,
-    runner: ParallelRunner | None = None,
     trial_batch: int | str | None = None,
 ) -> list[WaveformValidationRow]:
     """Validate the Fig. 2(b) chip-flip model against waveform ground truth.
@@ -132,8 +131,10 @@ def fig2b_waveform_validation(
     :func:`~repro.channel.link.chip_flip_probability` prediction (ZigBee
     at face-value margin, EmuBee with the fidelity penalty subtracted;
     Wi-Fi is noise-like, so the correlated model does not apply). The
-    per-point base seed depends only on ``(seed, signal, margin)``, so
-    results are identical for every runner/worker/batch configuration.
+    trial chunks run through :class:`repro.exec.ParallelRunner`
+    (``REPRO_WORKERS``); the per-point base seed depends only on
+    ``(seed, signal, margin)``, so results are identical for every
+    worker count and batch size.
     """
     from repro.channel.link import EMULATION_LOSS_DB, chip_flip_probability
     from repro.channel.trials import run_chip_flip_trials
@@ -143,6 +144,7 @@ def fig2b_waveform_validation(
         "WiFi": JammerSignalType.WIFI,
         "ZigBee": JammerSignalType.ZIGBEE,
     }
+    runner = ParallelRunner(name="fig2b_waveform_validation.map")
     rows = []
     for margin in margins:
         measured = {}

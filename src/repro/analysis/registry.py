@@ -27,7 +27,6 @@ from repro.analysis import figures
 from repro.analysis.stats import summarize
 from repro.analysis.tables import render_table
 from repro.core.mdp import JammerMode
-from repro.exec import ParallelRunner, resolve_workers
 from repro.obs import log as obs_log
 
 log = obs_log.get_logger("figures")
@@ -116,15 +115,6 @@ class Figure:
 # ---------------------------------------------------------------------------
 
 
-def _fig2b_wf(budget: Budget):
-    runner = None
-    if resolve_workers() > 1:
-        runner = ParallelRunner(name="fig2b_waveform_validation.map")
-    return figures.fig2b_waveform_validation(
-        trials=budget.waveform_trials, seed=budget.seed, runner=runner
-    )
-
-
 @lru_cache(maxsize=2)
 def _fig11_agent(episodes: int, seed: int):
     """The RL FH agent, trained once per budget for Figs. 11(a) and 11(b)."""
@@ -183,12 +173,12 @@ def _rises(values, slack: float) -> bool:
     return all(a <= b + slack for a, b in zip(values, values[1:]))
 
 
-def _km(rows, distance_m: float):
+def _at_distance(rows, distance_m: float):
     """The Fig. 2(b) row at ``distance_m``."""
     return next(r for r in rows if r.distance_m == distance_m)
 
 
-def _db(rows, margin_db: float):
+def _at_margin(rows, margin_db: float):
     """The Fig. 2(b) validation row at jam/signal ratio ``margin_db``."""
     return next(r for r in rows if r.jam_to_signal_db == margin_db)
 
@@ -211,8 +201,12 @@ def _fh_beats_pc(d) -> bool:
 
 
 def _ap_random_beats_max(d) -> bool:
-    rnd, top = (_ys(d, mode, "loss_jam", "A_P") for mode in ("random", "max"))
-    return sum(r >= t for r, t in zip(rnd, top)) >= 0.7 * len(rnd)
+    xs = [p.x for p in d["random"]["loss_jam"]]
+    wins = sum(
+        _at(d, "random", "loss_jam", "A_P", x) >= _at(d, "max", "loss_jam", "A_P", x)
+        for x in xs
+    )
+    return wins >= 0.7 * len(xs)
 
 
 def _sh_falls_where_nonzero(d) -> bool:
@@ -225,9 +219,6 @@ def _mean(samples, name: str) -> float:
 
 
 def _goodput(results, scheme: str) -> float:
-    """A Fig. 11(a) scheme's goodput; an untrained RL FH is the exact optimum."""
-    if scheme == "RL FH" and scheme not in results:
-        scheme = "RL FH (optimal)"
     return results[scheme]["goodput"]
 
 
@@ -246,34 +237,34 @@ _FIG2B = (
           lambda rows: all(r.per["EmuBee"] >= r.per["ZigBee"] >= r.per["WiFi"]
                            for r in rows if r.distance_m >= 8)),
     Claim("EmuBee is still lethal at 11 m: PER > 50 %",
-          lambda rows: _km(rows, 11.0).per["EmuBee"] > 50.0),
+          lambda rows: _at_distance(rows, 11.0).per["EmuBee"] > 50.0),
     Claim("raw Wi-Fi jamming is long dead at 11 m: PER < 20 %",
-          lambda rows: _km(rows, 11.0).per["WiFi"] < 20.0),
+          lambda rows: _at_distance(rows, 11.0).per["WiFi"] < 20.0),
 )
 
 _FIG2B_WF = (
     Claim("at 0 dB J/S correlated ZigBee chips flip > 10 % of chips",
-          lambda rows: _db(rows, 0.0).measured["ZigBee"] > 0.1),
+          lambda rows: _at_margin(rows, 0.0).measured["ZigBee"] > 0.1),
     Claim("at 0 dB J/S noise-like Wi-Fi flips < 3 % (DSSS processing gain)",
-          lambda rows: _db(rows, 0.0).measured["WiFi"] < 0.03),
+          lambda rows: _at_margin(rows, 0.0).measured["WiFi"] < 0.03),
     Claim("at 0 dB J/S Wi-Fi flips fewer chips than ZigBee",
-          lambda rows: _db(rows, 0.0).measured["WiFi"]
-          < _db(rows, 0.0).measured["ZigBee"]),
+          lambda rows: _at_margin(rows, 0.0).measured["WiFi"]
+          < _at_margin(rows, 0.0).measured["ZigBee"]),
     Claim("at 0 dB J/S the chip-flip model tracks measured ZigBee within 0.12",
-          lambda rows: abs(_db(rows, 0.0).measured["ZigBee"]
-                           - _db(rows, 0.0).predicted["ZigBee"]) < 0.12),
+          lambda rows: abs(_at_margin(rows, 0.0).measured["ZigBee"]
+                           - _at_margin(rows, 0.0).predicted["ZigBee"]) < 0.12),
     Claim("ZigBee and EmuBee chip damage grows with jammer power",
           lambda rows: all(_rises([r.measured[s] for r in rows], 1e-9)
                            for s in ("ZigBee", "EmuBee"))),
     Claim("at +6 dB J/S EmuBee flips fewer chips than ZigBee (emulation penalty)",
-          lambda rows: _db(rows, 6.0).measured["EmuBee"]
-          < _db(rows, 6.0).measured["ZigBee"]),
+          lambda rows: _at_margin(rows, 6.0).measured["EmuBee"]
+          < _at_margin(rows, 6.0).measured["ZigBee"]),
     Claim("at +6 dB J/S EmuBee flips more chips than Wi-Fi",
-          lambda rows: _db(rows, 6.0).measured["EmuBee"]
-          > _db(rows, 6.0).measured["WiFi"]),
+          lambda rows: _at_margin(rows, 6.0).measured["EmuBee"]
+          > _at_margin(rows, 6.0).measured["WiFi"]),
 )
 
-_FIGS6_8 = (
+_FIG6_7_8 = (
     Claim("Fig. 6(a) max: S_T < 0.01 at L_J = 10 (dead zone below L_J ~ 15)",
           lambda d: _at(d, "max", "loss_jam", "S_T", 10.0) < 0.01),
     Claim("Fig. 6(a) max: 0.60 < S_T < 0.85 at L_J = 100 (paper plateau ~78 %)",
@@ -419,7 +410,9 @@ FIGURES: tuple[Figure, ...] = (
         digits=1, claims=_FIG2B,
     ),
     Figure(
-        ("2b-wf",), _fig2b_wf,
+        ("2b-wf",),
+        lambda b: figures.fig2b_waveform_validation(
+            trials=b.waveform_trials, seed=b.seed),
         "Fig. 2(b) validation: waveform trials vs chip-flip model",
         ("J/S (dB)", "meas Emu", "meas WiFi", "meas Zig", "pred Emu", "pred Zig"),
         lambda rows: [[r.jam_to_signal_db, *(r.measured[s] for s in _SIGNALS),
@@ -436,7 +429,7 @@ FIGURES: tuple[Figure, ...] = (
                         for p in points],
         parts=lambda d: [((sweep, mode), points) for mode in JammerMode.ALL
                          for sweep, points in d[mode].items()],
-        claims=_FIGS6_8,
+        claims=_FIG6_7_8,
     ),
     Figure(
         ("9a",), lambda b: figures.fig9a_time_consumption(seed=b.seed),

@@ -36,9 +36,7 @@ def _cases():
                 if claim.open
                 else ()
             )
-            yield pytest.param(
-                figure, claim, id=f"{figure.key}-{index}", marks=marks
-            )
+            yield pytest.param(figure, claim, id=f"{figure.key}-{index}", marks=marks)
 
 
 @pytest.mark.parametrize("figure, claim", list(_cases()))
