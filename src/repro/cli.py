@@ -43,7 +43,7 @@ from repro.channel.fidelity import (
     calibrate,
 )
 from repro.channel.link import JammerSignalType, chip_flip_probability
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.exec import ParallelRunner, resolve_workers
 from repro.exec import timing
 from repro.jamming.strategies import STRATEGY_NAMES
@@ -161,6 +161,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    if args.out and args.name != "adv":
+        raise ConfigurationError(
+            f"--out writes the figure-adv comparison artifact only; "
+            f"figure {args.name} has none"
+        )
     figure = registry.BY_NAME[args.name]
     budget = registry.Budget(
         sweep_slots=args.slots,
@@ -173,7 +178,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
     )
     results = figure.compute(budget)
     print(figure.render(results))
-    if args.out and args.name == "adv":
+    if args.out:
         out_path = Path(args.out)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(
@@ -831,7 +836,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out",
         default=None,
-        help="write the figure-adv comparison results as a JSON artifact",
+        help="write the figure-adv comparison results as a JSON artifact "
+        "(figure adv only; any other figure refuses --out)",
     )
     p.add_argument(
         "--trials",
@@ -1110,16 +1116,18 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_obs_shim(argv))
     obs_log.configure(quiet=args.quiet)
     # Knob flags go to the environment before anything resolves a knob, so
-    # the trace manifest records them too.
-    knobs.export_flags(args)
-    # ``obs`` reads traces/telemetry; it must never record into the very
-    # file it is asked to summarise when REPRO_TRACE/REPRO_TELEM point
-    # at it.
-    if args.command == "obs":
-        sink.disable()
-    else:
-        obs_trace.start_run(command=args.command)
+    # the trace manifest records them too, and are restored on the way
+    # out, so a later main() in the same process starts from the caller's
+    # environment.
+    exported = knobs.export_flags(args)
     try:
+        # ``obs`` reads traces/telemetry; it must never record into the
+        # very file it is asked to summarise when REPRO_TRACE/REPRO_TELEM
+        # point at it.
+        if args.command == "obs":
+            sink.disable()
+        else:
+            obs_trace.start_run(command=args.command)
         with timing.stage(f"cli.{args.command}"):
             with obs_trace.span(f"cli/{args.command}"):
                 return args.func(args)
@@ -1132,6 +1140,7 @@ def main(argv: list[str] | None = None) -> int:
             path = sink.finish(stream).get(stream)
             if path is not None:
                 log.info(f"{what} written", path=str(path))
+        knobs.restore_flags(exported)
 
 
 if __name__ == "__main__":

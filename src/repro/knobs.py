@@ -249,13 +249,27 @@ def add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.set_defaults(knob_flags=declared)
 
 
-def export_flags(args: argparse.Namespace) -> None:
+def export_flags(args: argparse.Namespace) -> dict[str, str | None]:
     """Export the knob flags given on the command line to the environment.
 
     The library reads a knob from the environment wherever a call does
     not pass it explicitly, so exporting reaches every layer at once.
+    Returns each exported variable's prior value (``None``: unset), for
+    :func:`restore_flags`.
     """
+    prior: dict[str, str | None] = {}
     for name, dest in getattr(args, "knob_flags", {}).items():
         value = getattr(args, dest)
         if value is not None:
+            prior[name] = os.environ.get(name)
+            os.environ[name] = value
+    return prior
+
+
+def restore_flags(prior: dict[str, str | None]) -> None:
+    """Undo :func:`export_flags`: reset or unset each exported variable."""
+    for name, value in prior.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
             os.environ[name] = value

@@ -33,7 +33,6 @@ from repro.serve.batcher import (
     SERVE_DEADLINE_ENV,
     SERVE_QUEUE_ENV,
     Decision,
-    DecisionRequest,
     MicroBatcher,
     ShedDecision,
     resolve_serve_admission,
@@ -62,7 +61,6 @@ __all__ = [
     "SERVE_DEADLINE_ENV",
     "SERVE_QUEUE_ENV",
     "Decision",
-    "DecisionRequest",
     "DecisionServer",
     "LoadGenConfig",
     "LoadReport",

@@ -1,11 +1,12 @@
 """Micro-batching scheduler for the decision service.
 
 This module is the one home of the serving rules: the four
-``REPRO_SERVE_*`` knobs, the pending FIFO, admission control, building
-:class:`DecisionRequest` objects, and the flush (stacked forward,
-``serve.*`` metrics, one :class:`Decision` per request). Both front-ends
-run them: :class:`MicroBatcher` on its own, and the asyncio
-:class:`~repro.serve.server.DecisionServer` through one batcher.
+``REPRO_SERVE_*`` knobs, the pending FIFO of plain ``(network_id, policy,
+observation, submitted_at)`` tuples, admission control, and the flush
+(stacked forward, ``serve.*`` metrics, one :class:`Decision` per
+request). Both front-ends run them: :class:`MicroBatcher` on its own,
+and the asyncio :class:`~repro.serve.server.DecisionServer` through one
+batcher.
 
 Concurrent decision requests are coalesced under a size-or-deadline
 trigger into single stacked forward passes through the
@@ -81,16 +82,6 @@ def resolve_serve_admission(value: str | None = None) -> str:
 
 
 @dataclass(frozen=True)
-class DecisionRequest:
-    """One network asking "which action next?"."""
-
-    network_id: int
-    policy: int
-    observation: np.ndarray
-    submitted_at: float
-
-
-@dataclass(frozen=True)
 class Decision:
     """A served action, annotated with how it was served."""
 
@@ -139,7 +130,8 @@ class MicroBatcher:
         self.queue_limit = resolve_serve_queue(queue_limit)
         self.admission = resolve_serve_admission(admission)
         self.clock = clock if clock is not None else MonotonicClock()
-        self._pending: list[DecisionRequest] = []
+        # (network_id, policy, observation, submitted_at), oldest first.
+        self._pending: list[tuple[int, int, np.ndarray, float]] = []
 
     @property
     def pending_depth(self) -> int:
@@ -154,7 +146,7 @@ class MicroBatcher:
         """When the oldest pending request must be flushed (None if idle)."""
         if not self._pending:
             return None
-        return self._pending[0].submitted_at + self.deadline_s
+        return self._pending[0][3] + self.deadline_s
 
     def submit(
         self, network_id: int, policy: int, observation: np.ndarray
@@ -208,11 +200,11 @@ class MicroBatcher:
         """
         now = self.clock.now()
         self._pending.append(
-            DecisionRequest(
-                network_id=int(network_id),
-                policy=int(policy),
-                observation=np.asarray(observation, dtype=np.float64),
-                submitted_at=now,
+            (
+                int(network_id),
+                int(policy),
+                np.asarray(observation, dtype=np.float64),
+                now,
             )
         )
         if len(self._pending) >= self.max_batch:
@@ -247,22 +239,19 @@ class MicroBatcher:
             now = self.clock.now()
         batch = self._pending[: self.max_batch]
         self._pending = self._pending[self.max_batch :]
-        policies = np.array([r.policy for r in batch], dtype=np.intp)
-        observations = np.stack([r.observation for r in batch])
-        actions = self.store.decide_batch(policies, observations)
-        METRICS.inc("serve.decisions", len(batch))
+        size = len(batch)
+        network_ids, policies, observations, submitted = zip(*batch)
+        actions = self.store.decide_batch(
+            np.array(policies, dtype=np.intp), np.stack(observations)
+        ).tolist()
+        METRICS.inc("serve.decisions", size)
         METRICS.inc("serve.batches")
-        METRICS.observe("serve.batch_size", len(batch))
-        latencies = [max(now - r.submitted_at, 0.0) for r in batch]
+        METRICS.observe("serve.batch_size", size)
+        latencies = [max(now - at, 0.0) for at in submitted]
         METRICS.observe_many("serve.latency_s", latencies)
         return [
-            Decision(
-                network_id=request.network_id,
-                action=int(action),
-                batch_size=len(batch),
-                latency_s=latency,
-            )
-            for request, action, latency in zip(batch, actions, latencies)
+            Decision(network_id, action, size, latency)
+            for network_id, action, latency in zip(network_ids, actions, latencies)
         ]
 
 
@@ -280,7 +269,6 @@ __all__ = [
     "resolve_serve_deadline_ms",
     "resolve_serve_queue",
     "resolve_serve_admission",
-    "DecisionRequest",
     "Decision",
     "ShedDecision",
     "MicroBatcher",

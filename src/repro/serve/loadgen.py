@@ -5,7 +5,9 @@ next?" in a closed loop: each network submits a request, waits for its
 decision, applies it to a local 3·I observation history (the exact
 encoding :class:`repro.sim.field.DQNPolicyAdapter` feeds a deployed
 agent), draws a synthetic slot outcome from its own seeded rng stream,
-and thinks for an exponential delay before asking again.
+and thinks for an exponential delay before asking again. The history is
+one flat float64 array, shifted by one 3-value row per decision; each
+request carries a copy of it.
 
 Two drivers share the same client model:
 
@@ -101,26 +103,25 @@ class _NetworkClient:
         self.powers = powers
         self.remaining = requests
         channel = int(self.rng.integers(channels))
-        self._history: list[tuple[float, float, float]] = [
-            (1.0, channel / max(channels - 1, 1), 0.0)
-        ] * history_length
+        # Flat (outcome, channel, power) rows, oldest first, and the views
+        # absorb shifts and writes through.
+        history = np.tile([1.0, channel / max(channels - 1, 1), 0.0], history_length)
+        self._history = history
+        self._older, self._newer, self._newest = history[:-3], history[3:], history[-3:]
 
     def observation(self) -> np.ndarray:
-        return np.array(self._history, dtype=np.float64).reshape(-1)
+        return self._history.copy()
 
     def absorb(self, action: int) -> None:
         """Apply a served action and draw this slot's synthetic outcome."""
         channel, power = divmod(int(action), self.powers)
         draw = self.rng.random()
         outcome = 1.0 if draw < 0.6 else (0.5 if draw < 0.8 else 0.0)
-        self._history.pop(0)
-        self._history.append(
-            (
-                outcome,
-                channel / max(self.channels - 1, 1),
-                power / max(self.powers - 1, 1),
-            )
-        )
+        self._older[...] = self._newer
+        newest = self._newest
+        newest[0] = outcome
+        newest[1] = channel / max(self.channels - 1, 1)
+        newest[2] = power / max(self.powers - 1, 1)
 
     def think_time(self, mean_s: float) -> float:
         return float(self.rng.exponential(mean_s)) if mean_s > 0 else 0.0

@@ -10,11 +10,17 @@ refusal, and the flush (one stacked forward through the
 running loop's clock, so a decision's ``latency_s`` is flush time minus
 submit time on ``loop.time()``.
 
-The server adds only what asyncio adds: one future per queued request,
-resolved in the batcher's FIFO order; a ``loop.call_at`` timer that
-flushes when the oldest request reaches its deadline; and, in ``queue``
-admission mode, suspending the caller on an event until a flush frees
-capacity (where the synchronous batcher flushes to make room instead).
+The server adds only what asyncio adds: a deque of futures, one per
+request in the batcher's queue (the queue itself holds plain tuples),
+resolved in its FIFO order; a ``loop.call_at`` timer that flushes when
+the oldest request reaches its deadline; and, in ``queue`` admission
+mode, suspending the caller on an event until a flush frees capacity
+(where the synchronous batcher flushes to make room instead).
+
+Every step that answers, fails or must arm the timer runs through
+``_run``. An enqueue that can do none of these (the timer is armed and
+the request cannot fill a batch) is made inline; if it raises, only its
+own caller, the newest, gets the error.
 
 ``stop()`` drains gracefully: new submissions are refused, everything
 already queued is flushed and answered, then queued waiters are released.
@@ -85,9 +91,19 @@ class DecisionServer:
             # queue: wait until a flush frees capacity, then re-check.
             self._space.clear()
             await self._space.wait()
+        batcher = self.batcher
         future = asyncio.get_running_loop().create_future()
         self._futures.append(future)
-        self._run(self.batcher.enqueue, network_id, policy, observation)
+        if self._timer is not None and batcher.pending_depth + 1 < batcher.max_batch:
+            # The timer is armed and this request cannot fill the batch:
+            # the enqueue answers nobody and needs no timer, so skip _run.
+            try:
+                batcher.enqueue(network_id, policy, observation)
+            except Exception:
+                self._futures.pop()
+                raise
+        else:
+            self._run(batcher.enqueue, network_id, policy, observation)
         return await future
 
     # -- lifecycle -------------------------------------------------------------

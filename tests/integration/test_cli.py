@@ -60,6 +60,14 @@ class TestFigureCommand:
         assert main(["figure", "11b", "--slots", "30"]) == 0
         assert "Jx slot" in capsys.readouterr().out
 
+    def test_out_is_refused_for_figures_without_an_artifact(self, capsys, tmp_path):
+        path = tmp_path / "fig10.json"
+        assert main(["figure", "10", "--out", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "--out" in captured.err
+        assert captured.out == ""  # refused before any compute
+        assert not path.exists()
+
 
 class TestEmulateCommand:
     def test_emulates_hex(self, capsys):

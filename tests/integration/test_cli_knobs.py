@@ -1,5 +1,7 @@
 """CLI flags derived from the knob registry take each knob's own grammar."""
 
+import os
+
 import pytest
 
 from repro import knobs
@@ -8,8 +10,8 @@ from repro.cli import build_parser, main
 
 @pytest.fixture(autouse=True)
 def restore_flag_knobs(monkeypatch):
-    # main() exports knob flags to the environment; recording every flagged
-    # knob first lets monkeypatch restore them after each test.
+    # Blank every flagged knob, so a variable set outside the test run
+    # cannot stand in for a flag (monkeypatch restores them afterwards).
     for knob in knobs.KNOBS.values():
         if knob.flag is not None:
             monkeypatch.setenv(knob.name, "")
@@ -62,3 +64,22 @@ def test_flags_are_exported_before_the_command_runs(monkeypatch):
     assert main(["-q", "train", "--env-batch", "off", "--channel", "HYBRID"]) == 0
     assert seen["REPRO_ENV_BATCH"] == 1
     assert seen["REPRO_CHANNEL"] == "hybrid"
+
+
+def test_second_main_does_not_inherit_the_first_calls_flags(capsys, monkeypatch):
+    monkeypatch.delenv("REPRO_ADVERSARIES")
+    argv = ["-q", "figure", "adv", "--slots", "5", "--selfplay-episodes", "1"]
+    assert main(argv + ["--adversaries", "sweep"]) == 0
+    swept = capsys.readouterr().out
+    assert "REPRO_ADVERSARIES" not in os.environ
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    rows = {row.split("|")[0].strip() for row in default.splitlines() if "|" in row}
+    assert {"sweep", "reactive", "follower"} <= rows
+    assert default != swept
+
+
+def test_main_restores_a_flagged_knobs_prior_value(monkeypatch):
+    monkeypatch.setenv("REPRO_CHANNEL", "analytic")
+    assert main(["-q", "figure", "10", "--channel", "hybrid"]) == 0
+    assert os.environ["REPRO_CHANNEL"] == "analytic"

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.network import mlp
+from repro.rng import derive, make_rng
 from repro.serve import (
     DecisionServer,
     LoadGenConfig,
@@ -16,6 +17,7 @@ from repro.serve import (
     run_closed_loop,
     run_server_load,
 )
+from repro.serve.loadgen import make_clients
 
 
 def store_of(policies=2):
@@ -186,3 +188,54 @@ def test_trace_rows_are_time_ordered():
     times = [t for t, _, _ in report.trace]
     assert times == sorted(times)
     assert np.all(np.array(times) >= 0)
+
+
+class _ListHistoryClient:
+    """The list-of-(outcome, channel, power)-tuples client encoding, kept as
+    the reference for the flat-array history."""
+
+    def __init__(self, seed, history_length, channels, powers):
+        self.rng = make_rng(seed)
+        self.channels, self.powers = channels, powers
+        channel = int(self.rng.integers(channels))
+        self.history = [(1.0, channel / max(channels - 1, 1), 0.0)] * history_length
+
+    def observation(self):
+        return np.array(self.history, dtype=np.float64).reshape(-1)
+
+    def absorb(self, action):
+        channel, power = divmod(int(action), self.powers)
+        draw = self.rng.random()
+        outcome = 1.0 if draw < 0.6 else (0.5 if draw < 0.8 else 0.0)
+        self.history.pop(0)
+        self.history.append(
+            (
+                outcome,
+                channel / max(self.channels - 1, 1),
+                power / max(self.powers - 1, 1),
+            )
+        )
+
+
+@pytest.mark.parametrize("network", [0, 5])
+def test_client_observation_matches_list_encoding_bit_for_bit(network):
+    store = store_of()
+    config = LoadGenConfig(networks=6, seed=9)
+    client = make_clients(store, config)[network]
+    reference = _ListHistoryClient(
+        derive(config.seed, f"loadgen-net[{network}]"),
+        history_length=store.observation_size // 3,
+        channels=store.num_actions // config.num_power_levels,
+        powers=config.num_power_levels,
+    )
+    actions = np.random.default_rng(network).integers(store.num_actions, size=40)
+    for absorbed in range(41):
+        got, want = client.observation(), reference.observation()
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), absorbed
+        got[:] = -1.0  # a fresh copy: the next observation is untouched
+        again = client.observation()
+        assert np.array_equal(again.view(np.uint64), want.view(np.uint64))
+        if absorbed < len(actions):
+            client.absorb(actions[absorbed])
+            reference.absorb(actions[absorbed])
