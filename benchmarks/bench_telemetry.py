@@ -54,9 +54,9 @@ def _one_round(telem_path: Path | None) -> tuple[float, float]:
     """One fresh-grid run; returns (seconds, goodput)."""
     obs_telemetry.reset()
     if telem_path is not None:
-        os.environ[obs_telemetry.TELEM_ENV] = str(telem_path)
+        os.environ["REPRO_TELEM"] = str(telem_path)
     else:
-        os.environ.pop(obs_telemetry.TELEM_ENV, None)
+        os.environ.pop("REPRO_TELEM", None)
     grid = _grid()
     start = time.perf_counter()
     result = grid.run(SLOTS)
@@ -67,7 +67,7 @@ def _one_round(telem_path: Path | None) -> tuple[float, float]:
 
 
 def test_telemetry_overhead():
-    saved = os.environ.get(obs_telemetry.TELEM_ENV)
+    saved = os.environ.get("REPRO_TELEM")
     tmp = Path(tempfile.mkdtemp(prefix="bench-telem-")) / "TELEM_bench.jsonl"
     try:
         _one_round(None)  # warm imports/caches outside the timed rounds
@@ -80,9 +80,9 @@ def test_telemetry_overhead():
             on_s = min(on_s, seconds)
     finally:
         if saved is None:
-            os.environ.pop(obs_telemetry.TELEM_ENV, None)
+            os.environ.pop("REPRO_TELEM", None)
         else:
-            os.environ[obs_telemetry.TELEM_ENV] = saved
+            os.environ["REPRO_TELEM"] = saved
         obs_telemetry.reset()
 
     timing.REGISTRY.record("telemetry.off", off_s, items=NETWORKS * SLOTS)

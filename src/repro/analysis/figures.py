@@ -120,7 +120,6 @@ def fig2b_waveform_validation(
     *,
     trials: int = 32,
     seed: int = 0,
-    trial_batch: int | str | None = None,
 ) -> list[WaveformValidationRow]:
     """Validate the Fig. 2(b) chip-flip model against waveform ground truth.
 
@@ -134,7 +133,7 @@ def fig2b_waveform_validation(
     trial chunks run through :class:`repro.exec.ParallelRunner`
     (``REPRO_WORKERS``); the per-point base seed depends only on
     ``(seed, signal, margin)``, so results are identical for every
-    worker count and batch size.
+    worker count.
     """
     from repro.channel.link import EMULATION_LOSS_DB, chip_flip_probability
     from repro.channel.trials import run_chip_flip_trials
@@ -155,7 +154,6 @@ def fig2b_waveform_validation(
                 trials=trials,
                 rng=derive(seed, f"fig2b-wf/{name}/{float(margin)}"),
                 runner=runner,
-                trial_batch=trial_batch,
             )
         predicted = {
             "ZigBee": chip_flip_probability(float(margin)),

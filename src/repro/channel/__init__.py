@@ -39,8 +39,6 @@ from repro.channel.trials import (
     JammerBank,
     default_bank,
     jam_trials,
-    resolve_bank_samples,
-    resolve_trial_batch,
     run_chip_flip_trials,
     trial_base,
     trial_stream,
@@ -90,8 +88,6 @@ __all__ = [
     "JammerBank",
     "default_bank",
     "jam_trials",
-    "resolve_bank_samples",
-    "resolve_trial_batch",
     "run_chip_flip_trials",
     "trial_base",
     "trial_stream",

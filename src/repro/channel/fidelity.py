@@ -63,29 +63,8 @@ from repro.rng import derive
 if TYPE_CHECKING:
     from repro.exec.runner import ParallelRunner
 
-#: Environment variable selecting the channel-fidelity tier.
-CHANNEL_ENV = "REPRO_CHANNEL"
-
 #: The recognised fidelity tiers, cheapest first.
-CHANNEL_TIERS = knobs.KNOBS[CHANNEL_ENV].choices
-
-#: Environment variable overriding the calibration-artifact path used by
-#: the hybrid tier (defaults to the committed artifact in
-#: ``repro/channel/data/``).
-CALIBRATION_ENV = "REPRO_CALIBRATION"
-
-#: Environment variable sizing the Monte-Carlo budget of one waveform-tier
-#: trial-cache fill.
-CHANNEL_TRIALS_ENV = "REPRO_CHANNEL_TRIALS"
-
-#: Default trials per (signal, margin-bin, overlap-bin) cache entry.
-DEFAULT_CHANNEL_TRIALS = knobs.KNOBS[CHANNEL_TRIALS_ENV].default
-
-#: Environment variable setting the waveform-tier margin bin width (dB).
-CHANNEL_BIN_ENV = "REPRO_CHANNEL_BIN"
-
-#: Default margin quantisation of the waveform trial cache, in dB.
-DEFAULT_MARGIN_BIN_DB = knobs.KNOBS[CHANNEL_BIN_ENV].default
+CHANNEL_TIERS = knobs.KNOBS["REPRO_CHANNEL"].choices
 
 #: Chip-overlap (spectral offset) quantisation, MHz per bin.
 OFFSET_BIN_MHZ = 0.5
@@ -93,17 +72,7 @@ OFFSET_BIN_MHZ = 0.5
 
 def resolve_channel_tier(tier: str | None = None) -> str:
     """Resolve the fidelity tier from an argument or ``REPRO_CHANNEL``."""
-    return knobs.get(CHANNEL_ENV, tier)
-
-
-def resolve_channel_trials(trials: int | str | None = None) -> int:
-    """Resolve the waveform-tier trial budget from ``REPRO_CHANNEL_TRIALS``."""
-    return knobs.get(CHANNEL_TRIALS_ENV, trials)
-
-
-def resolve_margin_bin_db(width: float | str | None = None) -> float:
-    """Resolve the waveform-tier margin bin width from ``REPRO_CHANNEL_BIN``."""
-    return knobs.get(CHANNEL_BIN_ENV, width)
+    return knobs.get("REPRO_CHANNEL", tier)
 
 
 def offset_bin_index(offset_mhz: float) -> int:
@@ -400,7 +369,6 @@ def calibrate(
     offsets_mhz=(0.0,),
     noise_to_signal_db: float = -30.0,
     runner: "ParallelRunner | None" = None,
-    trial_batch: int | str | None = None,
 ) -> CalibrationTable:
     """Fit the hybrid correction table from waveform Monte-Carlo truth.
 
@@ -409,7 +377,7 @@ def calibrate(
     effective margin (:func:`raw_jam_to_signal_db`), then projects each
     measured curve onto the monotone cone. Each point's trial stream is
     derived from ``(seed, signal, overlap, margin)`` only, so the artifact
-    is bit-identical for every runner/worker/batch configuration.
+    is bit-identical for every runner and worker configuration.
     """
     from repro.channel.trials import run_chip_flip_trials
 
@@ -429,7 +397,6 @@ def calibrate(
                     offset_hz=obin * OFFSET_BIN_MHZ * 1e6,
                     rng=derive(seed, f"calibrate/{sig.value}/{obin}/{m}"),
                     runner=runner,
-                    trial_batch=trial_batch,
                 )
                 measured.append(min(max(float(q), 0.0), 0.5))
             corrected = [min(max(v, 0.0), 0.5) for v in monotone_fit(measured)]
@@ -459,7 +426,7 @@ def load_default_calibration() -> CalibrationTable:
     ``REPRO_CALIBRATION`` overrides the committed default, the same way a
     policy bundle path would.
     """
-    path = knobs.get(CALIBRATION_ENV) or str(DEFAULT_CALIBRATION_PATH)
+    path = knobs.get("REPRO_CALIBRATION") or str(DEFAULT_CALIBRATION_PATH)
     table = _calibration_cache.get(path)
     if table is None:
         table = _calibration_cache[path] = CalibrationTable.load(path)
@@ -576,9 +543,11 @@ class WaveformLinkBudget(LinkBudget):
     """Budget whose chip-flip response is live binned Monte-Carlo truth."""
 
     seed: int = 0
-    trials: int | None = None
+    #: Monte-Carlo trials per (signal, margin-bin, overlap-bin) cache entry.
+    trials: int = 32
     payload_bytes: int = 8
-    margin_bin_db: float | None = None
+    #: Margin quantisation of the trial cache, in dB.
+    margin_bin_db: float = 0.5
     runner: "ParallelRunner | None" = None
 
     def correlated_chip_flip(
@@ -586,14 +555,13 @@ class WaveformLinkBudget(LinkBudget):
     ) -> float:
         sig = dominant.signal_type if dominant is not None else JammerSignalType.EMUBEE
         off = dominant.center_offset_mhz if dominant is not None else 0.0
-        bin_db = resolve_margin_bin_db(self.margin_bin_db)
         return _cached_chip_flip(
             sig,
-            math.floor(float(margin_db) / bin_db),
+            math.floor(float(margin_db) / self.margin_bin_db),
             offset_bin_index(off),
-            trials=resolve_channel_trials(self.trials),
+            trials=self.trials,
             payload_bytes=self.payload_bytes,
-            bin_db=bin_db,
+            bin_db=self.margin_bin_db,
             seed=self.seed,
             runner=self.runner,
         )
@@ -610,8 +578,8 @@ def make_channel(
     capacity: int | str | None = None,
     calibration: CalibrationTable | None = None,
     seed: int = 0,
-    trials: int | None = None,
-    margin_bin_db: float | None = None,
+    trials: int = WaveformLinkBudget.trials,
+    margin_bin_db: float = WaveformLinkBudget.margin_bin_db,
     runner: "ParallelRunner | None" = None,
 ) -> LinkTable:
     """Build the memoised PER table for a fidelity tier.
@@ -667,7 +635,7 @@ class JamAdjudicator:
         packet_octets: int = 60,
         calibration: CalibrationTable | None = None,
         seed: int = 0,
-        trials: int | None = None,
+        trials: int = WaveformLinkBudget.trials,
     ) -> None:
         self.tier = resolve_channel_tier(tier)
         if budget is None and self.tier != "analytic":
@@ -771,13 +739,7 @@ class JamAdjudicator:
 
 
 __all__ = [
-    "CHANNEL_ENV",
     "CHANNEL_TIERS",
-    "CALIBRATION_ENV",
-    "CHANNEL_TRIALS_ENV",
-    "DEFAULT_CHANNEL_TRIALS",
-    "CHANNEL_BIN_ENV",
-    "DEFAULT_MARGIN_BIN_DB",
     "OFFSET_BIN_MHZ",
     "CHANNEL_CACHE_CAPACITY",
     "CALIBRATION_FORMAT",
@@ -787,8 +749,6 @@ __all__ = [
     "DEFAULT_CALIBRATION_PATH",
     "CALIBRATION_SIGNALS",
     "resolve_channel_tier",
-    "resolve_channel_trials",
-    "resolve_margin_bin_db",
     "offset_bin_index",
     "raw_jam_to_signal_db",
     "monotone_fit",

@@ -62,22 +62,13 @@ CHIP_DECISION_RADIUS = 6
 #: Logistic slope (dB) of the chip-flip probability versus jammer margin.
 CHIP_FLIP_SLOPE_DB = 2.0
 
-#: Environment variable controlling the :class:`LinkTable` cache capacity.
-#: Unset/empty keeps the default; ``0`` or ``off`` disables memoisation.
-PER_CACHE_ENV = "REPRO_PER_CACHE"
-
-#: Default number of memoised PER entries per :class:`LinkTable`.
-DEFAULT_PER_CACHE_CAPACITY = knobs.KNOBS[PER_CACHE_ENV].default
-
 
 def resolve_per_cache_capacity(value: int | str | None = None) -> int:
     """Resolve the PER-cache capacity from an override or ``REPRO_PER_CACHE``.
 
-    ``None`` (and an unset/empty environment) selects
-    :data:`DEFAULT_PER_CACHE_CAPACITY`; ``0``, ``off`` or ``none`` disable
-    caching entirely.
+    ``0``, ``off`` or ``none`` disable caching entirely.
     """
-    return knobs.get(PER_CACHE_ENV, value)
+    return knobs.get("REPRO_PER_CACHE", value)
 
 
 class JammerSignalType(enum.Enum):
@@ -527,8 +518,6 @@ __all__ = [
     "EMULATION_LOSS_DB",
     "CHIP_DECISION_RADIUS",
     "CHIP_FLIP_SLOPE_DB",
-    "PER_CACHE_ENV",
-    "DEFAULT_PER_CACHE_CAPACITY",
     "resolve_per_cache_capacity",
     "JammerSignalType",
     "Interferer",

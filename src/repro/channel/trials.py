@@ -19,10 +19,10 @@ tensor operations instead:
   the whole batch at once.
 
 Large trial counts fan out through :class:`repro.exec.ParallelRunner` as
-*chunks* of trials (``REPRO_TRIAL_BATCH`` / ``--trial-batch``), one task
-per chunk, rather than one task per trial. Trial counts and bank-cache
-hits land in the :mod:`repro.obs` metrics registry and hence in the
-``BENCH_*.json`` artifacts.
+*chunks* of :data:`TRIAL_BATCH` trials, one task per chunk, rather than
+one task per trial. Trial counts and bank-cache hits land in the
+:mod:`repro.obs` metrics registry and hence in the ``BENCH_*.json``
+artifacts.
 """
 
 from __future__ import annotations
@@ -46,33 +46,9 @@ from repro.obs.metrics import METRICS
 from repro.phy import zigbee
 from repro.rng import SeedLike, derive
 
-#: Environment variable sizing the jammer waveform bank (samples per
-#: signal type at 20 Msps). ``0``/``off`` disables the bank: every trial
-#: falls back to a freshly encoded jammer frame.
-JAMMER_BANK_ENV = "REPRO_JAMMER_BANK"
-
-#: Default bank size: 32768 samples (~1.6 ms of burst at 20 Msps), a few
-#: frame lengths of material so random slices decorrelate across trials.
-DEFAULT_BANK_SAMPLES = knobs.KNOBS[JAMMER_BANK_ENV].default
-
-#: Environment variable selecting how many trials ship per pool task.
-TRIAL_BATCH_ENV = "REPRO_TRIAL_BATCH"
-
-#: Default trials per dispatch chunk.
-DEFAULT_TRIAL_BATCH = knobs.KNOBS[TRIAL_BATCH_ENV].default
-
-
-def resolve_bank_samples(samples: int | str | None = None) -> int:
-    """Resolve the jammer-bank size from an argument or ``REPRO_JAMMER_BANK``.
-
-    Returns ``0`` when the bank is disabled (``0``/``off``/``none``).
-    """
-    return knobs.get(JAMMER_BANK_ENV, samples)
-
-
-def resolve_trial_batch(batch: int | str | None = None) -> int:
-    """Resolve the trials-per-task chunk size from ``REPRO_TRIAL_BATCH``."""
-    return knobs.get(TRIAL_BATCH_ENV, batch)
+#: Trials per tensor batch and pool task. Trial ``i``'s stream depends
+#: only on ``(seed, i)``, so results are bit-identical for any chunking.
+TRIAL_BATCH = 64
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +118,7 @@ class JammerBank:
         seed: int = 0,
         alpha: float | None = None,
     ) -> None:
-        resolved = resolve_bank_samples(samples)
+        resolved = knobs.get("REPRO_JAMMER_BANK", samples)
         if resolved < 1:
             raise ChannelError(
                 "jammer bank needs at least one sample; use bank=None to "
@@ -253,7 +229,7 @@ def _bank_for(
 
 def default_bank() -> JammerBank | None:
     """The process's shared bank per ``REPRO_JAMMER_BANK`` (None = disabled)."""
-    samples = resolve_bank_samples()
+    samples = knobs.get("REPRO_JAMMER_BANK")
     if samples < 1:
         return None
     return _bank_for(samples)
@@ -469,7 +445,6 @@ def _chunk_specs(
     offset_hz: float,
     base: int,
     bank: JammerBank | None,
-    trial_batch: int,
 ) -> list[TrialChunkSpec]:
     return [
         TrialChunkSpec(
@@ -480,12 +455,12 @@ def _chunk_specs(
             payload_bytes=int(payload_bytes),
             base=base,
             lo=lo,
-            hi=min(lo + trial_batch, trials),
+            hi=min(lo + TRIAL_BATCH, trials),
             bank_samples=0 if bank is None else bank.samples,
             bank_seed=0 if bank is None else bank.seed,
             bank_alpha=None if bank is None else bank.alpha,
         )
-        for lo in range(0, trials, trial_batch)
+        for lo in range(0, trials, TRIAL_BATCH)
     ]
 
 
@@ -500,15 +475,14 @@ def run_chip_flip_trials(
     rng: SeedLike = None,
     bank: JammerBank | None | str = "default",
     runner: ParallelRunner | None = None,
-    trial_batch: int | str | None = None,
 ) -> float:
     """Mean waveform-level chip error rate over ``trials`` batched trials.
 
-    Trials are cut into chunks of ``trial_batch`` (``REPRO_TRIAL_BATCH``)
-    and each chunk runs as one :func:`jam_trials` tensor batch — through
-    ``runner``'s process pool when one is supplied, in-process otherwise.
-    Because trial ``i``'s stream depends only on ``(seed, i)``, the mean
-    is bit-identical for every chunking and worker count.
+    Trials are cut into chunks of :data:`TRIAL_BATCH` and each chunk runs
+    as one :func:`jam_trials` tensor batch — through ``runner``'s process
+    pool when one is supplied, in-process otherwise. Because trial ``i``'s
+    stream depends only on ``(seed, i)``, the mean is bit-identical for
+    every chunking and worker count.
     """
     if trials < 1:
         raise ChannelError("need at least one trial")
@@ -528,7 +502,6 @@ def run_chip_flip_trials(
         offset_hz=offset_hz,
         base=base,
         bank=resolved_bank,
-        trial_batch=resolve_trial_batch(trial_batch),
     )
     if runner is None:
         sums = [_chip_flip_chunk(spec) for spec in specs]
@@ -538,12 +511,7 @@ def run_chip_flip_trials(
 
 
 __all__ = [
-    "JAMMER_BANK_ENV",
-    "DEFAULT_BANK_SAMPLES",
-    "TRIAL_BATCH_ENV",
-    "DEFAULT_TRIAL_BATCH",
-    "resolve_bank_samples",
-    "resolve_trial_batch",
+    "TRIAL_BATCH",
     "trial_base",
     "trial_stream",
     "JammerBank",

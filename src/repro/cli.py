@@ -266,7 +266,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
             offsets_mhz=offsets,
             noise_to_signal_db=reference.noise_to_signal_db,
             runner=runner,
-            trial_batch=args.trial_batch,
         )
         reproduced = regenerated.to_payload() == reference.to_payload()
         residual = reference.max_fit_residual
@@ -312,7 +311,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         payload_bytes=args.payload_bytes,
         seed=args.seed,
         runner=runner,
-        trial_batch=args.trial_batch,
     )
     rows = []
     for (signal, offset_bin), entry in sorted(table.entries.items()):
@@ -845,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="waveform trials per point for figure 2b-wf",
     )
-    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_TRIAL_BATCH", "REPRO_JAMMER_BANK")
+    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_JAMMER_BANK")
     p.add_argument(
         "--train-rl",
         action="store_true",
@@ -892,7 +890,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max allowed |corrected - measured| on the grid "
         f"(default {CALIBRATION_TOLERANCE})",
     )
-    knobs.add_flags(p, *_POOL_KNOBS, "REPRO_TRIAL_BATCH")
+    knobs.add_flags(p, *_POOL_KNOBS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("emulate", help="run the EmuBee pipeline on hex bytes")

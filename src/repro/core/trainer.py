@@ -194,8 +194,7 @@ def train_dqn_multi_seed(
     ``workers`` setting — ``REPRO_WORKERS=1`` reproduces the serial loop
     bit for bit, and a retried run reproduces a first-try run exactly.
 
-    ``env_batch`` (default: the ``REPRO_ENV_BATCH`` environment, falling
-    back to :data:`repro.core.vecenv.DEFAULT_ENV_BATCH`) groups that many
+    ``env_batch`` (default: the ``REPRO_ENV_BATCH`` knob) groups that many
     seeds into one lock-step :func:`repro.core.vecenv.train_dqn_batch`
     task, amortising network forward/backward passes across the group
     while staying bit-identical to the serial runs — so the process pool

@@ -58,22 +58,14 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.rng import derive
 
-#: Environment variable selecting the in-process seed-batch width used by
-#: ``train_dqn_multi_seed``. ``1``/``off`` restores the purely serial path.
-ENV_BATCH_ENV = "REPRO_ENV_BATCH"
-
-#: Default seeds trained per process when nothing is configured.
-DEFAULT_ENV_BATCH = knobs.KNOBS[ENV_BATCH_ENV].default
-
 
 def resolve_env_batch(value: int | str | None = None) -> int:
     """Resolve the seed-batch width from an override or ``REPRO_ENV_BATCH``.
 
-    ``None`` (and an unset/empty environment) selects
-    :data:`DEFAULT_ENV_BATCH`; ``1``, ``off`` or ``none`` disable in-process
-    batching.
+    The width is the seeds ``train_dqn_multi_seed`` trains lock-step per
+    process; ``1``, ``off`` or ``none`` restore the purely serial path.
     """
-    return knobs.get(ENV_BATCH_ENV, value)
+    return knobs.get("REPRO_ENV_BATCH", value)
 
 
 class VectorEnv:
@@ -842,8 +834,6 @@ def _train_batch_task(spec: tuple) -> list:
 
 
 __all__ = [
-    "ENV_BATCH_ENV",
-    "DEFAULT_ENV_BATCH",
     "resolve_env_batch",
     "VectorEnv",
     "PolicyStack",

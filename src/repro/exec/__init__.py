@@ -10,12 +10,7 @@ artifacts.
 """
 
 from repro.exec.faults import (
-    FAULT_RATE_ENV,
-    FAULT_SEED_ENV,
-    MAX_RETRIES_ENV,
-    ON_ERROR_ENV,
     ON_ERROR_MODES,
-    TIMEOUT_ENV,
     FaultCounters,
     FaultPolicy,
     InjectedFault,
@@ -23,18 +18,11 @@ from repro.exec.faults import (
     maybe_inject_fault,
     run_with_faults,
 )
-from repro.exec.runner import (
-    WORKERS_ENV,
-    ParallelRunner,
-    parallel_map,
-    resolve_workers,
-)
+from repro.exec.runner import ParallelRunner, resolve_workers
 from repro.exec.timing import (
-    BENCH_DIR_ENV,
     REGISTRY,
     StageStats,
     TimingRegistry,
-    bench_dir,
     record,
     stage,
     write_bench,
@@ -42,26 +30,17 @@ from repro.exec.timing import (
 
 __all__ = [
     "ParallelRunner",
-    "WORKERS_ENV",
-    "parallel_map",
     "resolve_workers",
-    "FAULT_RATE_ENV",
-    "FAULT_SEED_ENV",
-    "MAX_RETRIES_ENV",
-    "ON_ERROR_ENV",
     "ON_ERROR_MODES",
-    "TIMEOUT_ENV",
     "FaultCounters",
     "FaultPolicy",
     "InjectedFault",
     "TaskFailure",
     "maybe_inject_fault",
     "run_with_faults",
-    "BENCH_DIR_ENV",
     "REGISTRY",
     "StageStats",
     "TimingRegistry",
-    "bench_dir",
     "record",
     "stage",
     "write_bench",

@@ -16,9 +16,9 @@ when a task exhausts its attempts —
     :class:`TaskFailure` sentinel (spec index, remote traceback, attempt
     count) for the lost result while every completed result is preserved.
 
-Retries are **seed-stable**: a task's random stream is derived from its
-payload alone (see :meth:`ParallelRunner.map_seeded`), never from worker
-or attempt state, so a task that succeeds on its third attempt returns a
+Retries are **seed-stable**: a task derives its random stream from its
+payload alone (``repro.rng.derive(seed, tag)``), never from worker or
+attempt state, so a task that succeeds on its third attempt returns a
 result bit-identical to one that succeeds immediately, and a retried
 sweep is bit-identical to a fault-free serial run.
 
@@ -56,15 +56,8 @@ from repro.errors import ConfigurationError, ExecutionError
 from repro.obs import trace as obs_trace
 from repro.rng import derive
 
-#: Environment variables configuring the default :class:`FaultPolicy`.
-ON_ERROR_ENV = "REPRO_ON_ERROR"
-MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
-TIMEOUT_ENV = "REPRO_TASK_TIMEOUT"
-FAULT_RATE_ENV = "REPRO_FAULT_RATE"
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
 #: Valid ``on_error`` modes.
-ON_ERROR_MODES = knobs.KNOBS[ON_ERROR_ENV].choices
+ON_ERROR_MODES = knobs.KNOBS["REPRO_ON_ERROR"].choices
 
 #: Result slot not yet filled (module-level so it pickles by reference).
 _PENDING = object()
@@ -181,11 +174,11 @@ class FaultPolicy:
         fall back to the knob defaults, which are the dataclass defaults.
         """
         return cls(
-            on_error=knobs.get(ON_ERROR_ENV, on_error),
-            max_retries=knobs.get(MAX_RETRIES_ENV, max_retries),
-            timeout_s=knobs.get(TIMEOUT_ENV, timeout_s),
-            fault_rate=knobs.get(FAULT_RATE_ENV),
-            fault_seed=knobs.get(FAULT_SEED_ENV),
+            on_error=knobs.get("REPRO_ON_ERROR", on_error),
+            max_retries=knobs.get("REPRO_MAX_RETRIES", max_retries),
+            timeout_s=knobs.get("REPRO_TASK_TIMEOUT", timeout_s),
+            fault_rate=knobs.get("REPRO_FAULT_RATE"),
+            fault_seed=knobs.get("REPRO_FAULT_SEED"),
         )
 
 
@@ -434,11 +427,6 @@ def run_with_faults(
 
 
 __all__ = [
-    "ON_ERROR_ENV",
-    "MAX_RETRIES_ENV",
-    "TIMEOUT_ENV",
-    "FAULT_RATE_ENV",
-    "FAULT_SEED_ENV",
     "ON_ERROR_MODES",
     "InjectedFault",
     "TaskFailure",

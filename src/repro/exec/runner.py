@@ -35,28 +35,17 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Sequence
 
 from repro import knobs
-from repro.errors import ConfigurationError
 from repro.exec.faults import FaultCounters, FaultPolicy, run_with_faults
 from repro.exec.timing import REGISTRY, TimingRegistry
 from repro.obs import sink
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.obs.profile import maybe_profile
-from repro.rng import SeedLike, derive
-
-#: Environment variable selecting the default pool size.
-WORKERS_ENV = "REPRO_WORKERS"
 
 
 def resolve_workers(workers: int | str | None = None) -> int:
-    """Resolve a worker count from an argument or the environment."""
-    return knobs.get(WORKERS_ENV, workers)
-
-
-def _seeded_task(payload: tuple) -> Any:
-    """Pool trampoline: run ``task_fn(spec, rng)`` with a derived stream."""
-    task_fn, spec, seed, tag = payload
-    return task_fn(spec, derive(seed, tag))
+    """Resolve a worker count from an argument or ``REPRO_WORKERS``."""
+    return knobs.get("REPRO_WORKERS", workers)
 
 
 def _traced_task(payload: tuple) -> Any:
@@ -86,12 +75,6 @@ class ParallelRunner:
     ----------
     workers:
         Pool size; ``None`` defers to ``REPRO_WORKERS`` (default serial).
-    chunk_size:
-        Specs per pool dispatch; ``None`` picks ``ceil(n / (4 * workers))``
-        so each worker sees ~4 chunks (amortises pickling without
-        starving the tail). Only the fault-intolerant fast path chunks;
-        an active fault policy dispatches per task so each task can be
-        retried, timed out, or skipped independently.
     name:
         Stage name recorded in the timing registry for each ``map`` call.
     registry:
@@ -106,23 +89,14 @@ class ParallelRunner:
         self,
         workers: int | str | None = None,
         *,
-        chunk_size: int | None = None,
         name: str = "map",
         registry: TimingRegistry | None = None,
         policy: FaultPolicy | None = None,
     ) -> None:
         self.workers = resolve_workers(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.chunk_size = chunk_size
         self.name = name
         self.registry = registry if registry is not None else REGISTRY
         self.policy = policy if policy is not None else FaultPolicy.from_env()
-
-    def _chunksize(self, n_specs: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, -(-n_specs // (4 * workers)))
 
     def map(self, task_fn: Callable[[Any], Any], specs: Iterable[Any]) -> list:
         """Apply ``task_fn`` to every spec; results come back in spec order.
@@ -132,30 +106,7 @@ class ParallelRunner:
         constraint. Under ``policy.on_error == "skip"``, failed specs
         yield :class:`repro.exec.faults.TaskFailure` sentinels in place.
         """
-        return self._timed_dispatch(task_fn, list(specs))
-
-    def map_seeded(
-        self,
-        task_fn: Callable[[Any, Any], Any],
-        specs: Iterable[Any],
-        *,
-        seed: SeedLike = None,
-        stream: str = "task",
-    ) -> list:
-        """Like :meth:`map` but hands each task its own derived RNG.
-
-        Task ``i`` receives ``derive(seed, f"{stream}[{i}]")`` — a stream
-        that depends only on ``(seed, stream, i)``, never on worker count,
-        dispatch order, or retry attempt, so aggregates are reproducible
-        by construction and a retried task is bit-identical to one that
-        succeeded first try.
-        """
-        payloads = [
-            (task_fn, spec, seed, f"{stream}[{i}]") for i, spec in enumerate(specs)
-        ]
-        return self._timed_dispatch(_seeded_task, payloads)
-
-    def _timed_dispatch(self, task_fn: Callable[[Any], Any], specs: list) -> list:
+        specs = list(specs)
         counters = FaultCounters()
         METRICS.inc("exec.dispatches")
         METRICS.inc("exec.tasks", len(specs))
@@ -225,7 +176,10 @@ class ParallelRunner:
             if workers <= 1:
                 # Serial fallback: same function, same order, same process.
                 return [task_fn(spec) for spec in specs]
-            chunksize = self._chunksize(len(specs), workers)
+            # ~4 chunks per worker: amortises pickling without starving
+            # the tail. A fault policy dispatches per task instead, so
+            # each task can be retried, timed out or skipped on its own.
+            chunksize = max(1, -(-len(specs) // (4 * workers)))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(task_fn, specs, chunksize=chunksize))
         return run_with_faults(
@@ -233,16 +187,4 @@ class ParallelRunner:
         )
 
 
-def parallel_map(
-    task_fn: Callable[[Any], Any],
-    specs: Iterable[Any],
-    *,
-    workers: int | str | None = None,
-    name: str = "map",
-    policy: FaultPolicy | None = None,
-) -> list:
-    """One-shot convenience wrapper around :class:`ParallelRunner`."""
-    return ParallelRunner(workers, name=name, policy=policy).map(task_fn, specs)
-
-
-__all__ = ["WORKERS_ENV", "resolve_workers", "ParallelRunner", "parallel_map"]
+__all__ = ["resolve_workers", "ParallelRunner"]

@@ -24,16 +24,8 @@ from typing import Iterator
 
 from repro import knobs
 from repro.obs.metrics import METRICS
-from repro.obs.paths import BENCH_DIR_ENV, DEFAULT_ARTIFACT_DIR, artifact_dir
+from repro.obs.paths import artifact_dir
 from repro.obs.profile import maybe_profile
-
-#: Default artifact directory (benchmarks/results at the repo root).
-DEFAULT_BENCH_DIR = DEFAULT_ARTIFACT_DIR
-
-
-def bench_dir() -> Path:
-    """Directory BENCH artifacts are written to (env-overridable)."""
-    return artifact_dir()
 
 
 @dataclass
@@ -132,7 +124,7 @@ class TimingRegistry:
         timestamp is UTC ISO-8601 so artifacts sort and diff reliably
         across platforms.
         """
-        out_dir = Path(directory) if directory is not None else bench_dir()
+        out_dir = Path(directory) if directory is not None else artifact_dir()
         out_dir.mkdir(parents=True, exist_ok=True)
         doc = {
             "name": name,
@@ -190,9 +182,6 @@ def write_bench(
 
 
 __all__ = [
-    "BENCH_DIR_ENV",
-    "DEFAULT_BENCH_DIR",
-    "bench_dir",
     "StageStats",
     "TimingRegistry",
     "REGISTRY",

@@ -85,19 +85,13 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          choices=("analytic", "hybrid", "waveform"), flag="--channel"),
     Knob("REPRO_CALIBRATION", "text", None,
          "hybrid-tier calibration artifact path (unset: the committed one)"),
-    Knob("REPRO_CHANNEL_TRIALS", "int", 32,
-         "waveform-tier Monte-Carlo trials per cached bin", minimum=1),
-    Knob("REPRO_CHANNEL_BIN", "float", 0.5, "waveform-tier margin-bin width in dB",
-         positive=True),
     Knob("REPRO_PER_CACHE", "int", 1 << 16,
          "PER memo-table entries per link table; 0 or 'off' disables",
          minimum=0, aliases=_OFF_IS_0),
+    # ~1.6 ms of burst at 20 Msps: a few frames, so random slices decorrelate.
     Knob("REPRO_JAMMER_BANK", "int", 1 << 15,
          "jammer waveform bank size in samples; 0 or 'off' re-encodes every trial",
          minimum=0, aliases=_OFF_IS_0, flag="--jammer-bank"),
-    Knob("REPRO_TRIAL_BATCH", "int", 64,
-         "waveform trials per tensor batch and pool task; 'off' = 1",
-         minimum=1, aliases=_OFF_IS_1, flag="--trial-batch"),
     Knob("REPRO_SHARDS", "int", 1, "field-grid spatial shards; 'auto' = one per CPU",
          minimum=1, aliases=_AUTO, flag="--shards"),
     Knob("REPRO_FIELD_BATCH", "int", 64,
@@ -108,6 +102,7 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          choices=_ADVERSARIES, flag="--adversaries"),
     Knob("REPRO_SERVE_BATCH", "int", 64, "max decisions per stacked forward; 'off' = 1",
          minimum=1, aliases=_OFF_IS_1, flag="--batch"),
+    # Well inside the paper's ~9 ms per-decision budget (Fig. 9).
     Knob("REPRO_SERVE_DEADLINE_MS", "float", 2.0,
          "max milliseconds a decision request waits for batch peers",
          minimum=0.0, flag="--deadline-ms"),
@@ -125,8 +120,6 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
          aliases=_ON_IS_RUN),
     Knob("REPRO_TELEM_INTERVAL", "int", 20,
          "telemetry window length in slots or episodes", minimum=1),
-    Knob("REPRO_TELEM_WINDOW", "int", 256,
-         "frames a telemetry FlightRecorder keeps in memory", minimum=1),
     Knob("REPRO_PROFILE", "switch", False,
          "cProfile each timed stage into PROF_<stage>.pstats",
          aliases={word: False for word in ("0", "false", "no", "off")}),

@@ -47,24 +47,9 @@ from repro.obs.metrics import (
     parse_metric_key,
 )
 from repro.obs.paths import artifact_dir
-from repro.obs.profile import PROFILE_ENV, maybe_profile, profiling_enabled
-from repro.obs.telemetry import (
-    TELEM_ENV,
-    TELEM_INTERVAL_ENV,
-    TELEM_WINDOW_ENV,
-    FlightRecorder,
-    load_telemetry,
-    merge_frames,
-)
-from repro.obs.trace import (
-    SAMPLE_ENV,
-    TRACE_ENV,
-    enabled,
-    event,
-    finish_run,
-    span,
-    start_run,
-)
+from repro.obs.profile import maybe_profile, profiling_enabled
+from repro.obs.telemetry import FlightRecorder, load_telemetry, merge_frames
+from repro.obs.trace import enabled, event, finish_run, span, start_run
 
 __all__ = [
     "configure",
@@ -80,17 +65,11 @@ __all__ = [
     "label_key",
     "parse_metric_key",
     "artifact_dir",
-    "PROFILE_ENV",
     "maybe_profile",
     "profiling_enabled",
-    "TELEM_ENV",
-    "TELEM_INTERVAL_ENV",
-    "TELEM_WINDOW_ENV",
     "FlightRecorder",
     "load_telemetry",
     "merge_frames",
-    "TRACE_ENV",
-    "SAMPLE_ENV",
     "enabled",
     "event",
     "span",

@@ -14,16 +14,13 @@ from pathlib import Path
 
 from repro import knobs
 
-#: Environment variable overriding where observability artifacts are written.
-BENCH_DIR_ENV = "REPRO_BENCH_DIR"
-
 #: Default artifact directory (benchmarks/results at the repo root).
 DEFAULT_ARTIFACT_DIR = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 
 def artifact_dir() -> Path:
     """Directory RUN/PROF/BENCH artifacts are written to (env-overridable)."""
-    return Path(knobs.get(BENCH_DIR_ENV) or DEFAULT_ARTIFACT_DIR)
+    return Path(knobs.get("REPRO_BENCH_DIR") or DEFAULT_ARTIFACT_DIR)
 
 
 def run_target(value: str | None, prefix: str) -> Path | None:
@@ -40,4 +37,4 @@ def run_target(value: str | None, prefix: str) -> Path | None:
     return artifact_dir() / f"{prefix}_{value}.jsonl"
 
 
-__all__ = ["BENCH_DIR_ENV", "DEFAULT_ARTIFACT_DIR", "artifact_dir", "run_target"]
+__all__ = ["DEFAULT_ARTIFACT_DIR", "artifact_dir", "run_target"]

@@ -23,15 +23,12 @@ from typing import Iterator
 from repro import knobs
 from repro.obs.paths import artifact_dir
 
-#: Environment variable enabling the profile hook.
-PROFILE_ENV = "REPRO_PROFILE"
-
 _ACTIVE = False
 
 
 def profiling_enabled() -> bool:
     """True when ``REPRO_PROFILE`` is set to a truthy value."""
-    return knobs.get(PROFILE_ENV)
+    return knobs.get("REPRO_PROFILE")
 
 
 def _safe_name(stage: str) -> str:
@@ -60,4 +57,4 @@ def maybe_profile(
         profile.dump_stats(out_dir / f"PROF_{_safe_name(stage)}.pstats")
 
 
-__all__ = ["PROFILE_ENV", "profiling_enabled", "maybe_profile"]
+__all__ = ["profiling_enabled", "maybe_profile"]

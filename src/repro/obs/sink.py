@@ -47,14 +47,6 @@ from repro.errors import ReproError
 from repro.obs.metrics import METRICS
 from repro.obs.paths import run_target
 
-TRACE_ENV = "REPRO_TRACE"
-SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
-TELEM_ENV = "REPRO_TELEM"
-TELEM_INTERVAL_ENV = "REPRO_TELEM_INTERVAL"
-
-#: Telemetry window length when the stream is off (recorders still need one).
-DEFAULT_INTERVAL = knobs.KNOBS[TELEM_INTERVAL_ENV].default
-
 #: Stream names; each is also its files' name prefix.
 RUN = "RUN"
 TELEM = "TELEM"
@@ -69,7 +61,8 @@ HEADS: dict[str, Callable[[ObsState, str], dict]] = {}
 
 def target(stream: str) -> Path | None:
     """The file ``stream``'s knob selects, or ``None`` when it is off."""
-    return run_target(knobs.get(TRACE_ENV if stream == RUN else TELEM_ENV), stream)
+    name = "REPRO_TRACE" if stream == RUN else "REPRO_TELEM"
+    return run_target(knobs.get(name), stream)
 
 
 @dataclass(eq=False)
@@ -82,7 +75,9 @@ class ObsState:
 
     trace_id: str = ""
     sample: float = 1.0
-    interval: int = DEFAULT_INTERVAL
+    #: Telemetry window length; the knob default when the stream is off
+    #: (recorders still need one).
+    interval: int = knobs.KNOBS["REPRO_TELEM_INTERVAL"].default
     parent: str | None = None
     buffer: list[dict] | None = None
     seq: int = 0
@@ -123,8 +118,8 @@ def _fresh() -> ObsState:
     run, telem = target(RUN), target(TELEM)
     st = ObsState(
         trace_id=uuid.uuid4().hex[:16] if run else "",
-        sample=knobs.get(SAMPLE_ENV) if run else 1.0,
-        interval=knobs.get(TELEM_INTERVAL_ENV) if telem else DEFAULT_INTERVAL,
+        sample=knobs.get("REPRO_TRACE_SAMPLE") if run else 1.0,
+        interval=knobs.get("REPRO_TELEM_INTERVAL") if telem else ObsState.interval,
     )
     for name, path in ((RUN, run), (TELEM, telem)):
         if path is not None:
@@ -270,7 +265,7 @@ def activate_worker(ctx: WorkerContext) -> None:
     st = ObsState(
         trace_id=ctx.trace_id,
         sample=ctx.sample,
-        interval=ctx.telem_interval or DEFAULT_INTERVAL,
+        interval=ctx.telem_interval or ObsState.interval,
         parent=ctx.parent,
         buffer=[],
     )
@@ -365,11 +360,6 @@ def read(path: Path | str, stream: str | None = None) -> ObsDoc:
 
 
 __all__ = [
-    "TRACE_ENV",
-    "SAMPLE_ENV",
-    "TELEM_ENV",
-    "TELEM_INTERVAL_ENV",
-    "DEFAULT_INTERVAL",
     "RUN",
     "TELEM",
     "ROUTES",

@@ -19,8 +19,7 @@ Telemetry is **off by default** and costs one attribute check when off.
 * ``REPRO_TELEM=1`` uses the default name ``run``.
 
 ``REPRO_TELEM_INTERVAL`` sets the window length in slots/episodes
-(default 20); ``REPRO_TELEM_WINDOW`` bounds the in-memory ring of a
-:class:`FlightRecorder` (default 256 frames).
+(default 20).
 
 Record types, one JSON object per line:
 
@@ -50,7 +49,6 @@ with telemetry on or off.
 
 from __future__ import annotations
 
-from collections import deque
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable, Mapping
@@ -59,17 +57,7 @@ from repro import knobs
 from repro.errors import ConfigurationError
 from repro.obs import sink
 from repro.obs.metrics import DEFAULT_BUCKETS, METRICS
-from repro.obs.sink import (
-    DEFAULT_INTERVAL,
-    TELEM_ENV,
-    TELEM_INTERVAL_ENV,
-    ObsDoc,
-    ObsState,
-    disable,
-    reset,
-)
-
-TELEM_WINDOW_ENV = "REPRO_TELEM_WINDOW"
+from repro.obs.sink import ObsDoc, ObsState, disable, reset
 
 #: Bucket bounds of the per-window negotiation-latency histogram carried
 #: by field frames. Fixed globally so shard-side bucket counts (integers)
@@ -80,16 +68,6 @@ LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
 def telem_target() -> Path | None:
     """Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off."""
     return sink.target(sink.TELEM)
-
-
-def telem_interval() -> int:
-    """Window length from ``REPRO_TELEM_INTERVAL`` (default 20)."""
-    return knobs.get(TELEM_INTERVAL_ENV)
-
-
-def telem_window() -> int:
-    """Ring capacity from ``REPRO_TELEM_WINDOW`` (default 256)."""
-    return knobs.get(TELEM_WINDOW_ENV)
 
 
 def enabled() -> bool:
@@ -195,13 +173,12 @@ def field_frame(
 
 
 class FlightRecorder:
-    """Bounded ring of windowed registry/series deltas.
+    """Windowed registry/series deltas, emitted to the telemetry sink.
 
     Call :meth:`tick` once per slot/episode with the quantities to sum
     over the window; every ``interval`` ticks a frame is emitted to the
-    telemetry sink and appended to the in-memory ring (``maxlen`` =
-    ``REPRO_TELEM_WINDOW``, so a million-episode run holds O(ring)
-    state). ``counters=`` names :data:`~repro.obs.metrics.METRICS`
+    telemetry sink, and the recorder keeps only the open window.
+    ``counters=`` names :data:`~repro.obs.metrics.METRICS`
     counters whose per-window deltas (e.g. the PER-cache hit/miss pair)
     ride along in each frame's ``values``.
 
@@ -215,7 +192,6 @@ class FlightRecorder:
         *,
         labels: Mapping[str, str] | None = None,
         interval: int | None = None,
-        ring: int | None = None,
         counters: tuple[str, ...] = (),
     ) -> None:
         self.series = str(series)
@@ -226,7 +202,6 @@ class FlightRecorder:
             raise ConfigurationError(
                 f"recorder interval must be >= 1, got {self.interval}"
             )
-        self.frames: deque[dict] = deque(maxlen=ring or telem_window())
         self._counters = tuple(counters)
         self._baseline = self._counter_values()
         self._window = 0
@@ -271,7 +246,6 @@ class FlightRecorder:
             "labels": dict(self.labels),
             "values": values,
         }
-        self.frames.append(frame)
         record_frame(frame)
         self._window += 1
         self._ticks = 0
@@ -382,14 +356,8 @@ def merge_frames(doc: ObsDoc) -> dict[str, list[dict]]:
 
 
 __all__ = [
-    "TELEM_ENV",
-    "TELEM_INTERVAL_ENV",
-    "TELEM_WINDOW_ENV",
-    "DEFAULT_INTERVAL",
     "LATENCY_BUCKETS",
     "telem_target",
-    "telem_interval",
-    "telem_window",
     "enabled",
     "interval",
     "record_frame",

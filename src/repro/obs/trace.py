@@ -54,17 +54,12 @@ from typing import Any, Iterator
 
 from repro import knobs
 from repro.obs import sink
-from repro.obs.sink import SAMPLE_ENV, TRACE_ENV, ObsState, disable, reset
+from repro.obs.sink import ObsState, disable, reset
 
 
 def trace_target() -> Path | None:
     """Trace file selected by ``REPRO_TRACE``, or ``None`` when disabled."""
     return sink.target(sink.RUN)
-
-
-def sample_rate() -> float:
-    """Event sampling rate from ``REPRO_TRACE_SAMPLE`` (default: keep all)."""
-    return knobs.get(SAMPLE_ENV)
 
 
 def enabled() -> bool:
@@ -229,10 +224,7 @@ def finish_run() -> Path | None:
 
 
 __all__ = [
-    "TRACE_ENV",
-    "SAMPLE_ENV",
     "trace_target",
-    "sample_rate",
     "enabled",
     "current_trace_id",
     "span",

@@ -24,21 +24,9 @@ policies behind a micro-batching front-end:
 
 from repro.serve.batcher import (
     ADMISSION_MODES,
-    DEFAULT_SERVE_ADMISSION,
-    DEFAULT_SERVE_BATCH,
-    DEFAULT_SERVE_DEADLINE_MS,
-    DEFAULT_SERVE_QUEUE,
-    SERVE_ADMISSION_ENV,
-    SERVE_BATCH_ENV,
-    SERVE_DEADLINE_ENV,
-    SERVE_QUEUE_ENV,
     Decision,
     MicroBatcher,
     ShedDecision,
-    resolve_serve_admission,
-    resolve_serve_batch,
-    resolve_serve_deadline_ms,
-    resolve_serve_queue,
 )
 from repro.serve.clock import MonotonicClock, VirtualClock
 from repro.serve.loadgen import (
@@ -52,14 +40,6 @@ from repro.serve.store import PolicyStore
 
 __all__ = [
     "ADMISSION_MODES",
-    "DEFAULT_SERVE_ADMISSION",
-    "DEFAULT_SERVE_BATCH",
-    "DEFAULT_SERVE_DEADLINE_MS",
-    "DEFAULT_SERVE_QUEUE",
-    "SERVE_ADMISSION_ENV",
-    "SERVE_BATCH_ENV",
-    "SERVE_DEADLINE_ENV",
-    "SERVE_QUEUE_ENV",
     "Decision",
     "DecisionServer",
     "LoadGenConfig",
@@ -69,10 +49,6 @@ __all__ = [
     "PolicyStore",
     "ShedDecision",
     "VirtualClock",
-    "resolve_serve_admission",
-    "resolve_serve_batch",
-    "resolve_serve_deadline_ms",
-    "resolve_serve_queue",
     "run_closed_loop",
     "run_server_load",
 ]

@@ -46,39 +46,8 @@ from repro.obs.metrics import METRICS
 from repro.serve.clock import MonotonicClock
 from repro.serve.store import PolicyStore
 
-SERVE_BATCH_ENV = "REPRO_SERVE_BATCH"
-SERVE_DEADLINE_ENV = "REPRO_SERVE_DEADLINE_MS"
-SERVE_QUEUE_ENV = "REPRO_SERVE_QUEUE"
-SERVE_ADMISSION_ENV = "REPRO_SERVE_ADMISSION"
-
-DEFAULT_SERVE_BATCH = knobs.KNOBS[SERVE_BATCH_ENV].default
-#: Default deadline: well inside the paper's ~9 ms per-decision budget.
-DEFAULT_SERVE_DEADLINE_MS = knobs.KNOBS[SERVE_DEADLINE_ENV].default
-DEFAULT_SERVE_QUEUE = knobs.KNOBS[SERVE_QUEUE_ENV].default
-DEFAULT_SERVE_ADMISSION = knobs.KNOBS[SERVE_ADMISSION_ENV].default
-
 #: Admission-control modes (see module docstring).
-ADMISSION_MODES = knobs.KNOBS[SERVE_ADMISSION_ENV].choices
-
-
-def resolve_serve_batch(value: int | str | None = None) -> int:
-    """Max decisions per stacked forward (override or ``REPRO_SERVE_BATCH``)."""
-    return knobs.get(SERVE_BATCH_ENV, value)
-
-
-def resolve_serve_queue(value: int | str | None = None) -> int:
-    """Pending-queue bound (override or ``REPRO_SERVE_QUEUE``)."""
-    return knobs.get(SERVE_QUEUE_ENV, value)
-
-
-def resolve_serve_deadline_ms(value: float | str | None = None) -> float:
-    """Batching deadline in ms (override or ``REPRO_SERVE_DEADLINE_MS``)."""
-    return knobs.get(SERVE_DEADLINE_ENV, value)
-
-
-def resolve_serve_admission(value: str | None = None) -> str:
-    """Admission mode (override or ``REPRO_SERVE_ADMISSION``)."""
-    return knobs.get(SERVE_ADMISSION_ENV, value)
+ADMISSION_MODES = knobs.KNOBS["REPRO_SERVE_ADMISSION"].choices
 
 
 @dataclass(frozen=True)
@@ -125,10 +94,10 @@ class MicroBatcher:
         clock=None,
     ) -> None:
         self.store = store
-        self.max_batch = resolve_serve_batch(max_batch)
-        self.deadline_s = resolve_serve_deadline_ms(deadline_ms) / 1000.0
-        self.queue_limit = resolve_serve_queue(queue_limit)
-        self.admission = resolve_serve_admission(admission)
+        self.max_batch = knobs.get("REPRO_SERVE_BATCH", max_batch)
+        self.deadline_s = knobs.get("REPRO_SERVE_DEADLINE_MS", deadline_ms) / 1000.0
+        self.queue_limit = knobs.get("REPRO_SERVE_QUEUE", queue_limit)
+        self.admission = knobs.get("REPRO_SERVE_ADMISSION", admission)
         self.clock = clock if clock is not None else MonotonicClock()
         # (network_id, policy, observation, submitted_at), oldest first.
         self._pending: list[tuple[int, int, np.ndarray, float]] = []
@@ -155,6 +124,10 @@ class MicroBatcher:
         refused = self.refuse(network_id, policy, observation)
         if refused is not None:
             return [refused]
+        # Convert before making room: a malformed request must raise while
+        # the queue is untouched, not after a flush whose answers it drops.
+        network_id, policy = int(network_id), int(policy)
+        observation = np.asarray(observation, dtype=np.float64)
         # queue: flush immediately to make room.
         produced = self.flush() if self.full else []
         return produced + self.enqueue(network_id, policy, observation)
@@ -256,19 +229,7 @@ class MicroBatcher:
 
 
 __all__ = [
-    "SERVE_BATCH_ENV",
-    "DEFAULT_SERVE_BATCH",
-    "SERVE_DEADLINE_ENV",
-    "DEFAULT_SERVE_DEADLINE_MS",
-    "SERVE_QUEUE_ENV",
-    "DEFAULT_SERVE_QUEUE",
-    "SERVE_ADMISSION_ENV",
     "ADMISSION_MODES",
-    "DEFAULT_SERVE_ADMISSION",
-    "resolve_serve_batch",
-    "resolve_serve_deadline_ms",
-    "resolve_serve_queue",
-    "resolve_serve_admission",
     "Decision",
     "ShedDecision",
     "MicroBatcher",

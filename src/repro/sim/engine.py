@@ -10,23 +10,16 @@ from __future__ import annotations
 from repro import knobs
 from repro.errors import SimulationError
 
-#: Environment variable selecting how many slots' worth of uniforms the
-#: aggregate sampling mode draws per stream refill.
-FIELD_BATCH_ENV = "REPRO_FIELD_BATCH"
-
-#: Default slots per refill when nothing is configured.
-DEFAULT_FIELD_BATCH = knobs.KNOBS[FIELD_BATCH_ENV].default
-
 
 def resolve_field_batch(value: int | str | None = None) -> int:
     """Resolve the stream refill size from an override or ``REPRO_FIELD_BATCH``.
 
-    ``None`` (and an unset/empty environment) selects
-    :data:`DEFAULT_FIELD_BATCH`. Any value is bit-identical to any other:
+    The size is the slots' worth of uniforms the aggregate sampling mode
+    draws per stream refill. Any value is bit-identical to any other:
     ``Generator.random(n)`` produces exactly the doubles ``n`` sequential
     ``random()`` calls would, so blocking only changes buffering.
     """
-    return knobs.get(FIELD_BATCH_ENV, value)
+    return knobs.get("REPRO_FIELD_BATCH", value)
 
 
 def check_num_slots(num_slots: int) -> int:
@@ -37,8 +30,6 @@ def check_num_slots(num_slots: int) -> int:
 
 
 __all__ = [
-    "FIELD_BATCH_ENV",
-    "DEFAULT_FIELD_BATCH",
     "resolve_field_batch",
     "check_num_slots",
 ]

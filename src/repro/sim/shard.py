@@ -91,9 +91,6 @@ from repro.sim.field import (
 )
 from repro.sim.scenario import SCHEMES, scheme_policy
 
-#: Environment variable selecting the default shard count.
-SHARDS_ENV = "REPRO_SHARDS"
-
 
 def resolve_shards(value: int | str | None = None) -> int:
     """Resolve a shard count from an override or ``REPRO_SHARDS``.
@@ -102,7 +99,7 @@ def resolve_shards(value: int | str | None = None) -> int:
     ``auto`` matches the machine's core count. Any value produces
     bitwise-identical results — sharding is a pure performance knob.
     """
-    return knobs.get(SHARDS_ENV, value)
+    return knobs.get("REPRO_SHARDS", value)
 
 
 def network_seed(seed: SeedLike, index: int) -> int:
@@ -1326,7 +1323,6 @@ class FieldGrid:
 
 
 __all__ = [
-    "SHARDS_ENV",
     "resolve_shards",
     "network_seed",
     "network_positions",

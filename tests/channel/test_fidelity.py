@@ -15,12 +15,7 @@ import pytest
 
 from repro.channel.fidelity import (
     CALIBRATION_TOLERANCE,
-    CHANNEL_BIN_ENV,
-    CHANNEL_ENV,
     CHANNEL_TIERS,
-    CHANNEL_TRIALS_ENV,
-    DEFAULT_CHANNEL_TRIALS,
-    DEFAULT_MARGIN_BIN_DB,
     OFFSET_BIN_MHZ,
     CalibrationTable,
     HybridLinkBudget,
@@ -34,8 +29,6 @@ from repro.channel.fidelity import (
     offset_bin_index,
     raw_jam_to_signal_db,
     resolve_channel_tier,
-    resolve_channel_trials,
-    resolve_margin_bin_db,
     trial_cache_stats,
 )
 from repro.channel.link import (
@@ -57,51 +50,28 @@ ZIGBEE = JammerSignalType.ZIGBEE
 
 class TestTierResolution:
     def test_default_is_analytic(self, monkeypatch):
-        monkeypatch.delenv(CHANNEL_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CHANNEL", raising=False)
         assert resolve_channel_tier() == "analytic"
 
     def test_empty_and_whitespace_count_as_unset(self, monkeypatch):
         for raw in ("", "  ", "\t"):
-            monkeypatch.setenv(CHANNEL_ENV, raw)
+            monkeypatch.setenv("REPRO_CHANNEL", raw)
             assert resolve_channel_tier() == "analytic"
 
     def test_env_and_argument(self, monkeypatch):
-        monkeypatch.setenv(CHANNEL_ENV, " Hybrid ")
+        monkeypatch.setenv("REPRO_CHANNEL", " Hybrid ")
         assert resolve_channel_tier() == "hybrid"
         # Explicit argument beats the environment.
         assert resolve_channel_tier("waveform") == "waveform"
 
     def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.delenv(CHANNEL_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CHANNEL", raising=False)
         with pytest.raises(ConfigurationError):
             resolve_channel_tier("exact")
 
     def test_all_tiers_resolve(self):
         for tier in CHANNEL_TIERS:
             assert resolve_channel_tier(tier) == tier
-
-    def test_trials_resolver(self, monkeypatch):
-        monkeypatch.delenv(CHANNEL_TRIALS_ENV, raising=False)
-        assert resolve_channel_trials() == DEFAULT_CHANNEL_TRIALS
-        monkeypatch.setenv(CHANNEL_TRIALS_ENV, " 8 ")
-        assert resolve_channel_trials() == 8
-        assert resolve_channel_trials(4) == 4
-        monkeypatch.setenv(CHANNEL_TRIALS_ENV, "   ")
-        assert resolve_channel_trials() == DEFAULT_CHANNEL_TRIALS
-        with pytest.raises(ConfigurationError):
-            resolve_channel_trials("lots")
-        with pytest.raises(ConfigurationError):
-            resolve_channel_trials(0)
-
-    def test_bin_resolver(self, monkeypatch):
-        monkeypatch.delenv(CHANNEL_BIN_ENV, raising=False)
-        assert resolve_margin_bin_db() == DEFAULT_MARGIN_BIN_DB
-        monkeypatch.setenv(CHANNEL_BIN_ENV, "1.0")
-        assert resolve_margin_bin_db() == 1.0
-        with pytest.raises(ConfigurationError):
-            resolve_margin_bin_db("-1")
-        with pytest.raises(ConfigurationError):
-            resolve_margin_bin_db("wide")
 
 
 class TestMarginTransforms:

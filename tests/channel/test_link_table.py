@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro import knobs
 from repro.channel.link import (
-    DEFAULT_PER_CACHE_CAPACITY,
-    PER_CACHE_ENV,
     Interferer,
     JammerSignalType,
     LinkBudget,
@@ -22,18 +21,21 @@ SIGNALS = [-90.0, -80.0, -70.0, -55.0, -40.0]
 OCTETS = [16, 60, 127]
 INTERFERER_SETS = [(), (WIFI,), (EMUBEE,), (ZIGBEE,), (WIFI, ZIGBEE)]
 
+#: A link table's capacity when ``REPRO_PER_CACHE`` is unset.
+PER_CACHE_DEFAULT = knobs.KNOBS["REPRO_PER_CACHE"].default
+
 
 class TestCapacityResolution:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv(PER_CACHE_ENV, raising=False)
-        assert resolve_per_cache_capacity() == DEFAULT_PER_CACHE_CAPACITY
+        monkeypatch.delenv("REPRO_PER_CACHE", raising=False)
+        assert resolve_per_cache_capacity() == PER_CACHE_DEFAULT
 
     def test_empty_env_is_default(self, monkeypatch):
-        monkeypatch.setenv(PER_CACHE_ENV, "")
-        assert resolve_per_cache_capacity() == DEFAULT_PER_CACHE_CAPACITY
+        monkeypatch.setenv("REPRO_PER_CACHE", "")
+        assert resolve_per_cache_capacity() == PER_CACHE_DEFAULT
 
     def test_env_integer(self, monkeypatch):
-        monkeypatch.setenv(PER_CACHE_ENV, "128")
+        monkeypatch.setenv("REPRO_PER_CACHE", "128")
         assert resolve_per_cache_capacity() == 128
 
     @pytest.mark.parametrize("word", ["off", "none", " OFF ", "None"])
@@ -41,7 +43,7 @@ class TestCapacityResolution:
         assert resolve_per_cache_capacity(word) == 0
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PER_CACHE_ENV, "128")
+        monkeypatch.setenv("REPRO_PER_CACHE", "128")
         assert resolve_per_cache_capacity(4) == 4
 
     @pytest.mark.parametrize("bad", ["soon", "1.5", -1])
@@ -101,7 +103,7 @@ class TestCacheMechanics:
         assert table.hit_rate == pytest.approx(1 / 3)
         stats = table.stats()
         assert stats["entries"] == 2
-        assert stats["capacity"] == DEFAULT_PER_CACHE_CAPACITY
+        assert stats["capacity"] == PER_CACHE_DEFAULT
 
     def test_metrics_registry_counters(self):
         before_hits = METRICS.counter("link.per_cache_hits").value

@@ -10,18 +10,14 @@ batch size and worker count.
 import numpy as np
 import pytest
 
+from repro import knobs
+from repro.channel import trials
 from repro.channel.link import JammerSignalType
 from repro.channel.trials import (
-    DEFAULT_BANK_SAMPLES,
-    DEFAULT_TRIAL_BATCH,
-    JAMMER_BANK_ENV,
-    TRIAL_BATCH_ENV,
     BatchTrialResult,
     JammerBank,
     default_bank,
     jam_trials,
-    resolve_bank_samples,
-    resolve_trial_batch,
     run_chip_flip_trials,
     trial_base,
     trial_stream,
@@ -192,33 +188,30 @@ class TestBatchBitIdentity:
 
 
 class TestCampaignInvariance:
-    def test_trial_batch_invariance(self):
-        vals = [
-            run_chip_flip_trials(
-                JammerSignalType.EMUBEE, 3.0, trials=11, rng=42,
-                trial_batch=tb,
+    def test_trial_batch_invariance(self, monkeypatch):
+        vals = []
+        for tb in (1, 2, 5, 11, 64):
+            monkeypatch.setattr(trials, "TRIAL_BATCH", tb)
+            vals.append(
+                run_chip_flip_trials(JammerSignalType.EMUBEE, 3.0, trials=11, rng=42)
             )
-            for tb in (1, 2, 5, 11, 64)
-        ]
         assert all(v == vals[0] for v in vals)
 
-    def test_worker_invariance(self):
-        serial = run_chip_flip_trials(
-            JammerSignalType.ZIGBEE, 1.0, trials=8, rng=4, trial_batch=3
-        )
+    def test_worker_invariance(self, monkeypatch):
+        monkeypatch.setattr(trials, "TRIAL_BATCH", 3)  # 3 chunks, 2 workers
+        serial = run_chip_flip_trials(JammerSignalType.ZIGBEE, 1.0, trials=8, rng=4)
         runner = ParallelRunner(workers=2)
         parallel = run_chip_flip_trials(
-            JammerSignalType.ZIGBEE, 1.0, trials=8, rng=4, trial_batch=3,
-            runner=runner,
+            JammerSignalType.ZIGBEE, 1.0, trials=8, rng=4, runner=runner,
         )
         assert parallel == serial
 
-    def test_matches_per_trial_references(self):
+    def test_matches_per_trial_references(self, monkeypatch):
+        monkeypatch.setattr(trials, "TRIAL_BATCH", 2)
         base = trial_base(17)
         bank = default_bank()
         got = run_chip_flip_trials(
             JammerSignalType.ZIGBEE, 0.0, trials=5, payload_bytes=4, rng=17,
-            trial_batch=2,
         )
         total = 0.0
         for i in range(5):
@@ -308,59 +301,42 @@ class TestJammerBank:
             JammerBank(0)
 
 
+#: The jammer bank's size when ``REPRO_JAMMER_BANK`` is unset.
+BANK_DEFAULT = knobs.KNOBS["REPRO_JAMMER_BANK"].default
+
+
 class TestEnvResolution:
     def test_bank_default(self, monkeypatch):
-        monkeypatch.delenv(JAMMER_BANK_ENV, raising=False)
-        assert resolve_bank_samples() == DEFAULT_BANK_SAMPLES
+        monkeypatch.delenv("REPRO_JAMMER_BANK", raising=False)
+        assert JammerBank().samples == BANK_DEFAULT
 
     def test_bank_env_and_disable(self, monkeypatch):
-        monkeypatch.setenv(JAMMER_BANK_ENV, "2048")
-        assert resolve_bank_samples() == 2048
+        monkeypatch.setenv("REPRO_JAMMER_BANK", "2048")
+        assert JammerBank().samples == 2048
         for off in ("0", "off", "none"):
-            monkeypatch.setenv(JAMMER_BANK_ENV, off)
-            assert resolve_bank_samples() == 0
+            monkeypatch.setenv("REPRO_JAMMER_BANK", off)
             assert default_bank() is None
-        monkeypatch.setenv(JAMMER_BANK_ENV, "")
-        assert resolve_bank_samples() == DEFAULT_BANK_SAMPLES
+        monkeypatch.setenv("REPRO_JAMMER_BANK", "")
+        assert default_bank().samples == BANK_DEFAULT
 
     def test_bank_invalid(self, monkeypatch):
-        monkeypatch.setenv(JAMMER_BANK_ENV, "many")
+        monkeypatch.setenv("REPRO_JAMMER_BANK", "many")
+        with pytest.raises(ConfigurationError, match="REPRO_JAMMER_BANK"):
+            JammerBank()
         with pytest.raises(ConfigurationError):
-            resolve_bank_samples()
-        with pytest.raises(ConfigurationError):
-            resolve_bank_samples(-1)
-
-    def test_trial_batch_default_and_env(self, monkeypatch):
-        monkeypatch.delenv(TRIAL_BATCH_ENV, raising=False)
-        assert resolve_trial_batch() == DEFAULT_TRIAL_BATCH
-        monkeypatch.setenv(TRIAL_BATCH_ENV, "16")
-        assert resolve_trial_batch() == 16
-        monkeypatch.setenv(TRIAL_BATCH_ENV, "off")
-        assert resolve_trial_batch() == 1
-        assert resolve_trial_batch(8) == 8
-
-    def test_trial_batch_invalid(self, monkeypatch):
-        monkeypatch.setenv(TRIAL_BATCH_ENV, "zero")
-        with pytest.raises(ConfigurationError):
-            resolve_trial_batch()
-        with pytest.raises(ConfigurationError):
-            resolve_trial_batch(0)
+            JammerBank(-1)
 
     def test_whitespace_env_counts_as_unset(self, monkeypatch):
         # A stray "export REPRO_JAMMER_BANK=' '" must behave like the
         # variable being absent, not like an invalid literal.
-        monkeypatch.setenv(JAMMER_BANK_ENV, "   ")
-        assert resolve_bank_samples() == DEFAULT_BANK_SAMPLES
-        monkeypatch.setenv(TRIAL_BATCH_ENV, "\t ")
-        assert resolve_trial_batch() == DEFAULT_TRIAL_BATCH
+        monkeypatch.setenv("REPRO_JAMMER_BANK", "   ")
+        assert JammerBank().samples == BANK_DEFAULT
 
     def test_padded_env_values_parse(self, monkeypatch):
-        monkeypatch.setenv(JAMMER_BANK_ENV, " 2048 ")
-        assert resolve_bank_samples() == 2048
-        monkeypatch.setenv(JAMMER_BANK_ENV, " OFF ")
-        assert resolve_bank_samples() == 0
-        monkeypatch.setenv(TRIAL_BATCH_ENV, " 16 ")
-        assert resolve_trial_batch() == 16
+        monkeypatch.setenv("REPRO_JAMMER_BANK", " 2048 ")
+        assert JammerBank().samples == 2048
+        monkeypatch.setenv("REPRO_JAMMER_BANK", " OFF ")
+        assert default_bank() is None
 
 
 class TestValidationAndMetrics:

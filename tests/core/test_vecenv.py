@@ -9,14 +9,13 @@ and even the downstream replay-sampling rng position.
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.core.replay import ReplayBuffer
 from repro.core.trainer import TrainerConfig, train_dqn, train_dqn_multi_seed
 from repro.core.vecenv import (
-    DEFAULT_ENV_BATCH,
-    ENV_BATCH_ENV,
     VectorEnv,
     clear_policy_stack_cache,
     get_policy_stack,
@@ -71,11 +70,11 @@ def assert_run_identical(batched, serial):
 
 class TestResolveEnvBatch:
     def test_default(self, monkeypatch):
-        monkeypatch.delenv(ENV_BATCH_ENV, raising=False)
-        assert resolve_env_batch() == DEFAULT_ENV_BATCH
+        monkeypatch.delenv("REPRO_ENV_BATCH", raising=False)
+        assert resolve_env_batch() == knobs.KNOBS["REPRO_ENV_BATCH"].default
 
     def test_env_integer(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCH_ENV, "3")
+        monkeypatch.setenv("REPRO_ENV_BATCH", "3")
         assert resolve_env_batch() == 3
 
     @pytest.mark.parametrize("word", ["off", "none", " OFF "])
@@ -83,7 +82,7 @@ class TestResolveEnvBatch:
         assert resolve_env_batch(word) == 1
 
     def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCH_ENV, "3")
+        monkeypatch.setenv("REPRO_ENV_BATCH", "3")
         assert resolve_env_batch(5) == 5
 
     @pytest.mark.parametrize("bad", ["soon", "1.5"])

@@ -4,14 +4,26 @@ reference, so these cannot live inside test functions)."""
 import os
 import time
 
+from repro.rng import derive
+
 
 def square(spec):
     return spec * spec
 
 
-def pair_with_draw(spec, rng):
-    """Seeded task: returns the spec and one draw from its private stream."""
-    return (spec, float(rng.random()))
+def seeded_specs(n, seed, stream="task"):
+    """Specs ``(i, seed, stream)`` for :func:`pair_with_draw`, ``i < n``."""
+    return [(i, seed, stream) for i in range(n)]
+
+
+def pair_with_draw(spec):
+    """Seeded task: returns ``i`` and one draw from its private stream.
+
+    The stream is ``derive(seed, f"{stream}[{i}]")``: it depends on the
+    payload alone, never on the worker, dispatch order or retry attempt.
+    """
+    i, seed, stream = spec
+    return (i, float(derive(seed, f"{stream}[{i}]").random()))
 
 
 def explode(spec):

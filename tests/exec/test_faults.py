@@ -4,11 +4,6 @@ import pytest
 
 from repro.errors import ConfigurationError, ExecutionError
 from repro.exec import (
-    FAULT_RATE_ENV,
-    FAULT_SEED_ENV,
-    MAX_RETRIES_ENV,
-    ON_ERROR_ENV,
-    TIMEOUT_ENV,
     FaultCounters,
     FaultPolicy,
     InjectedFault,
@@ -74,21 +69,21 @@ class TestFaultPolicy:
 class TestFaultPolicyFromEnv:
     def test_unset_env_is_default(self, monkeypatch):
         for name in (
-            ON_ERROR_ENV,
-            MAX_RETRIES_ENV,
-            TIMEOUT_ENV,
-            FAULT_RATE_ENV,
-            FAULT_SEED_ENV,
+            "REPRO_ON_ERROR",
+            "REPRO_MAX_RETRIES",
+            "REPRO_TASK_TIMEOUT",
+            "REPRO_FAULT_RATE",
+            "REPRO_FAULT_SEED",
         ):
             monkeypatch.delenv(name, raising=False)
         assert FaultPolicy.from_env() == FaultPolicy()
 
     def test_env_values(self, monkeypatch):
-        monkeypatch.setenv(ON_ERROR_ENV, "skip")
-        monkeypatch.setenv(MAX_RETRIES_ENV, "4")
-        monkeypatch.setenv(TIMEOUT_ENV, "2.5")
-        monkeypatch.setenv(FAULT_RATE_ENV, "0.25")
-        monkeypatch.setenv(FAULT_SEED_ENV, "9")
+        monkeypatch.setenv("REPRO_ON_ERROR", "skip")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "4")
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "2.5")
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.25")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "9")
         policy = FaultPolicy.from_env()
         assert policy.on_error == "skip"
         assert policy.max_retries == 4
@@ -97,14 +92,14 @@ class TestFaultPolicyFromEnv:
         assert policy.fault_seed == 9
 
     def test_empty_env_is_unset(self, monkeypatch):
-        monkeypatch.setenv(ON_ERROR_ENV, "")
-        monkeypatch.setenv(MAX_RETRIES_ENV, "   ")
-        monkeypatch.setenv(TIMEOUT_ENV, "\t")
+        monkeypatch.setenv("REPRO_ON_ERROR", "")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "   ")
+        monkeypatch.setenv("REPRO_TASK_TIMEOUT", "\t")
         assert FaultPolicy.from_env() == FaultPolicy()
 
     def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ON_ERROR_ENV, "skip")
-        monkeypatch.setenv(MAX_RETRIES_ENV, "9")
+        monkeypatch.setenv("REPRO_ON_ERROR", "skip")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "9")
         policy = FaultPolicy.from_env(on_error="retry", max_retries=1)
         assert policy.on_error == "retry"
         assert policy.max_retries == 1
@@ -112,11 +107,11 @@ class TestFaultPolicyFromEnv:
     @pytest.mark.parametrize(
         ("name", "value"),
         [
-            (ON_ERROR_ENV, "explode"),
-            (MAX_RETRIES_ENV, "many"),
-            (TIMEOUT_ENV, "soon"),
-            (FAULT_RATE_ENV, "often"),
-            (FAULT_SEED_ENV, "x"),
+            ("REPRO_ON_ERROR", "explode"),
+            ("REPRO_MAX_RETRIES", "many"),
+            ("REPRO_TASK_TIMEOUT", "soon"),
+            ("REPRO_FAULT_RATE", "often"),
+            ("REPRO_FAULT_SEED", "x"),
         ],
     )
     def test_invalid_env_values(self, monkeypatch, name, value):
@@ -167,19 +162,17 @@ class TestRetry:
             runner.map(tasks.explode, range(3))
 
     def test_injected_faults_do_not_change_results_serial(self):
-        clean = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(10), seed=42, stream="x"
-        )
+        specs = tasks.seeded_specs(10, 42, "x")
+        clean = ParallelRunner(1).map(tasks.pair_with_draw, specs)
         runner = ParallelRunner(1, policy=FaultPolicy(**FAULTY_RETRY))
-        faulty = runner.map_seeded(tasks.pair_with_draw, range(10), seed=42, stream="x")
+        faulty = runner.map(tasks.pair_with_draw, specs)
         assert faulty == clean
 
     def test_injected_faults_do_not_change_results_pooled(self):
-        clean = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(10), seed=42, stream="x"
-        )
+        specs = tasks.seeded_specs(10, 42, "x")
+        clean = ParallelRunner(1).map(tasks.pair_with_draw, specs)
         runner = ParallelRunner(4, policy=FaultPolicy(**FAULTY_RETRY))
-        faulty = runner.map_seeded(tasks.pair_with_draw, range(10), seed=42, stream="x")
+        faulty = runner.map(tasks.pair_with_draw, specs)
         assert faulty == clean
 
     def test_retry_counts_reach_registry(self):
@@ -187,7 +180,7 @@ class TestRetry:
         runner = ParallelRunner(
             1, name="inj", registry=registry, policy=FaultPolicy(**FAULTY_RETRY)
         )
-        runner.map_seeded(tasks.pair_with_draw, range(10), seed=42, stream="x")
+        runner.map(tasks.pair_with_draw, tasks.seeded_specs(10, 42, "x"))
         assert registry.stages["inj"].retries > 0
         assert registry.stages["inj"].failures == 0
 
@@ -278,12 +271,11 @@ class TestPoolDegradation:
 
 class TestWorkerCountInvariance:
     def test_faulty_pooled_equals_clean_serial(self):
-        clean = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(12), seed=5, stream="inv"
-        )
+        specs = tasks.seeded_specs(12, 5, "inv")
+        clean = ParallelRunner(1).map(tasks.pair_with_draw, specs)
         policy = FaultPolicy(**FAULTY_RETRY)
         for workers in (1, 4):
-            faulty = ParallelRunner(workers, policy=policy).map_seeded(
-                tasks.pair_with_draw, range(12), seed=5, stream="inv"
+            faulty = ParallelRunner(workers, policy=policy).map(
+                tasks.pair_with_draw, specs
             )
             assert faulty == clean

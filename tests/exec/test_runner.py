@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.exec import ParallelRunner, parallel_map, resolve_workers
+from repro.exec import ParallelRunner, resolve_workers
 from repro.exec.timing import TimingRegistry
 
 from tests.exec import tasks
@@ -77,49 +77,32 @@ class TestMap:
         with pytest.raises(ValueError, match="exploded"):
             ParallelRunner(1).map(tasks.explode, range(4))
 
-    def test_chunk_size_validation(self):
-        with pytest.raises(ConfigurationError):
-            ParallelRunner(2, chunk_size=0)
-
-    def test_explicit_chunk_size(self):
-        runner = ParallelRunner(2, chunk_size=3)
-        assert runner.map(tasks.square, range(10)) == [i * i for i in range(10)]
-
-    def test_parallel_map_convenience(self):
-        assert parallel_map(tasks.square, range(5), workers=2) == [0, 1, 4, 9, 16]
-
 
 class TestSeededMap:
+    """Tasks that derive their stream from the payload, run through ``map``."""
+
     def test_worker_count_invariance(self):
         """Same seed -> identical aggregates for 1 vs 4 workers."""
-        specs = list(range(12))
-        serial = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, specs, seed=123, stream="inv"
-        )
-        pooled = ParallelRunner(4).map_seeded(
-            tasks.pair_with_draw, specs, seed=123, stream="inv"
-        )
+        specs = tasks.seeded_specs(12, 123, "inv")
+        serial = ParallelRunner(1).map(tasks.pair_with_draw, specs)
+        pooled = ParallelRunner(4).map(tasks.pair_with_draw, specs)
         assert serial == pooled
 
     def test_streams_are_independent(self):
-        rows = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(8), seed=0, stream="ind"
+        rows = ParallelRunner(1).map(
+            tasks.pair_with_draw, tasks.seeded_specs(8, 0, "ind")
         )
         draws = [draw for _, draw in rows]
         assert len(set(draws)) == len(draws)
 
     def test_different_seeds_differ(self):
-        a = ParallelRunner(1).map_seeded(tasks.pair_with_draw, range(4), seed=1)
-        b = ParallelRunner(1).map_seeded(tasks.pair_with_draw, range(4), seed=2)
+        a = ParallelRunner(1).map(tasks.pair_with_draw, tasks.seeded_specs(4, 1))
+        b = ParallelRunner(1).map(tasks.pair_with_draw, tasks.seeded_specs(4, 2))
         assert a != b
 
     def test_stream_name_partitions(self):
-        a = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(4), seed=1, stream="a"
-        )
-        b = ParallelRunner(1).map_seeded(
-            tasks.pair_with_draw, range(4), seed=1, stream="b"
-        )
+        a = ParallelRunner(1).map(tasks.pair_with_draw, tasks.seeded_specs(4, 1, "a"))
+        b = ParallelRunner(1).map(tasks.pair_with_draw, tasks.seeded_specs(4, 1, "b"))
         assert a != b
 
 

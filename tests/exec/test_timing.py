@@ -103,8 +103,7 @@ class TestBenchArtifacts:
         assert json.loads(path.read_text())["slots"] == 2000
 
     def test_env_dir_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(timing.BENCH_DIR_ENV, str(tmp_path / "out"))
-        assert timing.bench_dir() == tmp_path / "out"
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "out"))
         reg = TimingRegistry()
         reg.record("s", 0.1)
         path = reg.write_bench("envtest")
@@ -112,7 +111,7 @@ class TestBenchArtifacts:
         assert path.exists()
 
     def test_global_helpers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(timing.BENCH_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         timing.REGISTRY.reset()
         with timing.stage("global-stage", items=3):
             pass

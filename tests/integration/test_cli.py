@@ -131,11 +131,7 @@ class TestCalibrateCommand:
         assert main(["calibrate", "--check", str(path)]) == 1
 
     def test_channel_flag_exported(self, monkeypatch):
-        import os
-
-        from repro.channel.fidelity import CHANNEL_ENV
-
-        monkeypatch.delenv(CHANNEL_ENV, raising=False)
+        monkeypatch.delenv("REPRO_CHANNEL", raising=False)
         args = build_parser().parse_args(["train", "--channel", "hybrid"])
         assert args.channel == "hybrid"
         with pytest.raises(SystemExit):

@@ -32,9 +32,9 @@ def test_field_scale_auto_shards_and_workers_together(capsys):
 
 def test_flags_take_knob_aliases_and_case():
     args = build_parser().parse_args(
-        ["figure", "2b-wf", "--trial-batch", "none", "--on-error", "RETRY"]
+        ["figure", "2b-wf", "--jammer-bank", "none", "--on-error", "RETRY"]
     )
-    assert args.trial_batch == "none"
+    assert args.jammer_bank == "none"
     assert args.on_error == "RETRY"
 
 

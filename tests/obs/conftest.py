@@ -10,11 +10,10 @@ from repro.obs.metrics import METRICS
 def clean_obs_state(monkeypatch):
     """Isolate the obs sink, metrics globals and the REPRO_* env between tests."""
     for name in (
-        sink.TRACE_ENV,
-        sink.SAMPLE_ENV,
-        sink.TELEM_ENV,
-        sink.TELEM_INTERVAL_ENV,
-        "REPRO_TELEM_WINDOW",
+        "REPRO_TRACE",
+        "REPRO_TRACE_SAMPLE",
+        "REPRO_TELEM",
+        "REPRO_TELEM_INTERVAL",
         "REPRO_PROFILE",
         "REPRO_WORKERS",
     ):

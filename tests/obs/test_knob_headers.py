@@ -4,7 +4,7 @@ import json
 
 from repro import knobs
 from repro.cli import main
-from repro.obs import telemetry, trace
+from repro.obs import telemetry
 
 
 def first_record(path):
@@ -13,7 +13,7 @@ def first_record(path):
 
 def test_trace_manifest_records_knob_flags(monkeypatch, tmp_path):
     target = tmp_path / "RUN_knobs.jsonl"
-    monkeypatch.setenv(trace.TRACE_ENV, str(target))
+    monkeypatch.setenv("REPRO_TRACE", str(target))
     # main() exports --workers; set it first so the test restores it.
     monkeypatch.setenv("REPRO_WORKERS", "")
     argv = ["-q", "train", "--workers", "2", "--episodes", "1", "--steps", "20"]
@@ -21,7 +21,7 @@ def test_trace_manifest_records_knob_flags(monkeypatch, tmp_path):
     manifest = first_record(target)
     assert manifest["type"] == "manifest"
     assert set(manifest["knobs"]) == set(knobs.KNOBS)
-    assert len(manifest["knobs"]) == 28
+    assert len(manifest["knobs"]) == 24
     assert manifest["knobs"]["REPRO_WORKERS"] == 2
     assert manifest["knobs"]["REPRO_TRACE"] == str(target)
     assert manifest["env"]["REPRO_WORKERS"] == "2"
@@ -29,7 +29,7 @@ def test_trace_manifest_records_knob_flags(monkeypatch, tmp_path):
 
 def test_telemetry_header_records_knobs(monkeypatch, tmp_path):
     target = tmp_path / "TELEM_knobs.jsonl"
-    monkeypatch.setenv(telemetry.TELEM_ENV, str(target))
+    monkeypatch.setenv("REPRO_TELEM", str(target))
     monkeypatch.setenv("REPRO_CHANNEL", " Hybrid ")
     telemetry.reset()
     telemetry.record_frame({"type": "frame", "series": "x", "window": 0})

@@ -56,7 +56,7 @@ class TestStructuredFormatting:
 class TestTraceMirroring:
     def test_log_lines_become_trace_events(self, monkeypatch, tmp_path):
         target = tmp_path / "RUN_log.jsonl"
-        monkeypatch.setenv(trace.TRACE_ENV, str(target))
+        monkeypatch.setenv("REPRO_TRACE", str(target))
         trace.reset()
         obs_log.configure(stream=io.StringIO())
         obs_log.get_logger("cli").info("traced line", k=1)

@@ -72,7 +72,7 @@ class TestRenderOpenmetrics:
 class TestExportTelemetry:
     def _write_run(self, monkeypatch, tmp_path):
         path = tmp_path / "TELEM_x.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
+        monkeypatch.setenv("REPRO_TELEM", str(path))
         telemetry.reset()
         for shard, networks in ((0, [0, 1]), (1, [2])):
             telemetry.record_frame(

@@ -48,8 +48,8 @@ class TestBitIdentical:
         trainer = TrainerConfig(episodes=2, steps_per_episode=20)
         baseline = train_dqn(MDPConfig(), trainer=trainer, seed=7)
 
-        monkeypatch.setenv(trace.TRACE_ENV, str(tmp_path / "RUN_bit.jsonl"))
-        monkeypatch.setenv(trace.SAMPLE_ENV, "0.5")  # sampling must not leak
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "RUN_bit.jsonl"))
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.5")  # sampling must not leak
         trace.reset()
         traced = train_dqn(MDPConfig(), trainer=trainer, seed=7)
         trace.finish_run()
@@ -67,7 +67,7 @@ class TestBitIdentical:
             distances, frames_per_node=5
         )
 
-        monkeypatch.setenv(trace.TRACE_ENV, str(tmp_path / "RUN_sweep.jsonl"))
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "RUN_sweep.jsonl"))
         trace.reset()
         traced = Testbed(config, seed=3).distance_sweep(
             distances, frames_per_node=5

@@ -14,13 +14,13 @@ class TestProfileHook:
 
     def test_falsy_values(self, monkeypatch):
         for value in ("", "0", "false", "no", "off", "OFF"):
-            monkeypatch.setenv(profile.PROFILE_ENV, value)
+            monkeypatch.setenv("REPRO_PROFILE", value)
             assert not profile.profiling_enabled()
-        monkeypatch.setenv(profile.PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         assert profile.profiling_enabled()
 
     def test_dumps_pstats(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(profile.PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         with profile.maybe_profile("my stage/x", directory=tmp_path):
             sum(range(1000))
         out = tmp_path / "PROF_my_stage_x.pstats"
@@ -29,7 +29,7 @@ class TestProfileHook:
         assert stats.total_calls >= 1
 
     def test_no_nesting(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(profile.PROFILE_ENV, "1")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
         with profile.maybe_profile("outer", directory=tmp_path):
             with profile.maybe_profile("inner", directory=tmp_path) as inner:
                 assert inner is None
@@ -37,8 +37,8 @@ class TestProfileHook:
         assert not (tmp_path / "PROF_inner.pstats").exists()
 
     def test_timing_stage_profiles(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(profile.PROFILE_ENV, "1")
-        monkeypatch.setenv(timing.BENCH_DIR_ENV, str(tmp_path))
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path))
         reg = timing.TimingRegistry()
         with reg.stage("timed"):
             pass

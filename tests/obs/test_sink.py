@@ -16,8 +16,8 @@ def records(path):
 def both(monkeypatch, tmp_path):
     """Tracing and telemetry on, writing into ``tmp_path``."""
     run, telem = tmp_path / "RUN_both.jsonl", tmp_path / "TELEM_both.jsonl"
-    monkeypatch.setenv(sink.TRACE_ENV, str(run))
-    monkeypatch.setenv(sink.TELEM_ENV, str(telem))
+    monkeypatch.setenv("REPRO_TRACE", str(run))
+    monkeypatch.setenv("REPRO_TELEM", str(telem))
     sink.reset()
     return run, telem
 
@@ -77,8 +77,8 @@ class TestRouting:
 
     def test_exit_hook_without_state_does_nothing(self, monkeypatch, tmp_path):
         # No state yet: the hook must not resolve (here, bad) knobs.
-        monkeypatch.setenv(sink.TELEM_ENV, str(tmp_path / "t.jsonl"))
-        monkeypatch.setenv(sink.TELEM_INTERVAL_ENV, "bad")
+        monkeypatch.setenv("REPRO_TELEM", str(tmp_path / "t.jsonl"))
+        monkeypatch.setenv("REPRO_TELEM_INTERVAL", "bad")
         sink.reset()
         sink._finish_at_exit()
         assert sink._STATE is None

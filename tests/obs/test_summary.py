@@ -14,7 +14,7 @@ from repro.obs.summary import render_summary, span_tree
 
 def write_demo_trace(monkeypatch, tmp_path, name="demo"):
     target = tmp_path / f"RUN_{name}.jsonl"
-    monkeypatch.setenv(trace.TRACE_ENV, str(target))
+    monkeypatch.setenv("REPRO_TRACE", str(target))
     trace.reset()
     trace.start_run(command="demo")
     with trace.span("cli/demo"):
@@ -89,7 +89,7 @@ class TestRenderSummary:
 
     def test_top_limits_listing(self, monkeypatch, tmp_path):
         target = tmp_path / "RUN_many.jsonl"
-        monkeypatch.setenv(trace.TRACE_ENV, str(target))
+        monkeypatch.setenv("REPRO_TRACE", str(target))
         trace.reset()
         for i in range(5):
             METRICS.inc(f"counter.{i}")
@@ -129,7 +129,7 @@ class TestObsSubcommands:
         from repro.obs import telemetry
 
         target = tmp_path / "TELEM_demo.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(target))
+        monkeypatch.setenv("REPRO_TELEM", str(target))
         telemetry.reset()
         rec = telemetry.FlightRecorder("dqn", interval=1)
         rec.tick(reward=1.0)

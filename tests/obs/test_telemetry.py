@@ -5,14 +5,18 @@ import random
 
 import pytest
 
+from repro import knobs
 from repro.errors import ConfigurationError, ReproError
 from repro.obs import sink, telemetry, trace
 from repro.obs.metrics import METRICS
 
+#: The telemetry window length when ``REPRO_TELEM_INTERVAL`` is unset.
+INTERVAL_DEFAULT = knobs.KNOBS["REPRO_TELEM_INTERVAL"].default
+
 
 def _set_target(monkeypatch, tmp_path, name="t"):
     path = tmp_path / f"TELEM_{name}.jsonl"
-    monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
+    monkeypatch.setenv("REPRO_TELEM", str(path))
     telemetry.reset()
     return path
 
@@ -27,30 +31,31 @@ class TestTargetResolution:
         assert not telemetry.enabled()
 
     def test_truthy_uses_default_name(self, monkeypatch):
-        monkeypatch.setenv(telemetry.TELEM_ENV, "1")
+        monkeypatch.setenv("REPRO_TELEM", "1")
         assert telemetry.telem_target().name == "TELEM_run.jsonl"
 
     def test_name_lands_in_artifact_dir(self, monkeypatch):
-        monkeypatch.setenv(telemetry.TELEM_ENV, "smoke")
+        monkeypatch.setenv("REPRO_TELEM", "smoke")
         assert telemetry.telem_target().name == "TELEM_smoke.jsonl"
 
     def test_path_used_verbatim(self, monkeypatch, tmp_path):
         target = tmp_path / "x.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(target))
+        monkeypatch.setenv("REPRO_TELEM", str(target))
         assert telemetry.telem_target() == target
 
-    def test_interval_and_window_envs(self, monkeypatch):
-        assert telemetry.telem_interval() == telemetry.DEFAULT_INTERVAL
-        monkeypatch.setenv(telemetry.TELEM_INTERVAL_ENV, "7")
-        monkeypatch.setenv(telemetry.TELEM_WINDOW_ENV, "9")
-        assert telemetry.telem_interval() == 7
-        assert telemetry.telem_window() == 9
+    def test_interval_env(self, monkeypatch, tmp_path):
+        _set_target(monkeypatch, tmp_path)
+        assert telemetry.interval() == INTERVAL_DEFAULT
+        monkeypatch.setenv("REPRO_TELEM_INTERVAL", "7")
+        telemetry.reset()
+        assert telemetry.interval() == 7
 
     @pytest.mark.parametrize("bad", ["0", "-3", "x"])
-    def test_invalid_interval_rejected(self, monkeypatch, bad):
-        monkeypatch.setenv(telemetry.TELEM_INTERVAL_ENV, bad)
-        with pytest.raises(ConfigurationError):
-            telemetry.telem_interval()
+    def test_invalid_interval_rejected(self, monkeypatch, tmp_path, bad):
+        monkeypatch.setenv("REPRO_TELEM_INTERVAL", bad)
+        _set_target(monkeypatch, tmp_path)
+        with pytest.raises(ConfigurationError, match="REPRO_TELEM_INTERVAL"):
+            telemetry.interval()
 
 
 class TestLifecycle:
@@ -63,7 +68,7 @@ class TestLifecycle:
         assert out == path
         records = _records(path)
         assert records[0]["type"] == "header"
-        assert records[0]["interval"] == telemetry.DEFAULT_INTERVAL
+        assert records[0]["interval"] == INTERVAL_DEFAULT
         assert records[1]["series"] == "x"
         assert records[-1]["type"] == "metrics"
         assert records[-1]["counters"]["sim.slots"] == 5
@@ -93,7 +98,7 @@ class TestWorkerProtocol:
     def test_activation_buffers_frames(self, monkeypatch, tmp_path):
         _set_target(monkeypatch, tmp_path)
         ctx = sink.worker_context()
-        assert ctx.telem_interval == telemetry.DEFAULT_INTERVAL
+        assert ctx.telem_interval == INTERVAL_DEFAULT
         assert ctx.trace_id == ""  # tracing is off
         sink.activate_worker(_telem_context(5))
         assert telemetry.enabled()
@@ -138,7 +143,6 @@ class TestFlightRecorder:
         rec = telemetry.FlightRecorder("dqn")
         assert rec.tick(reward=1.0) is None
         assert rec.flush() is None
-        assert not rec.frames
 
     def test_windows_sum_ticks(self, monkeypatch, tmp_path):
         path = _set_target(monkeypatch, tmp_path)
@@ -169,14 +173,6 @@ class TestFlightRecorder:
         METRICS.inc("link.per_cache_hits", 2)
         frame = rec.tick(episodes=1)
         assert frame["values"]["delta.link.per_cache_hits"] == 2.0
-
-    def test_ring_is_bounded(self, monkeypatch, tmp_path):
-        _set_target(monkeypatch, tmp_path)
-        rec = telemetry.FlightRecorder("dqn", interval=1, ring=3)
-        for i in range(10):
-            rec.tick(v=float(i))
-        assert len(rec.frames) == 3
-        assert [f["window"] for f in rec.frames] == [7, 8, 9]
 
     def test_interval_validated(self, monkeypatch, tmp_path):
         _set_target(monkeypatch, tmp_path)

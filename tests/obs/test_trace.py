@@ -19,7 +19,7 @@ def read_records(path: Path) -> list[dict]:
 
 def enable(monkeypatch, tmp_path: Path, name: str = "t") -> Path:
     target = tmp_path / f"RUN_{name}.jsonl"
-    monkeypatch.setenv(trace.TRACE_ENV, str(target))
+    monkeypatch.setenv("REPRO_TRACE", str(target))
     trace.reset()
     return target
 
@@ -40,28 +40,28 @@ class TestDisabled:
 
 class TestTargetResolution:
     def test_explicit_path(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(trace.TRACE_ENV, str(tmp_path / "t.jsonl"))
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
         assert trace.trace_target() == tmp_path / "t.jsonl"
 
     def test_run_name(self, monkeypatch):
-        monkeypatch.setenv(trace.TRACE_ENV, "smoke")
+        monkeypatch.setenv("REPRO_TRACE", "smoke")
         assert trace.trace_target().name == "RUN_smoke.jsonl"
 
     def test_truthy_flag(self, monkeypatch):
-        monkeypatch.setenv(trace.TRACE_ENV, "1")
+        monkeypatch.setenv("REPRO_TRACE", "1")
         assert trace.trace_target().name == "RUN_run.jsonl"
 
     def test_empty_is_disabled(self, monkeypatch):
-        monkeypatch.setenv(trace.TRACE_ENV, "  ")
+        monkeypatch.setenv("REPRO_TRACE", "  ")
         assert trace.trace_target() is None
 
-    def test_sample_rate_validation(self, monkeypatch):
-        monkeypatch.setenv(trace.SAMPLE_ENV, "2.0")
-        with pytest.raises(ConfigurationError):
-            trace.sample_rate()
-        monkeypatch.setenv(trace.SAMPLE_ENV, "nope")
-        with pytest.raises(ConfigurationError):
-            trace.sample_rate()
+    def test_sample_rate_validation(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
+        for bad in ("2.0", "nope"):
+            monkeypatch.setenv("REPRO_TRACE_SAMPLE", bad)
+            trace.reset()
+            with pytest.raises(ConfigurationError, match="REPRO_TRACE_SAMPLE"):
+                trace.enabled()
 
 
 class TestRecording:
@@ -127,7 +127,7 @@ class TestRecording:
 class TestSampling:
     def test_sampling_drops_events_not_spans(self, monkeypatch, tmp_path):
         target = enable(monkeypatch, tmp_path)
-        monkeypatch.setenv(trace.SAMPLE_ENV, "0.2")
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "0.2")
         trace.reset()
         with trace.span("all"):
             for i in range(500):

@@ -25,7 +25,7 @@ class TestSparkline:
 
 def _write_field_run(monkeypatch, tmp_path, *, adversary="reactive"):
     path = tmp_path / "TELEM_d.jsonl"
-    monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
+    monkeypatch.setenv("REPRO_TELEM", str(path))
     telemetry.reset()
     for window in range(3):
         for shard, networks in ((0, [0, 1]), (1, [2, 3])):
@@ -89,7 +89,7 @@ class TestRenderDashboard:
 
     def test_generic_series(self, monkeypatch, tmp_path):
         path = tmp_path / "TELEM_g.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
+        monkeypatch.setenv("REPRO_TELEM", str(path))
         telemetry.reset()
         rec = telemetry.FlightRecorder("dqn", interval=2)
         for i in range(6):
@@ -101,7 +101,7 @@ class TestRenderDashboard:
 
     def test_header_only_file(self, monkeypatch, tmp_path):
         path = tmp_path / "TELEM_h.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
+        monkeypatch.setenv("REPRO_TELEM", str(path))
         telemetry.reset()
         telemetry.record_frame({"type": "frame", "series": "x", "window": 0})
         telemetry.finish_run()

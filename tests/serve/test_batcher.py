@@ -6,20 +6,14 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.network import mlp
+from repro.obs.metrics import METRICS
 from repro.serve import (
     ADMISSION_MODES,
-    DEFAULT_SERVE_BATCH,
-    SERVE_ADMISSION_ENV,
-    SERVE_BATCH_ENV,
-    SERVE_DEADLINE_ENV,
     Decision,
     MicroBatcher,
     PolicyStore,
     ShedDecision,
     VirtualClock,
-    resolve_serve_admission,
-    resolve_serve_batch,
-    resolve_serve_deadline_ms,
 )
 
 
@@ -45,31 +39,42 @@ class SteppingClock:
 
 class TestResolvers:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(SERVE_BATCH_ENV, raising=False)
-        monkeypatch.delenv(SERVE_DEADLINE_ENV, raising=False)
-        monkeypatch.delenv(SERVE_ADMISSION_ENV, raising=False)
-        assert resolve_serve_batch() == DEFAULT_SERVE_BATCH
-        assert resolve_serve_deadline_ms() == 2.0
-        assert resolve_serve_admission() == "queue"
+        for name in (
+            "REPRO_SERVE_BATCH",
+            "REPRO_SERVE_DEADLINE_MS",
+            "REPRO_SERVE_QUEUE",
+            "REPRO_SERVE_ADMISSION",
+        ):
+            monkeypatch.delenv(name, raising=False)
+        batcher = MicroBatcher(store_of())
+        assert batcher.max_batch == 64
+        assert batcher.deadline_s == 2.0 / 1000.0
+        assert batcher.queue_limit == 256
+        assert batcher.admission == "queue"
 
     def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(SERVE_BATCH_ENV, "16")
-        monkeypatch.setenv(SERVE_DEADLINE_ENV, "0.5")
-        monkeypatch.setenv(SERVE_ADMISSION_ENV, "shed")
-        assert resolve_serve_batch() == 16
-        assert resolve_serve_deadline_ms() == 0.5
-        assert resolve_serve_admission() == "shed"
+        monkeypatch.setenv("REPRO_SERVE_BATCH", "16")
+        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "0.5")
+        monkeypatch.setenv("REPRO_SERVE_ADMISSION", "shed")
+        batcher = MicroBatcher(store_of())
+        assert batcher.max_batch == 16
+        assert batcher.deadline_s == 0.5 / 1000.0
+        assert batcher.admission == "shed"
+        # An explicit argument beats the environment.
+        assert MicroBatcher(store_of(), max_batch=4).max_batch == 4
 
     def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(SERVE_BATCH_ENV, "many")
-        with pytest.raises(ConfigurationError, match=SERVE_BATCH_ENV):
-            resolve_serve_batch()
-        with pytest.raises(ConfigurationError, match=SERVE_DEADLINE_ENV):
-            resolve_serve_deadline_ms("soon")
+        store = store_of()
+        monkeypatch.setenv("REPRO_SERVE_BATCH", "many")
+        with pytest.raises(ConfigurationError, match="REPRO_SERVE_BATCH"):
+            MicroBatcher(store)
+        monkeypatch.delenv("REPRO_SERVE_BATCH")
+        with pytest.raises(ConfigurationError, match="REPRO_SERVE_DEADLINE_MS"):
+            MicroBatcher(store, deadline_ms="soon")
         with pytest.raises(ConfigurationError, match=str(ADMISSION_MODES)):
-            resolve_serve_admission("panic")
+            MicroBatcher(store, admission="panic")
         with pytest.raises(ConfigurationError, match=">= 1"):
-            resolve_serve_batch(0)
+            MicroBatcher(store, max_batch=0)
 
 
 class TestSizeTrigger:
@@ -197,6 +202,19 @@ class TestAdmission:
         # the two queued requests were served; the new one is pending
         assert [o.network_id for o in outs] == [0, 1]
         assert batcher.pending_depth == 1
+
+    def test_queue_mode_malformed_request_leaves_queue_untouched(self):
+        # The request is converted before the full queue is flushed: a
+        # bad policy raises with both queued requests still pending, not
+        # after their decisions were served and dropped.
+        store, batcher = self._full_batcher("queue")
+        counter = METRICS.counter("serve.decisions")
+        before = counter.value
+        with pytest.raises(ValueError):
+            batcher.submit(2, "x", obs_for(store, 2))
+        assert counter.value == before
+        assert batcher.pending_depth == 2
+        assert [o.network_id for o in batcher.drain()] == [0, 1]
 
     def test_admission_deterministic_under_virtual_clock(self):
         def run():

@@ -496,8 +496,8 @@ class TestTelemetryInvariance:
         from repro.obs.metrics import METRICS
 
         path = tmp_path / f"TELEM_{name}.jsonl"
-        monkeypatch.setenv(telemetry.TELEM_ENV, str(path))
-        monkeypatch.setenv(telemetry.TELEM_INTERVAL_ENV, "10")
+        monkeypatch.setenv("REPRO_TELEM", str(path))
+        monkeypatch.setenv("REPRO_TELEM_INTERVAL", "10")
         for key, value in env:
             monkeypatch.setenv(key, value)
         telemetry.reset()
@@ -510,8 +510,8 @@ class TestTelemetryInvariance:
         finally:
             for key, _ in env:
                 monkeypatch.delenv(key, raising=False)
-            monkeypatch.delenv(telemetry.TELEM_ENV, raising=False)
-            monkeypatch.delenv(telemetry.TELEM_INTERVAL_ENV, raising=False)
+            monkeypatch.delenv("REPRO_TELEM", raising=False)
+            monkeypatch.delenv("REPRO_TELEM_INTERVAL", raising=False)
             telemetry.reset()
             METRICS.reset()
         doc = telemetry.load_telemetry(path)

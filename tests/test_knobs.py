@@ -1,7 +1,9 @@
 """Tests for the knob registry: one grammar and one error type for every knob."""
 
+import ast
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -31,11 +33,8 @@ PARENT_DEFAULTS = {
     "REPRO_ENV_BATCH": 8,
     "REPRO_CHANNEL": "analytic",
     "REPRO_CALIBRATION": None,
-    "REPRO_CHANNEL_TRIALS": 32,
-    "REPRO_CHANNEL_BIN": 0.5,
     "REPRO_PER_CACHE": 65536,
     "REPRO_JAMMER_BANK": 32768,
-    "REPRO_TRIAL_BATCH": 64,
     "REPRO_SHARDS": 1,
     "REPRO_FIELD_BATCH": 64,
     "REPRO_ADVERSARIES": ("sweep", "reactive", "follower", "learning"),
@@ -47,7 +46,6 @@ PARENT_DEFAULTS = {
     "REPRO_TRACE_SAMPLE": 1.0,
     "REPRO_TELEM": None,
     "REPRO_TELEM_INTERVAL": 20,
-    "REPRO_TELEM_WINDOW": 256,
     "REPRO_PROFILE": False,
     "REPRO_BENCH_DIR": None,
 }
@@ -81,6 +79,89 @@ class TestTable:
             if "os.environ" in path.read_text() or "getenv" in path.read_text()
         )
         assert readers == ["knobs.py"]
+
+
+def _is_knobs_table(node) -> bool:
+    """``knobs.KNOBS`` or a bare ``KNOBS``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "KNOBS"
+    return isinstance(node, ast.Name) and node.id == "KNOBS"
+
+
+def _mirrors(tree) -> list[str]:
+    """Module-level names bound to a knob's name or to its table default."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        text = value.value if isinstance(value, ast.Constant) else None
+        names_a_knob = isinstance(text, str) and text.startswith("REPRO_")
+        copies_a_default = (
+            isinstance(value, ast.Attribute)
+            and value.attr == "default"
+            and isinstance(value.value, ast.Subscript)
+            and _is_knobs_table(value.value.value)
+        )
+        if names_a_knob or copies_a_default:
+            found += [ast.unparse(target) for target in targets]
+    return found
+
+
+def _library_modules():
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "knobs.py" or path.parent != SRC:
+            yield path, ast.parse(path.read_text())
+
+
+class TestOneHome:
+    """``knobs.KNOBS`` is the only home of a knob's name and default."""
+
+    def test_no_module_mirrors_a_knob(self):
+        mirrors = {
+            str(path.relative_to(SRC)): names
+            for path, tree in _library_modules()
+            if (names := _mirrors(tree))
+        }
+        assert mirrors == {}
+
+    def test_every_knob_is_read_by_the_library(self):
+        named = {
+            node.value
+            for _, tree in _library_modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        }
+        assert sorted(set(knobs.KNOBS) - named) == []
+
+    def test_the_guard_sees_both_mirror_forms(self):
+        tree = ast.parse(
+            'X_ENV = "REPRO_X"\n'
+            'DEFAULT_X: int = knobs.KNOBS[X_ENV].default\n'
+            'CHOICES = knobs.KNOBS["REPRO_X"].choices\n'
+        )
+        assert _mirrors(tree) == ["X_ENV", "DEFAULT_X"]
+
+
+#: ``REPRO_X:`` in an ``env:`` block, or an inline ``REPRO_X=...`` prefix.
+_CI_SETS = re.compile(r"^\s+(REPRO_[A-Z0-9_]+):|(?:^|\s)(REPRO_[A-Z0-9_]+)=", re.M)
+
+
+def test_ci_sets_only_knobs_and_benchmark_budgets():
+    """A retired knob left in CI would be silently ignored; this fails instead."""
+    ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
+    lines = [line for line in ci.splitlines() if not line.lstrip().startswith("#")]
+    set_in_ci = {a or b for a, b in _CI_SETS.findall("\n".join(lines))}
+    budgets = {
+        name
+        for path in (ROOT / "benchmarks").rglob("*.py")
+        for name in re.findall(r'budget\(\s*"(REPRO_[A-Z0-9_]+)"', path.read_text())
+    }
+    assert set_in_ci, "no REPRO_* variable found in ci.yml"
+    assert sorted(set_in_ci - set(knobs.KNOBS) - budgets) == []
 
 
 class TestEmptyMeansUnset:
@@ -124,7 +205,6 @@ class TestOneGrammar:
         "name",
         [
             "REPRO_ENV_BATCH",
-            "REPRO_TRIAL_BATCH",
             "REPRO_FIELD_BATCH",
             "REPRO_SERVE_BATCH",
         ],
