@@ -218,7 +218,11 @@ def test_policy_stack_cache_speedup():
     cache before each call; the warm path is the shipped behaviour
     (version scan + stacked forward only).
     """
-    from repro.core.vecenv import clear_policy_stack_cache, greedy_policy_actions
+    from repro.core.vecenv import (
+        clear_policy_stack_cache,
+        get_policy_stack,
+        greedy_policy_actions,
+    )
 
     n = 64
     cfg = DQNConfig(
@@ -228,12 +232,14 @@ def test_policy_stack_cache_speedup():
     rng = np.random.default_rng(5)
     obs = rng.standard_normal((n, cfg.observation_size))
 
+    nets = [agent.online for agent in agents]
+
     def cold():
         clear_policy_stack_cache()
-        return greedy_policy_actions(agents, obs)
+        return greedy_policy_actions(get_policy_stack(nets), obs)
 
     def warm():
-        return greedy_policy_actions(agents, obs)
+        return greedy_policy_actions(get_policy_stack(nets), obs)
 
     np.testing.assert_array_equal(cold(), warm())  # identical decisions
     cold_s = _timed("kernels.policy_stack.cold", cold, repeats=100)

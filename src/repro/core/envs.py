@@ -89,7 +89,8 @@ def history_rows(
 
     Row i of the (N, 3) float64 result equals ``history_row(
     code_state(codes[i]), channels[i], power_indices[i], config)`` bit
-    for bit; the DQN fleet of :mod:`repro.sim.shard` encodes with this.
+    for bit; the DQN fleet of :mod:`repro.sim.shard` decodes its history
+    symbols through a table built with this.
     """
     codes = np.asarray(codes)
     outcome = np.where(codes == J_CODE, 0.0, np.where(codes == TJ_CODE, 0.5, 1.0))

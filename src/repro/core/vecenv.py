@@ -416,6 +416,11 @@ class PolicyStack:
     def num_actions(self) -> int:
         return int(self.weights[-1].shape[-1])
 
+    @property
+    def per_row(self) -> bool:
+        """Whether :meth:`forward` scores the stack's own rows slice by slice."""
+        return self.index.size < GROUP_MIN_ROWS * len(self.sources)
+
     def refresh(self) -> int:
         """Re-copy slices whose source network mutated; returns the count."""
         stale = 0
@@ -447,7 +452,7 @@ class PolicyStack:
         """
         x = obs[:, None, :]
         if entries is None:
-            if self.index.size < GROUP_MIN_ROWS * len(self.sources):
+            if self.per_row:
                 if self._per_row is None:
                     self._per_row = self._slices_per_row()
                 weights, biases = self._per_row
@@ -505,12 +510,10 @@ POLICY_STACK_CACHE_LIMIT = 8
 
 
 def get_policy_stack(networks: list) -> PolicyStack:
-    """The cached :class:`PolicyStack` for this exact tuple of networks.
+    """The cached :class:`PolicyStack` of these networks, refreshed.
 
-    Repeat calls with the same network objects reuse the stacked arrays
-    (refreshing any slices whose parameters mutated) instead of restacking
-    from scratch — the former per-call rebuild cost of
-    :func:`greedy_policy_actions`.
+    Repeat calls reuse the stacked arrays, re-copying only the slices
+    whose parameters mutated since.
     """
     key = tuple(id(net) for net in networks)
     stack = _POLICY_STACK_CACHE.get(key)
@@ -522,6 +525,7 @@ def get_policy_stack(networks: list) -> PolicyStack:
             while len(_POLICY_STACK_CACHE) >= POLICY_STACK_CACHE_LIMIT:
                 _POLICY_STACK_CACHE.pop(next(iter(_POLICY_STACK_CACHE)))
         _POLICY_STACK_CACHE[key] = stack
+    stack.refresh()
     return stack
 
 
@@ -530,33 +534,26 @@ def clear_policy_stack_cache() -> None:
     _POLICY_STACK_CACHE.clear()
 
 
-def greedy_policy_actions(agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray:
-    """Greedy actions for N agents from one stacked forward pass.
+def greedy_policy_actions(
+    stack: PolicyStack, obs: np.ndarray, entries: np.ndarray | None = None
+) -> np.ndarray:
+    """Greedy actions from one stacked forward pass over ``stack``.
 
-    ``obs`` has shape (N, observation_size); row i is scored by
-    ``agents[i]``. Greedy action selection consumes no rng, and every row
-    goes through the same IEEE operations as the serial
-    ``agent.act(obs_i, greedy=True)``, so the result is bit-identical to
-    acting one agent at a time. Agents repeated across rows (a fleet
-    running a few deployed policies) are stacked once and score all of
-    their rows in one broadcast chain; see :class:`PolicyStack`.
-
-    The stacked weights come from the :func:`get_policy_stack` cache:
-    calling this in a loop (as ``sim/shard`` does every slot) rebuilds
-    nothing, only refreshing slices whose networks trained in between.
+    Row i of ``obs`` is scored by ``stack.networks[entries[i]]`` (by
+    ``stack.networks[i]`` without ``entries``) through the same IEEE
+    operations as the serial ``agent.act(obs_i, greedy=True)``; greedy
+    selection consumes no rng. Resolve the stack with
+    :func:`get_policy_stack`, which refreshes mutated slices, once per
+    loop rather than per call.
     """
-    if not agents:
-        raise TrainingError("need at least one agent")
-    # The stack checks geometry when it is built, so a cached one needs
-    # no per-call scan of the N agents.
-    stack = get_policy_stack([agent.online for agent in agents])
     obs = np.asarray(obs, dtype=np.float64)
-    if obs.shape != (len(agents), stack.observation_size):
+    rows = len(stack.networks) if entries is None else len(entries)
+    if obs.shape != (rows, stack.observation_size):
         raise TrainingError(
             f"expected observations of shape "
-            f"({len(agents)}, {stack.observation_size}), got {obs.shape}"
+            f"({rows}, {stack.observation_size}), got {obs.shape}"
         )
-    return stack.greedy_actions(obs)
+    return stack.forward(obs, entries).argmax(axis=1)
 
 
 def _batched_act(stack: _StackedMLP, agents: list[DQNAgent], obs: np.ndarray) -> np.ndarray:

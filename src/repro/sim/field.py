@@ -94,7 +94,7 @@ class DQNPolicyAdapter:
     Maintains the 3·I history the agent was trained on in
     :class:`~repro.core.envs.SweepJammingEnv`, encoded by the same
     :func:`~repro.core.envs.history_row`. A grid keeps its fleet's
-    histories itself, as one ring encoded by
+    histories itself, as one ring of slot symbols decoded through
     :func:`~repro.core.envs.history_rows`, and only reads this adapter's
     agent and initial history.
     """

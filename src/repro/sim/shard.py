@@ -16,9 +16,10 @@ is a resumable run of a one-network engine.
   the paper's sweep jammers as one array state; table policies are probed
   once per state and hop through emulated draws on each adapter's stream
   (:class:`~repro.rng.BoundedDraws`); a :class:`DQNPolicyAdapter` fleet
-  keeps its histories as one N × I × 3 ring and acts through one greedy
-  forward that stacks each distinct agent once. Every array path is
-  bit-identical to stepping the objects. A solo :class:`FieldExperiment`
+  keeps its histories as one N × I ring of slot symbols and scores each
+  distinct (policy, window) once per run through one greedy forward that
+  stacks each distinct agent once. Every array path is bit-identical to
+  stepping the objects. A solo :class:`FieldExperiment`
   runs its jammer through the same bank but steps its caller's adapter.
 * The field is partitioned into vertical strips (shards). Co-channel
   interference between neighbouring networks only affects *delivery*,
@@ -67,7 +68,7 @@ from repro.core.mdp import (
 from repro.core.envs import history_rows
 from repro.core.metrics import MetricSummary, SlotLog
 from repro.core.policy import TabularPolicy, ThresholdPolicy
-from repro.core.vecenv import greedy_policy_actions
+from repro.core.vecenv import get_policy_stack, greedy_policy_actions
 from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
 from repro.exec.runner import ParallelRunner
@@ -810,18 +811,13 @@ class _ShardEngine:
                 self.hop_position = np.zeros(mdp.num_channels, dtype=np.intp)
                 self.hop_position[self.hop_pool] = np.arange(len(pool))
                 self.hop_draws = BoundedDraws([a._rng for a in adapters])
-        # A DQN fleet keeps its histories as one N × I × 3 ring, oldest
-        # slot first, seeded from each adapter's initial history. The agent
-        # list is hoisted once: the same list every slot keeps the stacked
-        # weights hot in the vecenv policy-stack cache.
-        self.dqn_agents = self.ring = None
+        self.ring = None
         if (
             fleet
             and all(type(a) is DQNPolicyAdapter for a in adapters)
             and len({len(a._history) for a in adapters}) == 1
         ):
-            self.dqn_agents = [a.agent for a in adapters]
-            self.ring = np.array([a._history for a in adapters], dtype=np.float64)
+            self._load_dqn_fleet(adapters, mdp)
 
         self.tx_levels = np.asarray(mdp.tx_power_levels, dtype=np.float64)
         self.rows = np.arange(n)
@@ -865,6 +861,64 @@ class _ShardEngine:
             net_seeds=(seed,),
         )
         return cls(spec, adapters=[adapter])
+
+    def _load_dqn_fleet(self, adapters: list, mdp: MDPConfig) -> None:
+        """Load a DQN fleet's symbol ring, its policy stack and its memo.
+
+        Ring symbols are ``(outcome·C + channel)·P + power`` (outcome 0/1/2
+        for J/TJ/clean), oldest slot first; ``history_table`` maps each to
+        its :func:`history_rows` row. The per-run memo keys a row as
+        ``slice·S^I + window`` (S symbols). Misses score by policy group,
+        which pays only with many rows per policy: a per-row fleet, or one
+        whose keys overflow int64, scores every row.
+        """
+        c, p = mdp.num_channels, mdp.num_power_levels
+        symbols = 3 * c * p
+        outcome, channel, power = np.unravel_index(np.arange(symbols), (3, c, p))
+        codes = np.array([J_CODE, TJ_CODE, 1])[outcome]
+        self.history_table = history_rows(codes, channel, power, mdp)
+        table_rows = map(tuple, self.history_table.tolist())
+        lookup = {row: k for k, row in enumerate(table_rows)}
+        self.ring = np.array(
+            [[lookup[row] for row in a._history] for a in adapters], dtype=np.int64
+        )
+        self.stack = get_policy_stack([a.agent.online for a in adapters])
+        self.rows_scored = 0
+        self.memo_keys = None
+        width = self.ring.shape[1]
+        windows = symbols**width
+        if not self.stack.per_row and len(self.stack.sources) * windows < 2**63:
+            self.key_base = self.stack.index.astype(np.int64) * windows
+            self.place = symbols ** np.arange(width - 1, -1, -1, dtype=np.int64)
+            # A sentinel above every key keeps each search inside the arrays.
+            self.memo_keys = np.array([np.iinfo(np.int64).max])
+            self.memo_actions = np.array([-1], dtype=np.intp)
+
+    def _dqn_actions(self) -> np.ndarray:
+        """The fleet's greedy actions: memo hits, then each unseen key once."""
+        if self.memo_keys is None:
+            return self._score()
+        keys, first, inverse = np.unique(
+            self.key_base + self.ring @ self.place,
+            return_index=True,
+            return_inverse=True,
+        )
+        at = np.searchsorted(self.memo_keys, keys)
+        actions = self.memo_actions[at]
+        miss = np.flatnonzero(self.memo_keys[at] != keys)
+        if len(miss):
+            actions[miss] = self._score(first[miss])
+            at = at[miss]
+            self.memo_keys = np.insert(self.memo_keys, at, keys[miss])
+            self.memo_actions = np.insert(self.memo_actions, at, actions[miss])
+        return actions[inverse]
+
+    def _score(self, rows: np.ndarray | None = None) -> np.ndarray:
+        """Greedy actions of ``rows`` (default: every row) from the forward."""
+        ring = self.ring if rows is None else self.ring[rows]
+        self.rows_scored += len(ring)
+        obs = self.history_table[ring].reshape(len(ring), -1)
+        return greedy_policy_actions(self.stack, obs, rows)
 
     def _grid_scheme(self) -> str:
         """The ``scheme=`` label value for this grid's telemetry/counters."""
@@ -944,6 +998,9 @@ class _ShardEngine:
             self.telem.flush()
         self._flush_counters()
         METRICS.inc("sim.slots", len(self.adapters) * num_slots)
+        if self.ring is not None:
+            METRICS.inc("sim.policy_rows_scored", self.rows_scored)
+            self.rows_scored = 0
         for name, acc in counted.items():
             # As per-event increments would: no key for an event never seen.
             if int(acc.sum()) > before[name]:
@@ -975,8 +1032,9 @@ class _ShardEngine:
                 j += j >= self.hop_position[channels[movers]]
                 channels[movers] = self.hop_pool[j]
         elif self.ring is not None:
-            actions = greedy_policy_actions(self.dqn_agents, self.ring.reshape(n, -1))
-            channels[:], powers = np.divmod(actions, fld.mdp.num_power_levels)
+            channels[:], powers = np.divmod(
+                self._dqn_actions(), fld.mdp.num_power_levels
+            )
         else:
             powers = np.empty(n, dtype=np.intp)
             for k, adapter in enumerate(adapters):
@@ -1102,8 +1160,12 @@ class _ShardEngine:
         self.slot = t + 1
 
         if self.ring is not None:
+            landed = self.code
+            outcome = np.where(landed == J_CODE, 0, np.where(landed == TJ_CODE, 1, 2))
             self.ring[:, :-1] = self.ring[:, 1:]
-            self.ring[:, -1] = history_rows(self.code, channels, powers, fld.mdp)
+            self.ring[:, -1] = (
+                outcome * fld.mdp.num_channels + channels
+            ) * fld.mdp.num_power_levels + powers
         elif not self.plain_state:
             for k, adapter in enumerate(adapters):
                 adapter.observe(

@@ -323,6 +323,12 @@ class TestMultiSeedComposition:
         )
 
 
+def _greedy(agents, obs, entries=None):
+    """``greedy_policy_actions`` over the cached stack of ``agents``."""
+    stack = get_policy_stack([a.online for a in agents])
+    return greedy_policy_actions(stack, obs, entries)
+
+
 class TestPolicyStackCache:
     """The cached stacked-inference handle behind greedy_policy_actions."""
 
@@ -337,7 +343,7 @@ class TestPolicyStackCache:
     def test_greedy_actions_bit_identical_to_serial(self):
         agents = self._agents()
         obs = self._obs(agents)
-        batched = greedy_policy_actions(agents, obs)
+        batched = _greedy(agents, obs)
         serial = np.array(
             [a.act(o, greedy=True) for a, o in zip(agents, obs)]
         )
@@ -347,9 +353,20 @@ class TestPolicyStackCache:
         agent = self._agents(1)[0]
         agents = [agent] * 7
         obs = self._obs(agents)
-        batched = greedy_policy_actions(agents, obs)
+        batched = _greedy(agents, obs)
         serial = np.array([agent.act(o, greedy=True) for o in obs])
         np.testing.assert_array_equal(batched, serial)
+
+    def test_entries_score_a_subset_bit_identical_to_serial(self):
+        pool = self._agents(3)
+        agents = [pool[i % 3] for i in range(40)]
+        obs = self._obs(agents, seed=4)
+        rows = np.array([39, 2, 17, 17, 5])
+        batched = _greedy(agents, obs[rows], rows)
+        serial = np.array([agents[i].act(obs[i], greedy=True) for i in rows])
+        np.testing.assert_array_equal(batched, serial)
+        with pytest.raises(TrainingError, match="shape"):
+            _greedy(agents, obs, rows)
 
     @pytest.mark.parametrize("distinct", [3, 40])
     def test_round_robin_fleet_bit_identical_to_serial(self, distinct):
@@ -357,7 +374,7 @@ class TestPolicyStackCache:
         pool = self._agents(distinct)
         agents = [pool[i % distinct] for i in range(60)]
         obs = self._obs(agents, seed=distinct)
-        batched = greedy_policy_actions(agents, obs)
+        batched = _greedy(agents, obs)
         serial = np.array(
             [a.act(o, greedy=True) for a, o in zip(agents, obs)]
         )
@@ -376,7 +393,7 @@ class TestPolicyStackCache:
         # A fresh observation set per case, so no kernel can pass on a
         # buffer left over from the previous one.
         obs = self._obs(agents, seed=3 + (group_min_rows > 1))
-        batched = greedy_policy_actions(agents, obs)
+        batched = _greedy(agents, obs)
         serial = np.array(
             [a.act(o, greedy=True) for a, o in zip(agents, obs)]
         )
@@ -399,7 +416,7 @@ class TestPolicyStackCache:
         agents = [pool[i % distinct] for i in range(60)]
         obs = self._obs(agents, seed=8)
         stack = get_policy_stack([a.online for a in agents])
-        greedy_policy_actions(agents, obs)  # settle the cached stack
+        _greedy(agents, obs)  # settle the cached stack
         donor = DQNAgent(pool[0].config, seed=99)
         pool[1].online.set_weights(donor.online.get_weights())
         assert stack.refresh() == 1
@@ -445,10 +462,10 @@ class TestPolicyStackCache:
     def test_set_weights_invalidates_cached_slice(self):
         agents = self._agents()
         obs = self._obs(agents)
-        greedy_policy_actions(agents, obs)  # populate the cache
+        _greedy(agents, obs)  # populate the cache
         donor = DQNAgent(agents[0].config, seed=99)
         agents[2].online.set_weights(donor.online.get_weights())
-        batched = greedy_policy_actions(agents, obs)
+        batched = _greedy(agents, obs)
         serial = np.array(
             [a.act(o, greedy=True) for a, o in zip(agents, obs)]
         )
@@ -516,7 +533,7 @@ class TestPolicyStackCache:
         agents = self._agents(2)
         other = DQNAgent(tiny_dqn(env_actions=10), seed=5)
         with pytest.raises(TrainingError, match="share geometry"):
-            greedy_policy_actions(
+            _greedy(
                 [agents[0], other],
                 np.zeros((2, agents[0].config.observation_size)),
             )

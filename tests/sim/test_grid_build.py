@@ -220,6 +220,26 @@ def test_custom_factory_is_called_every_run(fleet):
         assert factory.calls == runs * cfg.num_networks
 
 
+def test_agent_changed_between_runs_is_never_served_stale_actions():
+    # A DQN fleet of a few policies over many networks memoises greedy
+    # actions for one run only. Flipping one agent's output layer in
+    # place bumps its version; the next run of the same grid must act on
+    # the new weights, like a fresh grid.
+    cfg = dataclasses.replace(_fleet("dqn"), num_networks=16)
+    grid = FieldGrid(cfg, seed=SEED)
+    before = grid.run(25)
+    net = cfg.adapter_factory.agents[0].online
+    version = net.version
+    last = net.layers[-1]
+    last.weight *= -1.0
+    last.bias *= -1.0
+    net.mark_mutated()
+    assert net.version > version
+    after = grid.run(25)
+    _assert_same(after, FieldGrid(cfg, seed=SEED).run(25))
+    assert after.metrics != before.metrics
+
+
 def test_kept_fleet_dropped_once_it_is_stepped(monkeypatch):
     # A kept fleet stepped as objects (no exact bounded draws) is written
     # to, so the grid drops it and later runs build a fresh one.

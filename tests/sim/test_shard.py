@@ -11,9 +11,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.errors import ConfigurationError
+from repro.obs.metrics import METRICS
 from repro.sim.field import (
     DQNPolicyAdapter,
     FieldConfig,
@@ -289,19 +292,56 @@ class TestDQNGrid:
 class _FleetFactory:
     """Picklable factory: a few distinct agents assigned round-robin."""
 
-    def __init__(self, agents, grid_seed, num_networks):
+    def __init__(self, agents, grid_seed, num_networks, history_length=5):
         self.agents = agents
         self.order = {
             network_seed(grid_seed, i): i for i in range(num_networks)
         }
+        self.history_length = history_length
 
     def __call__(self, mdp, net_seed):
         from repro.rng import derive
 
         agent = self.agents[self.order[net_seed] % len(self.agents)]
         return DQNPolicyAdapter(
-            agent, mdp, seed=derive(net_seed, "grid-adapter")
+            agent,
+            mdp,
+            history_length=self.history_length,
+            seed=derive(net_seed, "grid-adapter"),
         )
+
+
+def _fleet_agents(count, seed0, history_length=5, **config):
+    mdp = paper_defaults().mdp
+    cfg = DQNConfig(
+        observation_size=3 * history_length,
+        num_actions=mdp.num_channels * mdp.num_power_levels,
+        **config,
+    )
+    return [DQNAgent(cfg, seed=seed0 + i) for i in range(count)]
+
+
+def _assert_solo_replays(factory, cfg, got, seed, slots):
+    """Every network of grid result ``got`` equals its solo replay."""
+    for i in range(cfg.num_networks):
+        net = network_seed(seed, i)
+        solo = FieldExperiment(
+            cfg.field, factory(cfg.field.mdp, net), seed=net
+        ).run_experiment(slots)
+        assert got.goodput_pkts_per_slot[i] == solo.goodput_pkts_per_slot
+        assert got.utilization[i] == solo.utilization
+        assert got.metrics[i] == solo.metrics
+
+
+def _run_counted(cfg, seed, slots):
+    """A grid run and its ``(sim.policy_rows_scored, sim.slots)`` counters."""
+    METRICS.reset()
+    try:
+        got = FieldGrid(cfg, seed=seed).run(slots)
+        counters = METRICS.snapshot()["counters"]
+    finally:
+        METRICS.reset()
+    return got, counters["sim.policy_rows_scored"], counters["sim.slots"]
 
 
 class TestMixedFleet:
@@ -309,7 +349,10 @@ class TestMixedFleet:
 
     The fleet shape of Fig. 11a at scale: a few policies, many networks.
     The interfering digest was generated before the stacked forward
-    de-duplicated its weight slices and must not move.
+    de-duplicated its weight slices and must not move. Drawn fleets of
+    1–6 agents over 2–24 networks check the greedy-action memo (on when
+    each agent has at least ``GROUP_MIN_ROWS`` networks) and the
+    every-row path against solo replays.
     """
 
     NETWORKS = 24
@@ -317,27 +360,46 @@ class TestMixedFleet:
     DIGEST = "2b0822a33ce45eaf296527c93f5b22a98343ea869b7e0f96ba4f579d2305b8af"
 
     def _factory(self):
-        mdp = paper_defaults().mdp
-        cfg = DQNConfig(
-            observation_size=15,
-            num_actions=mdp.num_channels * mdp.num_power_levels,
-        )
-        agents = [DQNAgent(cfg, seed=100 + i) for i in range(3)]
+        agents = _fleet_agents(3, seed0=100)
         return _FleetFactory(agents, self.SEED, self.NETWORKS)
 
     def test_every_network_matches_its_solo_replay(self):
         factory = self._factory()
         cfg = _grid_config(num_networks=self.NETWORKS, adapter_factory=factory)
-        got = FieldGrid(cfg, seed=self.SEED).run(SLOTS)
-        mdp = cfg.field.mdp
-        for i in range(self.NETWORKS):
-            net = network_seed(self.SEED, i)
-            solo = FieldExperiment(
-                cfg.field, factory(mdp, net), seed=net
-            ).run_experiment(SLOTS)
-            assert got.goodput_pkts_per_slot[i] == solo.goodput_pkts_per_slot
-            assert got.utilization[i] == solo.utilization
-            assert got.metrics[i] == solo.metrics
+        got, scored, slots = _run_counted(cfg, self.SEED, SLOTS)
+        _assert_solo_replays(factory, cfg, got, self.SEED, SLOTS)
+        # Repeated (policy, window) keys were answered from the memo.
+        assert 0 < scored < slots == self.NETWORKS * SLOTS
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        distinct=st.integers(1, 6),
+        networks=st.integers(2, 24),
+        seed=st.integers(0, 2**32 - 1),
+        slots=st.integers(1, 40),
+    )
+    def test_drawn_fleets_match_their_solo_replays(
+        self, distinct, networks, seed, slots
+    ):
+        agents = _fleet_agents(distinct, seed0=seed, hidden_sizes=(16,))
+        factory = _FleetFactory(agents, seed, networks)
+        cfg = _grid_config(num_networks=networks, adapter_factory=factory)
+        got = FieldGrid(cfg, seed=seed).run(slots)
+        _assert_solo_replays(factory, cfg, got, seed, slots)
+
+    def test_unkeyable_fleet_scores_every_row(self):
+        # An 8-slot window over 3·C·P = 480 symbols has 480**8 > 2**63
+        # values, so no (policy, window) key fits in int64: the memo is
+        # off and the forward scores every row of every slot. Two agents
+        # over 16 networks are scored by policy group, the memo's shape.
+        mdp = paper_defaults().mdp
+        assert (3 * mdp.num_channels * mdp.num_power_levels) ** 8 >= 2**63
+        agents = _fleet_agents(2, seed0=200, history_length=8, hidden_sizes=(16,))
+        factory = _FleetFactory(agents, self.SEED, 16, history_length=8)
+        cfg = _grid_config(num_networks=16, adapter_factory=factory)
+        got, scored, slots = _run_counted(cfg, self.SEED, SLOTS)
+        assert scored == slots == 16 * SLOTS
+        _assert_solo_replays(factory, cfg, got, self.SEED, SLOTS)
 
     def test_interfering_fleet_digest(self):
         import hashlib
