@@ -25,7 +25,6 @@ from repro.channel.link import (
     resolve_per_cache_capacity,
     zigbee_ber_awgn,
 )
-from repro.channel.medium import Medium, Placement
 from repro.channel.noise import db_to_linear, dbm_to_watts, linear_to_db, thermal_noise_dbm, watts_to_dbm
 from repro.channel.propagation import LogDistancePathLoss
 from repro.channel.spectrum import (
@@ -66,8 +65,6 @@ __all__ = [
     "LinkTable",
     "resolve_per_cache_capacity",
     "zigbee_ber_awgn",
-    "Medium",
-    "Placement",
     "db_to_linear",
     "linear_to_db",
     "dbm_to_watts",

@@ -455,41 +455,6 @@ class LinkTable:
             ),
         )
 
-    # -- bulk precompute ------------------------------------------------------
-
-    def precompute(
-        self,
-        signal_dbm_values,
-        packet_octets_values,
-        interferer_sets,
-    ) -> int:
-        """Fill the PER grid for a topology in one pass.
-
-        ``interferer_sets`` is an iterable of interferer tuples (an empty
-        tuple means the clean link). Returns the number of entries newly
-        computed; already-cached points are skipped, so calling this twice
-        is free. Intended to run once per topology before a hot loop.
-        """
-        if not self.enabled:
-            return 0
-        inserted = 0
-        for signal in signal_dbm_values:
-            for octets in packet_octets_values:
-                for interferers in interferer_sets:
-                    combo = tuple(interferers)
-                    key = self._per_key(signal, octets, combo)
-                    if key in self._per:
-                        continue
-                    self._per[key] = self.budget.packet_error_rate(
-                        float(signal), int(octets), list(combo)
-                    )
-                    if len(self._per) > self.capacity:
-                        self._per.popitem(last=False)
-                    inserted += 1
-        if inserted:
-            METRICS.inc("link.per_cache_precomputed", inserted)
-        return inserted
-
     # -- introspection --------------------------------------------------------
 
     @property

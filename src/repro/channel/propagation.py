@@ -1,4 +1,4 @@
-"""Large-scale propagation: log-distance path loss with optional shadowing."""
+"""Large-scale propagation: log-distance path loss."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 from repro.constants import PATH_LOSS_EXPONENT, PATH_LOSS_REF_DB
 from repro.errors import ChannelError
-from repro.rng import SeedLike, make_rng
 
 
 @dataclass(frozen=True)
@@ -16,25 +15,21 @@ class LogDistancePathLoss:
 
     ``PL(d) = ref_loss_db + 10 * exponent * log10(d / ref_distance_m)``
 
-    with optional log-normal shadowing of standard deviation
-    ``shadowing_sigma_db``. Defaults are calibrated for the paper's indoor
-    lab at 2.4 GHz (~40 dB at 1 m, exponent 2.7).
+    Defaults are calibrated for the paper's indoor lab at 2.4 GHz (~40 dB
+    at 1 m, exponent 2.7).
     """
 
     ref_loss_db: float = PATH_LOSS_REF_DB
     ref_distance_m: float = 1.0
     exponent: float = PATH_LOSS_EXPONENT
-    shadowing_sigma_db: float = 0.0
 
     def __post_init__(self) -> None:
         if self.ref_distance_m <= 0:
             raise ChannelError("reference distance must be positive")
         if self.exponent <= 0:
             raise ChannelError("path-loss exponent must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise ChannelError("shadowing sigma must be non-negative")
 
-    def loss_db(self, distance_m: float, rng: SeedLike = None) -> float:
+    def loss_db(self, distance_m: float) -> float:
         """Path loss in dB over ``distance_m``.
 
         Distances below the reference distance are clamped to it (the model
@@ -43,32 +38,13 @@ class LogDistancePathLoss:
         if distance_m <= 0:
             raise ChannelError(f"distance must be positive, got {distance_m}")
         d = max(distance_m, self.ref_distance_m)
-        loss = self.ref_loss_db + 10.0 * self.exponent * math.log10(
+        return self.ref_loss_db + 10.0 * self.exponent * math.log10(
             d / self.ref_distance_m
         )
-        if self.shadowing_sigma_db > 0.0:
-            loss += float(make_rng(rng).normal(0.0, self.shadowing_sigma_db))
-        return loss
 
-    def received_power_dbm(
-        self, tx_power_dbm: float, distance_m: float, rng: SeedLike = None
-    ) -> float:
+    def received_power_dbm(self, tx_power_dbm: float, distance_m: float) -> float:
         """Received power for a transmit power and distance."""
-        return tx_power_dbm - self.loss_db(distance_m, rng)
-
-    def range_for_rx_power(self, tx_power_dbm: float, rx_power_dbm: float) -> float:
-        """Distance at which received power (without shadowing) hits a target."""
-        budget = tx_power_dbm - rx_power_dbm
-        if budget < self.ref_loss_db:
-            return self.ref_distance_m
-        return self.ref_distance_m * 10.0 ** (
-            (budget - self.ref_loss_db) / (10.0 * self.exponent)
-        )
+        return tx_power_dbm - self.loss_db(distance_m)
 
 
-def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Euclidean distance between two planar positions."""
-    return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-__all__ = ["LogDistancePathLoss", "distance"]
+__all__ = ["LogDistancePathLoss"]

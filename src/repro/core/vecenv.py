@@ -30,10 +30,11 @@ The train step allocates little beyond the ``matmul`` outputs.
 :class:`_StackedMLP` keeps online and target parameters, gradients and
 Adam moments each in one flat ``(N, P)`` buffer (Adam and the target
 syncs are whole-buffer ufuncs), plus a workspace of scratch buffers that
-every step reuses and ``compact`` re-slices. Forward adds bias and applies
-ReLU in place on the fresh ``matmul`` output. Aliasing rule: an activation
-cached for ``backward`` never shares a buffer that anything writes before
-``backward`` reads it. The TD error is sparse: the serial error
+every step reuses and ``compact`` re-slices. Training and
+:class:`PolicyStack` inference share one Dense/ReLU chain, which adds
+bias and applies ReLU in place on the fresh ``matmul`` output. Aliasing
+rule: an activation cached for ``backward`` never shares a buffer that
+anything writes before ``backward`` reads it. The TD error is sparse: the serial error
 ``prediction - target`` has ``target`` a copy of ``prediction`` but at
 the taken action, so every other entry is ``p - p = +0.0`` for finite
 ``p``, whose Huber value and gradient are ``+0.0`` too.
@@ -152,6 +153,54 @@ class VectorEnv:
         return VectorEnv([self.envs[i] for i in indices])
 
 
+def _chain_spec(layers) -> tuple[str, ...]:
+    """``"dense"``/``"relu"`` per layer of a network the stacked chain runs."""
+    spec = []
+    for layer in layers:
+        if isinstance(layer, Dense):
+            spec.append("dense")
+        elif isinstance(layer, ReLU):
+            spec.append("relu")
+        else:
+            raise TrainingError(
+                f"stacked networks support Dense/ReLU only, got "
+                f"{type(layer).__name__}"
+            )
+    if spec[0] != "dense":
+        raise TrainingError("stacked networks need a Dense first layer")
+    return tuple(spec)
+
+
+def _dense_relu_chain(
+    x: np.ndarray,
+    spec: tuple[str, ...],
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    cache: tuple[list, list] | None = None,
+) -> np.ndarray:
+    """The stacked Dense/ReLU chain: ``matmul``, then bias and ReLU in place.
+
+    ``biases[k]`` broadcasts against Dense layer k's ``matmul`` output.
+    The spec starts with Dense, so ReLU only writes a fresh ``matmul``
+    output and ``x`` is never written. ``cache`` is an (inputs, masks)
+    pair of lists that receives each Dense input and each ReLU mask for
+    :meth:`_StackedMLP.backward`.
+    """
+    dense = 0
+    for kind in spec:
+        if kind == "dense":
+            if cache is not None:
+                cache[0].append(x)
+            x = np.matmul(x, weights[dense])
+            x += biases[dense]
+            dense += 1
+        else:
+            if cache is not None:
+                cache[1].append(x > 0)
+            np.maximum(x, 0.0, out=x)
+    return x
+
+
 class _StackedMLP:
     """(N, ...) stacked mirror of N structurally identical online networks.
 
@@ -161,18 +210,7 @@ class _StackedMLP:
     """
 
     def __init__(self, agents: list[DQNAgent]) -> None:
-        template = agents[0].online.layers
-        self.spec: list[str] = []
-        for layer in template:
-            if isinstance(layer, Dense):
-                self.spec.append("dense")
-            elif isinstance(layer, ReLU):
-                self.spec.append("relu")
-            else:
-                raise TrainingError(
-                    f"batched training supports Dense/ReLU only, got "
-                    f"{type(layer).__name__}"
-                )
+        self.spec = _chain_spec(agents[0].online.layers)
         self._shapes = [p.shape for p in agents[0].online.parameters]
         self.params = np.stack(
             [np.concatenate([p.ravel() for p in a.online.parameters]) for a in agents]
@@ -193,8 +231,7 @@ class _StackedMLP:
         self._scratch = (np.empty_like(self.params), np.empty_like(self.params))
         self._td = np.empty((n, batch, cfg.num_actions))
         self._rows = np.arange(n * batch).reshape(n, batch) * cfg.num_actions
-        self._cache_inputs: list[np.ndarray] = []
-        self._cache_masks: list[np.ndarray] = []
+        self._cache: tuple[list, list] = ([], [])
         self._bind()
 
     def _split(self, flat: np.ndarray) -> tuple[list, list]:
@@ -210,6 +247,9 @@ class _StackedMLP:
         self.weights, self.biases = self._split(self.params)
         self.t_weights, self.t_biases = self._split(self.t_params)
         self.grad_weights, self.grad_biases = self._split(self.grads)
+        # (N, 1, out) bias views that broadcast over the batch axis.
+        self._bias_rows = [b[:, None, :] for b in self.biases]
+        self._t_bias_rows = [b[:, None, :] for b in self.t_biases]
 
     @property
     def num_stacked(self) -> int:
@@ -217,47 +257,26 @@ class _StackedMLP:
 
     # -- forward/backward -----------------------------------------------------
 
-    def _forward(
-        self,
-        x: np.ndarray,
-        weights: list[np.ndarray],
-        biases: list[np.ndarray],
-        *,
-        cache: bool,
-    ) -> np.ndarray:
-        # The chain starts with a Dense layer (mlp): ``x`` is never written.
-        if cache:
-            self._cache_inputs.clear()
-            self._cache_masks.clear()
-        out = x
-        dense = 0
-        for kind in self.spec:
-            if kind == "dense":
-                if cache:
-                    self._cache_inputs.append(out)
-                out = np.matmul(out, weights[dense])
-                out += biases[dense][:, None, :]
-                dense += 1
-            else:
-                if cache:
-                    self._cache_masks.append(out > 0)
-                np.maximum(out, 0.0, out=out)
-        return out
-
     def forward_online(self, x: np.ndarray, *, cache: bool = False) -> np.ndarray:
         """Online-network forward over stacked input (N, B, obs)."""
-        return self._forward(x, self.weights, self.biases, cache=cache)
+        if cache:
+            for kept in self._cache:
+                kept.clear()
+        return _dense_relu_chain(
+            x, self.spec, self.weights, self._bias_rows, self._cache if cache else None
+        )
 
     def forward_target(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(x, self.t_weights, self.t_biases, cache=False)
+        return _dense_relu_chain(x, self.spec, self.t_weights, self._t_bias_rows)
 
     def backward(self, grad: np.ndarray) -> None:
         """Write the stacked parameter gradients from dL/d(output)."""
+        inputs, masks = self._cache
         dense = len(self.weights) - 1
-        relu = len(self._cache_masks) - 1
+        relu = len(masks) - 1
         for kind in reversed(self.spec):
             if kind == "dense":
-                x = self._cache_inputs[dense]
+                x = inputs[dense]
                 np.matmul(x.transpose(0, 2, 1), grad, out=self.grad_weights[dense])
                 np.sum(grad, axis=1, out=self.grad_biases[dense])
                 if dense == 0:
@@ -265,7 +284,7 @@ class _StackedMLP:
                 grad = np.matmul(grad, self.weights[dense].transpose(0, 2, 1))
                 dense -= 1
             else:
-                np.multiply(grad, self._cache_masks[relu], out=grad)
+                np.multiply(grad, masks[relu], out=grad)
                 relu -= 1
         # The serial layers add into zeroed gradients: 0.0 + g, which turns
         # -0.0 into +0.0 and leaves every other value as it is.
@@ -312,8 +331,8 @@ class _StackedMLP:
         self._scratch = tuple(s[:n] for s in self._scratch)
         self._td = self._td[:n]
         self._rows = self._rows[:n]
-        self._cache_inputs.clear()
-        self._cache_masks.clear()
+        for kept in self._cache:
+            kept.clear()
         self._bind()
 
     def write_back(self, position: int, agent: DQNAgent) -> None:
@@ -379,17 +398,7 @@ class PolicyStack:
             [slices[id(net)] for net in self.networks], dtype=np.intp
         )
         first = self.sources[0]
-        self.spec: list[str] = []
-        for layer in first.layers:
-            if isinstance(layer, Dense):
-                self.spec.append("dense")
-            elif isinstance(layer, ReLU):
-                self.spec.append("relu")
-            else:
-                raise TrainingError(
-                    f"stacked inference supports Dense/ReLU only, got "
-                    f"{type(layer).__name__}"
-                )
+        self.spec = _chain_spec(first.layers)
         for net in self.sources[1:]:
             if len(net.layers) != len(first.layers) or any(
                 isinstance(a, Dense)
@@ -456,7 +465,7 @@ class PolicyStack:
                 if self._per_row is None:
                     self._per_row = self._slices_per_row()
                 weights, biases = self._per_row
-                return self._chain(x, weights, [b[:, None, :] for b in biases])
+                return _dense_relu_chain(x, self.spec, weights, biases)[:, 0]
             if self._groups is None:
                 self._groups = _row_groups(self.index)
             groups = self._groups
@@ -464,33 +473,22 @@ class PolicyStack:
             groups = _row_groups(self.index[entries])
         q = np.empty((x.shape[0], self.num_actions))
         for k, members in groups:
-            q[members] = self._chain(
-                x[members], [w[k] for w in self.weights], [b[k] for b in self.biases]
-            )
+            q[members] = _dense_relu_chain(
+                x[members],
+                self.spec,
+                [w[k] for w in self.weights],
+                [b[k] for b in self.biases],
+            )[:, 0]
         return q
 
     def _slices_per_row(self) -> tuple[list, list]:
-        """Per-row (weights, biases): the stack itself when row i is slice i."""
+        """Per-row weights and (rows, 1, out) biases; row i is slice ``index[i]``."""
         if len(self.sources) == self.index.size:
-            return self.weights, self.biases
+            return self.weights, [b[:, None, :] for b in self.biases]
         return (
             [w[self.index] for w in self.weights],
-            [b[self.index] for b in self.biases],
+            [b[self.index][:, None, :] for b in self.biases],
         )
-
-    def _chain(
-        self, x: np.ndarray, weights: list[np.ndarray], biases: list[np.ndarray]
-    ) -> np.ndarray:
-        """The Dense/ReLU chain over (B, 1, in) rows; returns (B, actions)."""
-        dense = 0
-        for kind in self.spec:
-            if kind == "dense":
-                x = np.matmul(x, weights[dense])
-                x += biases[dense]
-                dense += 1
-            else:
-                x = np.maximum(x, 0.0)
-        return x[:, 0]
 
     def greedy_actions(
         self, obs: np.ndarray, entries: np.ndarray | None = None

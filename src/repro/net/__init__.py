@@ -11,7 +11,6 @@ node).
 
 from repro.net.energy import EnergyModel, EnergyReport, energy_of_run
 from repro.net.goodput import GoodputModel, GoodputReport
-from repro.net.mac import CsmaConfig, CsmaMac, MacStats
 from repro.net.network import NegotiationReport, StarNetwork
 from repro.net.node import Hub, Peripheral
 from repro.net.timing import TimingModel
@@ -22,9 +21,6 @@ __all__ = [
     "energy_of_run",
     "GoodputModel",
     "GoodputReport",
-    "CsmaConfig",
-    "CsmaMac",
-    "MacStats",
     "NegotiationReport",
     "StarNetwork",
     "Hub",

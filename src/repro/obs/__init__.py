@@ -37,7 +37,6 @@ from repro.obs.log import configure, get_logger
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     METRICS,
-    RATIO_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -55,7 +54,6 @@ __all__ = [
     "configure",
     "get_logger",
     "DEFAULT_BUCKETS",
-    "RATIO_BUCKETS",
     "METRICS",
     "Counter",
     "Gauge",

@@ -7,8 +7,8 @@ every ``BENCH_*.json`` artifact (see
 :meth:`repro.exec.timing.TimingRegistry.write_bench`) and into the final
 ``metrics`` record of a ``RUN_*.jsonl`` trace.
 
-Conventions: metric names are dotted lowercase (``phy.crc_failures``,
-``sim.cca_backoffs``, ``dqn.td_error``, ``exec.retries``). Counters only
+Conventions: metric names are dotted lowercase (``sim.slots``,
+``link.per_cache_hits``, ``serve.decisions``, ``exec.retries``). Counters only
 go up within a run; gauges hold the last written value; histograms bin
 observations into fixed upper-bound buckets so quantiles can be estimated
 after the fact without storing samples.
@@ -57,9 +57,6 @@ DEFAULT_BUCKETS: tuple[float, ...] = (
     50.0,
     100.0,
 )
-
-#: Linear buckets for ratio-valued observations (PER, occupancy, ...).
-RATIO_BUCKETS: tuple[float, ...] = tuple(round(i * 0.05, 2) for i in range(1, 21))
 
 #: Characters that would make a serialised ``name{k=v}`` key ambiguous.
 _KEY_FORBIDDEN = frozenset('{}",=')
@@ -425,7 +422,6 @@ def drain_labelled_counters(
 
 __all__ = [
     "DEFAULT_BUCKETS",
-    "RATIO_BUCKETS",
     "Counter",
     "Gauge",
     "Histogram",

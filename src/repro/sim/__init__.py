@@ -26,7 +26,6 @@ from repro.sim.shard import (
     InterferenceModel,
     SchemeAdapterFactory,
 )
-from repro.sim.testbed import Testbed, TestbedConfig, WindowStats
 
 __all__ = [
     "DQNPolicyAdapter",
@@ -41,7 +40,4 @@ __all__ = [
     "SchemeAdapterFactory",
     "paper_defaults",
     "scheme_policy",
-    "Testbed",
-    "TestbedConfig",
-    "WindowStats",
 ]

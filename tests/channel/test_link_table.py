@@ -149,7 +149,6 @@ class TestCacheMechanics:
         )
         assert len(table) == 0
         assert table.hits == 0 and table.misses == 0
-        assert table.precompute(SIGNALS, OCTETS, INTERFERER_SETS) == 0
 
     def test_clear(self):
         table = LinkTable()
@@ -157,28 +156,6 @@ class TestCacheMechanics:
         table.clear()
         assert len(table) == 0
         assert table.hits == 0 and table.misses == 0
-
-
-class TestPrecompute:
-    def test_precompute_then_all_hits(self):
-        budget = LinkBudget()
-        table = LinkTable(budget)
-        n = table.precompute(SIGNALS, OCTETS, INTERFERER_SETS)
-        assert n == len(SIGNALS) * len(OCTETS) * len(INTERFERER_SETS)
-        # Re-running is free.
-        assert table.precompute(SIGNALS, OCTETS, INTERFERER_SETS) == 0
-        for signal in SIGNALS:
-            for octets in OCTETS:
-                for combo in INTERFERER_SETS:
-                    expect = budget.packet_error_rate(signal, octets, list(combo))
-                    assert table.packet_error_rate(signal, octets, combo) == expect
-        assert table.misses == 0
-        assert table.hit_rate == 1.0
-
-    def test_precompute_respects_capacity(self):
-        table = LinkTable(capacity=4)
-        table.precompute(SIGNALS, [60], [()])
-        assert len(table) == 4
 
 
 class TestShadowedJamming:

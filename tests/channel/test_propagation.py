@@ -1,11 +1,10 @@
 """Tests for the path-loss model."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.channel.propagation import LogDistancePathLoss, distance
+from repro.channel.propagation import LogDistancePathLoss
 from repro.errors import ChannelError
 
 
@@ -37,29 +36,6 @@ class TestLossValues:
         assert model.loss_db(d * 1.5) > model.loss_db(d)
 
 
-class TestShadowing:
-    def test_deterministic_without_sigma(self):
-        model = LogDistancePathLoss()
-        assert model.loss_db(5.0) == model.loss_db(5.0)
-
-    def test_shadowing_varies(self):
-        model = LogDistancePathLoss(shadowing_sigma_db=4.0)
-        rng = np.random.default_rng(0)
-        samples = {round(model.loss_db(5.0, rng), 6) for _ in range(10)}
-        assert len(samples) > 1
-
-    def test_shadowing_mean(self):
-        model = LogDistancePathLoss(shadowing_sigma_db=3.0)
-        base = LogDistancePathLoss().loss_db(5.0)
-        rng = np.random.default_rng(1)
-        mean = np.mean([model.loss_db(5.0, rng) for _ in range(4000)])
-        assert mean == pytest.approx(base, abs=0.3)
-
-    def test_negative_sigma_rejected(self):
-        with pytest.raises(ChannelError):
-            LogDistancePathLoss(shadowing_sigma_db=-1.0)
-
-
 class TestValidation:
     def test_bad_ref_distance(self):
         with pytest.raises(ChannelError):
@@ -68,25 +44,3 @@ class TestValidation:
     def test_bad_exponent(self):
         with pytest.raises(ChannelError):
             LogDistancePathLoss(exponent=0.0)
-
-
-class TestRangeInversion:
-    @given(st.floats(min_value=1.5, max_value=500.0))
-    @settings(max_examples=30)
-    def test_range_inverts_power(self, d):
-        model = LogDistancePathLoss()
-        rx = model.received_power_dbm(20.0, d)
-        assert model.range_for_rx_power(20.0, rx) == pytest.approx(d, rel=1e-9)
-
-    def test_within_reference(self):
-        model = LogDistancePathLoss(ref_loss_db=40.0)
-        # A target louder than the reference loss allows is clamped to 1 m.
-        assert model.range_for_rx_power(20.0, 0.0) == 1.0
-
-
-class TestDistance:
-    def test_pythagoras(self):
-        assert distance((0, 0), (3, 4)) == 5.0
-
-    def test_zero(self):
-        assert distance((1, 1), (1, 1)) == 0.0

@@ -19,9 +19,9 @@ from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, train_dqn
 from repro.core.vecenv import (
-    PolicyStack,
     _StackedMLP,
     _batched_train_step,
+    _dense_relu_chain,
     train_dqn_batch,
 )
 from repro.nn.layers import ReLU
@@ -185,17 +185,15 @@ SPECIAL = np.array(
 
 
 def relu_sites():
-    """The ReLU step of each chain: serial layer, stacked train, inference."""
-    cfg = dqn_config(3, 2, (4,), 1, False, None, 1)
-    agent = DQNAgent(cfg, seed=0)
-    stack = _StackedMLP([agent, agent])
-    stack.spec = ["relu"]
-    policies = PolicyStack([agent.online])
-    policies.spec = ["relu"]
+    """The ReLU step of the serial layer and of the stacked chain that
+    training (which caches masks for backward) and inference share."""
+    relu = ("relu",)
     return {
         "layer": lambda x: ReLU().forward(x.reshape(-1, x.shape[-1])),
-        "stacked": lambda x: stack._forward(x.copy(), [], [], cache=False),
-        "policy": lambda x: policies._chain(x.reshape(-1, 1, x.shape[-1]), [], []),
+        "stacked": lambda x: _dense_relu_chain(x.copy(), relu, [], [], ([], [])),
+        "policy": lambda x: _dense_relu_chain(
+            x.reshape(-1, 1, x.shape[-1]).copy(), relu, [], []
+        ),
     }
 
 

@@ -537,3 +537,13 @@ class TestPolicyStackCache:
                 [agents[0], other],
                 np.zeros((2, agents[0].config.observation_size)),
             )
+
+    def test_chain_rejects_unsupported_layers(self):
+        from repro.core.vecenv import PolicyStack
+        from repro.nn.layers import Dense, ReLU
+        from repro.nn.network import Network
+
+        with pytest.raises(TrainingError, match="Dense first layer"):
+            PolicyStack([Network([ReLU(), Dense(3, 2, seed=0)])])
+        with pytest.raises(TrainingError, match="Dense/ReLU only"):
+            PolicyStack([Network([Dense(3, 2, seed=0), object()])])

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    RATIO_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -76,7 +75,7 @@ class TestHistogram:
         assert h.quantile(0.99) == 42.0
 
     def test_as_dict_roundtrips_json_types(self):
-        h = Histogram(buckets=RATIO_BUCKETS)
+        h = Histogram(buckets=(0.25, 0.5, 1.0))
         h.observe(0.33)
         doc = h.as_dict()
         assert doc["count"] == 1
@@ -187,7 +186,6 @@ class TestRegistry:
 
     def test_default_buckets_sorted(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-        assert list(RATIO_BUCKETS) == sorted(RATIO_BUCKETS)
 
 
 class TestLabels:

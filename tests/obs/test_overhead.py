@@ -4,11 +4,11 @@ import time
 
 import numpy as np
 
+from repro.analysis import figures as F
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, train_dqn
 from repro.obs import trace
 from repro.obs.metrics import METRICS
-from repro.sim.testbed import Testbed, TestbedConfig
 
 
 def best_of(fn, *, repeats=5, loops=20_000) -> float:
@@ -60,18 +60,16 @@ class TestBitIdentical:
         np.testing.assert_array_equal(baseline.loss_history, traced.loss_history)
         assert baseline.steps == traced.steps
 
-    def test_distance_sweep_identical_with_tracing(self, monkeypatch, tmp_path):
-        config = TestbedConfig(num_peripherals=2)
-        distances = [5.0, 20.0]
-        baseline = Testbed(config, seed=3).distance_sweep(
-            distances, frames_per_node=5
-        )
+    def test_parameter_sweeps_identical_with_tracing(self, monkeypatch, tmp_path):
+        axes = ((10.0, 60.0), (3,), (50.0,), (6,))
+        F.parameter_sweeps.cache_clear()
+        baseline = F.parameter_sweeps("max", 200, 3, *axes)
 
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "RUN_sweep.jsonl"))
         trace.reset()
-        traced = Testbed(config, seed=3).distance_sweep(
-            distances, frames_per_node=5
-        )
+        F.parameter_sweeps.cache_clear()
+        traced = F.parameter_sweeps("max", 200, 3, *axes)
         trace.finish_run()
+        F.parameter_sweeps.cache_clear()
 
         assert baseline == traced

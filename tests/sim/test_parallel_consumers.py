@@ -6,7 +6,13 @@ here; the full-budget versions run in ``benchmarks/``).
 """
 
 from repro.analysis import figures as F
-from repro.sim.testbed import Testbed, TestbedConfig
+from repro.sim.field import FieldConfig
+from repro.sim.scenario import field_jammer_config, paper_defaults
+from repro.sim.shard import FieldGrid, GridConfig, InterferenceModel
+
+#: Two points per axis of the Figs. 6-8 sweeps: loss_jam, sweep_cycle,
+#: loss_hop, power_floor (8 pool tasks, in that order).
+SWEEP_AXES = ((10.0, 60.0), (3, 6), (0.0, 50.0), (6, 9))
 
 
 def _with_workers(monkeypatch, workers, fn):
@@ -14,58 +20,62 @@ def _with_workers(monkeypatch, workers, fn):
     return fn()
 
 
-class TestDistanceSweep:
-    def test_worker_count_invariance(self, monkeypatch):
-        def sweep():
-            tb = Testbed(TestbedConfig(num_peripherals=2), seed=11)
-            return tb.distance_sweep((2, 6, 12), frames_per_node=8)
+def _sweeps():
+    # The sweep cache is keyed on the arguments, not on the REPRO_* knobs.
+    F.parameter_sweeps.cache_clear()
+    try:
+        return F.parameter_sweeps("max", 300, 0, *SWEEP_AXES)
+    finally:
+        F.parameter_sweeps.cache_clear()
 
-        serial = _with_workers(monkeypatch, 1, sweep)
-        pooled = _with_workers(monkeypatch, 4, sweep)
+
+def _grid_run(seed=11, slots=20, **kwargs):
+    """A small 6-network grid in 3 shards, as a comparable tuple per network."""
+    defaults = paper_defaults()
+    config = GridConfig(
+        field=FieldConfig(mdp=defaults.mdp, jammer=field_jammer_config(defaults)),
+        num_networks=6,
+        width_m=30.0,
+        height_m=30.0,
+        interference=InterferenceModel(radius_m=12.0),
+    )
+    result = FieldGrid(config, seed=seed, shards=3, **kwargs).run(slots)
+    return list(
+        zip(
+            result.goodput_pkts_per_slot.tolist(),
+            result.utilization.tolist(),
+            result.metrics,
+        )
+    )
+
+
+class TestFieldGridShards:
+    def test_worker_count_invariance(self, monkeypatch):
+        serial = _with_workers(monkeypatch, 1, _grid_run)
+        pooled = _with_workers(monkeypatch, 4, _grid_run)
         assert serial == pooled
 
     def test_explicit_workers_argument(self):
-        tb = Testbed(TestbedConfig(num_peripherals=2), seed=11)
-        a = tb.distance_sweep((2, 12), frames_per_node=8, workers=1)
-        b = tb.distance_sweep((2, 12), frames_per_node=8, workers=2)
-        assert a == b
+        assert _grid_run(workers=1) == _grid_run(workers=2)
 
-    def test_rows_cover_distances(self):
-        tb = Testbed(seed=0)
-        rows = tb.distance_sweep((1, 5), frames_per_node=4, workers=1)
-        assert [r[0] for r in rows] == [1.0, 5.0]
-        for _, per, tput in rows:
-            assert 0.0 <= per <= 100.0
-            assert tput >= 0.0
+    def test_rows_cover_networks(self):
+        rows = _grid_run(workers=1)
+        assert len(rows) == 6
+        for goodput, utilization, _ in rows:
+            assert goodput >= 0.0
+            assert 0.0 <= utilization <= 1.0
 
     def test_deterministic_given_seed(self):
-        a = Testbed(seed=3).distance_sweep((4, 9), frames_per_node=6, workers=1)
-        b = Testbed(seed=3).distance_sweep((4, 9), frames_per_node=6, workers=1)
-        assert a == b
+        assert _grid_run(seed=3, workers=1) == _grid_run(seed=3, workers=1)
 
 
 class TestParameterSweeps:
-    AXES = dict(
-        lj_values=(10.0, 60.0),
-        cycle_values=(3, 6),
-        lh_values=(0.0, 50.0),
-        lp_lower_values=(6, 9),
-    )
-
     def test_worker_count_invariance(self, monkeypatch):
-        def sweeps():
-            F.parameter_sweeps.cache_clear()
-            return F.parameter_sweeps("max", 300, 0, *[
-                self.AXES[k]
-                for k in ("lj_values", "cycle_values", "lh_values", "lp_lower_values")
-            ])
-
-        serial = _with_workers(monkeypatch, 1, sweeps)
-        pooled = _with_workers(monkeypatch, 4, sweeps)
+        serial = _with_workers(monkeypatch, 1, _sweeps)
+        pooled = _with_workers(monkeypatch, 4, _sweeps)
         assert set(serial) == set(pooled)
         for name in serial:
             assert serial[name] == pooled[name], name
-        F.parameter_sweeps.cache_clear()
 
     def test_stable_across_processes_seeding(self):
         """Sweep streams no longer depend on PYTHONHASHSEED (builtin hash)."""
@@ -104,11 +114,11 @@ class TestFig11Parallel:
 class TestFaultInjectedConsumers:
     """Injected worker crashes must not change (retry) or sink (skip) a sweep."""
 
-    DISTANCES = (2, 6, 12)
-
-    def _sweep(self, **kwargs):
-        tb = Testbed(TestbedConfig(num_peripherals=2), seed=11)
-        return tb.distance_sweep(self.DISTANCES, frames_per_node=8, **kwargs)
+    def _sweep(self, monkeypatch, workers, **policy):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+        for name, value in policy.items():
+            monkeypatch.setenv(f"REPRO_{name.upper()}", str(value))
+        return _sweeps()
 
     def _clear_fault_env(self, monkeypatch):
         for name in (
@@ -122,26 +132,31 @@ class TestFaultInjectedConsumers:
 
     def test_retry_matches_fault_free_run(self, monkeypatch):
         self._clear_fault_env(monkeypatch)
-        clean = self._sweep(workers=1)
+        clean = self._sweep(monkeypatch, 1)
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.4")
         monkeypatch.setenv("REPRO_FAULT_SEED", "7")
         for workers in (1, 2):
-            faulty = self._sweep(
-                workers=workers, on_error="retry", max_retries=6
-            )
+            faulty = self._sweep(monkeypatch, workers, on_error="retry", max_retries=6)
             assert faulty == clean
 
     def test_skip_salvages_surviving_rows(self, monkeypatch):
         self._clear_fault_env(monkeypatch)
-        clean = self._sweep(workers=1)
-        # fault_seed=2 at rate 0.5 fails exactly index 0 on its only attempt.
+        clean = self._sweep(monkeypatch, 1)
+        # fault_seed=2 at rate 0.5 fails exactly tasks 0 and 7 (the first
+        # loss_jam and the last power_floor point) on their only attempt.
         monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
         monkeypatch.setenv("REPRO_FAULT_SEED", "2")
-        rows = self._sweep(workers=1, on_error="skip", max_retries=0)
-        assert rows == clean[1:]
+        sweeps = self._sweep(monkeypatch, 1, on_error="skip", max_retries=0)
+        assert sweeps == {
+            **clean,
+            "loss_jam": clean["loss_jam"][1:],
+            "power_floor": clean["power_floor"][:-1],
+        }
 
     def test_all_faults_skip_yields_empty_sweep(self, monkeypatch):
         self._clear_fault_env(monkeypatch)
         monkeypatch.setenv("REPRO_FAULT_RATE", "1.0")
-        rows = self._sweep(workers=1, on_error="skip", max_retries=1)
-        assert rows == []
+        sweeps = self._sweep(monkeypatch, 1, on_error="skip", max_retries=1)
+        assert sweeps == dict.fromkeys(
+            ("loss_jam", "sweep_cycle", "loss_hop", "power_floor"), ()
+        )
