@@ -6,12 +6,11 @@ compute call, printed table and claims), which ``repro figure``, the
 figure bench and ``tests/claims`` all read.
 """
 
-from repro.analysis.stats import SeriesSummary, mean_confidence_interval, summarize
+from repro.analysis.stats import SeriesSummary, summarize
 from repro.analysis.tables import format_float, render_table
 
 __all__ = [
     "SeriesSummary",
-    "mean_confidence_interval",
     "summarize",
     "format_float",
     "render_table",

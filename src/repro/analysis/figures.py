@@ -14,7 +14,6 @@ actually-trained DQN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -203,7 +202,12 @@ def _sweep_point_task(spec: tuple) -> MetricSummary:
     return _evaluate_config(config, slots, seed)
 
 
-@lru_cache(maxsize=8)
+#: Complete sweeps by call arguments, oldest first (at most 8). A sweep
+#: salvaged with points missing is returned but never stored, so a later
+#: call under another error policy computes it afresh.
+_SWEEPS: dict[tuple, dict[str, tuple[SweepPoint, ...]]] = {}
+
+
 def parameter_sweeps(
     jammer_mode: str,
     slots: int = 20_000,
@@ -216,14 +220,20 @@ def parameter_sweeps(
     """All four parameter sweeps of Figs. 6-8 for one jammer mode.
 
     Returns ``{"loss_jam" | "sweep_cycle" | "loss_hop" | "power_floor":
-    (SweepPoint, ...)}``. Cached: Figs. 6, 7 and 8 read different metric
-    fields off the same evaluations.
+    (SweepPoint, ...)}``. Cached when no point is missing: Figs. 6, 7 and
+    8 read different metric fields off the same evaluations.
 
     Every point is an independent seeded experiment, so the whole grid is
     dispatched through :class:`repro.exec.ParallelRunner` — set
     ``REPRO_WORKERS`` to fan it out; results are identical for any worker
     count.
     """
+    key = (
+        jammer_mode, slots, seed, lj_values, cycle_values, lh_values, lp_lower_values
+    )
+    cached = _SWEEPS.get(key)
+    if cached is not None:
+        return cached
     if jammer_mode not in JammerMode.ALL:
         raise ConfigurationError(f"unknown jammer mode {jammer_mode!r}")
     axes: list[tuple[str, float, MDPConfig]] = []
@@ -268,7 +278,16 @@ def parameter_sweeps(
         if isinstance(summary, TaskFailure):
             continue
         out[sweep_name].append(SweepPoint(x, summary))
-    return {name: tuple(points) for name, points in out.items()}
+    sweeps = {name: tuple(points) for name, points in out.items()}
+    if not any(isinstance(summary, TaskFailure) for summary in metrics):
+        _SWEEPS[key] = sweeps
+        if len(_SWEEPS) > 8:
+            del _SWEEPS[next(iter(_SWEEPS))]
+    return sweeps
+
+
+#: Empties the sweep cache (the name :func:`functools.lru_cache` uses).
+parameter_sweeps.cache_clear = _SWEEPS.clear
 
 
 # ---------------------------------------------------------------------------

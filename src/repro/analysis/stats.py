@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from repro.errors import SimulationError
 
@@ -45,42 +43,7 @@ def summarize(samples) -> SeriesSummary:
     )
 
 
-def mean_confidence_interval(
-    samples, confidence: float = 0.95
-) -> tuple[float, float, float]:
-    """(mean, lower, upper) Student-t confidence interval for the mean."""
-    if not 0.0 < confidence < 1.0:
-        raise SimulationError("confidence must lie in (0, 1)")
-    arr = np.asarray(samples, dtype=np.float64).ravel()
-    if arr.size < 2:
-        raise SimulationError("need at least two samples for an interval")
-    mean = float(arr.mean())
-    sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
-    if sem == 0.0:
-        return mean, mean, mean
-    half = float(sps.t.ppf(0.5 + confidence / 2.0, arr.size - 1)) * sem
-    return mean, mean - half, mean + half
-
-
-def bernoulli_interval(
-    successes: int, trials: int, confidence: float = 0.95
-) -> tuple[float, float, float]:
-    """(rate, lower, upper) Wilson score interval for a proportion."""
-    if trials <= 0:
-        raise SimulationError("trials must be positive")
-    if not 0 <= successes <= trials:
-        raise SimulationError("successes out of range")
-    z = float(sps.norm.ppf(0.5 + confidence / 2.0))
-    p = successes / trials
-    denom = 1.0 + z * z / trials
-    centre = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return p, max(0.0, centre - half), min(1.0, centre + half)
-
-
 __all__ = [
     "SeriesSummary",
     "summarize",
-    "mean_confidence_interval",
-    "bernoulli_interval",
 ]

@@ -25,14 +25,13 @@ from repro.channel.link import (
     resolve_per_cache_capacity,
     zigbee_ber_awgn,
 )
-from repro.channel.noise import db_to_linear, dbm_to_watts, linear_to_db, thermal_noise_dbm, watts_to_dbm
-from repro.channel.propagation import LogDistancePathLoss
-from repro.channel.spectrum import (
-    wifi_channel_frequency_mhz,
-    wifi_footprint,
-    zigbee_channel_frequency_mhz,
-    zigbee_offset_in_wifi_hz,
+from repro.channel.noise import (
+    db_to_linear,
+    dbm_to_watts,
+    thermal_noise_dbm,
+    watts_to_dbm,
 )
+from repro.channel.propagation import LogDistancePathLoss
 from repro.channel.trials import (
     BatchTrialResult,
     JammerBank,
@@ -66,15 +65,10 @@ __all__ = [
     "resolve_per_cache_capacity",
     "zigbee_ber_awgn",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "thermal_noise_dbm",
     "LogDistancePathLoss",
-    "wifi_channel_frequency_mhz",
-    "wifi_footprint",
-    "zigbee_channel_frequency_mhz",
-    "zigbee_offset_in_wifi_hz",
     "awgn",
     "empirical_chip_flip_rate",
     "jam_trial",

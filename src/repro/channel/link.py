@@ -394,12 +394,6 @@ class LinkTable:
             cache.popitem(last=False)
         return value
 
-    @staticmethod
-    def _per_key(
-        signal_dbm: float, packet_octets: int, interferers
-    ) -> tuple:
-        return (float(signal_dbm), int(packet_octets), tuple(interferers or ()))
-
     # -- memoised queries -----------------------------------------------------
 
     def packet_error_rate(

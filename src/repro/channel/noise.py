@@ -16,13 +16,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(ratio: float) -> float:
-    """Convert a linear power ratio to dB."""
-    if ratio <= 0:
-        raise ChannelError(f"cannot take dB of non-positive ratio {ratio}")
-    return 10.0 * math.log10(ratio)
-
-
 def dbm_to_watts(dbm: float) -> float:
     """Convert dBm to watts."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
@@ -63,7 +56,6 @@ def combine_powers_dbm(powers_dbm: list[float]) -> float:
 __all__ = [
     "THERMAL_NOISE_DBM_PER_HZ",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "thermal_noise_dbm",

@@ -1,4 +1,4 @@
-"""2.4 GHz ISM band geometry: ZigBee/Wi-Fi channel maps and their overlap.
+"""2.4 GHz ISM band geometry: the spectral overlap of Wi-Fi and ZigBee.
 
 The cross-technology jammer's reach comes from this geometry: one 20 MHz
 Wi-Fi channel blankets four 2 MHz ZigBee channels (paper §II-B), so a
@@ -7,85 +7,8 @@ sweeping Wi-Fi jammer covers all 16 ZigBee channels in ⌈16/4⌉ = 4 slots.
 
 from __future__ import annotations
 
-from repro.constants import (
-    FIRST_ZIGBEE_CHANNEL,
-    NUM_ZIGBEE_CHANNELS,
-    WIFI_BANDWIDTH_MHZ,
-    WIFI_BASE_FREQ_MHZ,
-    ZIGBEE_BANDWIDTH_MHZ,
-    ZIGBEE_BASE_FREQ_MHZ,
-    ZIGBEE_CHANNEL_SPACING_MHZ,
-)
+from repro.constants import ZIGBEE_BANDWIDTH_MHZ
 from repro.errors import ChannelError
-
-#: Valid 2.4 GHz ZigBee channel numbers (IEEE 802.15.4 channel page 0).
-ZIGBEE_CHANNELS = tuple(
-    range(FIRST_ZIGBEE_CHANNEL, FIRST_ZIGBEE_CHANNEL + NUM_ZIGBEE_CHANNELS)
-)
-
-#: Valid 2.4 GHz Wi-Fi channel numbers (1..13; 14 is Japan-only 802.11b).
-WIFI_CHANNELS = tuple(range(1, 14))
-
-
-def zigbee_channel_frequency_mhz(channel: int) -> float:
-    """Centre frequency of 802.15.4 ``channel`` (11..26) in MHz."""
-    if channel not in ZIGBEE_CHANNELS:
-        raise ChannelError(
-            f"ZigBee channel must be in "
-            f"{ZIGBEE_CHANNELS[0]}..{ZIGBEE_CHANNELS[-1]}, got {channel}"
-        )
-    return ZIGBEE_BASE_FREQ_MHZ + ZIGBEE_CHANNEL_SPACING_MHZ * (
-        channel - FIRST_ZIGBEE_CHANNEL
-    )
-
-
-def wifi_channel_frequency_mhz(channel: int) -> float:
-    """Centre frequency of 2.4 GHz Wi-Fi ``channel`` (1..13) in MHz."""
-    if channel not in WIFI_CHANNELS:
-        raise ChannelError(
-            f"Wi-Fi channel must be in 1..13, got {channel}"
-        )
-    return WIFI_BASE_FREQ_MHZ + 5.0 * (channel - 1)
-
-
-def wifi_footprint(wifi_channel: int) -> tuple[int, ...]:
-    """ZigBee channels fully inside ``wifi_channel``'s 20 MHz band.
-
-    A ZigBee channel is covered when its ±1 MHz occupied band lies within
-    the Wi-Fi channel's ±10 MHz band. Every Wi-Fi channel covers exactly
-    four ZigBee channels — the paper's m = 4.
-    """
-    f_w = wifi_channel_frequency_mhz(wifi_channel)
-    half = (WIFI_BANDWIDTH_MHZ - ZIGBEE_BANDWIDTH_MHZ) / 2.0
-    return tuple(
-        z
-        for z in ZIGBEE_CHANNELS
-        if abs(zigbee_channel_frequency_mhz(z) - f_w) <= half
-    )
-
-
-def wifi_channels_covering(zigbee_channel: int) -> tuple[int, ...]:
-    """Wi-Fi channels whose 20 MHz band fully contains ``zigbee_channel``."""
-    return tuple(
-        w for w in WIFI_CHANNELS if zigbee_channel in wifi_footprint(w)
-    )
-
-
-def zigbee_offset_in_wifi_hz(zigbee_channel: int, wifi_channel: int) -> float:
-    """Baseband frequency offset of a ZigBee channel inside a Wi-Fi channel.
-
-    This is the shift the emulator applies to place the designed ZigBee
-    waveform at the right position within the 20 MHz OFDM grid.
-    """
-    if zigbee_channel not in wifi_footprint(wifi_channel):
-        raise ChannelError(
-            f"ZigBee channel {zigbee_channel} is outside Wi-Fi channel "
-            f"{wifi_channel}'s footprint {wifi_footprint(wifi_channel)}"
-        )
-    return (
-        zigbee_channel_frequency_mhz(zigbee_channel)
-        - wifi_channel_frequency_mhz(wifi_channel)
-    ) * 1e6
 
 
 def overlap_fraction_mhz(
@@ -117,31 +40,7 @@ def inband_power_fraction(
     return shared / interferer_bw_mhz
 
 
-def sweep_blocks(num_channels: int = NUM_ZIGBEE_CHANNELS, width: int = 4) -> list[tuple[int, ...]]:
-    """Partition channel *indices* 0..num_channels-1 into sweep blocks.
-
-    The jammer observes ``width`` consecutive channels per time slot; the
-    number of blocks is the sweep cycle ⌈K/m⌉.
-    """
-    if width < 1 or width > num_channels:
-        raise ChannelError(
-            f"sweep width must be in 1..{num_channels}, got {width}"
-        )
-    blocks = []
-    for start in range(0, num_channels, width):
-        blocks.append(tuple(range(start, min(start + width, num_channels))))
-    return blocks
-
-
 __all__ = [
-    "ZIGBEE_CHANNELS",
-    "WIFI_CHANNELS",
-    "zigbee_channel_frequency_mhz",
-    "wifi_channel_frequency_mhz",
-    "wifi_footprint",
-    "wifi_channels_covering",
-    "zigbee_offset_in_wifi_hz",
     "overlap_fraction_mhz",
     "inband_power_fraction",
-    "sweep_blocks",
 ]

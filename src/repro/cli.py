@@ -231,9 +231,16 @@ def _load_bench_stages(path: Path) -> dict[str, float]:
     stages = doc.get("stages")
     if not isinstance(stages, dict):
         raise ReproError(f"no 'stages' section in benchmark artifact: {path}")
-    return {
-        name: float(stats.get("seconds", 0.0)) for name, stats in stages.items()
-    }
+    out = {}
+    for name, stats in stages.items():
+        seconds = stats.get("seconds") if isinstance(stats, dict) else None
+        if isinstance(seconds, bool) or not isinstance(seconds, (int, float)):
+            raise ReproError(
+                f"benchmark artifact {path}: stage {name!r} has no numeric "
+                f"'seconds' (got {stats!r})"
+            )
+        out[name] = float(seconds)
+    return out
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:

@@ -14,23 +14,11 @@ from __future__ import annotations
 #: Number of IEEE 802.15.4 channels on the 2.4 GHz band (channels 11..26).
 NUM_ZIGBEE_CHANNELS = 16
 
-#: First 2.4 GHz ZigBee channel number.
-FIRST_ZIGBEE_CHANNEL = 11
-
-#: Centre frequency of ZigBee channel 11 in MHz; channel k is 2405 + 5(k-11).
-ZIGBEE_BASE_FREQ_MHZ = 2405.0
-
-#: Spacing between adjacent ZigBee channel centres in MHz.
-ZIGBEE_CHANNEL_SPACING_MHZ = 5.0
-
 #: Occupied bandwidth of one ZigBee channel in MHz.
 ZIGBEE_BANDWIDTH_MHZ = 2.0
 
 #: Occupied bandwidth of one Wi-Fi (802.11g) channel in MHz.
 WIFI_BANDWIDTH_MHZ = 20.0
-
-#: Centre frequency of Wi-Fi channel 1 in MHz; channel k is 2412 + 5(k-1).
-WIFI_BASE_FREQ_MHZ = 2412.0
 
 #: Number of consecutive ZigBee channels a single Wi-Fi transmission covers
 #: (paper: "a WiFi jammer can scan and jam up to 4 ZigBee channels at a time").

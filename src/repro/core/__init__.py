@@ -11,25 +11,13 @@
 * :mod:`repro.core.metrics` — the Table-I metrics.
 """
 
-from repro.core.baselines import (
-    MaxPowerPolicy,
-    NoDefensePolicy,
-    PassiveFHPolicy,
-    RandomFHPolicy,
-)
-from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule, GreedyDQNPolicy
+from repro.core.baselines import NoDefensePolicy, PassiveFHPolicy, RandomFHPolicy
+from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.envs import AnalyticJammingEnv, StepInfo, SweepJammingEnv
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, JammerMode, MDPConfig
 from repro.core.metrics import MetricSummary, SlotLog, evaluate_policy
 from repro.core.qlearning import QLearningConfig, TabularQLearning
-from repro.core.policy import (
-    Policy,
-    RandomPolicy,
-    TabularPolicy,
-    ThresholdPolicy,
-    extract_threshold,
-    policy_from_solution_map,
-)
+from repro.core.policy import TabularPolicy, ThresholdPolicy, policy_from_solution_map
 from repro.core.replay import Batch, ReplayBuffer
 from repro.core.selfplay import (
     SelfPlayConfig,
@@ -57,14 +45,12 @@ from repro.core.trainer import (
 from repro.core.vecenv import VectorEnv, resolve_env_batch, train_dqn_batch
 
 __all__ = [
-    "MaxPowerPolicy",
     "NoDefensePolicy",
     "PassiveFHPolicy",
     "RandomFHPolicy",
     "DQNAgent",
     "DQNConfig",
     "EpsilonSchedule",
-    "GreedyDQNPolicy",
     "AnalyticJammingEnv",
     "StepInfo",
     "SweepJammingEnv",
@@ -77,11 +63,8 @@ __all__ = [
     "MetricSummary",
     "SlotLog",
     "evaluate_policy",
-    "Policy",
-    "RandomPolicy",
     "TabularPolicy",
     "ThresholdPolicy",
-    "extract_threshold",
     "policy_from_solution_map",
     "QLearningConfig",
     "TabularQLearning",

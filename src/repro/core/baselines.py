@@ -98,25 +98,8 @@ class NoDefensePolicy:
         return Action(hop=False, power_index=0)
 
 
-class MaxPowerPolicy:
-    """Always transmit at the top power level without hopping.
-
-    Isolates the power-control arm: against a max-power jammer this is as
-    futile as the paper's analysis predicts, against the random-power
-    (hidden) jammer it wins whenever the jammer draws a lower level.
-    """
-
-    def __init__(self, config: MDPConfig) -> None:
-        self.config = config
-
-    def action(self, state: State) -> Action:
-        del state
-        return Action(hop=False, power_index=self.config.num_power_levels - 1)
-
-
 __all__ = [
     "PassiveFHPolicy",
     "RandomFHPolicy",
     "NoDefensePolicy",
-    "MaxPowerPolicy",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.constants import DEFAULT_DISCOUNT, DEFAULT_HIDDEN_WIDTH
 from repro.core.replay import Batch, ReplayBuffer
-from repro.errors import ConfigurationError, TrainingError
+from repro.errors import ConfigurationError
 from repro.nn.losses import HuberLoss
 from repro.nn.network import Network, mlp
 from repro.nn.optimizers import Adam
@@ -205,23 +205,8 @@ class DQNAgent:
         return self.online
 
 
-class GreedyDQNPolicy:
-    """Frozen greedy policy over a trained agent, for evaluation."""
-
-    def __init__(self, agent: DQNAgent) -> None:
-        if agent.train_steps == 0:
-            raise TrainingError(
-                "refusing to freeze an agent that has never been trained"
-            )
-        self._agent = agent
-
-    def act(self, observation: np.ndarray) -> int:
-        return self._agent.act(observation, greedy=True)
-
-
 __all__ = [
     "EpsilonSchedule",
     "DQNConfig",
     "DQNAgent",
-    "GreedyDQNPolicy",
 ]

@@ -15,7 +15,7 @@ kernel implements Cases 1–6 (Eqs. 6–14).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
@@ -175,10 +175,6 @@ class MDPConfig:
     def num_power_levels(self) -> int:
         return len(self.tx_power_levels)
 
-    def with_sweep_cycle(self, cycle: int) -> "MDPConfig":
-        """Copy of this config with the sweep cycle forced to ``cycle``."""
-        return replace(self, sweep_cycle_override=cycle)
-
     def jam_success_probability(self, power_index: int) -> float:
         """P(p^T_i < τ): probability a jam attempt defeats power level ``i``.
 
@@ -323,10 +319,6 @@ class AntiJammingMDP:
         return R
 
     # -- introspection helpers --------------------------------------------------
-
-    def successful_states(self) -> tuple[State, ...]:
-        """States in which the slot's transmission succeeded (X \\ {J})."""
-        return tuple(x for x in self.states if x != J)
 
     def describe(self) -> str:
         cfg = self.config

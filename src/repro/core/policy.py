@@ -1,4 +1,4 @@
-"""Policy abstractions: tabular, threshold-structured, and random.
+"""Policy abstractions: tabular and threshold-structured.
 
 The MDP's optimal policy has the threshold structure of Theorem III.4 —
 stay while the streak is short, hop once it reaches n*. These classes give
@@ -9,18 +9,10 @@ interface used by the environments and the metric harness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Protocol
+from typing import Mapping
 
-from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig, State
+from repro.core.mdp import TJ, J, Action, State
 from repro.errors import ConfigurationError
-from repro.rng import SeedLike, make_rng
-
-
-class Policy(Protocol):
-    """Anything that maps an MDP state to an action."""
-
-    def action(self, state: State) -> Action:  # pragma: no cover - protocol
-        ...
 
 
 @dataclass(frozen=True)
@@ -65,50 +57,13 @@ class ThresholdPolicy:
         return Action(hop=True, power_index=self.hop_power_index)
 
 
-class RandomPolicy:
-    """Uniformly random action each slot (the exploration floor)."""
-
-    def __init__(self, mdp: AntiJammingMDP, seed: SeedLike = None) -> None:
-        self._actions = mdp.actions
-        self._rng = make_rng(seed)
-
-    def action(self, state: State) -> Action:
-        del state
-        return self._actions[int(self._rng.integers(len(self._actions)))]
-
-
 def policy_from_solution_map(table: Mapping[State, Action]) -> TabularPolicy:
     """Wrap a solved policy map in the common interface."""
     return TabularPolicy(dict(table))
 
 
-def extract_threshold(
-    policy: Policy, config: MDPConfig
-) -> int:
-    """Read the hop threshold n* off any policy (Theorem III.4's statistic).
-
-    Returns ``sweep_cycle`` when the policy never hops from a streak state.
-    """
-    for n in range(1, config.sweep_cycle):
-        if policy.action(n).hop:
-            return n
-    return config.sweep_cycle
-
-
-def policy_power_profile(policy: Policy, config: MDPConfig) -> dict[State, float]:
-    """The transmit power the policy uses in each state (diagnostics)."""
-    states: list[State] = [*range(1, config.sweep_cycle), TJ, J]
-    return {
-        x: config.tx_power_levels[policy.action(x).power_index] for x in states
-    }
-
-
 __all__ = [
-    "Policy",
     "TabularPolicy",
     "ThresholdPolicy",
-    "RandomPolicy",
     "policy_from_solution_map",
-    "extract_threshold",
-    "policy_power_profile",
 ]

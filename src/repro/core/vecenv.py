@@ -251,10 +251,6 @@ class _StackedMLP:
         self._bias_rows = [b[:, None, :] for b in self.biases]
         self._t_bias_rows = [b[:, None, :] for b in self.t_biases]
 
-    @property
-    def num_stacked(self) -> int:
-        return self.params.shape[0]
-
     # -- forward/backward -----------------------------------------------------
 
     def forward_online(self, x: np.ndarray, *, cache: bool = False) -> np.ndarray:

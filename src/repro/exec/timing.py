@@ -97,11 +97,6 @@ class TimingRegistry:
         finally:
             self.record(name, time.perf_counter() - start, items=items)
 
-    def total_seconds(self, name: str) -> float:
-        """Accumulated wall-clock of ``name`` (0.0 if never recorded)."""
-        stats = self.stages.get(name)
-        return stats.seconds if stats else 0.0
-
     def reset(self) -> None:
         self.stages.clear()
 

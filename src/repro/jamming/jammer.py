@@ -175,18 +175,6 @@ class ReactiveJammerConfig:
         if not 0.0 <= self.decoy_discrimination <= 1.0:
             raise ConfigurationError("decoy discrimination must be in [0, 1]")
 
-    @property
-    def is_ideal(self) -> bool:
-        """Whether this config degenerates to the proactive sweep/camp jammer."""
-        return (
-            self.detection_probability >= 1.0
-            and self.response_latency_s == 0.0
-            and self.duty_cycle >= 1.0
-            and self.eavesdrop_probability == 0.0
-            and self.transmit_on_sweep
-            and self.victim_rx_dbm >= self.sensitivity_dbm
-        )
-
 
 @dataclass(frozen=True)
 class FollowerJammerConfig:

@@ -142,10 +142,6 @@ class AdaptiveSweep(SweepStrategy):
         self._scores[...] = 0.0
         self._unvisited = []
 
-    def block_scores(self) -> np.ndarray:
-        """Current sighting scores (diagnostics)."""
-        return self._scores.copy()
-
 
 _STRATEGY_CLASSES: dict[str, type[SweepStrategy]] = {
     "random": RandomSweep,

@@ -57,19 +57,17 @@ class StarNetwork:
     def negotiate(self, channel: int, power_index: int) -> NegotiationReport:
         """Run one polling round announcing (channel, power) to every node.
 
-        Nodes currently stranded on the control channel must first be
-        waited for; every recovery adds its control-channel wait to the
-        negotiation time.
+        Each polled node is off-channel with probability
+        ``timing.off_channel_probability`` and must be recovered through the
+        control channel; every recovery adds its wait to the negotiation
+        time.
         """
         t = self.timing
         duration = float(t.dqn_inference(self._rng))
         recovered = 0
         for node in self.peripherals:
             duration += float(t.polling(self._rng))
-            stranded = node.on_control_channel or (
-                self._rng.random() < t.off_channel_probability
-            )
-            if stranded:
+            if self._rng.random() < t.off_channel_probability:
                 recovered += 1
                 duration += float(
                     _gamma_sample(self._rng, t.off_channel_recovery_mean_s, 0.6)
@@ -82,15 +80,6 @@ class StarNetwork:
             polled_nodes=self.size,
             recovered_nodes=recovered,
         )
-
-    def strand_nodes(self, count: int) -> None:
-        """Force ``count`` peripherals onto the control channel (jam fallout)."""
-        if not 0 <= count <= self.size:
-            raise ConfigurationError(
-                f"cannot strand {count} of {self.size} nodes"
-            )
-        for node in self.peripherals[:count]:
-            node.miss_announcement()
 
 
 __all__ = ["NegotiationReport", "StarNetwork"]

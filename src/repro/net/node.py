@@ -11,38 +11,19 @@ from repro.errors import ProtocolError
 class Peripheral:
     """A ZigBee end device that streams data packets to the hub.
 
-    Tracks where the node believes the network currently lives; a node that
-    missed the announcement drifts to the control channel and must be
-    recovered (the slow path of Fig. 9(b)).
+    Tracks the (channel, power) the hub last announced. Whether a node is
+    off-channel and must be recovered (the slow path of Fig. 9(b)) is drawn
+    per poll by :meth:`repro.net.network.StarNetwork.negotiate`.
     """
 
     node_id: str
     channel: int = 0
     power_index: int = 0
-    on_control_channel: bool = False
-    packets_sent: int = 0
-    packets_delivered: int = 0
 
     def apply_announcement(self, channel: int, power_index: int) -> None:
         """Adopt the hub's (channel, power) decision for the coming slot."""
         self.channel = channel
         self.power_index = power_index
-        self.on_control_channel = False
-
-    def miss_announcement(self) -> None:
-        """The announcement never arrived; fall back to the control channel."""
-        self.on_control_channel = True
-
-    def record_transmission(self, delivered: bool) -> None:
-        self.packets_sent += 1
-        if delivered:
-            self.packets_delivered += 1
-
-    @property
-    def delivery_ratio(self) -> float:
-        if self.packets_sent == 0:
-            return 0.0
-        return self.packets_delivered / self.packets_sent
 
 
 @dataclass
@@ -70,12 +51,6 @@ class Hub:
     @property
     def network_size(self) -> int:
         return len(self.peripherals)
-
-    def total_delivered(self) -> int:
-        return sum(p.packets_delivered for p in self.peripherals)
-
-    def total_sent(self) -> int:
-        return sum(p.packets_sent for p in self.peripherals)
 
 
 __all__ = ["Peripheral", "Hub"]

@@ -33,18 +33,6 @@ class Loss(abc.ABC):
         ...
 
 
-class MeanSquaredError(Loss):
-    """0.5 * mean((p - t)^2); the 0.5 makes the gradient (p - t)/N."""
-
-    def value(self, prediction: np.ndarray, target: np.ndarray) -> float:
-        p, t = _check_shapes(prediction, target)
-        return float(0.5 * np.mean((p - t) ** 2))
-
-    def gradient(self, prediction: np.ndarray, target: np.ndarray) -> np.ndarray:
-        p, t = _check_shapes(prediction, target)
-        return (p - t) / p.size
-
-
 class HuberLoss(Loss):
     """Huber (smooth-L1) loss — the standard DQN choice.
 
@@ -70,4 +58,4 @@ class HuberLoss(Loss):
         return np.clip(err, -self.delta, self.delta) / p.size
 
 
-__all__ = ["Loss", "MeanSquaredError", "HuberLoss"]
+__all__ = ["Loss", "HuberLoss"]

@@ -45,29 +45,6 @@ class Optimizer(abc.ABC):
             g[...] = 0.0
 
 
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, learning_rate: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError(f"momentum must be in [0, 1), got {momentum}")
-        self.momentum = float(momentum)
-        self._velocity: list[np.ndarray] | None = None
-
-    def step(
-        self, parameters: list[np.ndarray], gradients: list[np.ndarray]
-    ) -> None:
-        self._validate(parameters, gradients)
-        if self._velocity is None:
-            self._velocity = [np.zeros_like(p) for p in parameters]
-        for p, g, v in zip(parameters, gradients, self._velocity):
-            v *= self.momentum
-            v -= self.learning_rate * g
-            p += v
-        self._zero(gradients)
-
-
 class Adam(Optimizer):
     """Adam (Kingma & Ba, 2015) with bias correction."""
 
@@ -107,4 +84,4 @@ class Adam(Optimizer):
         self._zero(gradients)
 
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "Adam"]

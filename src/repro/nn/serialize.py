@@ -115,24 +115,6 @@ def _read_artifact(
         return flat, manifest
 
 
-def load_parameters(network: Network, path: str | os.PathLike) -> None:
-    """Load an artifact written by :func:`save_parameters` into ``network``.
-
-    The saved shape manifest is validated against the target network's
-    per-layer geometry, so an artifact trained on a *different*
-    architecture that happens to share the total parameter count is
-    rejected instead of silently loading scrambled weights.
-    """
-    flat, manifest = _read_artifact(path)
-    expected = [p.shape for p in network.parameters]
-    if manifest != expected:
-        raise ConfigurationError(
-            f"{os.fspath(path)}: artifact geometry does not match the "
-            f"target network: artifact {manifest} vs network {expected}"
-        )
-    unflatten_parameters(network, flat)
-
-
 @dataclass(frozen=True)
 class PolicyBundle:
     """A set of policy artifacts validated to share one geometry.
@@ -198,7 +180,6 @@ __all__ = [
     "flatten_parameters",
     "unflatten_parameters",
     "save_parameters",
-    "load_parameters",
     "PolicyBundle",
     "load_policy_bundle",
 ]

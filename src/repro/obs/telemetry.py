@@ -65,11 +65,6 @@ from repro.obs.sink import ObsDoc, ObsState, disable, reset
 LATENCY_BUCKETS: tuple[float, ...] = DEFAULT_BUCKETS
 
 
-def telem_target() -> Path | None:
-    """Telemetry file selected by ``REPRO_TELEM``, or ``None`` when off."""
-    return sink.target(sink.TELEM)
-
-
 def enabled() -> bool:
     """True when this process is currently recording telemetry frames."""
     return sink.TELEM in sink.state().streams
@@ -357,7 +352,6 @@ def merge_frames(doc: ObsDoc) -> dict[str, list[dict]]:
 
 __all__ = [
     "LATENCY_BUCKETS",
-    "telem_target",
     "enabled",
     "interval",
     "record_frame",

@@ -57,19 +57,9 @@ from repro.obs import sink
 from repro.obs.sink import ObsState, disable, reset
 
 
-def trace_target() -> Path | None:
-    """Trace file selected by ``REPRO_TRACE``, or ``None`` when disabled."""
-    return sink.target(sink.RUN)
-
-
 def enabled() -> bool:
     """True when this process is currently recording trace data."""
     return sink.RUN in sink.state().streams
-
-
-def current_trace_id() -> str | None:
-    state = sink.state()
-    return state.trace_id if sink.RUN in state.streams else None
 
 
 # -- serialisation ------------------------------------------------------------------
@@ -224,9 +214,7 @@ def finish_run() -> Path | None:
 
 
 __all__ = [
-    "trace_target",
     "enabled",
-    "current_trace_id",
     "span",
     "event",
     "start_run",

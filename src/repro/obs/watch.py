@@ -215,7 +215,9 @@ def watch(
 
     ``iterations=1`` (the CLI's ``--once``) renders a single frame with
     no screen-clear escapes — the transcript-friendly mode tests and
-    docs use. Returns a process exit code.
+    docs use. It prints the error and returns 1 when the telemetry cannot
+    be read, so a run that wrote none fails; live mode waits for it
+    instead. Returns a process exit code.
     """
     out = stream if stream is not None else sys.stdout
     clearing = iterations != 1
@@ -224,6 +226,9 @@ def watch(
         try:
             frame = render_dashboard(path, top=top, width=width)
         except ReproError as exc:
+            if iterations == 1:
+                out.write(f"no telemetry: {exc}\n")
+                return 1
             frame = f"waiting for telemetry: {exc}"
         if clearing:
             out.write("\x1b[2J\x1b[H")

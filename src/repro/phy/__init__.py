@@ -17,7 +17,6 @@ transmission emulates a designed ZigBee waveform, including the α-scaled
 from repro.phy.bits import bits_to_bytes, bytes_to_bits, crc16_itut
 from repro.phy.emulation import EmulationResult, WaveformEmulator, optimize_alpha
 from repro.phy.packet import ZigBeeFrame, decode_frame, encode_frame
-from repro.phy.preamble import ParsedPpdu, SignalField, build_ppdu, parse_ppdu
 from repro.phy.sync import SyncResult, receive_stream, synchronise
 from repro.phy.wifi import WifiPhy, WifiPhyConfig
 from repro.phy.zigbee import ZigBeePhy, ZigBeePhyConfig
@@ -32,10 +31,6 @@ __all__ = [
     "ZigBeeFrame",
     "decode_frame",
     "encode_frame",
-    "ParsedPpdu",
-    "SignalField",
-    "build_ppdu",
-    "parse_ppdu",
     "SyncResult",
     "receive_stream",
     "synchronise",

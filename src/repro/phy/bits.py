@@ -48,80 +48,6 @@ def bits_to_bytes(bits: "np.typing.ArrayLike", *, lsb_first: bool = True) -> byt
     return packed.tobytes()
 
 
-def int_to_bits(value: int, width: int, *, lsb_first: bool = True) -> BitArray:
-    """Serialise ``value`` into ``width`` bits.
-
-    Runs as an :func:`numpy.unpackbits` kernel over the value's
-    little-endian byte form (bit-identical to
-    :func:`int_to_bits_reference`, which keeps the original per-bit loop).
-    """
-    if value < 0:
-        raise EncodingError("cannot serialise a negative integer")
-    if width <= 0:
-        raise EncodingError("bit width must be positive")
-    if value >= 1 << width:
-        raise EncodingError(f"value {value} does not fit in {width} bits")
-    n_bytes = (width + 7) // 8
-    octets = np.frombuffer(value.to_bytes(n_bytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(octets, bitorder="little")[:width]
-    return bits if lsb_first else bits[::-1].copy()
-
-
-def int_to_bits_reference(
-    value: int, width: int, *, lsb_first: bool = True
-) -> BitArray:
-    """Pre-vectorization :func:`int_to_bits`: the per-bit shift loop."""
-    if value < 0:
-        raise EncodingError("cannot serialise a negative integer")
-    if width <= 0:
-        raise EncodingError("bit width must be positive")
-    if value >= 1 << width:
-        raise EncodingError(f"value {value} does not fit in {width} bits")
-    bits = np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
-    return bits if lsb_first else bits[::-1].copy()
-
-
-def bits_to_int(bits: "np.typing.ArrayLike", *, lsb_first: bool = True) -> int:
-    """Interpret a bit array as an unsigned integer.
-
-    Packs the bits with :func:`numpy.packbits` and reads the resulting
-    little-endian bytes — exact for any width (Python ints are unbounded),
-    and bit-identical to :func:`bits_to_int_reference`.
-    """
-    arr = as_bits(bits)
-    if not lsb_first:
-        arr = arr[::-1]
-    if arr.size == 0:
-        return 0
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
-
-
-def bits_to_int_reference(bits: "np.typing.ArrayLike", *, lsb_first: bool = True) -> int:
-    """Pre-vectorization :func:`bits_to_int`: the per-bit shift-sum loop."""
-    arr = as_bits(bits)
-    if not lsb_first:
-        arr = arr[::-1]
-    return int(sum(int(b) << i for i, b in enumerate(arr)))
-
-
-def hamming_distance(a: "np.typing.ArrayLike", b: "np.typing.ArrayLike") -> int:
-    """Number of positions in which two equal-length bit arrays differ."""
-    xa, xb = as_bits(a), as_bits(b)
-    if xa.size != xb.size:
-        raise EncodingError(
-            f"length mismatch: {xa.size} vs {xb.size} bits"
-        )
-    return int(np.count_nonzero(xa != xb))
-
-
-def bit_error_rate(a: "np.typing.ArrayLike", b: "np.typing.ArrayLike") -> float:
-    """Fraction of differing bits between two equal-length bit arrays."""
-    xa = as_bits(a)
-    if xa.size == 0:
-        return 0.0
-    return hamming_distance(xa, b) / xa.size
-
-
 def _build_crc16_table() -> np.ndarray:
     """256-entry lookup table for the reflected 0x1021 polynomial.
 
@@ -190,38 +116,13 @@ def check_crc(data_with_crc: bytes) -> bool:
     return fcs == bytes((expected & 0xFF, expected >> 8))
 
 
-def flip_bits(
-    bits: "np.typing.ArrayLike",
-    error_rate: float,
-    rng: np.random.Generator,
-) -> BitArray:
-    """Return a copy of ``bits`` with each bit flipped independently.
-
-    Used by tests and examples to inject channel errors at a target BER.
-    """
-    arr = as_bits(bits).copy()
-    if not 0.0 <= error_rate <= 1.0:
-        raise ValueError(f"error rate must be in [0, 1], got {error_rate}")
-    if arr.size and error_rate > 0.0:
-        mask = rng.random(arr.size) < error_rate
-        arr[mask] ^= 1
-    return arr
-
-
 __all__ = [
     "BitArray",
     "as_bits",
     "bytes_to_bits",
     "bits_to_bytes",
-    "int_to_bits",
-    "int_to_bits_reference",
-    "bits_to_int",
-    "bits_to_int_reference",
-    "hamming_distance",
-    "bit_error_rate",
     "crc16_itut",
     "crc16_itut_reference",
     "append_crc",
     "check_crc",
-    "flip_bits",
 ]

@@ -43,19 +43,6 @@ def _permutation_cached(n_cbps: int, n_bpsc: int) -> np.ndarray:
     return perm
 
 
-def interleave_permutation(n_cbps: int, n_bpsc: int) -> np.ndarray:
-    """Return the index map ``perm`` with ``out[perm[k]] = in[k]``.
-
-    Parameters
-    ----------
-    n_cbps:
-        Coded bits per OFDM symbol (block size).
-    n_bpsc:
-        Coded bits per subcarrier (1 for BPSK ... 6 for 64-QAM).
-    """
-    return _permutation_cached(int(n_cbps), int(n_bpsc)).copy()
-
-
 def interleave(bits: "np.typing.ArrayLike", n_cbps: int, n_bpsc: int) -> BitArray:
     """Interleave one or more ``n_cbps``-bit blocks."""
     arr = as_bits(bits)
@@ -82,7 +69,6 @@ def deinterleave(bits: "np.typing.ArrayLike", n_cbps: int, n_bpsc: int) -> BitAr
 
 __all__ = [
     "NUM_COLUMNS",
-    "interleave_permutation",
     "interleave",
     "deinterleave",
 ]

@@ -9,8 +9,6 @@ the 64-QAM lattice (paper Fig. 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import EncodingError
@@ -64,27 +62,6 @@ _PILOT_BINS = np.array([_bin_index(k) for k in PILOT_INDICES], dtype=np.int64)
 def pilot_polarity(symbol_index: int) -> float:
     """Polarity p_n applied to the pilots of OFDM symbol ``symbol_index``."""
     return float(_POLARITY[symbol_index % _POLARITY.size])
-
-
-@dataclass(frozen=True)
-class OfdmGrid:
-    """Static description of the 802.11 OFDM resource grid."""
-
-    fft_size: int = FFT_SIZE
-    cp_length: int = CP_LENGTH
-    data_bins: tuple[int, ...] = tuple(int(b) for b in _DATA_BINS)
-    pilot_bins: tuple[int, ...] = tuple(int(b) for b in _PILOT_BINS)
-
-    @property
-    def data_per_symbol(self) -> int:
-        return len(self.data_bins)
-
-    @property
-    def symbol_length(self) -> int:
-        return self.fft_size + self.cp_length
-
-
-GRID = OfdmGrid()
 
 
 def modulate_symbol(
@@ -155,13 +132,6 @@ def demodulate_stream(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def subcarrier_frequency(k: int) -> float:
-    """Baseband frequency in Hz of signed subcarrier index ``k``."""
-    if not -FFT_SIZE // 2 <= k < FFT_SIZE // 2:
-        raise EncodingError(f"subcarrier index {k} out of range")
-    return k * SAMPLE_RATE / FFT_SIZE
-
-
 __all__ = [
     "FFT_SIZE",
     "CP_LENGTH",
@@ -170,13 +140,10 @@ __all__ = [
     "PILOT_INDICES",
     "DATA_INDICES",
     "PILOT_VALUES",
-    "OfdmGrid",
-    "GRID",
     "pilot_polarity",
     "modulate_symbol",
     "demodulate_symbol",
     "spectrum_of",
     "modulate_stream",
     "demodulate_stream",
-    "subcarrier_frequency",
 ]

@@ -1,62 +1,23 @@
-"""802.11a/g PLCP preamble and SIGNAL field — full-frame assembly.
+"""802.11a/g legacy short training field and frame-start detection.
 
 The DATA-field chain in :mod:`repro.phy.wifi` is all the emulation attack
-needs, but a complete frame also carries the legacy preamble (the short
-and long training fields used for detection and synchronisation) and the
-SIGNAL field announcing rate and length. This module implements them so
-the library can emit and parse entire PPDUs:
-
-    L-STF (8 µs) | L-LTF (8 µs) | SIGNAL (4 µs) | DATA ...
+needs. A receiver still has to find where a frame starts: this module
+builds the L-STF (the 8 µs short training field that opens every legacy
+frame) and locates it in a capture by sliding correlation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.errors import DecodingError, EncodingError
-from repro.phy import convolutional, interleaver, ofdm
-from repro.phy.bits import BitArray, as_bits, bits_to_int, int_to_bits
-from repro.phy.qam import BPSK
-from repro.phy.wifi import WifiPhy, WifiPhyConfig
-
-#: RATE field encodings (IEEE 802.11-2016 Table 17-6), MSB first.
-RATE_BITS: dict[int, tuple[int, int, int, int]] = {
-    6: (1, 1, 0, 1),
-    9: (1, 1, 1, 1),
-    12: (0, 1, 0, 1),
-    18: (0, 1, 1, 1),
-    24: (1, 0, 0, 1),
-    36: (1, 0, 1, 1),
-    48: (0, 0, 0, 1),
-    54: (0, 0, 1, 1),
-}
-
-_BITS_TO_RATE = {bits: mbps for mbps, bits in RATE_BITS.items()}
-
-#: Maximum PSDU length the 12-bit LENGTH field can announce.
-MAX_LENGTH = (1 << 12) - 1
+from repro.errors import DecodingError
+from repro.phy import ofdm
 
 #: Short-training-field frequency loading: subcarrier index -> value/scale.
 _STF_SIGNS = {
     -24: 1, -20: -1, -16: 1, -12: -1, -8: -1, -4: 1,
     4: -1, 8: -1, 12: 1, 16: 1, 20: 1, 24: 1,
 }
-
-#: Long-training-field BPSK loading over subcarriers -26..26 (0 at DC).
-_LTF_SEQUENCE = np.array(
-    [1, 1, -1, -1, 1, 1, -1, 1, -1, 1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1,
-     -1, 1, 1, 1, 1, 0, 1, -1, -1, 1, 1, -1, 1, -1, 1, -1, -1, -1, -1, -1,
-     1, 1, -1, -1, 1, -1, 1, -1, 1, 1, 1, 1],
-    dtype=np.float64,
-)
-
-#: Sample counts of each preamble section at 20 Msps.
-STF_SAMPLES = 160
-LTF_SAMPLES = 160
-SIGNAL_SAMPLES = ofdm.SYMBOL_LENGTH
-PREAMBLE_SAMPLES = STF_SAMPLES + LTF_SAMPLES
 
 
 def short_training_field() -> np.ndarray:
@@ -68,109 +29,6 @@ def short_training_field() -> np.ndarray:
     period = np.fft.ifft(spectrum) * np.sqrt(ofdm.FFT_SIZE)
     # The loading has period 16; tile the first period ten times.
     return np.tile(period[:16], 10)
-
-
-def long_training_field() -> np.ndarray:
-    """The 160-sample L-LTF: 32-sample CP followed by two LTF symbols."""
-    spectrum = np.zeros(ofdm.FFT_SIZE, dtype=np.complex128)
-    for i, k in enumerate(range(-26, 27)):
-        spectrum[k % ofdm.FFT_SIZE] = _LTF_SEQUENCE[i]
-    symbol = np.fft.ifft(spectrum) * np.sqrt(ofdm.FFT_SIZE)
-    return np.concatenate([symbol[-32:], symbol, symbol])
-
-
-def ltf_reference_symbol() -> np.ndarray:
-    """The known LTF loading, for channel estimation."""
-    return _LTF_SEQUENCE.copy()
-
-
-@dataclass(frozen=True)
-class SignalField:
-    """Decoded contents of the SIGNAL symbol."""
-
-    rate_mbps: int
-    length: int  # PSDU length in octets
-
-    def __post_init__(self) -> None:
-        if self.rate_mbps not in RATE_BITS:
-            raise EncodingError(f"invalid 802.11 rate {self.rate_mbps}")
-        if not 1 <= self.length <= MAX_LENGTH:
-            raise EncodingError(
-                f"LENGTH must be in 1..{MAX_LENGTH}, got {self.length}"
-            )
-
-
-def encode_signal_bits(field: SignalField) -> BitArray:
-    """Build the 24-bit SIGNAL word: RATE | R | LENGTH | parity | tail."""
-    bits = np.zeros(24, dtype=np.uint8)
-    bits[0:4] = RATE_BITS[field.rate_mbps]
-    # bit 4 reserved = 0
-    bits[5:17] = int_to_bits(field.length, 12)  # LSB first
-    bits[17] = int(bits[0:17].sum()) & 1  # even parity over bits 0..16
-    # bits 18..23: tail zeros
-    return bits
-
-
-def decode_signal_bits(bits: "np.typing.ArrayLike") -> SignalField:
-    """Parse and validate a 24-bit SIGNAL word."""
-    arr = as_bits(bits)
-    if arr.size != 24:
-        raise DecodingError(f"SIGNAL field must be 24 bits, got {arr.size}")
-    if int(arr[0:18].sum()) & 1:
-        raise DecodingError("SIGNAL parity check failed")
-    rate_key = tuple(int(b) for b in arr[0:4])
-    if rate_key not in _BITS_TO_RATE:
-        raise DecodingError(f"invalid RATE bits {rate_key}")
-    length = bits_to_int(arr[5:17])
-    if length == 0:
-        raise DecodingError("SIGNAL declares zero length")
-    return SignalField(rate_mbps=_BITS_TO_RATE[rate_key], length=length)
-
-
-def modulate_signal(field: SignalField) -> np.ndarray:
-    """The SIGNAL field as one BPSK rate-1/2 OFDM symbol (never scrambled)."""
-    bits = encode_signal_bits(field)
-    coded = convolutional.conv_encode(bits)  # 48 bits
-    interleaved = interleaver.interleave(coded, 48, 1)
-    points = BPSK.modulate(interleaved)
-    return ofdm.modulate_symbol(points, symbol_index=0)
-
-
-def demodulate_signal(samples: np.ndarray) -> SignalField:
-    """Decode the SIGNAL symbol back into rate and length."""
-    points = ofdm.demodulate_symbol(samples)
-    coded = BPSK.demodulate(points)
-    deinterleaved = interleaver.deinterleave(coded, 48, 1)
-    bits = convolutional.viterbi_decode(deinterleaved, terminated=True)
-    return decode_signal_bits(bits)
-
-
-# ---------------------------------------------------------------------------
-# Full-frame assembly
-# ---------------------------------------------------------------------------
-
-
-def build_ppdu(payload: bytes, *, rate_mbps: int = 54) -> np.ndarray:
-    """Assemble a complete 802.11 frame: STF | LTF | SIGNAL | DATA."""
-    if not payload:
-        raise EncodingError("PPDU needs a non-empty payload")
-    if len(payload) > MAX_LENGTH:
-        raise EncodingError(f"payload exceeds {MAX_LENGTH} octets")
-    phy = WifiPhy(WifiPhyConfig(rate_mbps=rate_mbps))
-    signal = modulate_signal(SignalField(rate_mbps=rate_mbps, length=len(payload)))
-    data = phy.transmit(payload)
-    return np.concatenate(
-        [short_training_field(), long_training_field(), signal, data]
-    )
-
-
-@dataclass(frozen=True)
-class ParsedPpdu:
-    """Result of :func:`parse_ppdu`."""
-
-    signal: SignalField
-    payload: bytes
-    start_index: int
 
 
 def locate_preamble(samples: np.ndarray, *, threshold: float = 0.8) -> int:
@@ -244,51 +102,8 @@ def locate_preamble_reference(
     return best_idx
 
 
-def parse_ppdu(samples: np.ndarray, *, locate: bool = False) -> ParsedPpdu:
-    """Parse a frame produced by :func:`build_ppdu`.
-
-    With ``locate=True`` the frame may start anywhere in the capture; by
-    default it is assumed to start at sample 0 (synchronised reception).
-    """
-    wf = np.asarray(samples, dtype=np.complex128).ravel()
-    start = locate_preamble(wf) if locate else 0
-    body = wf[start:]
-    if body.size < PREAMBLE_SAMPLES + SIGNAL_SAMPLES:
-        raise DecodingError("capture truncated before the SIGNAL field")
-    signal = demodulate_signal(
-        body[PREAMBLE_SAMPLES : PREAMBLE_SAMPLES + SIGNAL_SAMPLES]
-    )
-    phy = WifiPhy(WifiPhyConfig(rate_mbps=signal.rate_mbps))
-    n_sym = phy.symbols_for(signal.length)
-    data_start = PREAMBLE_SAMPLES + SIGNAL_SAMPLES
-    data_end = data_start + n_sym * ofdm.SYMBOL_LENGTH
-    if body.size < data_end:
-        raise DecodingError(
-            f"capture truncated: SIGNAL declares {signal.length} octets "
-            f"({n_sym} symbols) but only {body.size - data_start} samples follow"
-        )
-    payload = phy.receive(body[data_start:data_end], num_bytes=signal.length)
-    return ParsedPpdu(signal=signal, payload=payload, start_index=start)
-
-
 __all__ = [
-    "RATE_BITS",
-    "MAX_LENGTH",
-    "STF_SAMPLES",
-    "LTF_SAMPLES",
-    "SIGNAL_SAMPLES",
-    "PREAMBLE_SAMPLES",
     "short_training_field",
-    "long_training_field",
-    "ltf_reference_symbol",
-    "SignalField",
-    "encode_signal_bits",
-    "decode_signal_bits",
-    "modulate_signal",
-    "demodulate_signal",
-    "build_ppdu",
-    "ParsedPpdu",
     "locate_preamble",
     "locate_preamble_reference",
-    "parse_ppdu",
 ]

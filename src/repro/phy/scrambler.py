@@ -48,15 +48,9 @@ def scramble(bits: "np.typing.ArrayLike", seed: int = DEFAULT_SEED) -> BitArray:
 descramble = scramble
 
 
-def sequence_period() -> int:
-    """Return the period of the scrambling sequence (127 for a 7-bit LFSR)."""
-    return 127
-
-
 __all__ = [
     "DEFAULT_SEED",
     "scrambler_sequence",
     "scramble",
     "descramble",
-    "sequence_period",
 ]

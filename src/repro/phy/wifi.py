@@ -139,13 +139,6 @@ class WifiPhy:
         """Produce the complex baseband sample stream for ``payload``."""
         return ofdm.modulate_stream(self.encode(payload))
 
-    def modulate_points(self, points: np.ndarray) -> np.ndarray:
-        """OFDM-modulate a pre-built (n, 48) constellation grid.
-
-        Used by the emulator after quantizing a designed waveform.
-        """
-        return ofdm.modulate_stream(points)
-
     # -- receive -----------------------------------------------------------
 
     def decode_points(self, points: np.ndarray, num_bytes: int) -> bytes:
@@ -177,20 +170,6 @@ class WifiPhy:
         return self.decode_points(points, num_bytes)
 
     # -- bookkeeping ---------------------------------------------------------
-
-    def symbols_for(self, num_bytes: int) -> int:
-        """OFDM symbols needed to carry ``num_bytes`` of payload."""
-        rate = self.config.rate
-        length = SERVICE_BITS + num_bytes * 8 + TAIL_BITS
-        return -(-length // rate.data_bits_per_symbol)
-
-    def duration_for(self, num_bytes: int) -> float:
-        """Air time in seconds of the DATA field for ``num_bytes``."""
-        return (
-            self.symbols_for(num_bytes)
-            * ofdm.SYMBOL_LENGTH
-            / ofdm.SAMPLE_RATE
-        )
 
     def payload_capacity(self, n_symbols: int) -> int:
         """Largest payload (bytes) that fits in ``n_symbols`` OFDM symbols."""

@@ -366,10 +366,6 @@ class ZigBeePhy:
             symbol_errors=errors,
         )
 
-    def duration_for(self, num_bytes: int) -> float:
-        """Air time in seconds of ``num_bytes`` of spread payload."""
-        return num_bytes * 2 * CHIPS_PER_SYMBOL / CHIP_RATE
-
 
 __all__ = [
     "CHIPS_PER_SYMBOL",

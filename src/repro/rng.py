@@ -193,14 +193,6 @@ def bounded_draws_exact() -> bool:
     return True
 
 
-def check_probability(p: float, name: str = "probability") -> float:
-    """Validate that ``p`` lies in [0, 1] and return it as a float."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {p}")
-    return p
-
-
 __all__ = [
     "SeedLike",
     "make_rng",
@@ -209,5 +201,4 @@ __all__ = [
     "stable_hash",
     "BoundedDraws",
     "bounded_draws_exact",
-    "check_probability",
 ]

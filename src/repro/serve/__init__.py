@@ -5,10 +5,10 @@ decision plus 13.1 ms of polling — and a deployed controller answers for
 a whole fleet of victim networks at once. This package runs trained
 policies behind a micro-batching front-end:
 
-* :class:`~repro.serve.store.PolicyStore` — P homogeneous policies
-  (loaded from ``save_parameters`` artifacts or live agents) behind one
-  cached stacked-inference handle; batched answers are bit-identical to
-  per-request greedy actions.
+* :class:`~repro.serve.store.PolicyStore` — P homogeneous policy
+  networks (given directly or loaded from ``save_parameters`` artifacts)
+  behind one cached stacked-inference handle; batched answers are
+  bit-identical to per-request greedy actions.
 * :class:`~repro.serve.batcher.MicroBatcher` — the one home of the
   serving rules: size-or-deadline batching (``REPRO_SERVE_BATCH``,
   ``REPRO_SERVE_DEADLINE_MS``), queue/shed/degrade admission control

@@ -24,7 +24,6 @@ import os
 
 import numpy as np
 
-from repro.core.dqn import DQNAgent
 from repro.core.vecenv import PolicyStack
 from repro.errors import ConfigurationError
 from repro.nn.network import Network, mlp
@@ -113,11 +112,6 @@ class PolicyStore:
             bundle.load_into(i, net)
             networks.append(net)
         return cls(networks, names=list(bundle.paths))
-
-    @classmethod
-    def from_agents(cls, agents: list[DQNAgent]) -> "PolicyStore":
-        """Serve the online networks of trained agents (greedy deployment)."""
-        return cls([agent.online for agent in agents])
 
     # -- geometry --------------------------------------------------------------
 

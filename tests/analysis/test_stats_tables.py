@@ -1,13 +1,8 @@
 """Tests for statistics helpers and table rendering."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.stats import (
-    bernoulli_interval,
-    mean_confidence_interval,
-    summarize,
-)
+from repro.analysis.stats import summarize
 from repro.analysis.tables import format_float, render_table
 from repro.errors import SimulationError
 
@@ -29,46 +24,6 @@ class TestSummarize:
     def test_as_dict(self):
         d = summarize([1.0, 2.0]).as_dict()
         assert set(d) == {"n", "mean", "std", "min", "max"}
-
-
-class TestConfidenceIntervals:
-    def test_interval_contains_mean(self):
-        rng = np.random.default_rng(0)
-        samples = rng.normal(10.0, 2.0, 200)
-        mean, lo, hi = mean_confidence_interval(samples)
-        assert lo < mean < hi
-        assert lo < 10.0 < hi
-
-    def test_tighter_with_more_samples(self):
-        rng = np.random.default_rng(1)
-        small = rng.normal(0, 1, 10)
-        large = rng.normal(0, 1, 1000)
-        _, lo_s, hi_s = mean_confidence_interval(small)
-        _, lo_l, hi_l = mean_confidence_interval(large)
-        assert (hi_l - lo_l) < (hi_s - lo_s)
-
-    def test_degenerate_sample(self):
-        mean, lo, hi = mean_confidence_interval([3.0, 3.0, 3.0])
-        assert mean == lo == hi == 3.0
-
-    def test_validation(self):
-        with pytest.raises(SimulationError):
-            mean_confidence_interval([1.0])
-        with pytest.raises(SimulationError):
-            mean_confidence_interval([1.0, 2.0], confidence=1.5)
-
-    def test_wilson_interval(self):
-        p, lo, hi = bernoulli_interval(50, 100)
-        assert lo < p == 0.5 < hi
-        assert 0.0 <= lo and hi <= 1.0
-
-    def test_wilson_extremes(self):
-        p, lo, hi = bernoulli_interval(0, 50)
-        assert p == 0.0 and lo == pytest.approx(0.0, abs=1e-12) and hi > 0.0
-        with pytest.raises(SimulationError):
-            bernoulli_interval(5, 0)
-        with pytest.raises(SimulationError):
-            bernoulli_interval(5, 4)
 
 
 class TestTables:

@@ -26,7 +26,7 @@ class TestConversions:
 
     def test_invalid_inputs(self):
         with pytest.raises(ChannelError):
-            N.linear_to_db(0.0)
+            N.watts_to_dbm(0.0)
         with pytest.raises(ChannelError):
             N.watts_to_dbm(-1.0)
 

@@ -1,81 +1,10 @@
-"""Tests for the 2.4 GHz band geometry."""
+"""Tests for the 2.4 GHz band geometry and the jammer's sweep blocks."""
 
 import pytest
 
 from repro.channel import spectrum as S
-from repro.errors import ChannelError
-
-
-class TestFrequencies:
-    def test_zigbee_channel_11(self):
-        assert S.zigbee_channel_frequency_mhz(11) == 2405.0
-
-    def test_zigbee_channel_26(self):
-        assert S.zigbee_channel_frequency_mhz(26) == 2480.0
-
-    def test_wifi_channel_1(self):
-        assert S.wifi_channel_frequency_mhz(1) == 2412.0
-
-    def test_wifi_channel_6(self):
-        assert S.wifi_channel_frequency_mhz(6) == 2437.0
-
-    @pytest.mark.parametrize("ch", [10, 27, 0, -1])
-    def test_bad_zigbee_channel(self, ch):
-        with pytest.raises(ChannelError):
-            S.zigbee_channel_frequency_mhz(ch)
-
-    @pytest.mark.parametrize("ch", [0, 14])
-    def test_bad_wifi_channel(self, ch):
-        with pytest.raises(ChannelError):
-            S.wifi_channel_frequency_mhz(ch)
-
-
-class TestFootprint:
-    @pytest.mark.parametrize("w", S.WIFI_CHANNELS)
-    def test_every_wifi_channel_covers_at_most_four(self, w):
-        # Paper §II-B: "a WiFi jammer can scan and jam up to 4 ZigBee
-        # channels at a time". Edge Wi-Fi channels cover fewer because the
-        # ZigBee band stops at channel 11/26.
-        fp = S.wifi_footprint(w)
-        assert 1 <= len(fp) <= 4
-
-    def test_central_channels_cover_exactly_four(self):
-        for w in (1, 6, 11):
-            assert len(S.wifi_footprint(w)) == 4
-
-    def test_wifi_1_footprint(self):
-        assert S.wifi_footprint(1) == (11, 12, 13, 14)
-
-    def test_wifi_6_footprint(self):
-        assert S.wifi_footprint(6) == (16, 17, 18, 19)
-
-    def test_footprints_are_consecutive(self):
-        for w in S.WIFI_CHANNELS:
-            fp = S.wifi_footprint(w)
-            assert list(fp) == list(range(fp[0], fp[0] + len(fp)))
-
-    def test_inverse_mapping(self):
-        for z in S.ZIGBEE_CHANNELS:
-            for w in S.wifi_channels_covering(z):
-                assert z in S.wifi_footprint(w)
-
-
-class TestOffsets:
-    def test_offset_inside_band(self):
-        # ZigBee 11 at 2405 inside Wi-Fi 1 at 2412: offset -7 MHz.
-        assert S.zigbee_offset_in_wifi_hz(11, 1) == pytest.approx(-7e6)
-
-    def test_offset_out_of_band_rejected(self):
-        with pytest.raises(ChannelError):
-            S.zigbee_offset_in_wifi_hz(26, 1)
-
-    def test_offsets_fit_in_ofdm_band(self):
-        # Every covered ZigBee channel plus its 1 MHz half-band must fit
-        # inside the ±10 MHz OFDM band.
-        for w in S.WIFI_CHANNELS:
-            for z in S.wifi_footprint(w):
-                off = S.zigbee_offset_in_wifi_hz(z, w)
-                assert abs(off) + 1e6 <= 10e6
+from repro.errors import ChannelError, ConfigurationError
+from repro.jamming.jammer import channel_blocks, split_blocks
 
 
 class TestOverlap:
@@ -101,25 +30,25 @@ class TestOverlap:
 
 
 class TestSweepBlocks:
+    # The jammer's sweep blocks: ceil(C/m) contiguous blocks of channel
+    # indices, as near-equal as the split allows.
     def test_default_partition(self):
-        blocks = S.sweep_blocks(16, 4)
+        blocks = channel_blocks(16, 4)
         assert len(blocks) == 4
         assert blocks[0] == (0, 1, 2, 3)
         assert blocks[-1] == (12, 13, 14, 15)
 
     def test_uneven_partition(self):
-        blocks = S.sweep_blocks(16, 5)
-        assert len(blocks) == 4
-        assert blocks[-1] == (15,)
+        blocks = channel_blocks(10, 4)
+        assert blocks == [(0, 1, 2), (3, 4, 5), (6, 7, 8, 9)]
 
     def test_all_channels_covered_once(self):
         for width in range(1, 17):
-            blocks = S.sweep_blocks(16, width)
+            blocks = channel_blocks(16, width)
+            assert len(blocks) == -(-16 // width)
             flat = [c for b in blocks for c in b]
-            assert sorted(flat) == list(range(16))
+            assert flat == list(range(16))
 
     def test_bad_width(self):
-        with pytest.raises(ChannelError):
-            S.sweep_blocks(16, 0)
-        with pytest.raises(ChannelError):
-            S.sweep_blocks(16, 17)
+        with pytest.raises(ConfigurationError, match="non-empty sweep blocks"):
+            split_blocks(4, 5)

@@ -270,7 +270,7 @@ class TestSeededResetIsolation:
         env = SweepJammingEnv(cfg, seed=0, sweep_strategy=template)
         self._trace(env, seed=1)
         # Episodes mutate the jammer's copy, never the caller's object.
-        assert template.block_scores().sum() == 0.0
+        assert template._scores.sum() == 0.0
 
 
 class TestChannelTiers:
@@ -288,9 +288,7 @@ class TestChannelTiers:
     def test_analytic_default_bit_identical(self):
         # channel=None (default) and channel="analytic" must be the same
         # trajectory: the analytic adjudicator consumes no randomness.
-        assert self._sweep_trajectory() == self._sweep_trajectory(
-            channel="analytic"
-        )
+        assert self._sweep_trajectory() == self._sweep_trajectory(channel="analytic")
 
     def test_hybrid_sweep_deterministic(self):
         a = self._sweep_trajectory(channel="hybrid")

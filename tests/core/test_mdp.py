@@ -29,7 +29,7 @@ class TestConfig:
         assert MDPConfig(num_channels=16, jam_width=3).sweep_cycle == 6
 
     def test_override(self):
-        cfg = MDPConfig().with_sweep_cycle(9)
+        cfg = MDPConfig(sweep_cycle_override=9)
         assert cfg.sweep_cycle == 9
 
     def test_validation(self):
@@ -104,11 +104,6 @@ class TestSpaces:
     def test_unknown_state(self):
         with pytest.raises(ConfigurationError):
             AntiJammingMDP().state_index(99)
-
-    def test_successful_states(self):
-        mdp = AntiJammingMDP()
-        assert J not in mdp.successful_states()
-        assert TJ in mdp.successful_states()
 
 
 class TestRewards:

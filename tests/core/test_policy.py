@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig
-from repro.core.policy import (
-    RandomPolicy,
-    TabularPolicy,
-    ThresholdPolicy,
-    extract_threshold,
-    policy_from_solution_map,
-    policy_power_profile,
-)
+from repro.core.mdp import TJ, J, Action, AntiJammingMDP
+from repro.core.policy import TabularPolicy, ThresholdPolicy, policy_from_solution_map
 from repro.core.solver import value_iteration
 from repro.errors import ConfigurationError
 
@@ -54,40 +47,3 @@ class TestThreshold:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             ThresholdPolicy(threshold=0, stay_power_index=0, hop_power_index=0)
-
-    def test_extract_threshold_roundtrip(self):
-        cfg = MDPConfig()
-        for t in (1, 2, 3):
-            pol = ThresholdPolicy(threshold=t, stay_power_index=0, hop_power_index=0)
-            assert extract_threshold(pol, cfg) == t
-
-    def test_extract_threshold_never_hops(self):
-        cfg = MDPConfig()
-        pol = ThresholdPolicy(
-            threshold=99, stay_power_index=0, hop_power_index=0
-        )
-        assert extract_threshold(pol, cfg) == cfg.sweep_cycle
-
-
-class TestRandom:
-    def test_covers_action_space(self):
-        mdp = AntiJammingMDP()
-        pol = RandomPolicy(mdp, seed=0)
-        seen = {pol.action(1) for _ in range(500)}
-        assert len(seen) == mdp.num_actions
-
-    def test_reproducible(self):
-        mdp = AntiJammingMDP()
-        a = [RandomPolicy(mdp, seed=3).action(1) for _ in range(5)]
-        b = [RandomPolicy(mdp, seed=3).action(1) for _ in range(5)]
-        assert a == b
-
-
-class TestPowerProfile:
-    def test_profile_covers_all_states(self):
-        cfg = MDPConfig()
-        pol = ThresholdPolicy(threshold=3, stay_power_index=0, hop_power_index=9)
-        profile = policy_power_profile(pol, cfg)
-        assert set(profile) == {1, 2, 3, TJ, J}
-        assert profile[1] == cfg.tx_power_levels[0]
-        assert profile[J] == cfg.tx_power_levels[9]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule, GreedyDQNPolicy
+from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.replay import ReplayBuffer
 from repro.errors import ConfigurationError, TrainingError
 
@@ -158,9 +158,7 @@ class TestDQNAgent:
         # After syncs, the target must equal the online network.
         agent.sync_target()
         x = np.ones(6)
-        np.testing.assert_allclose(
-            agent.target.predict(x), agent.online.predict(x)
-        )
+        np.testing.assert_allclose(agent.target.predict(x), agent.online.predict(x))
 
     def test_learns_trivial_bandit(self):
         # One observation, action 2 pays 1, others pay 0: Q must rank it top.
@@ -176,19 +174,6 @@ class TestDQNAgent:
             a = int(rng.integers(4))
             agent.observe(obs, a, 1.0 if a == 2 else 0.0, obs)
         assert agent.act(obs, greedy=True) == 2
-
-    def test_greedy_policy_requires_training(self):
-        agent = DQNAgent(small_config(), seed=5)
-        with pytest.raises(TrainingError):
-            GreedyDQNPolicy(agent)
-
-    def test_greedy_policy_wraps_agent(self):
-        agent = DQNAgent(small_config(), seed=6)
-        obs = np.zeros(6)
-        for i in range(20):
-            agent.observe(obs, i % 4, 0.0, obs)
-        policy = GreedyDQNPolicy(agent)
-        assert policy.act(obs) == agent.act(obs, greedy=True)
 
     def test_seeded_determinism(self):
         def run(seed):

@@ -101,9 +101,7 @@ class TestVectorEnv:
         seeds = (0, 1, 2)
         vec = VectorEnv.from_seeds(MDPConfig(), seeds, history_length=5)
         solo = [
-            SweepJammingEnv(
-                MDPConfig(), history_length=5, seed=derive(s, "train-env")
-            )
+            SweepJammingEnv(MDPConfig(), history_length=5, seed=derive(s, "train-env"))
             for s in seeds
         ]
         obs = vec.reset()
@@ -208,8 +206,14 @@ class TestSampleGuard:
         # DQNConfig enforces warmup >= batch, so an agent that only trains
         # after warm-up can never request more rows than it stored.
         agent = DQNAgent(
-            tiny_dqn(env_obs=4, env_actions=3, hidden_sizes=(8,),
-                     batch_size=8, warmup_transitions=8, replay_capacity=32),
+            tiny_dqn(
+                env_obs=4,
+                env_actions=3,
+                hidden_sizes=(8,),
+                batch_size=8,
+                warmup_transitions=8,
+                replay_capacity=32,
+            ),
             seed=0,
         )
         obs = np.zeros(4)
@@ -266,9 +270,7 @@ class TestBatchedEquivalence:
         batched = train_dqn_batch(MDPConfig(), seeds=(7,), trainer=TINY)
         solo = train_dqn(MDPConfig(), trainer=TINY, seed=7)
         assert len(batched) == 1
-        np.testing.assert_array_equal(
-            batched[0].reward_history, solo.reward_history
-        )
+        np.testing.assert_array_equal(batched[0].reward_history, solo.reward_history)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(TrainingError):
@@ -344,9 +346,7 @@ class TestPolicyStackCache:
         agents = self._agents()
         obs = self._obs(agents)
         batched = _greedy(agents, obs)
-        serial = np.array(
-            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
-        )
+        serial = np.array([a.act(o, greedy=True) for a, o in zip(agents, obs)])
         np.testing.assert_array_equal(batched, serial)
 
     def test_shared_agent_bit_identical_to_serial(self):
@@ -375,15 +375,11 @@ class TestPolicyStackCache:
         agents = [pool[i % distinct] for i in range(60)]
         obs = self._obs(agents, seed=distinct)
         batched = _greedy(agents, obs)
-        serial = np.array(
-            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
-        )
+        serial = np.array([a.act(o, greedy=True) for a, o in zip(agents, obs)])
         np.testing.assert_array_equal(batched, serial)
 
     @pytest.mark.parametrize("group_min_rows", [1, 10**6])
-    def test_both_kernels_bit_identical_to_serial(
-        self, monkeypatch, group_min_rows
-    ):
+    def test_both_kernels_bit_identical_to_serial(self, monkeypatch, group_min_rows):
         from repro.core import vecenv
 
         monkeypatch.setattr(vecenv, "GROUP_MIN_ROWS", group_min_rows)
@@ -394,9 +390,7 @@ class TestPolicyStackCache:
         # buffer left over from the previous one.
         obs = self._obs(agents, seed=3 + (group_min_rows > 1))
         batched = _greedy(agents, obs)
-        serial = np.array(
-            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
-        )
+        serial = np.array([a.act(o, greedy=True) for a, o in zip(agents, obs)])
         np.testing.assert_array_equal(batched, serial)
         q = get_policy_stack([a.online for a in agents]).forward(obs)
         want = np.stack([a.online.predict(o) for a, o in zip(agents, obs)])
@@ -422,9 +416,7 @@ class TestPolicyStackCache:
         assert stack.refresh() == 1
         assert stack.refresh() == 0
         batched = stack.greedy_actions(obs)
-        serial = np.array(
-            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
-        )
+        serial = np.array([a.act(o, greedy=True) for a, o in zip(agents, obs)])
         np.testing.assert_array_equal(batched, serial)
 
     @pytest.mark.parametrize("batch", [1, 7, 64])
@@ -432,14 +424,12 @@ class TestPolicyStackCache:
     def test_store_decide_batch_matches_serial(self, batch, policies):
         from repro.serve import PolicyStore
 
-        store = PolicyStore.from_agents(self._agents(policies))
+        store = PolicyStore([a.online for a in self._agents(policies)])
         rng = np.random.default_rng(batch * policies)
         obs = rng.random((batch, store.observation_size))
         chosen = rng.integers(0, policies, size=batch)
         batched = store.decide_batch(chosen, obs)
-        serial = np.array(
-            [store.decide_serial(int(p), o) for p, o in zip(chosen, obs)]
-        )
+        serial = np.array([store.decide_serial(int(p), o) for p, o in zip(chosen, obs)])
         np.testing.assert_array_equal(batched, serial)
 
     def test_repeat_calls_reuse_the_cached_stack(self):
@@ -466,13 +456,11 @@ class TestPolicyStackCache:
         donor = DQNAgent(agents[0].config, seed=99)
         agents[2].online.set_weights(donor.online.get_weights())
         batched = _greedy(agents, obs)
-        serial = np.array(
-            [a.act(o, greedy=True) for a, o in zip(agents, obs)]
-        )
+        serial = np.array([a.act(o, greedy=True) for a, o in zip(agents, obs)])
         np.testing.assert_array_equal(batched, serial)
 
     def test_train_step_invalidates_cached_slice(self):
-        from repro.nn.losses import MeanSquaredError
+        from repro.nn.losses import HuberLoss
         from repro.nn.network import mlp
         from repro.nn.optimizers import Adam
 
@@ -484,7 +472,7 @@ class TestPolicyStackCache:
         opt = Adam(learning_rate=0.5)
         for _ in range(5):
             nets[1].train_step(
-                x[None, :], np.array([[5.0, -5.0, 0.0]]), MeanSquaredError(), opt
+                x[None, :], np.array([[5.0, -5.0, 0.0]]), HuberLoss(), opt
             )
         after = get_policy_stack(nets).greedy_actions(np.tile(x, (3, 1)))
         expected = np.array([int(np.argmax(net.predict(x))) for net in nets])
@@ -501,7 +489,9 @@ class TestPolicyStackCache:
         stack.greedy_actions(x)
         unflatten_parameters(nets[0], flatten_parameters(mlp(4, (8,), 3, seed=7)))
         after = get_policy_stack(nets).greedy_actions(x)
-        expected = np.array([int(np.argmax(net.predict(row))) for net, row in zip(nets, x)])
+        expected = np.array(
+            [int(np.argmax(net.predict(row))) for net, row in zip(nets, x)]
+        )
         np.testing.assert_array_equal(after, expected)
 
     def test_mark_mutated_refreshes_in_place_edits(self):

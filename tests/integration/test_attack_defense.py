@@ -9,11 +9,16 @@ from repro.core.dqn import DQNConfig, EpsilonSchedule
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, train_dqn
 from repro.errors import DecodingError
-from repro.nn.serialize import load_parameters, save_parameters
+from repro.nn.serialize import load_policy_bundle, save_parameters
 from repro.phy import zigbee
 from repro.phy.emulation import WaveformEmulator
 from repro.phy.packet import decode_frame, encode_frame
-from repro.sim.field import DQNPolicyAdapter, FieldConfig, FieldExperiment, StatePolicyAdapter
+from repro.sim.field import (
+    DQNPolicyAdapter,
+    FieldConfig,
+    FieldExperiment,
+    StatePolicyAdapter,
+)
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.core.baselines import NoDefensePolicy
 
@@ -98,7 +103,7 @@ class TestDefencePipeline:
         path = tmp_path / "policy.npz"
         save_parameters(trained.agent.network(), path)
         fresh = DQNAgent(trained.agent.config, seed=999)
-        load_parameters(fresh.online, path)
+        load_policy_bundle([path]).load_into(0, fresh.online)
         obs = np.linspace(0, 1, 15)
         assert fresh.act(obs, greedy=True) == trained.agent.act(obs, greedy=True)
 

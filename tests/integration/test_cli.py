@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_bench_stages, build_parser, main
+from repro.errors import ReproError
 
 
 class TestParser:
@@ -136,3 +139,29 @@ class TestCalibrateCommand:
         assert args.channel == "hybrid"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["train", "--channel", "exact"])
+
+
+class TestBenchDiff:
+    """``repro bench diff`` reads one number of seconds per stage."""
+
+    def _artifact(self, tmp_path, stages, name="BENCH_x.json"):
+        path = tmp_path / name
+        path.write_text(json.dumps({"stages": stages}))
+        return path
+
+    def test_well_formed_artifacts_pass(self, tmp_path):
+        current = self._artifact(tmp_path, {"a": {"seconds": 1.0}})
+        baseline = self._artifact(tmp_path, {"a": {"seconds": 0.9}}, "base.json")
+        assert main(["bench", "diff", str(current), "--baseline", str(baseline)]) == 0
+
+    @pytest.mark.parametrize(
+        "stage",
+        [1.5, {"seconds": "x"}, {"calls": 3}],
+        ids=["bare-number", "non-numeric-seconds", "no-seconds"],
+    )
+    def test_malformed_stage_names_artifact_and_stage(self, tmp_path, stage):
+        current = self._artifact(tmp_path, {"ok": {"seconds": 1.0}, "broken": stage})
+        with pytest.raises(ReproError, match=r"BENCH_x\.json: stage 'broken'"):
+            _load_bench_stages(current)
+        baseline = self._artifact(tmp_path, {"ok": {"seconds": 1.0}}, "base.json")
+        assert main(["bench", "diff", str(current), "--baseline", str(baseline)]) == 1

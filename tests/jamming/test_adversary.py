@@ -55,12 +55,6 @@ def _monotone_windows(rng, n=200):
 class TestIdealEquivalence:
     """ReactiveJammerConfig() defaults degenerate to the paper's jammer."""
 
-    def test_default_config_is_ideal(self):
-        assert ReactiveJammerConfig().is_ideal
-        assert not ReactiveJammerConfig(duty_cycle=0.5).is_ideal
-        assert not ReactiveJammerConfig(response_latency_s=0.1).is_ideal
-        assert not ReactiveJammerConfig(transmit_on_sweep=False).is_ideal
-
     @pytest.mark.parametrize("mode", ["max", "random"])
     def test_field_traces_bit_identical(self, mode):
         windows, channels = _monotone_windows(np.random.default_rng(17))
@@ -98,9 +92,7 @@ class TestReactiveField:
         )
         profiles = []
         for k in range(windows):
-            profiles.append(
-                jammer.attack_profile(k * 3.0, (k + 1) * 3.0, channel)
-            )
+            profiles.append(jammer.attack_profile(k * 3.0, (k + 1) * 3.0, channel))
         return jammer, profiles
 
     def test_latency_shaves_each_burst(self):
@@ -161,9 +153,7 @@ class TestReactiveField:
 
     def test_decoy_baits_camping_away_from_victim(self):
         # Victim inaudible, sense-only jammer: only the decoy can lure it.
-        rc = ReactiveJammerConfig(
-            transmit_on_sweep=False, victim_rx_dbm=-95.0
-        )
+        rc = ReactiveJammerConfig(transmit_on_sweep=False, victim_rx_dbm=-95.0)
         jammer = make_field_jammer(
             FieldJammerConfig(adversary="reactive", reactive=rc), seed=5
         )
@@ -177,9 +167,7 @@ class TestReactiveField:
         assert 0 not in jammer.active_channels
 
     def test_decoy_range_validated(self):
-        jammer = make_field_jammer(
-            FieldJammerConfig(adversary="reactive"), seed=0
-        )
+        jammer = make_field_jammer(FieldJammerConfig(adversary="reactive"), seed=0)
         with pytest.raises(ConfigurationError):
             jammer.observe_decoy(99)
         jammer.observe_decoy(None)  # clearing is always fine
@@ -204,9 +192,7 @@ class TestFollowerField:
         profiles = []
         for k in range(windows):
             channel = 0 if k % 2 == 0 else 15  # hops across distant blocks
-            profiles.append(
-                jammer.attack_profile(k * 3.0, (k + 1) * 3.0, channel)
-            )
+            profiles.append(jammer.attack_profile(k * 3.0, (k + 1) * 3.0, channel))
         return profiles
 
     def test_zero_lag_is_a_perfect_follower(self):
@@ -226,9 +212,7 @@ class TestFollowerField:
             seed=1,
         )
         first = jammer.attack_profile(0.0, 3.0, 7)
-        later = [
-            jammer.attack_profile(k * 3.0, (k + 1) * 3.0, 7) for k in (1, 2, 3)
-        ]
+        later = [jammer.attack_profile(k * 3.0, (k + 1) * 3.0, 7) for k in (1, 2, 3)]
         assert not first.attempted  # the trail is not deep enough yet
         assert all(p.attempted for p in later)
 
@@ -306,9 +290,7 @@ class TestSlotReactiveQuantisation:
         assert not any(info.jam_attempted for info in infos)
 
     def test_duty_cycle_thins_the_camped_attacks(self):
-        infos = self._run(
-            ReactiveJammerConfig(duty_cycle=0.5), steps=50
-        )
+        infos = self._run(ReactiveJammerConfig(duty_cycle=0.5), steps=50)
         attacked = [info.jam_attempted for info in infos[10:]]
         assert 0.3 <= np.mean(attacked) <= 0.7
 
@@ -401,9 +383,7 @@ class TestInstrumentationCounters:
         assert 0.0 <= jammer.duty_tokens <= 3.0
 
     def test_reactive_lock_and_loss_transitions(self):
-        jammer = make_field_jammer(
-            FieldJammerConfig(adversary="reactive"), seed=4
-        )
+        jammer = make_field_jammer(FieldJammerConfig(adversary="reactive"), seed=4)
         t = self._camp(jammer, channel=7)
         assert jammer.drain_counters()["locks"] == 1
         jammer.attack_profile(t, t + 3.0, 0)  # victim escaped
@@ -422,9 +402,7 @@ class TestInstrumentationCounters:
         assert counters["locks"] >= 1
 
     def test_drain_is_destructive_and_survives_reset(self):
-        jammer = make_field_jammer(
-            FieldJammerConfig(adversary="reactive"), seed=4
-        )
+        jammer = make_field_jammer(FieldJammerConfig(adversary="reactive"), seed=4)
         self._camp(jammer)
         jammer.reset()  # new episode must not wipe pending counters
         counters = jammer.drain_counters()

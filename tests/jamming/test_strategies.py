@@ -77,7 +77,7 @@ class TestAdaptiveSweep:
         s = AdaptiveSweep(4, memory_decay=0.5, seed=1)
         s.notify_found(1)
         s.notify_found(3)
-        scores = s.block_scores()
+        scores = s._scores
         assert scores[3] > scores[1] > 0
 
     def test_exploration_still_happens(self):
@@ -101,7 +101,7 @@ class TestAdaptiveSweep:
         s.notify_found(1)
         for _ in range(3):
             s.notify_found(3)
-        scores = s.block_scores()
+        scores = s._scores
         assert scores[3] > scores[1]
         assert scores[1] == pytest.approx(0.125)  # 1.0 decayed three times
         assert s.next_block() == 3

@@ -2,16 +2,28 @@
 
 import pytest
 
-from repro.core.baselines import MaxPowerPolicy, NoDefensePolicy
+from repro.core.baselines import NoDefensePolicy
 from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.core.metrics import SlotLog
+from repro.core.policy import ThresholdPolicy
 from repro.errors import ConfigurationError
 from repro.net.energy import (
     DEFAULT_LEVEL_POWERS_MW,
     EnergyModel,
     energy_of_run,
 )
+
+
+def max_power_policy(cfg):
+    """Never hop and always transmit at the top power level."""
+    top = cfg.num_power_levels - 1
+    return ThresholdPolicy(
+        threshold=cfg.sweep_cycle,
+        stay_power_index=top,
+        hop_power_index=top,
+        hop_when_jammed=False,
+    )
 
 
 def info(power_index=0, hopped=False, success=True):
@@ -112,7 +124,7 @@ class TestPolicyEnergy:
     def test_max_power_burns_most(self):
         cfg = MDPConfig(jammer_mode="random")
         frugal = self.run_policy(NoDefensePolicy(), "random")
-        greedy = self.run_policy(MaxPowerPolicy(cfg), "random")
+        greedy = self.run_policy(max_power_policy(cfg), "random")
         assert greedy.mean_mj_per_slot > frugal.mean_mj_per_slot * 1.3
 
     def test_efficiency_favours_effective_defence(self):
@@ -120,6 +132,6 @@ class TestPolicyEnergy:
         # slots; doing nothing is cheap but delivers (nearly) none — the
         # per-successful-slot metric must prefer the defence.
         cfg = MDPConfig(jammer_mode="random")
-        greedy = self.run_policy(MaxPowerPolicy(cfg), "random")
+        greedy = self.run_policy(max_power_policy(cfg), "random")
         frugal = self.run_policy(NoDefensePolicy(), "random")
         assert greedy.mj_per_successful_slot < frugal.mj_per_successful_slot

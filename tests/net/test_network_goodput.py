@@ -7,23 +7,14 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.net.goodput import GoodputModel
 from repro.net.network import StarNetwork
 from repro.net.node import Hub, Peripheral
+from repro.net.timing import TimingModel
 
 
 class TestNodes:
     def test_announcement_updates_peripheral(self):
         p = Peripheral(node_id="n1")
-        p.miss_announcement()
-        assert p.on_control_channel
         p.apply_announcement(channel=7, power_index=3)
         assert p.channel == 7 and p.power_index == 3
-        assert not p.on_control_channel
-
-    def test_delivery_ratio(self):
-        p = Peripheral(node_id="n1")
-        assert p.delivery_ratio == 0.0
-        p.record_transmission(True)
-        p.record_transmission(False)
-        assert p.delivery_ratio == 0.5
 
     def test_hub_announce_reaches_all(self):
         hub = Hub()
@@ -37,13 +28,6 @@ class TestNodes:
         hub.add_peripheral(Peripheral(node_id="n1"))
         with pytest.raises(ProtocolError):
             hub.add_peripheral(Peripheral(node_id="n1"))
-
-    def test_hub_counters(self):
-        hub = Hub()
-        hub.add_peripheral(Peripheral(node_id="n1"))
-        hub.peripherals[0].record_transmission(True)
-        assert hub.total_delivered() == 1
-        assert hub.total_sent() == 1
 
 
 class TestStarNetwork:
@@ -66,32 +50,26 @@ class TestStarNetwork:
         means = []
         for n in (1, 10):
             samples = [
-                StarNetwork(n, seed=s).negotiate(0, 0).duration_s
-                for s in range(60)
+                StarNetwork(n, seed=s).negotiate(0, 0).duration_s for s in range(60)
             ]
             means.append(np.mean(samples))
         assert means[1] > means[0] * 3
 
     def test_stranded_nodes_slow_negotiation(self):
+        on_channel = TimingModel(off_channel_probability=0.0)
+        stranded = TimingModel(off_channel_probability=1.0)
         fast, slow = [], []
         for s in range(40):
-            net = StarNetwork(5, seed=s)
+            net = StarNetwork(5, timing=on_channel, seed=s)
             fast.append(net.negotiate(0, 0).duration_s)
-            net2 = StarNetwork(5, seed=s)
-            net2.strand_nodes(5)
+            net2 = StarNetwork(5, timing=stranded, seed=s)
             slow.append(net2.negotiate(0, 0).duration_s)
         assert np.mean(slow) > np.mean(fast)
 
-    def test_strand_validation(self):
-        net = StarNetwork(2, seed=0)
-        with pytest.raises(ConfigurationError):
-            net.strand_nodes(3)
-
     def test_recovered_nodes_reported(self):
-        net = StarNetwork(4, seed=2)
-        net.strand_nodes(4)
+        net = StarNetwork(4, timing=TimingModel(off_channel_probability=1.0), seed=2)
         report = net.negotiate(0, 0)
-        assert report.recovered_nodes >= 4
+        assert report.recovered_nodes == 4
 
 
 class TestGoodput:
@@ -118,9 +96,7 @@ class TestGoodput:
     def test_jamming_scales_goodput(self):
         model = GoodputModel()
         clean, _ = model.average_goodput(3.0, slots=20, rng=2)
-        jammed, _ = model.average_goodput(
-            3.0, slots=20, success_probability=0.5, rng=2
-        )
+        jammed, _ = model.average_goodput(3.0, slots=20, success_probability=0.5, rng=2)
         assert jammed == pytest.approx(clean * 0.5, rel=0.1)
 
     def test_zero_success_probability(self):

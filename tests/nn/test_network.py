@@ -7,10 +7,7 @@ from repro.errors import ConfigurationError
 from repro.nn import (
     Adam,
     HuberLoss,
-    MeanSquaredError,
     Network,
-    SGD,
-    load_parameters,
     mlp,
     parameter_count,
     save_parameters,
@@ -18,6 +15,7 @@ from repro.nn import (
 from repro.nn.serialize import (
     artifact_size_bytes,
     flatten_parameters,
+    load_policy_bundle,
     unflatten_parameters,
 )
 
@@ -90,7 +88,7 @@ class TestTraining:
         y = x @ true_w
         net = mlp(3, (32,), 2, seed=1)
         opt = Adam(learning_rate=1e-2)
-        loss = MeanSquaredError()
+        loss = HuberLoss()
         for _ in range(400):
             idx = rng.integers(0, 256, 32)
             net.train_step(x[idx], y[idx], loss, opt)
@@ -103,7 +101,7 @@ class TestTraining:
         y = np.abs(x)  # needs the ReLU nonlinearity
         net = mlp(1, (32, 32), 1, seed=2)
         opt = Adam(learning_rate=3e-3)
-        loss = MeanSquaredError()
+        loss = HuberLoss()
         for _ in range(800):
             idx = rng.integers(0, 512, 64)
             net.train_step(x[idx], y[idx], loss, opt)
@@ -117,9 +115,9 @@ class TestTraining:
         target[0, 1] += 10.0  # ask only output 1 to move
         mask = np.zeros((1, 3))
         mask[0, 1] = 1.0
-        opt = SGD(learning_rate=0.05)
+        opt = Adam(learning_rate=0.05)
         for _ in range(200):
-            net.train_step(x, target, MeanSquaredError(), opt, grad_mask=mask)
+            net.train_step(x, target, HuberLoss(), opt, grad_mask=mask)
         after = net.predict(np.ones(2))
         assert abs(after[1] - target[0, 1]) < 0.5
 
@@ -130,7 +128,7 @@ class TestTraining:
                 np.ones((1, 2)),
                 np.ones((1, 2)),
                 HuberLoss(),
-                SGD(0.1),
+                Adam(0.1),
                 grad_mask=np.ones((2, 2)),
             )
 
@@ -156,7 +154,7 @@ class TestSerialization:
         path = tmp_path / "weights.npz"
         save_parameters(net, path)
         other = mlp(4, (6,), 2, seed=7)
-        load_parameters(other, path)
+        load_policy_bundle([path]).load_into(0, other)
         x = np.full(4, 0.5)
         np.testing.assert_allclose(other.predict(x), net.predict(x), atol=1e-6)
 

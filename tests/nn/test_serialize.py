@@ -8,10 +8,15 @@ from repro.nn.layers import Layer
 from repro.nn.network import Network, mlp
 from repro.nn.serialize import (
     flatten_parameters,
-    load_parameters,
+    load_policy_bundle,
     parameter_count,
     save_parameters,
 )
+
+
+def load_artifact(network, path):
+    """Load one artifact into ``network`` the way deployment does."""
+    load_policy_bundle([path]).load_into(0, network)
 
 
 class Conv3D(Layer):
@@ -44,7 +49,7 @@ class TestRoundTrip:
         save_parameters(net, path)
         for p in net.parameters:
             p[...] = 0.0
-        load_parameters(net, path)
+        load_artifact(net, path)
         for p, ref in zip(net.parameters, saved):
             np.testing.assert_allclose(p, ref, atol=1e-6)
 
@@ -56,7 +61,7 @@ class TestRoundTrip:
         ref = net.parameters[0].copy()
         save_parameters(net, path)
         net.parameters[0][...] = 0.0
-        load_parameters(net, path)
+        load_artifact(net, path)
         np.testing.assert_allclose(net.parameters[0], ref, atol=1e-6)
 
     def test_mixed_ndim_round_trip(self, tmp_path):
@@ -66,7 +71,7 @@ class TestRoundTrip:
         save_parameters(net, path)
         for p in net.parameters:
             p[...] = 0.0
-        load_parameters(net, path)
+        load_artifact(net, path)
         for p, ref in zip(net.parameters, refs):
             np.testing.assert_allclose(p, ref, atol=1e-6)
 
@@ -81,20 +86,20 @@ class TestManifestValidation:
         assert parameter_count(donor) == parameter_count(target)
         save_parameters(donor, path)
         with pytest.raises(ConfigurationError, match="geometry"):
-            load_parameters(target, path)
+            load_artifact(target, path)
 
     def test_rejects_missing_manifest(self, tmp_path):
         path = tmp_path / "bare.npz"
         net = mlp(4, (6,), 2, seed=0)
         np.savez(path, flat=flatten_parameters(net))
         with pytest.raises(ConfigurationError, match="manifest"):
-            load_parameters(net, path)
+            load_artifact(net, path)
 
     def test_rejects_non_artifact(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez(path, something=np.arange(3))
         with pytest.raises(ConfigurationError, match="not a parameter artifact"):
-            load_parameters(mlp(4, (6,), 2), path)
+            load_artifact(mlp(4, (6,), 2), path)
 
     def test_rejects_truncated_flat_vector(self, tmp_path):
         path = tmp_path / "trunc.npz"
@@ -104,7 +109,7 @@ class TestManifestValidation:
             flat, shapes, ndims = data["flat"], data["shapes"], data["ndims"]
         np.savez(path, flat=flat[:-5], shapes=shapes, ndims=ndims)
         with pytest.raises(ConfigurationError, match="corrupted"):
-            load_parameters(net, path)
+            load_artifact(net, path)
 
     def test_rejects_corrupt_ndims(self, tmp_path):
         path = tmp_path / "badnd.npz"
@@ -116,7 +121,7 @@ class TestManifestValidation:
         ndims[0] = shapes.shape[1] + 3  # points past the padded row
         np.savez(path, flat=flat, shapes=shapes, ndims=ndims)
         with pytest.raises(ConfigurationError, match="corrupted"):
-            load_parameters(net, path)
+            load_artifact(net, path)
 
     def test_rejects_ragged_manifest(self, tmp_path):
         path = tmp_path / "ragged.npz"
@@ -126,7 +131,7 @@ class TestManifestValidation:
             flat, shapes, ndims = data["flat"], data["shapes"], data["ndims"]
         np.savez(path, flat=flat, shapes=shapes[:-1], ndims=ndims)
         with pytest.raises(ConfigurationError, match="corrupted"):
-            load_parameters(net, path)
+            load_artifact(net, path)
 
 
 class TestPolicyBundle:
@@ -138,43 +143,35 @@ class TestPolicyBundle:
         return path
 
     def test_bundle_roundtrip(self, tmp_path):
-        from repro.nn.serialize import load_policy_bundle
-
         nets = [mlp(6, (8,), 4, seed=i) for i in range(3)]
         paths = [self._save(tmp_path, f"p{i}.npz", n) for i, n in enumerate(nets)]
         bundle = load_policy_bundle(paths)
         assert len(bundle) == 3
         assert bundle.shapes == tuple(p.shape for p in nets[0].parameters)
         for i, net in enumerate(nets):
-            np.testing.assert_array_equal(
-                bundle.flats[i], flatten_parameters(net)
-            )
+            np.testing.assert_array_equal(bundle.flats[i], flatten_parameters(net))
             target = mlp(6, (8,), 4, seed=99)
             bundle.load_into(i, target)
             probe = np.linspace(-1, 1, 6)
-            # float32 artifact round-trip, same as load_parameters
+            # float32 artifact round-trip, same as save then load
             np.testing.assert_array_equal(
                 target.predict(probe),
                 _roundtrip(net).predict(probe),
             )
 
     def test_mismatched_artifact_names_offending_path(self, tmp_path):
-        from repro.nn.serialize import load_policy_bundle
-
-        good = [self._save(tmp_path, f"g{i}.npz", mlp(6, (8,), 4, seed=i)) for i in range(2)]
+        good = [
+            self._save(tmp_path, f"g{i}.npz", mlp(6, (8,), 4, seed=i)) for i in range(2)
+        ]
         bad = self._save(tmp_path, "odd-one.npz", mlp(6, (9,), 4, seed=0))
         with pytest.raises(ConfigurationError, match="odd-one"):
             load_policy_bundle([*good, bad])
 
     def test_empty_bundle_rejected(self):
-        from repro.nn.serialize import load_policy_bundle
-
         with pytest.raises(ConfigurationError, match="at least one"):
             load_policy_bundle([])
 
     def test_corrupted_member_rejected(self, tmp_path):
-        from repro.nn.serialize import load_policy_bundle
-
         path = self._save(tmp_path, "ok.npz", mlp(6, (8,), 4, seed=0))
         broken = tmp_path / "broken.npz"
         with np.load(path) as data:
@@ -188,8 +185,6 @@ class TestPolicyBundle:
             load_policy_bundle([path, broken])
 
     def test_load_into_wrong_network_rejected(self, tmp_path):
-        from repro.nn.serialize import load_policy_bundle
-
         path = self._save(tmp_path, "p.npz", mlp(6, (8,), 4, seed=0))
         bundle = load_policy_bundle([path])
         with pytest.raises(ConfigurationError, match="does not match"):

@@ -143,9 +143,7 @@ class TestObsSubcommands:
         assert main(["obs", "summary", str(target)]) == 0
         assert "cli/demo" in capsys.readouterr().out
 
-    def test_summary_routes_telemetry_to_dashboard(
-        self, monkeypatch, tmp_path, capsys
-    ):
+    def test_summary_routes_telemetry_to_dashboard(self, monkeypatch, tmp_path, capsys):
         target = self._write_telemetry(monkeypatch, tmp_path)
         assert main(["obs", str(target)]) == 0  # back-compat spelling
         out = capsys.readouterr().out
@@ -166,6 +164,11 @@ class TestObsSubcommands:
         out = capsys.readouterr().out
         assert "dqn" in out
         assert "\x1b[2J" not in out
+
+    def test_watch_once_fails_without_telemetry(self, tmp_path, capsys):
+        missing = tmp_path / "TELEM_none.jsonl"
+        assert main(["obs", "watch", str(missing), "--once"]) == 1
+        assert "TELEM_none.jsonl" in capsys.readouterr().out
 
     def test_obs_never_writes_telemetry(self, monkeypatch, tmp_path):
         from repro.obs import telemetry

@@ -27,21 +27,21 @@ def _records(path):
 
 class TestTargetResolution:
     def test_off_by_default(self):
-        assert telemetry.telem_target() is None
+        assert sink.target(sink.TELEM) is None
         assert not telemetry.enabled()
 
     def test_truthy_uses_default_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEM", "1")
-        assert telemetry.telem_target().name == "TELEM_run.jsonl"
+        assert sink.target(sink.TELEM).name == "TELEM_run.jsonl"
 
     def test_name_lands_in_artifact_dir(self, monkeypatch):
         monkeypatch.setenv("REPRO_TELEM", "smoke")
-        assert telemetry.telem_target().name == "TELEM_smoke.jsonl"
+        assert sink.target(sink.TELEM).name == "TELEM_smoke.jsonl"
 
     def test_path_used_verbatim(self, monkeypatch, tmp_path):
         target = tmp_path / "x.jsonl"
         monkeypatch.setenv("REPRO_TELEM", str(target))
-        assert telemetry.telem_target() == target
+        assert sink.target(sink.TELEM) == target
 
     def test_interval_env(self, monkeypatch, tmp_path):
         _set_target(monkeypatch, tmp_path)
@@ -129,9 +129,7 @@ class TestWorkerProtocol:
 
     def test_absorb_appends_to_parent_sink(self, monkeypatch, tmp_path):
         path = _set_target(monkeypatch, tmp_path)
-        frames = tuple(
-            {"type": "frame", "series": "x", "window": w} for w in (0, 1)
-        )
+        frames = tuple({"type": "frame", "series": "x", "window": w} for w in (0, 1))
         sink.absorb(sink.TracedResult(result=None, records=frames, metrics={}))
         telemetry.finish_run()
         kinds = [r["type"] for r in _records(path)]
@@ -266,9 +264,7 @@ class TestMergeFrames:
         for _ in range(5):
             shuffled = list(frames)
             rng.shuffle(shuffled)
-            assert (
-                telemetry.merge_frames(self._doc(shuffled, tmp_path)) == reference
-            )
+            assert telemetry.merge_frames(self._doc(shuffled, tmp_path)) == reference
 
     def test_field_merge_dedupes_retried_shards_last_wins(self, tmp_path):
         stale = _shard_frame(0, 0, [0, 1], [9, 9])

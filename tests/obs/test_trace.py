@@ -30,7 +30,7 @@ class TestDisabled:
             assert sid is None
         trace.event("y", b=2)
         assert not trace.enabled()
-        assert trace.current_trace_id() is None
+        assert sink.RUN not in sink.state().streams
         assert trace.finish_run() is None
         assert list(tmp_path.iterdir()) == []
 
@@ -41,19 +41,19 @@ class TestDisabled:
 class TestTargetResolution:
     def test_explicit_path(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
-        assert trace.trace_target() == tmp_path / "t.jsonl"
+        assert sink.target(sink.RUN) == tmp_path / "t.jsonl"
 
     def test_run_name(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "smoke")
-        assert trace.trace_target().name == "RUN_smoke.jsonl"
+        assert sink.target(sink.RUN).name == "RUN_smoke.jsonl"
 
     def test_truthy_flag(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        assert trace.trace_target().name == "RUN_run.jsonl"
+        assert sink.target(sink.RUN).name == "RUN_run.jsonl"
 
     def test_empty_is_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "  ")
-        assert trace.trace_target() is None
+        assert sink.target(sink.RUN) is None
 
     def test_sample_rate_validation(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_TRACE", str(tmp_path / "t.jsonl"))
@@ -156,7 +156,7 @@ class TestWorkerEnvelope:
         assert sink.in_origin(ctx)
 
         # Simulate the worker side: buffer, then merge back at the origin.
-        parent_state_id = trace.current_trace_id()
+        parent_state_id = sink.state().trace_id
         sink.activate_worker(ctx)
         with trace.span("task"):
             trace.event("inside")
@@ -233,8 +233,7 @@ class TestParallelMergedTrace:
         assert all(r["parent"] in task_ids for r in runs)
 
         episodes = [
-            r for r in records
-            if r["type"] == "event" and r["name"] == "dqn.episode"
+            r for r in records if r["type"] == "event" and r["name"] == "dqn.episode"
         ]
         assert len(episodes) == len(seeds) * trainer.episodes
 

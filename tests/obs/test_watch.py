@@ -50,12 +50,8 @@ def _write_field_run(monkeypatch, tmp_path, *, adversary="reactive"):
                     tokens=[4.0, 6.0],
                 )
             )
-    METRICS.inc(
-        "jam.duty_starved", 7, labels={"adversary": adversary, "network": 0}
-    )
-    METRICS.inc(
-        "defense.decoys", 30, labels={"scheme": "deception", "network": 2}
-    )
+    METRICS.inc("jam.duty_starved", 7, labels={"adversary": adversary, "network": 0})
+    METRICS.inc("defense.decoys", 30, labels={"scheme": "deception", "network": 2})
     telemetry.finish_run()
     return path
 
@@ -110,9 +106,7 @@ class TestRenderDashboard:
 
 
 class TestWatch:
-    def test_once_renders_single_frame_without_clearing(
-        self, monkeypatch, tmp_path
-    ):
+    def test_once_renders_single_frame_without_clearing(self, monkeypatch, tmp_path):
         path = _write_field_run(monkeypatch, tmp_path)
         out = io.StringIO()
         assert watch(path, iterations=1, stream=out) == 0
@@ -127,6 +121,11 @@ class TestWatch:
         assert out.getvalue().count("\x1b[2J\x1b[H") == 2
 
     def test_missing_file_waits_instead_of_crashing(self, tmp_path):
+        # Live mode waits for the file; one-shot mode fails on it.
+        missing = tmp_path / "absent.jsonl"
         out = io.StringIO()
-        assert watch(tmp_path / "absent.jsonl", iterations=1, stream=out) == 0
-        assert "waiting for telemetry" in out.getvalue()
+        assert watch(missing, iterations=2, interval=0.0, stream=out) == 0
+        assert out.getvalue().count("waiting for telemetry") == 2
+        once = io.StringIO()
+        assert watch(missing, iterations=1, stream=once) == 1
+        assert "absent.jsonl" in once.getvalue()

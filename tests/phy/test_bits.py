@@ -54,49 +54,6 @@ class TestBytesBits:
         assert B.bits_to_bytes(bits, lsb_first=False) == data
 
 
-class TestIntBits:
-    @given(st.integers(min_value=0, max_value=2**16 - 1))
-    def test_roundtrip(self, value):
-        bits = B.int_to_bits(value, 16)
-        assert bits.size == 16
-        assert B.bits_to_int(bits) == value
-
-    def test_msb_order(self):
-        assert B.int_to_bits(1, 4, lsb_first=False).tolist() == [0, 0, 0, 1]
-        assert B.bits_to_int([0, 0, 0, 1], lsb_first=False) == 1
-
-    def test_overflow_rejected(self):
-        with pytest.raises(EncodingError):
-            B.int_to_bits(16, 4)
-
-    def test_negative_rejected(self):
-        with pytest.raises(EncodingError):
-            B.int_to_bits(-1, 4)
-
-    def test_zero_width_rejected(self):
-        with pytest.raises(EncodingError):
-            B.int_to_bits(0, 0)
-
-
-class TestHamming:
-    def test_distance(self):
-        assert B.hamming_distance([0, 1, 1], [1, 1, 0]) == 2
-
-    def test_ber(self):
-        assert B.bit_error_rate([0, 0, 0, 0], [0, 1, 0, 1]) == 0.5
-
-    def test_ber_empty(self):
-        assert B.bit_error_rate([], []) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(EncodingError):
-            B.hamming_distance([0], [0, 1])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=100))
-    def test_self_distance_zero(self, bits):
-        assert B.hamming_distance(bits, bits) == 0
-
-
 class TestCrc:
     def test_known_vector(self):
         # CRC-16/X25-family reflected CRC with init 0: '123456789' -> 0x2189
@@ -122,61 +79,10 @@ class TestCrc:
         assert not B.check_crc(b"\x00")
 
 
-class TestFlipBits:
-    def test_zero_rate_is_identity(self):
-        rng = np.random.default_rng(0)
-        bits = B.bytes_to_bits(b"\xaa\x55")
-        assert np.array_equal(B.flip_bits(bits, 0.0, rng), bits)
-
-    def test_full_rate_flips_all(self):
-        rng = np.random.default_rng(0)
-        bits = np.zeros(64, dtype=np.uint8)
-        assert B.flip_bits(bits, 1.0, rng).sum() == 64
-
-    def test_invalid_rate(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            B.flip_bits([0, 1], 1.5, rng)
-
-    def test_does_not_mutate_input(self):
-        rng = np.random.default_rng(0)
-        bits = np.zeros(32, dtype=np.uint8)
-        B.flip_bits(bits, 1.0, rng)
-        assert bits.sum() == 0
-
-
 class TestVectorizedAgainstReferences:
-    """The unpackbits/packbits/table paths equal the retained loops."""
+    """The table-driven CRC equals the retained bit-serial loop."""
 
-    @given(
-        value=st.integers(min_value=0, max_value=2**80 - 1),
-        extra=st.integers(0, 20),
-        lsb_first=st.booleans(),
-    )
-    def test_int_to_bits_matches_reference(self, value, extra, lsb_first):
-        width = max(value.bit_length(), 1) + extra
-        assert np.array_equal(
-            B.int_to_bits(value, width, lsb_first=lsb_first),
-            B.int_to_bits_reference(value, width, lsb_first=lsb_first),
-        )
-
-    @given(
-        bits=st.lists(st.integers(0, 1), min_size=0, max_size=90),
-        lsb_first=st.booleans(),
-    )
-    def test_bits_to_int_matches_reference(self, bits, lsb_first):
-        arr = np.array(bits, dtype=np.uint8)
-        assert B.bits_to_int(arr, lsb_first=lsb_first) == (
-            B.bits_to_int_reference(arr, lsb_first=lsb_first)
-        )
-
-    @given(value=st.integers(min_value=0, max_value=2**64 - 1))
-    def test_int_bits_roundtrip(self, value):
-        width = max(value.bit_length(), 1)
-        assert B.bits_to_int(B.int_to_bits(value, width)) == value
-
-    @given(data=st.binary(min_size=0, max_size=200),
-           initial=st.integers(0, 0xFFFF))
+    @given(data=st.binary(min_size=0, max_size=200), initial=st.integers(0, 0xFFFF))
     def test_crc16_table_matches_bit_serial(self, data, initial):
         assert B.crc16_itut(data, initial=initial) == (
             B.crc16_itut_reference(data, initial=initial)
@@ -186,12 +92,3 @@ class TestVectorizedAgainstReferences:
         # CRC-16/KERMIT check value for "123456789".
         assert B.crc16_itut(b"123456789") == 0x2189
         assert B.crc16_itut_reference(b"123456789") == 0x2189
-
-    def test_int_to_bits_validation_preserved(self):
-        for fn in (B.int_to_bits, B.int_to_bits_reference):
-            with pytest.raises(EncodingError):
-                fn(-1, 4)
-            with pytest.raises(EncodingError):
-                fn(1, 0)
-            with pytest.raises(EncodingError):
-                fn(16, 4)

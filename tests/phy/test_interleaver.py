@@ -15,13 +15,13 @@ BLOCK_SHAPES = [(48, 1), (96, 2), (192, 4), (288, 6)]
 class TestPermutation:
     @pytest.mark.parametrize("n_cbps,n_bpsc", BLOCK_SHAPES)
     def test_is_a_permutation(self, n_cbps, n_bpsc):
-        perm = I.interleave_permutation(n_cbps, n_bpsc)
+        perm = I._permutation_cached(n_cbps, n_bpsc)
         assert sorted(perm.tolist()) == list(range(n_cbps))
 
     def test_known_bpsk_values(self):
         # For BPSK (s=1) the second permutation is the identity, so
         # out position of bit k is (N/16)(k mod 16) + floor(k/16).
-        perm = I.interleave_permutation(48, 1)
+        perm = I._permutation_cached(48, 1)
         assert perm[0] == 0
         assert perm[1] == 3
         assert perm[16] == 1
@@ -31,17 +31,17 @@ class TestPermutation:
         # The point of the interleaver: adjacent coded bits never map to
         # adjacent output positions.
         for n_cbps, n_bpsc in BLOCK_SHAPES:
-            perm = I.interleave_permutation(n_cbps, n_bpsc)
+            perm = I._permutation_cached(n_cbps, n_bpsc)
             gaps = np.abs(np.diff(perm))
             assert gaps.min() >= 2
 
     def test_bad_block_size(self):
         with pytest.raises(EncodingError):
-            I.interleave_permutation(50, 1)
+            I._permutation_cached(50, 1)
 
     def test_bad_bpsc(self):
         with pytest.raises(EncodingError):
-            I.interleave_permutation(48, 5)
+            I._permutation_cached(48, 5)
 
 
 class TestRoundtrip:

@@ -64,30 +64,31 @@ class TestStructure:
     def test_sample_count(self):
         phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
         msg = bytes(100)
-        n_sym = phy.symbols_for(100)
+        _, n_sym = phy.build_data_bits(msg)
         assert phy.transmit(msg).size == n_sym * ofdm.SYMBOL_LENGTH
 
     def test_symbols_for_small_payload(self):
         phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
         # 16 + 8 + 6 = 30 bits < 216 -> one symbol.
-        assert phy.symbols_for(1) == 1
+        assert phy.build_data_bits(bytes(1))[1] == 1
 
     def test_payload_capacity_inverse(self):
         phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
         for n_sym in range(1, 6):
             cap = phy.payload_capacity(n_sym)
-            assert phy.symbols_for(cap) == n_sym
-            assert phy.symbols_for(cap + 1) == n_sym + 1
+            assert phy.build_data_bits(bytes(cap))[1] == n_sym
+            assert phy.build_data_bits(bytes(cap + 1))[1] == n_sym + 1
 
     def test_duration(self):
         phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
         # One symbol lasts 4 µs.
-        assert phy.duration_for(1) == pytest.approx(4e-6)
+        samples = phy.transmit(bytes(1))
+        assert samples.size / ofdm.SAMPLE_RATE == pytest.approx(4e-6)
 
     def test_encode_grid_shape(self):
         phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
         grid = phy.encode(bytes(60))
-        assert grid.shape == (phy.symbols_for(60), 48)
+        assert grid.shape == (phy.build_data_bits(bytes(60))[1], 48)
 
     def test_tail_bits_zeroed_after_scrambling(self):
         phy = WifiPhy()
@@ -104,11 +105,10 @@ class TestRobustness:
         phy = WifiPhy(WifiPhyConfig(rate_mbps=6))
         msg = bytes(range(50))
         grid = phy.encode(msg)
-        samples = phy.modulate_points(grid)
+        samples = ofdm.modulate_stream(grid)
         rng = np.random.default_rng(0)
         noisy = samples + 0.03 * (
-            rng.standard_normal(samples.size)
-            + 1j * rng.standard_normal(samples.size)
+            rng.standard_normal(samples.size) + 1j * rng.standard_normal(samples.size)
         )
         assert phy.receive(noisy, num_bytes=50) == msg
 

@@ -14,16 +14,14 @@ class TestChipTable:
         assert Z.CHIP_TABLE.shape == (16, 32)
 
     def test_symbol_zero_matches_standard(self):
-        expected = [1, 1, 0, 1, 1, 0, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1,
-                    0, 1, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 1, 1, 0]
+        expected = [int(chip) for chip in "11011001110000110101001000101110"]
         assert Z.CHIP_TABLE[0].tolist() == expected
 
     def test_symbol_one_is_rotation(self):
         assert np.array_equal(Z.CHIP_TABLE[1], np.roll(Z.CHIP_TABLE[0], 4))
 
     def test_symbol_eight_matches_standard(self):
-        expected = [1, 0, 0, 0, 1, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 0,
-                    0, 0, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+        expected = [int(chip) for chip in "10001100100101100000011101111011"]
         assert Z.CHIP_TABLE[8].tolist() == expected
 
     def test_rows_distinct(self):
@@ -162,10 +160,6 @@ class TestPhyClass:
         wf = phy.transmit(b"\x01")
         with pytest.raises(DecodingError):
             phy.receive(wf, num_bytes=5)
-
-    def test_duration(self):
-        # One byte = 2 symbols = 64 chips at 2 Mchip/s = 32 µs.
-        assert Z.ZigBeePhy().duration_for(1) == pytest.approx(32e-6)
 
     def test_config_validation(self):
         with pytest.raises(EncodingError):

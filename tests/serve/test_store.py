@@ -44,7 +44,7 @@ class TestBitIdentity:
 
     def test_matches_agent_greedy_act(self):
         agents = [DQNAgent(small_cfg(), seed=i) for i in range(3)]
-        store = PolicyStore.from_agents(agents)
+        store = PolicyStore([agent.online for agent in agents])
         rng = np.random.default_rng(5)
         obs = rng.random((9, store.observation_size))
         policies = rng.integers(0, 3, size=9)

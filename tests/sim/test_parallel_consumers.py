@@ -160,3 +160,19 @@ class TestFaultInjectedConsumers:
         assert sweeps == dict.fromkeys(
             ("loss_jam", "sweep_cycle", "loss_hop", "power_floor"), ()
         )
+
+    def test_salvaged_sweep_is_not_served_to_a_later_clean_call(self, monkeypatch):
+        # No cache_clear here: the cache itself must refuse a partial sweep.
+        # Seed 5 is used by no other test, so no earlier entry interferes.
+        self._clear_fault_env(monkeypatch)
+        monkeypatch.setenv("REPRO_FAULT_RATE", "0.5")
+        monkeypatch.setenv("REPRO_FAULT_SEED", "2")
+        monkeypatch.setenv("REPRO_ON_ERROR", "skip")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        partial = F.parameter_sweeps("max", 300, 5, *SWEEP_AXES)
+        assert len(partial["loss_jam"]) == len(partial["power_floor"]) == 1
+        self._clear_fault_env(monkeypatch)
+        full = F.parameter_sweeps("max", 300, 5, *SWEEP_AXES)
+        assert full is not partial
+        assert all(len(points) == 2 for points in full.values())
+        assert F.parameter_sweeps("max", 300, 5, *SWEEP_AXES) is full

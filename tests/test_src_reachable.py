@@ -1,13 +1,28 @@
-"""Every ``src/repro`` module is imported by a real entry point.
+"""Every ``src/repro`` module and public name is reached by a real entry point.
 
-The walk parses imports (at any depth, lazy ones included) transitively
-from the CLI, ``python -m repro``, every non-test file under
-``benchmarks/`` and every file under ``examples/``. ``from repro.pkg
-import Name`` resolves through the package's ``__init__`` re-exports to
-the module that defines ``Name``; an ``__init__``'s own imports are not
-followed, so a re-export alone keeps nothing alive. A package counts as
-reached when any of its modules is. A module that only tests import
-fails here: give it a caller, or delete it.
+The entry points are the CLI, ``python -m repro``, every non-test file
+under ``benchmarks/`` and every file under ``examples/``.
+
+Modules: the walk parses imports (at any depth, lazy ones included)
+transitively from the entry points. ``from repro.pkg import Name``
+resolves through the package's ``__init__`` re-exports to the module that
+defines ``Name``; an ``__init__``'s own imports are not followed, so a
+re-export alone keeps nothing alive. A package counts as reached when any
+of its modules is.
+
+Names: a second walk starts from every name the entry-point files use and
+from the module-level code of every reached module (``__all__`` and
+imports skipped, so neither an export list nor a re-export keeps a name
+alive). A reached function, class or method adds the names its body uses.
+A class's methods count one by one: a method is reached when its bare name
+is used (or it is a dunder). Matching is by bare name (``Name`` loads,
+attribute names and identifier strings, as in ``getattr(obj, "name")``),
+so a collision can only keep a name alive.
+
+A module or a public top-level function or class that only tests reach
+fails here: give it a caller, or delete it. Oracles that tests hold
+library code to are the exception; each is listed below with the test
+that uses it, and what they use stays reached.
 """
 
 from __future__ import annotations
@@ -24,6 +39,42 @@ REFERENCE_MODULES = (
     # Model-free Q-learning: the oracle that tests hold value_iteration to.
     "repro.core.qlearning",
 )
+
+#: Public top-level names kept in ``src/`` although no entry point reaches
+#: them: each is an oracle, named with the test that uses it.
+REFERENCE_NAMES = {
+    "repro.phy.sync.synchronise": (
+        "tests/phy/test_sync.py decodes the EmuBee waveform as a ZigBee frame"
+    ),
+    "repro.phy.sync.SyncResult": "what synchronise returns to tests/phy/test_sync.py",
+    "repro.phy.sync.receive_stream": (
+        "tests/phy/test_sync.py decodes frames from a free-running capture"
+    ),
+    "repro.phy.zigbee.ZigBeeDecodeResult": (
+        "ZigBeePhy.receive returns it; tests/phy/test_zigbee.py round-trips TX"
+    ),
+    "repro.phy.ofdm.demodulate_stream": (
+        "WifiPhy.receive demodulates with it; tests/phy/test_wifi.py round-trips TX"
+    ),
+    "repro.core.solver.policy_iteration": (
+        "tests/core/test_solver.py checks value_iteration's policy against it"
+    ),
+    "repro.core.solver.bellman_residual": (
+        "tests/core/test_solver.py checks value_iteration's fixed point with it"
+    ),
+    "repro.channel.waveform.empirical_chip_flip_rate": (
+        "tests/channel/test_waveform.py holds the chip-capture model to waveform truth"
+    ),
+    "repro.jamming.adversary.make_slot_jammer_factory": (
+        "tests/jamming/test_adversary_parity.py runs each adversary on the slot clock"
+    ),
+    "repro.phy.bits.crc16_itut_reference": (
+        "tests/phy/test_bits.py pins the table-driven crc16_itut to it"
+    ),
+    "repro.phy.packet.encode_frame": (
+        "tests/phy/test_packet.py and test_sync.py build the frames the RX path decodes"
+    ),
+}
 
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 
@@ -115,3 +166,143 @@ def test_reference_modules_exist_and_are_unreached():
         assert module in MODULES, module
         assert module not in reached, module
 
+
+# -- names ------------------------------------------------------------------------
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _uses(*nodes: ast.AST) -> set[str]:
+    """Bare names that ``nodes`` load, look up as attributes or spell as strings."""
+    found = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    found.add(node.value)
+    return found
+
+
+def _is_export_list(stmt: ast.stmt) -> bool:
+    targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+    return any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets)
+
+
+@lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@lru_cache(maxsize=None)
+def _definitions() -> dict[tuple[str, str], ast.AST]:
+    """``(module, qualname)`` of every top-level definition and method."""
+    found = {}
+    for module, path in MODULES.items():
+        for stmt in _tree(path).body:
+            if isinstance(stmt, (*_FUNCTIONS, ast.ClassDef)):
+                found[(module, stmt.name)] = stmt
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, _FUNCTIONS):
+                        found[(module, f"{stmt.name}.{item.name}")] = item
+    return found
+
+
+def _module_code(module: str) -> set[str]:
+    """Names used by a module's own top-level statements."""
+    skipped = (*_FUNCTIONS, ast.ClassDef, ast.Import, ast.ImportFrom)
+    body = _tree(MODULES[module]).body
+    return _uses(
+        *(s for s in body if not isinstance(s, skipped) and not _is_export_list(s))
+    )
+
+
+def _own_code(node: ast.AST) -> list[ast.AST]:
+    """What reaching ``node`` runs: all of a function; a class's bases,
+    decorators and class-level statements (its methods count one by one)."""
+    if not isinstance(node, ast.ClassDef):
+        return [node]
+    statements = [s for s in node.body if not isinstance(s, _FUNCTIONS)]
+    return [*node.decorator_list, *node.bases, *node.keywords, *statements]
+
+
+def _reach(used: set[str]) -> set[tuple[str, str]]:
+    """Definitions reached from ``used``, adding what each reached body uses."""
+    used = set(used)
+    reached: set[tuple[str, str]] = set()
+    pending = dict(_definitions())
+    while True:
+        found = []
+        for module, qualname in pending:
+            owner, _, name = qualname.rpartition(".")
+            if owner and (module, owner) not in reached:
+                continue
+            dunder = name.startswith("__") and name.endswith("__")
+            if name in used or (owner and dunder):
+                found.append((module, qualname))
+        if not found:
+            return reached
+        for key in found:
+            reached.add(key)
+            used |= _uses(*_own_code(pending.pop(key)))
+
+
+def _entry_uses() -> set[str]:
+    entry_files = {MODULES[name] for name in ENTRY_MODULES}
+    used = set()
+    for root in _roots():
+        if root not in entry_files:
+            used |= _uses(_tree(root))
+    for module in reached_modules():
+        used |= _module_code(module)
+    return used
+
+
+@lru_cache(maxsize=None)
+def live_names() -> frozenset[tuple[str, str]]:
+    """Definitions the entry points reach."""
+    return frozenset(_reach(_entry_uses()))
+
+
+@lru_cache(maxsize=None)
+def kept_names() -> frozenset[tuple[str, str]]:
+    """Live definitions plus what the reference modules and names use."""
+    used = _entry_uses()
+    for module in REFERENCE_MODULES:
+        used |= _uses(_tree(MODULES[module]))
+    definitions = _definitions()
+    for name in REFERENCE_NAMES:
+        module, _, qualname = name.rpartition(".")
+        if (module, qualname) in definitions:
+            used |= _uses(definitions[(module, qualname)])
+    return frozenset(_reach(used))
+
+
+def test_every_public_name_has_an_entry_point():
+    kept = kept_names()
+    unreached = sorted(
+        f"{module}.{qualname}"
+        for module, qualname in _definitions()
+        if "." not in qualname
+        and not qualname.startswith("_")
+        and module not in REFERENCE_MODULES
+        and (module, qualname) not in kept
+        and f"{module}.{qualname}" not in REFERENCE_NAMES
+    )
+    assert not unreached, f"only tests reach {unreached}"
+
+
+def test_reference_names_exist_and_are_unreached():
+    # An exemption that outlived its name, or that a real caller now
+    # covers, should go.
+    defs = _definitions()
+    live = live_names()
+    for name, reason in REFERENCE_NAMES.items():
+        module, _, qualname = name.rpartition(".")
+        assert (module, qualname) in defs, name
+        assert (module, qualname) not in live, f"{name} has a caller now"
+        assert reason, name
