@@ -10,7 +10,8 @@ Four pillars, all zero-dependency and off-by-default (metrics excepted):
   (``labels={"adversary": ..., "scheme": ...}``) — snapshotted into
   every ``BENCH_*.json`` and into each artifact's final ``metrics`` record.
 * :mod:`repro.obs.telemetry` — windowed time series (``REPRO_TELEM``):
-  per-slot fleet frames from the field engines and
+  per-window fleet frames that the field slot engine builds from its
+  own per-network counters (:class:`repro.sim.shard._ShardEngine`) and
   :class:`~repro.obs.telemetry.FlightRecorder` episode series from the
   training loops, for a ``TELEM_<name>.jsonl`` artifact, merged across
   shard workers bit-identically (see

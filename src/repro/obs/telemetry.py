@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 from repro import knobs
 from repro.errors import ConfigurationError
@@ -108,14 +108,6 @@ def finish_run() -> Path | None:
 # -- frame builders ------------------------------------------------------------------
 
 
-def _int_list(values: Iterable[Any]) -> list[int]:
-    return [int(v) for v in values]
-
-
-def _float_list(values: Iterable[Any]) -> list[float]:
-    return [float(v) for v in values]
-
-
 def field_frame(
     *,
     window: int,
@@ -123,17 +115,17 @@ def field_frame(
     slots: int,
     shard: int,
     labels: Mapping[str, str],
-    networks: Iterable[int],
-    jammed: Iterable[int],
-    attempts: Iterable[int],
-    delivered: Iterable[int],
-    attempted: Iterable[int],
-    hops: Iterable[int],
-    neg_sum: Iterable[float],
-    lat_counts: Iterable[int],
+    networks: list[int],
+    jammed: list[int],
+    attempts: list[int],
+    delivered: list[int],
+    attempted: list[int],
+    hops: list[int],
+    neg_sum: list[float],
+    lat_counts: list[int],
     lat_min: float | None,
     lat_max: float | None,
-    tokens: Iterable[float] | None = None,
+    tokens: list[float] | None = None,
 ) -> dict:
     """One shard's view of one field window, in merge-exact form.
 
@@ -141,7 +133,8 @@ def field_frame(
     networks — halo replicas are never emitted), so the parent's merge is
     placement by global index, no floating-point accumulation across
     shards. The latency histogram ships as integer bucket counts over
-    :data:`LATENCY_BUCKETS` plus the window min/max.
+    :data:`LATENCY_BUCKETS` plus the window min/max. Columns are lists of
+    plain Python numbers (``ndarray.tolist()``), placed as given.
     """
     frame = {
         "type": "frame",
@@ -151,19 +144,19 @@ def field_frame(
         "slots": int(slots),
         "shard": int(shard),
         "labels": {str(k): str(v) for k, v in sorted(labels.items())},
-        "networks": _int_list(networks),
-        "jammed": _int_list(jammed),
-        "attempts": _int_list(attempts),
-        "delivered": _int_list(delivered),
-        "attempted": _int_list(attempted),
-        "hops": _int_list(hops),
-        "neg_sum": _float_list(neg_sum),
-        "lat_counts": _int_list(lat_counts),
-        "lat_min": float(lat_min) if lat_min is not None else None,
-        "lat_max": float(lat_max) if lat_max is not None else None,
+        "networks": networks,
+        "jammed": jammed,
+        "attempts": attempts,
+        "delivered": delivered,
+        "attempted": attempted,
+        "hops": hops,
+        "neg_sum": neg_sum,
+        "lat_counts": lat_counts,
+        "lat_min": lat_min,
+        "lat_max": lat_max,
     }
     if tokens is not None:
-        frame["tokens"] = _float_list(tokens)
+        frame["tokens"] = tokens
     return frame
 
 

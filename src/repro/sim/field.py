@@ -6,8 +6,8 @@ latencies, and streams data packets for the rest of each slot while a
 time-domain cross-technology jammer sweeps and camps on its own cadence.
 The output is the paper's headline unit: goodput in packets per time slot.
 
-This module holds the field experiment's configuration, records, policy
-adapters and telemetry recorder. The slot loop itself lives in
+This module holds the field experiment's configuration, records and policy
+adapters. The slot loop itself, and its telemetry window, live in
 :mod:`repro.sim.shard`, shared by every field engine:
 :class:`FieldExperiment` is a resumable one-network run of it, and
 :class:`~repro.sim.shard.FieldGrid` runs it over N networks at once.
@@ -28,7 +28,6 @@ from repro.core.metrics import MetricSummary, SlotLog
 from repro.errors import ConfigurationError
 from repro.jamming.jammer import FieldJammerConfig, block_index, channel_blocks
 from repro.net.timing import TimingModel
-from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
 from repro.rng import SeedLike, make_rng
 from repro.sim.engine import check_num_slots
@@ -218,132 +217,6 @@ class DeceptionAdapter:
         self.base.observe(state, channel, power_index)
 
 
-class FieldWindowRecorder:
-    """Accumulates per-network slot outcomes into telemetry field frames.
-
-    One recorder covers one shard's *own* networks (halo replicas are
-    never recorded — they would double-count). Call :meth:`observe_slot`
-    once per slot with per-network vectors; every ``REPRO_TELEM_INTERVAL``
-    slots the window is emitted as a merge-exact ``field`` frame (see
-    :func:`repro.obs.telemetry.field_frame`): integer outcome counts and
-    per-network float sums, which the reader merges by placement — no
-    cross-shard float accumulation — so the merged series is bit-identical
-    for any shard/worker decomposition.
-
-    Inert when telemetry is off: construction is one env check, and
-    ``observe_slot`` returns after one boolean test.
-    """
-
-    def __init__(
-        self,
-        networks,
-        *,
-        shard: int = 0,
-        labels=None,
-        slot0: int = 0,
-    ) -> None:
-        self.enabled = obs_telemetry.enabled()
-        if not self.enabled:
-            return
-        self._networks = [int(g) for g in networks]
-        self._shard = int(shard)
-        self._labels = dict(labels or {})
-        self._interval = obs_telemetry.interval()
-        self._buckets = np.asarray(obs_telemetry.LATENCY_BUCKETS)
-        self._window = 0
-        self._slot0 = int(slot0)
-        self._reset_window()
-
-    def _reset_window(self) -> None:
-        n = len(self._networks)
-        self._slots = 0
-        self._jammed = np.zeros(n, dtype=np.int64)
-        self._attempts = np.zeros(n, dtype=np.int64)
-        self._delivered = np.zeros(n, dtype=np.int64)
-        self._attempted = np.zeros(n, dtype=np.int64)
-        self._hops = np.zeros(n, dtype=np.int64)
-        self._neg = np.zeros(n, dtype=np.float64)
-        self._tokens: np.ndarray | None = None
-        self._lat = np.zeros(len(self._buckets) + 1, dtype=np.int64)
-        self._lat_min: float | None = None
-        self._lat_max: float | None = None
-
-    def observe_slot(
-        self,
-        *,
-        jammed,
-        attempts,
-        delivered,
-        attempted,
-        hops,
-        negotiation,
-        tokens=None,
-    ) -> None:
-        """Record one slot's per-network outcome vectors (own networks only)."""
-        if not self.enabled:
-            return
-        neg = np.asarray(negotiation, dtype=np.float64)
-        self._jammed += np.asarray(jammed, dtype=np.int64)
-        self._attempts += np.asarray(attempts, dtype=np.int64)
-        self._delivered += np.asarray(delivered, dtype=np.int64)
-        self._attempted += np.asarray(attempted, dtype=np.int64)
-        self._hops += np.asarray(hops, dtype=np.int64)
-        self._neg += neg
-        # side="left" matches the bisect_left binning of Histogram.observe.
-        self._lat += np.bincount(
-            np.searchsorted(self._buckets, neg, side="left"),
-            minlength=len(self._buckets) + 1,
-        )
-        if neg.size:
-            lo, hi = float(neg.min()), float(neg.max())
-            self._lat_min = lo if self._lat_min is None else min(self._lat_min, lo)
-            self._lat_max = hi if self._lat_max is None else max(self._lat_max, hi)
-        if tokens is not None:
-            # Gauge semantics: the window reports the last observed level.
-            self._tokens = np.asarray(tokens, dtype=np.float64)
-        self._slots += 1
-        if self._slots >= self._interval:
-            self.flush()
-
-    def flush(self) -> None:
-        """Emit the current (possibly partial) window; no-op when empty."""
-        if not self.enabled or self._slots == 0:
-            return
-        obs_telemetry.record_frame(
-            obs_telemetry.field_frame(
-                window=self._window,
-                slot0=self._slot0,
-                slots=self._slots,
-                shard=self._shard,
-                labels=self._labels,
-                networks=self._networks,
-                jammed=self._jammed,
-                attempts=self._attempts,
-                delivered=self._delivered,
-                attempted=self._attempted,
-                hops=self._hops,
-                neg_sum=self._neg,
-                lat_counts=self._lat,
-                lat_min=self._lat_min,
-                lat_max=self._lat_max,
-                tokens=self._tokens,
-            )
-        )
-        self._slot0 += self._slots
-        self._window += 1
-        self._reset_window()
-
-
-def field_telemetry_labels(config: FieldConfig, scheme: str | None = None) -> dict:
-    """The label set field engines attach to telemetry frames and counters."""
-    labels = {
-        "adversary": config.jammer.adversary if config.jammer is not None else "none"
-    }
-    if scheme:
-        labels["scheme"] = scheme
-    return labels
-
-
 @dataclass(frozen=True)
 class FieldConfig:
     """Parameters of the field experiment."""
@@ -475,8 +348,6 @@ __all__ = [
     "StatePolicyAdapter",
     "DQNPolicyAdapter",
     "DeceptionAdapter",
-    "FieldWindowRecorder",
-    "field_telemetry_labels",
     "FieldConfig",
     "FieldSlotRecord",
     "FieldResult",

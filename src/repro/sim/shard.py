@@ -37,7 +37,10 @@ is a resumable run of a one-network engine.
   shards are built in their worker on every run.
 * Aggregation streams: per-network counters accumulate slot by slot and
   per-slot records are retained only under ``keep_records=True``, so
-  million-slot runs hold O(N) state.
+  million-slot runs hold O(N) state. With ``REPRO_TELEM`` on, the
+  engine's :class:`_FieldWindow` emits its own networks' ``field``
+  telemetry frames from the deltas of those same counters, buffering
+  only each slot's negotiation times and packets attempted.
 
 Every network i derives its seeds from ``network_seed(seed, i)`` exactly
 like a solo :class:`FieldExperiment` would, so any network in a grid can
@@ -86,9 +89,7 @@ from repro.sim.field import (
     DQNPolicyAdapter,
     FieldConfig,
     FieldSlotRecord,
-    FieldWindowRecorder,
     StatePolicyAdapter,
-    field_telemetry_labels,
 )
 from repro.sim.scenario import SCHEMES, scheme_policy
 
@@ -717,6 +718,109 @@ def _probe_tables(adapters: list, mdp: MDPConfig) -> tuple[np.ndarray, np.ndarra
     return table[..., 0].astype(bool), table[..., 1]
 
 
+class _FieldWindow:
+    """An engine's open telemetry window over its own networks.
+
+    Halo replicas are never recorded (they would double-count). The
+    window's outcome counts are deltas of the engine's Table-I
+    accumulators since it opened (``jammed`` is slots − Δsuccesses); each
+    slot buffers only its negotiation times and packets attempted. Every
+    ``REPRO_TELEM_INTERVAL`` slots, and at the end of each
+    :meth:`_ShardEngine.advance`, the window is emitted as one merge-exact
+    ``field`` frame (:func:`repro.obs.telemetry.field_frame`) and the next
+    one opens.
+    """
+
+    def __init__(self, engine: _ShardEngine) -> None:
+        self.engine = engine
+        fld, own, bank = engine.fld, engine.own, engine.bank
+        self.networks = [engine.spec.global_indices[int(k)] for k in own]
+        self.labels = {
+            "adversary": fld.jammer.adversary if fld.jammer is not None else "none"
+        }
+        if engine.scheme:
+            self.labels["scheme"] = engine.scheme
+        self.tokens = bank is not None and all(
+            hasattr(j, "duty_tokens") for j in bank.jammers
+        )
+        self.interval = obs_telemetry.interval()
+        self.buckets = np.asarray(obs_telemetry.LATENCY_BUCKETS)
+        # Rows grow on demand up to the interval, which may exceed the run.
+        rows = min(self.interval, 64)
+        self.neg = np.empty((rows, len(own)))
+        self.att = np.empty((rows, len(own)), dtype=np.int64)
+        self.window = 0
+        self._open()
+
+    def _counts(self) -> np.ndarray:
+        e, own = self.engine, self.engine.own
+        return np.array(
+            [e.successes[own], e.jam_attempts[own], e.delivered[own], e.hops[own]]
+        )
+
+    def _open(self) -> None:
+        self.slot0 = self.engine.slot
+        self.slots = 0
+        self.start = self._counts()
+
+    def observe(self, neg_out: np.ndarray, att: np.ndarray) -> None:
+        """Buffer one slot's negotiation times and packets attempted."""
+        k = self.slots
+        if k == len(self.neg):
+            self.neg, self.att = (
+                np.concatenate([buf, buf])[: self.interval]
+                for buf in (self.neg, self.att)
+            )
+        own = self.engine.own
+        self.neg[k] = neg_out[own]
+        self.att[k] = att[own]
+        self.slots = k + 1
+        if self.slots == self.interval:
+            self.flush()
+
+    def flush(self) -> None:
+        """Emit the open (possibly partial) window; no-op when empty."""
+        slots = self.slots
+        if not slots:
+            return
+        successes, attempts, delivered, hops = self._counts() - self.start
+        neg = self.neg[:slots]
+        # side="left" matches the bisect_left binning of Histogram.observe.
+        lat = np.bincount(
+            np.searchsorted(self.buckets, neg.ravel(), side="left"),
+            minlength=len(self.buckets) + 1,
+        )
+        jammers = self.engine.bank.jammers if self.tokens else None
+        obs_telemetry.record_frame(
+            obs_telemetry.field_frame(
+                window=self.window,
+                slot0=self.slot0,
+                slots=slots,
+                shard=self.engine.spec.shard_index,
+                labels=self.labels,
+                networks=self.networks,
+                jammed=(slots - successes).tolist(),
+                attempts=attempts.tolist(),
+                delivered=delivered.tolist(),
+                attempted=self.att[:slots].sum(axis=0).tolist(),
+                hops=hops.tolist(),
+                # Summed in slot order: sum(axis=0) would go pairwise on a
+                # one-network shard and move the last bits.
+                neg_sum=np.cumsum(neg, axis=0)[-1].tolist(),
+                lat_counts=lat.tolist(),
+                lat_min=float(neg.min()) if neg.size else None,
+                lat_max=float(neg.max()) if neg.size else None,
+                tokens=(
+                    [float(jammers[int(k)].duty_tokens) for k in self.engine.own]
+                    if jammers is not None
+                    else None
+                ),
+            )
+        )
+        self.window += 1
+        self._open()
+
+
 class _ShardEngine:
     """The field slot loop over one shard's networks (own + halo).
 
@@ -838,8 +942,7 @@ class _ShardEngine:
         self.records: list[list[FieldSlotRecord]] | None = (
             [[] for _ in self.own] if self.cfg.keep_records else None
         )
-        self.telem: FieldWindowRecorder | None = None
-        self.track_tokens = False
+        self.telem: _FieldWindow | None = None
 
     @classmethod
     def solo(
@@ -974,17 +1077,8 @@ class _ShardEngine:
         ``slot_events`` emits one ``sim.slot`` trace event per own network
         and slot while tracing is on (checked once per call).
         """
-        spec = self.spec
         if self.telem is None and obs_telemetry.enabled():
-            self.telem = FieldWindowRecorder(
-                [spec.global_indices[int(k)] for k in self.own],
-                shard=spec.shard_index,
-                labels=field_telemetry_labels(self.fld, self.scheme),
-                slot0=self.slot,
-            )
-            self.track_tokens = self.bank is not None and all(
-                hasattr(j, "duty_tokens") for j in self.bank.jammers
-            )
+            self.telem = _FieldWindow(self)
         events = slot_events and obs_trace.enabled()
         counted = {
             "sim.hops": self.hops,
@@ -1202,19 +1296,7 @@ class _ShardEngine:
                     )
 
         if self.telem is not None:
-            self.telem.observe_slot(
-                jammed=jammed[own],
-                attempts=attempted[own],
-                delivered=dlv[own],
-                attempted=att[own],
-                hops=hopped[own],
-                negotiation=neg_out[own],
-                tokens=(
-                    [bank.jammers[int(k)].duty_tokens for k in own]
-                    if self.track_tokens
-                    else None
-                ),
-            )
+            self.telem.observe(neg_out, att)
 
     def _flush_counters(self) -> None:
         """Drain own networks' adversary/defence counters into labelled metrics.
