@@ -50,10 +50,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def is_full(self) -> bool:
-        return self._size == self.capacity
-
     def push(
         self,
         observation: np.ndarray,

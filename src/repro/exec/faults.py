@@ -359,9 +359,7 @@ def _pool_phase(
                     fut.cancel()
                     counters.timeouts += 1
                     attempts[i] += 1
-                    obs_trace.event(
-                        "exec.timeout", task=i, budget=policy.timeout_s
-                    )
+                    obs_trace.event("exec.timeout", task=i, budget=policy.timeout_s)
                     err = TimeoutError(
                         f"task {i}: no result within {policy.timeout_s}s"
                     )

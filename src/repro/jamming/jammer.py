@@ -503,10 +503,6 @@ class FieldJammer:
         )
 
     @property
-    def is_camping(self) -> bool:
-        return self.core.camping is not None
-
-    @property
     def active_channels(self) -> tuple[int, ...]:
         """Channels under attack as of the last window advanced.
 

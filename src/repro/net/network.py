@@ -74,7 +74,6 @@ class StarNetwork:
                 )
             node.apply_announcement(channel, power_index)
         self.hub.announce(channel, power_index)
-        self.hub.slots_run += 1
         return NegotiationReport(
             duration_s=duration,
             polled_nodes=self.size,

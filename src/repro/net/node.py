@@ -34,7 +34,6 @@ class Hub:
     channel: int = 0
     power_index: int = 0
     peripherals: list[Peripheral] = field(default_factory=list)
-    slots_run: int = 0
 
     def add_peripheral(self, peripheral: Peripheral) -> None:
         if any(p.node_id == peripheral.node_id for p in self.peripherals):

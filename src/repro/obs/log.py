@@ -57,10 +57,6 @@ class StructuredLogger:
         full = f"{ROOT_LOGGER}.{name}" if name else ROOT_LOGGER
         self._logger = logging.getLogger(full)
 
-    @property
-    def stdlib(self) -> logging.Logger:
-        return self._logger
-
     def _log(self, level: int, message: str, fields: dict[str, Any]) -> None:
         if fields:
             suffix = " ".join(f"{k}={_format_value(v)}" for k, v in fields.items())
@@ -74,14 +70,8 @@ class StructuredLogger:
                 message=message,
             )
 
-    def debug(self, message: str, **fields: Any) -> None:
-        self._log(logging.DEBUG, message, fields)
-
     def info(self, message: str, **fields: Any) -> None:
         self._log(logging.INFO, message, fields)
-
-    def warning(self, message: str, **fields: Any) -> None:
-        self._log(logging.WARNING, message, fields)
 
     def error(self, message: str, **fields: Any) -> None:
         self._log(logging.ERROR, message, fields)

@@ -19,7 +19,7 @@ class TestReplayBuffer:
         buf = ReplayBuffer(3, 1, seed=0)
         for i in range(5):
             buf.push(np.array([float(i)]), i, float(i), np.array([0.0]))
-        assert len(buf) == 3 and buf.is_full
+        assert len(buf) == buf.capacity == 3
         batch = buf.sample(64, allow_undersized=True)
         # Only the last three transitions remain.
         assert set(np.unique(batch.actions)).issubset({2, 3, 4})

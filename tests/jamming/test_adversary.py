@@ -66,7 +66,7 @@ class TestIdealEquivalence:
         for (a, b), c in zip(windows, channels):
             assert base.attack_profile(a, b, c) == react.attack_profile(a, b, c)
             assert base.active_channels == react.active_channels
-            assert base.is_camping == react.is_camping
+            assert (base.core.camping is None) == (react.core.camping is None)
 
     @pytest.mark.parametrize("mode", ["max", "random"])
     def test_slot_traces_bit_identical(self, mode):
@@ -101,7 +101,7 @@ class TestReactiveField:
             FieldJammerConfig(adversary="reactive", reactive=rc), seed=2
         )
         t = 0.0
-        while not jammer.is_camping:
+        while jammer.core.camping is None:
             jammer.attack_profile(t, t + 3.0, 7)
             t += 3.0
         profile = jammer.attack_profile(t, t + 3.0, 7)
@@ -121,7 +121,7 @@ class TestReactiveField:
     def test_inaudible_victim_is_never_classified(self):
         rc = ReactiveJammerConfig(victim_rx_dbm=-95.0)  # below -85 dBm floor
         jammer, profiles = self._staying_profiles(rc)
-        assert not jammer.is_camping
+        assert jammer.core.camping is None
         # Sweep-and-jam still lands blind hits but never locks on.
         assert any(p.attempted for p in profiles)
 
@@ -133,7 +133,7 @@ class TestReactiveField:
         assert first < 4  # found within one sweep cycle
         assert not any(p.attempted for p in profiles[:first])
         assert all(p.attempted for p in profiles[first:])
-        assert jammer.is_camping
+        assert jammer.core.camping is not None
 
     def test_eavesdropper_relocks_after_escape(self):
         rc = ReactiveJammerConfig(eavesdrop_probability=1.0)
@@ -141,7 +141,7 @@ class TestReactiveField:
             FieldJammerConfig(adversary="reactive", reactive=rc), seed=4
         )
         t = 0.0
-        while not jammer.is_camping:
+        while jammer.core.camping is None:
             jammer.attack_profile(t, t + 3.0, 7)
             t += 3.0
         # Victim escapes: one decision is burned noticing, but the sniffed
@@ -149,7 +149,7 @@ class TestReactiveField:
         noticed = jammer.attack_profile(t, t + 3.0, 0)
         relocked = jammer.attack_profile(t + 3.0, t + 6.0, 0)
         assert not noticed.attempted
-        assert relocked.attempted and jammer.is_camping
+        assert relocked.attempted and jammer.core.camping is not None
 
     def test_decoy_baits_camping_away_from_victim(self):
         # Victim inaudible, sense-only jammer: only the decoy can lure it.
@@ -162,7 +162,7 @@ class TestReactiveField:
             jammer.observe_decoy(decoy)
             profile = jammer.attack_profile(k * 3.0, (k + 1) * 3.0, 0)
             assert not profile.attempted  # the victim is never touched
-        assert jammer.is_camping
+        assert jammer.core.camping is not None
         assert decoy in jammer.active_channels
         assert 0 not in jammer.active_channels
 
@@ -358,7 +358,7 @@ class TestInstrumentationCounters:
 
     def _camp(self, jammer, channel=7):
         t = 0.0
-        while not jammer.is_camping:
+        while jammer.core.camping is None:
             jammer.attack_profile(t, t + 3.0, channel)
             t += 3.0
         return t

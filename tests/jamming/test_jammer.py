@@ -48,7 +48,7 @@ class TestSweep:
             t += 3.0
             if profile.attempted:
                 break
-        assert j.is_camping
+        assert j.core.camping is not None
         # Every subsequent window on the same channel is fully jammed.
         for _ in range(5):
             profile = j.attack_profile(t, t + 3.0, victim_channel=7)
@@ -60,14 +60,14 @@ class TestSweep:
     def test_loses_victim_and_reacquires(self):
         j = FieldJammer(FieldJammerConfig(slot_duration_s=3.0), seed=3)
         t = 0.0
-        while not j.is_camping:
+        while j.core.camping is None:
             j.attack_profile(t, t + 3.0, victim_channel=7)
             t += 3.0
         # Victim hops far away: the jammer burns its next slot noticing.
         profile = j.attack_profile(t, t + 3.0, victim_channel=0)
         t += 3.0
         assert not profile.attempted
-        assert not j.is_camping
+        assert j.core.camping is None
 
     def test_fast_jammer_attacks_fraction_of_window(self):
         # A 0.5 s jammer sweeping inside a 3 s victim slot attacks the
@@ -110,7 +110,7 @@ class TestSweep:
         j = FieldJammer(seed=8)
         j.attack_profile(0.0, 30.0, victim_channel=7)
         j.reset()
-        assert not j.is_camping
+        assert j.core.camping is None
 
 
 class TestClockContract:
@@ -153,7 +153,7 @@ class TestAttackQueries:
         j = FieldJammer(seed=9)
         # Long window: the sweep finds and camps on the victim.
         profile = j.attack_profile(0.0, 30.0, victim_channel=7)
-        assert profile.attempted and j.is_camping
+        assert profile.attempted and j.core.camping is not None
         assert j.is_attacking(7)
         assert 7 in j.active_channels
         assert len(j.active_channels) == j.config.jam_width
@@ -165,7 +165,7 @@ class TestAttackQueries:
     def test_reacquisition_slot_reports_idle(self):
         j = FieldJammer(seed=9)
         j.attack_profile(0.0, 30.0, victim_channel=7)
-        assert j.is_camping
+        assert j.core.camping is not None
         # The victim escapes: the jammer burns its next slot re-acquiring,
         # during which no channel is under attack.
         block = j.active_channels

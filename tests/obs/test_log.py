@@ -22,7 +22,7 @@ class TestConfigure:
         obs_log.configure(quiet=True, stream=stream)
         logger = obs_log.get_logger("test")
         logger.info("chatter")
-        logger.warning("important")
+        logger.error("important")
         out = stream.getvalue()
         assert "chatter" not in out
         assert "important" in out

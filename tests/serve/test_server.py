@@ -147,9 +147,7 @@ class TestAdmission:
             tasks = self._fill(server, store, 2)
             await asyncio.sleep(0)
             # queue full; this waits for the deadline flush to free space
-            late = await server.decide(
-                9, 0, np.zeros(store.observation_size)
-            )
+            late = await server.decide(9, 0, np.zeros(store.observation_size))
             await server.stop()
             early = await asyncio.gather(*tasks)
             return early, late

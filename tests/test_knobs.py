@@ -138,11 +138,12 @@ class TestOneHome:
         assert sorted(set(knobs.KNOBS) - named) == []
 
     def test_the_guard_sees_both_mirror_forms(self):
-        tree = ast.parse(
-            'X_ENV = "REPRO_X"\n'
-            'DEFAULT_X: int = knobs.KNOBS[X_ENV].default\n'
-            'CHOICES = knobs.KNOBS["REPRO_X"].choices\n'
-        )
+        lines = [
+            'X_ENV = "REPRO_X"',
+            "DEFAULT_X: int = knobs.KNOBS[X_ENV].default",
+            'CHOICES = knobs.KNOBS["REPRO_X"].choices',
+        ]
+        tree = ast.parse("\n".join(lines))
         assert _mirrors(tree) == ["X_ENV", "DEFAULT_X"]
 
 
