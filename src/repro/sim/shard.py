@@ -740,7 +740,7 @@ class _FieldWindow:
         }
         if engine.scheme:
             self.labels["scheme"] = engine.scheme
-        self.tokens = bank is not None and all(
+        self.track_tokens = bank is not None and all(
             hasattr(j, "duty_tokens") for j in bank.jammers
         )
         self.interval = obs_telemetry.interval()
@@ -750,18 +750,15 @@ class _FieldWindow:
         self.neg = np.empty((rows, len(own)))
         self.att = np.empty((rows, len(own)), dtype=np.int64)
         self.window = 0
-        self._open()
+        self.slot0 = engine.slot
+        self.slots = 0
+        self.start = self._counts()
 
     def _counts(self) -> np.ndarray:
         e, own = self.engine, self.engine.own
         return np.array(
             [e.successes[own], e.jam_attempts[own], e.delivered[own], e.hops[own]]
         )
-
-    def _open(self) -> None:
-        self.slot0 = self.engine.slot
-        self.slots = 0
-        self.start = self._counts()
 
     def observe(self, neg_out: np.ndarray, att: np.ndarray) -> None:
         """Buffer one slot's negotiation times and packets attempted."""
@@ -783,14 +780,15 @@ class _FieldWindow:
         slots = self.slots
         if not slots:
             return
-        successes, attempts, delivered, hops = self._counts() - self.start
+        counts = self._counts()
+        successes, attempts, delivered, hops = counts - self.start
         neg = self.neg[:slots]
         # side="left" matches the bisect_left binning of Histogram.observe.
         lat = np.bincount(
             np.searchsorted(self.buckets, neg.ravel(), side="left"),
             minlength=len(self.buckets) + 1,
         )
-        jammers = self.engine.bank.jammers if self.tokens else None
+        jammers = self.engine.bank.jammers if self.track_tokens else None
         obs_telemetry.record_frame(
             obs_telemetry.field_frame(
                 window=self.window,
@@ -818,7 +816,9 @@ class _FieldWindow:
             )
         )
         self.window += 1
-        self._open()
+        self.slot0 += slots
+        self.slots = 0
+        self.start = counts
 
 
 class _ShardEngine:

@@ -672,6 +672,39 @@ class TestTelemetryInvariance:
         assert {r["type"] for r in run} <= {"manifest", "span", "event"}
         assert {r["type"] for r in telem} == {"header", "frame", "metrics"}
 
+    def test_long_window_matches_slot_records(self, monkeypatch, tmp_path):
+        """A window past the initial buffer rows sums the per-slot records."""
+        import bisect
+
+        from repro.obs import telemetry
+
+        path = tmp_path / "TELEM_long.jsonl"
+        monkeypatch.setenv("REPRO_TELEM", str(path))
+        monkeypatch.setenv("REPRO_TELEM_INTERVAL", "150")
+        telemetry.reset()
+        config = _field_config()
+        net = network_seed(2, 0)
+        adapter = SchemeAdapterFactory("optimal")(config.mdp, net)
+        experiment = FieldExperiment(config, adapter, seed=net)
+        try:
+            experiment.run_experiment(200)
+            telemetry.finish_run()
+        finally:
+            telemetry.reset()
+        frames = telemetry.load_telemetry(path).frames
+        assert [(f["slot0"], f["slots"]) for f in frames] == [(0, 150), (150, 50)]
+        for frame in frames:
+            records = experiment.records[frame["slot0"] :][: frame["slots"]]
+            neg = [r.negotiation_s for r in records]
+            assert frame["neg_sum"] == [sum(neg)]
+            assert frame["attempted"] == [sum(r.packets_attempted for r in records)]
+            assert frame["delivered"] == [sum(r.packets_delivered for r in records)]
+            assert (frame["lat_min"], frame["lat_max"]) == (min(neg), max(neg))
+            lat = [0] * (len(telemetry.LATENCY_BUCKETS) + 1)
+            for value in neg:
+                lat[bisect.bisect_left(telemetry.LATENCY_BUCKETS, value)] += 1
+            assert frame["lat_counts"] == lat
+
     def test_frames_carry_duty_tokens_and_labels(self, monkeypatch, tmp_path):
         _, series, counters = self._run_with_telemetry(
             monkeypatch, tmp_path, "tok", shards=3, workers=1
