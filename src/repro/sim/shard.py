@@ -806,8 +806,8 @@ class _FieldWindow:
                 # one-network shard and move the last bits.
                 neg_sum=np.cumsum(neg, axis=0)[-1].tolist(),
                 lat_counts=lat.tolist(),
-                lat_min=float(neg.min()) if neg.size else None,
-                lat_max=float(neg.max()) if neg.size else None,
+                lat_min=float(neg.min()),
+                lat_max=float(neg.max()),
                 tokens=(
                     [float(jammers[int(k)].duty_tokens) for k in self.engine.own]
                     if jammers is not None
