@@ -308,18 +308,16 @@ def test_jammer_bank():
     for _ in range(3 * windows - 1):  # _timed runs three rounds
         move = rng.random(n) < 0.4
         channels.append(np.where(move, rng.integers(0, 16, n), channels[-1]))
+
+    def streams():
+        return [derive(s, "bench-jammer") for s in range(n)]
+
     for mode in ("max", "random"):
         config = field_jammer_config(paper_defaults(mode))
-        def jammers():
-            return [
-                make_field_jammer(config, seed=derive(s, "bench-jammer"))
-                for s in range(n)
-            ]
-
-        # The bank draws on its jammers' streams, so the reference objects
-        # are a second set built from the same seeds.
-        bank = FieldJammerBank(jammers())
-        reference = jammers()
+        # The bank draws on its streams, so the reference objects are
+        # built on a second set derived from the same seeds.
+        bank = FieldJammerBank(config, streams())
+        reference = [make_field_jammer(config, seed=g) for g in streams()]
         array_seen, object_seen = [], []
 
         def array_step():

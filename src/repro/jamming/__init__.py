@@ -12,17 +12,15 @@ per victim slot of :class:`~repro.core.envs.SweepJammingEnv`).
 the victim to recognise as jamming (stealthiness).
 
 :mod:`repro.jamming.adversary` goes beyond the paper's threat model with
-reactive, follower, and learning cores, each on either clock.
+reactive, follower, and learning cores, each on either clock through one
+adversary→core table.
 """
 
 from repro.jamming.adversary import (
     FollowerCore,
-    FollowerFieldJammer,
     JammerMemory,
     LearningCore,
-    LearningFieldJammer,
     ReactiveCore,
-    ReactiveFieldJammer,
     make_field_jammer,
     make_slot_jammer_factory,
 )
@@ -66,9 +64,6 @@ __all__ = [
     "ReactiveCore",
     "FollowerCore",
     "LearningCore",
-    "ReactiveFieldJammer",
-    "FollowerFieldJammer",
-    "LearningFieldJammer",
     "make_field_jammer",
     "make_slot_jammer_factory",
     "AdaptiveSweep",

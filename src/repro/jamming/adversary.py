@@ -6,25 +6,19 @@ against FHSS, learning jammers, and deception defences that bait them)
 motivates three further adversaries. Each adversary is one decision
 core (see :mod:`repro.jamming.jammer`) that either clock can drive:
 
-==============  ===========================  ==============================
-adversary       decision core                field clock (``sim.field``)
-==============  ===========================  ==============================
-``sweep``       ``SweepCore`` (paper)        ``FieldJammer``
-``reactive``    :class:`ReactiveCore`        :class:`ReactiveFieldJammer`
-``follower``    :class:`FollowerCore`        :class:`FollowerFieldJammer`
-``learning``    :class:`LearningCore`        :class:`LearningFieldJammer`
-==============  ===========================  ==============================
+==============  ===========================  ==================================
+adversary       decision core                configured by
+==============  ===========================  ==================================
+``sweep``       ``SweepCore`` (paper)        ``FieldJammerConfig`` alone
+``reactive``    :class:`ReactiveCore`        ``ReactiveJammerConfig``
+``follower``    :class:`FollowerCore`        ``FollowerJammerConfig``
+``learning``    :class:`LearningCore`        a self-play jammer agent
+==============  ===========================  ==================================
 
-On the slot clock of :class:`~repro.core.envs.SweepJammingEnv` every
-core runs inside the one :class:`~repro.jamming.jammer.SlotJammer`. The
-field subclasses only choose their core; the reactive one also exposes
-its duty bucket as :attr:`ReactiveFieldJammer.duty_tokens`.
-
-:func:`make_field_jammer` dispatches on
-:attr:`~repro.jamming.jammer.FieldJammerConfig.adversary`, which is how
-the field experiment, the sharded grid engine, and the CLI sweeps select
-an adversary; :func:`make_slot_jammer_factory` does the same for
-:class:`~repro.core.envs.SweepJammingEnv`.
+That table is ``_CORES``; :func:`core_builder` builds a core from it for
+either clock. The field clock (:func:`make_field_jammer`) reads the
+adversary and its options from its ``FieldJammerConfig``, the slot
+clock from :func:`make_slot_jammer_factory`'s keywords.
 
 An *ideal* reactive jammer (perfect detection, zero latency, unbounded
 duty cycle — the :class:`~repro.jamming.jammer.ReactiveJammerConfig`
@@ -36,6 +30,7 @@ measurable, documented way.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 import numpy as np
@@ -327,84 +322,33 @@ class LearningCore(SweepCore):
         return block
 
 
-# ---------------------------------------------------------------------------
-# The field clock
-# ---------------------------------------------------------------------------
+#: Each adversary's decision core and the clock options it takes.
+_CORES = {
+    "sweep": (SweepCore, ()),
+    "reactive": (ReactiveCore, ("reactive",)),
+    "follower": (FollowerCore, ("follower",)),
+    "learning": (LearningCore, ("agent", "history_length")),
+}
 
 
-class ReactiveFieldJammer(FieldJammer):
-    """:class:`ReactiveCore` on the field clock (``config.reactive``).
+def core_builder(adversary: str, **options):
+    """``adversary``'s core class bound to its own ``options``.
 
-    A classified target is attacked after ``response_latency_s`` of
-    turnaround, for as long as the duty-cycle token bucket allows.
+    A clock passes every option it has; each core keeps the ones it
+    takes. Call the result as ``build(num_channels, num_blocks, rng,
+    strategy=None)``.
     """
-
-    def _build_core(self, rng: np.random.Generator, strategy) -> ReactiveCore:
-        cfg = self.config
-        return ReactiveCore(
-            cfg.num_channels, cfg.num_blocks, rng, strategy, reactive=cfg.reactive
-        )
-
-    @property
-    def duty_tokens(self) -> float:
-        """Remaining transmit budget in seconds (the token bucket level)."""
-        return self._budget
-
-
-class FollowerFieldJammer(FieldJammer):
-    """:class:`FollowerCore` on the field clock (``config.follower``)."""
-
-    def _build_core(self, rng: np.random.Generator, strategy) -> FollowerCore:
-        cfg = self.config
-        return FollowerCore(
-            cfg.num_channels, cfg.num_blocks, rng, strategy, follower=cfg.follower
-        )
-
-
-class LearningFieldJammer(FieldJammer):
-    """:class:`LearningCore` on the field clock (``config.learning_agent``)."""
-
-    def __init__(
-        self,
-        config: FieldJammerConfig | None = None,
-        *,
-        seed: SeedLike = None,
-        strategy=None,
-        history_length: int = DEFAULT_HISTORY_LENGTH,
-    ) -> None:
-        self._history_length = history_length
-        super().__init__(config, seed=seed, strategy=strategy)
-
-    def _build_core(self, rng: np.random.Generator, strategy) -> LearningCore:
-        cfg = self.config
-        return LearningCore(
-            cfg.num_channels,
-            cfg.num_blocks,
-            rng,
-            strategy,
-            agent=cfg.learning_agent,
-            history_length=self._history_length,
-        )
+    if adversary not in _CORES:
+        raise ConfigurationError(f"unknown adversary {adversary!r}")
+    core, keys = _CORES[adversary]
+    return functools.partial(core, **{k: options[k] for k in keys if k in options})
 
 
 def make_field_jammer(
     config: FieldJammerConfig, *, seed: SeedLike = None, strategy=None
 ) -> FieldJammer:
-    """Build the time-domain jammer ``config.adversary`` selects."""
-    if config.adversary == "sweep":
-        return FieldJammer(config, seed=seed, strategy=strategy)
-    if config.adversary == "reactive":
-        return ReactiveFieldJammer(config, seed=seed, strategy=strategy)
-    if config.adversary == "follower":
-        return FollowerFieldJammer(config, seed=seed, strategy=strategy)
-    if config.adversary == "learning":
-        return LearningFieldJammer(config, seed=seed, strategy=strategy)
-    raise ConfigurationError(f"unknown adversary {config.adversary!r}")
-
-
-# ---------------------------------------------------------------------------
-# The slot clock
-# ---------------------------------------------------------------------------
+    """Build one network's time-domain jammer (``config.adversary``'s core)."""
+    return FieldJammer(config, seed=seed, strategy=strategy)
 
 
 def make_slot_jammer_factory(
@@ -427,18 +371,16 @@ def make_slot_jammer_factory(
     """
     if adversary == "sweep":
         return None
-    if adversary == "reactive":
-        core, options = ReactiveCore, {"reactive": reactive}
-    elif adversary == "follower":
-        core, options = FollowerCore, {"follower": follower}
-    elif adversary == "learning":
-        core = LearningCore
-        options = {"agent": agent, "history_length": history_length}
-    else:
-        raise ConfigurationError(f"unknown adversary {adversary!r}")
+    build = core_builder(
+        adversary,
+        reactive=reactive,
+        follower=follower,
+        agent=agent,
+        history_length=history_length,
+    )
 
     def factory(config: MDPConfig, rng: np.random.Generator) -> SlotJammer:
-        decisions = core(config.num_channels, config.sweep_cycle, rng, **options)
+        decisions = build(config.num_channels, config.sweep_cycle, rng)
         return SlotJammer(config, decisions, slot_duration_s=slot_duration_s)
 
     return factory
@@ -449,9 +391,7 @@ __all__ = [
     "ReactiveCore",
     "FollowerCore",
     "LearningCore",
-    "ReactiveFieldJammer",
-    "FollowerFieldJammer",
-    "LearningFieldJammer",
+    "core_builder",
     "make_field_jammer",
     "make_slot_jammer_factory",
 ]

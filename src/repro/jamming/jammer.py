@@ -50,9 +50,9 @@ zero-length window or an out-of-range victim channel.
 state.
 
 :class:`~repro.sim.shard.FieldJammerBank` keeps the same contract for N
-jammers at once: one window for all of them, the same three errors. For
-the paper's sweep jammer it moves the attack state into arrays seeded
-from the jammer objects, which are stale from then on.
+jammers at once: one window for all of them, the same three errors. A
+bank of more than one paper sweep jammer keeps their attack state in
+arrays and builds no jammer objects.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ from repro.errors import ConfigurationError
 from repro.jamming.strategies import RandomSweep, make_strategy, strategy_options
 from repro.rng import SeedLike, make_rng
 
-#: Adversary models :func:`repro.jamming.adversary.make_field_jammer`
+#: Adversary models :func:`repro.jamming.adversary.core_builder`
 #: understands (``sweep``, ``reactive``, ``follower``, ``learning``).
 #: ``sweep`` is the paper's proactive jammer.
 ADVERSARIES = knobs.KNOBS["REPRO_ADVERSARIES"].choices
@@ -205,9 +205,7 @@ class FieldJammerConfig:
     jam_width: int = ZIGBEE_CHANNELS_PER_WIFI
     power_levels: tuple[float, ...] = DEFAULT_JAMMER_POWER_LEVELS
     mode: str = JammerMode.MAX
-    #: Which adversary model drives the clock (see :data:`ADVERSARIES`);
-    #: anything beyond ``sweep`` is built by
-    #: :func:`repro.jamming.adversary.make_field_jammer`.
+    #: Which adversary's core drives the clock (see :data:`ADVERSARIES`).
     adversary: str = "sweep"
     #: Sweep-order strategy name (see :func:`repro.jamming.strategies.make_strategy`).
     sweep_strategy: str = "random"
@@ -344,13 +342,12 @@ class SweepCore:
 class FieldJammer:
     """A jammer core advanced lazily along the time axis.
 
-    One core decision every ``config.slot_duration_s``. The sweep order
-    is pluggable (see :mod:`repro.jamming.strategies`). This class runs
-    the paper's :class:`SweepCore`; the subclasses in
-    :mod:`repro.jamming.adversary` swap in a harder core through
-    :meth:`_build_core`. The window/segment accounting (including attacks
-    that start mid-decision via ``_active_from``) and the field clock's
-    power and duty/latency rules live here.
+    One core decision every ``config.slot_duration_s``. The core is
+    ``config.adversary``'s (the paper's :class:`SweepCore` by default;
+    see :mod:`repro.jamming.adversary`) and the sweep order is pluggable
+    (see :mod:`repro.jamming.strategies`). The window/segment accounting
+    (including attacks that start mid-decision via ``_active_from``) and
+    the field clock's power and duty/latency rules live here.
     """
 
     def __init__(
@@ -360,8 +357,10 @@ class FieldJammer:
         seed: SeedLike = None,
         strategy=None,
     ) -> None:
-        self.config = config or FieldJammerConfig()
-        cfg = self.config
+        # Deferred: the adversary module, home of the cores, imports this one.
+        from repro.jamming.adversary import core_builder
+
+        self.config = cfg = config or FieldJammerConfig()
         rng = make_rng(seed)
         if strategy is None:
             # The default strategy shares the jammer's rng stream (the
@@ -374,13 +373,14 @@ class FieldJammer:
                 seed=rng if seeded else None,
                 **dict(cfg.strategy_options),
             )
-        self.core = self._build_core(rng, strategy)
-        self.blocks = self.core.blocks
+        build = core_builder(
+            cfg.adversary,
+            reactive=cfg.reactive,
+            follower=cfg.follower,
+            agent=cfg.learning_agent,
+        )
+        self.core = build(cfg.num_channels, cfg.num_blocks, rng, strategy)
         self.reset()
-
-    def _build_core(self, rng: np.random.Generator, strategy) -> SweepCore:
-        cfg = self.config
-        return SweepCore(cfg.num_channels, cfg.num_blocks, rng, strategy)
 
     def reset(self) -> None:
         """Restart the search and rewind the clock to time zero."""
@@ -394,6 +394,11 @@ class FieldJammer:
         # at ``duty_cycle`` seconds of TX per second of wall time.
         self._budget = self.config.slot_duration_s
         self._budget_mark = 0.0
+
+    @property
+    def duty_tokens(self) -> float:
+        """Remaining transmit budget in seconds (the duty token bucket's level)."""
+        return self._budget
 
     def drain_counters(self) -> dict[str, float]:
         """Return and clear the adversary counters accumulated so far.

@@ -19,8 +19,8 @@ is a resumable run of a one-network engine.
   keeps its histories as one N × I ring of slot symbols and scores each
   distinct (policy, window) once per run through one greedy forward that
   stacks each distinct agent once. Every array path is bit-identical to
-  stepping the objects. A solo :class:`FieldExperiment`
-  runs its jammer through the same bank but steps its caller's adapter.
+  stepping the objects. A solo :class:`FieldExperiment` steps its one
+  jammer and its caller's adapter as objects.
 * The field is partitioned into vertical strips (shards). Co-channel
   interference between neighbouring networks only affects *delivery*,
   never the control path (channel choice, jammer dynamics, rng streams),
@@ -29,10 +29,10 @@ is a resumable run of a one-network engine.
   bitwise equal to 1-shard results, and shards dispatch across
   :class:`~repro.exec.ParallelRunner` workers worker-count-invariantly.
 * A grid builds each shard once, on its first run (:class:`_ShardBuild`):
-  the interference edges and PER grid, the seeded per-network streams,
-  the paper sweep's jammers and a default-factory table fleet that runs
-  as arrays. Every later run rewinds the streams to their seeded state,
-  so a run is still a pure function of the config, seed and slot count.
+  the interference edges and PER grid, the seeded per-network streams
+  and a default-factory table fleet that runs as arrays. Every later run
+  rewinds the streams to their seeded state, so a run is still a pure
+  function of the config, seed and slot count.
   A spec pickled for a pool worker carries an empty build, so pooled
   shards are built in their worker on every run.
 * Aggregation streams: per-network counters accumulate slot by slot and
@@ -76,8 +76,12 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.exec.faults import TaskFailure
 from repro.exec.runner import ParallelRunner
 from repro.jamming.adversary import make_field_jammer
-from repro.jamming.jammer import _CLOCK_EPS, FieldJammer, SweepCore
-from repro.jamming.strategies import RandomSweep
+from repro.jamming.jammer import (
+    _CLOCK_EPS,
+    FieldJammer,
+    FieldJammerConfig,
+    channel_blocks,
+)
 from repro.net.goodput import AGGREGATE_DRAWS_PER_SLOT, GoodputModel
 from repro.obs import telemetry as obs_telemetry
 from repro.obs import trace as obs_trace
@@ -226,69 +230,74 @@ class SchemeAdapterFactory:
 class FieldJammerBank:
     """N per-network time-domain jammers, advanced as one batch query.
 
-    The paper's jammer (a :class:`FieldJammer` whose
-    :class:`~repro.jamming.jammer.SweepCore` sweeps in
-    :class:`RandomSweep` order on the jammer's own stream) runs as arrays:
-    the camping block (-1 for none), an N × S unvisited-block mask, the
-    active block (-1 for none), its power and start, the next decision
-    time and the clock.
+    Built from one jammer config and one stream per network. A bank of
+    more than one paper jammer (the :class:`~repro.jamming.jammer.SweepCore`
+    sweeping in :class:`~repro.jamming.strategies.RandomSweep` order on
+    the jammer's own stream) runs as arrays started at time zero: the
+    camping block (-1 for none), an N × S unvisited-block mask, the
+    active block (-1 for none), its power and start, and the next
+    decision time.
     :meth:`attack_profiles` runs :meth:`FieldJammer.attack_profile`'s
     decide/segment loop over all rows at once, and the sweep picks and
     power draws come from :class:`~repro.rng.BoundedDraws` on each
-    jammer's stream, so every answer is bit-identical to stepping the
-    jammers one at a time. The state is seeded from the jammers given and
-    their cores, which are stale from then on; the sweep jammer counts
-    nothing and ignores decoys, so nothing reads them.
+    stream, so every answer is bit-identical to stepping
+    :func:`make_field_jammer` objects one at a time. The sweep jammer
+    counts nothing and ignores decoys, so an array bank has neither.
 
-    Any other adversary or strategy, or a process whose
-    :func:`~repro.rng.bounded_draws_exact` check fails, steps the jammer
-    objects one at a time instead.
+    A bank of one, any other adversary or strategy, or a process whose
+    :func:`~repro.rng.bounded_draws_exact` check fails, builds one
+    jammer per stream and steps them one at a time instead: a lone
+    jammer object steps faster than a row of arrays.
     """
 
-    def __init__(self, jammers: list[FieldJammer]) -> None:
-        if not jammers:
+    def __init__(
+        self, config: FieldJammerConfig, generators: list[np.random.Generator]
+    ) -> None:
+        if not generators:
             raise ConfigurationError("a jammer bank needs at least one jammer")
-        self.jammers = list(jammers)
+        self._jammers: list[FieldJammer] | None = None
         self._draws: BoundedDraws | None = None
-        if _paper_sweep(self.jammers):
-            self._load_arrays()
+        paper = (
+            config.adversary == "sweep"
+            and config.sweep_strategy == "random"
+            and not config.strategy_options
+        )
+        if len(generators) > 1 and paper and BoundedDraws.supports(generators):
+            self._start_arrays(config, generators)
+        else:
+            self._jammers = [make_field_jammer(config, seed=g) for g in generators]
 
-    def __len__(self) -> int:
-        return len(self.jammers)
-
-    @property
-    def arrays(self) -> bool:
-        """Whether this bank runs as arrays (and never writes to its jammers)."""
-        return self._draws is not None
-
-    def _load_arrays(self) -> None:
-        first = self.jammers[0]
-        cfg = first.config
+    def _start_arrays(
+        self, cfg: FieldJammerConfig, generators: list[np.random.Generator]
+    ) -> None:
+        blocks = channel_blocks(cfg.num_channels, cfg.jam_width)
         self._slot_s = cfg.slot_duration_s
         self._levels = np.asarray(cfg.power_levels, dtype=np.float64)
         self._max_mode = cfg.mode == JammerMode.MAX
-        self._block_of = np.empty(cfg.num_channels, dtype=np.intp)
-        for b, block in enumerate(first.blocks):
-            self._block_of[list(block)] = b
-        n, s = len(self.jammers), len(first.blocks)
+        self._block_of = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        n = len(generators)
         self._camping = np.full(n, -1, dtype=np.intp)
-        self._unvisited = np.zeros((n, s), dtype=bool)
+        self._unvisited = np.zeros((n, len(blocks)), dtype=bool)
         self._active = np.full(n, -1, dtype=np.intp)
         self._power = np.zeros(n)
         self._from = np.zeros(n)
         self._next = np.zeros(n)
-        self._clock = np.zeros(n)
-        for i, j in enumerate(self.jammers):
-            if j.core.camping is not None:
-                self._camping[i] = j.core.camping
-            self._unvisited[i, j.core.strategy._unvisited] = True
-            if j._active_block:
-                self._active[i] = self._block_of[j._active_block[0]]
-            self._power[i] = j._active_power
-            self._from[i] = j._active_from
-            self._next[i] = j._next_decision
-            self._clock[i] = j._clock
-        self._draws = BoundedDraws([j.core.rng for j in self.jammers])
+        self._clock = 0.0
+        self._draws = BoundedDraws(generators)
+
+    def observe_decoys(self, decoys: list) -> None:
+        """Let each row's jammer hear its network's decoy channel (or ``None``)."""
+        if self._jammers is not None:
+            for jammer, decoy in zip(self._jammers, decoys):
+                jammer.observe_decoy(decoy)
+
+    def counters(self, row: int) -> FieldJammer | None:
+        """Row ``row``'s counter holder (none in an array bank: sweeps count none)."""
+        return None if self._jammers is None else self._jammers[row]
+
+    def duty_tokens(self, rows) -> list[float]:
+        """The listed rows' duty bucket levels in seconds (object banks only)."""
+        return [float(self._jammers[int(k)].duty_tokens) for k in rows]
 
     def attack_profiles(
         self, window_start: float, window_end: float, victim_channels
@@ -300,28 +309,24 @@ class FieldJammerBank:
         """
         if self._draws is not None:
             return self._attack_arrays(window_start, window_end, victim_channels)
-        n = len(self.jammers)
-        fraction = np.zeros(n)
-        attempted = np.zeros(n, dtype=bool)
-        max_power = np.zeros(n)
-        for i, jammer in enumerate(self.jammers):
-            profile = jammer.attack_profile(
-                window_start, window_end, int(victim_channels[i])
-            )
-            fraction[i] = profile.jammed_fraction
-            attempted[i] = profile.attempted
-            max_power[i] = profile.max_power
-        return fraction, attempted, max_power
+        profiles = [
+            jammer.attack_profile(window_start, window_end, int(channel))
+            for jammer, channel in zip(self._jammers, victim_channels)
+        ]
+        return (
+            np.array([p.jammed_fraction for p in profiles], dtype=np.float64),
+            np.array([p.attempted for p in profiles], dtype=bool),
+            np.array([p.max_power for p in profiles], dtype=np.float64),
+        )
 
     def _attack_arrays(self, window_start, window_end, victim_channels):
         channels = np.asarray(victim_channels)
         if window_end <= window_start:
             raise ConfigurationError("window must have positive length")
-        clock = float(self._clock.max())
-        if window_start < clock - _CLOCK_EPS:
+        if window_start < self._clock - _CLOCK_EPS:
             raise ConfigurationError(
                 f"window starting at {window_start} begins before the jammer "
-                f"clock ({clock}); attack_profile windows must be "
+                f"clock ({self._clock}); attack_profile windows must be "
                 "monotone — call reset() to rewind to time zero"
             )
         bad = (channels < 0) | (channels >= len(self._block_of))
@@ -329,7 +334,7 @@ class FieldJammerBank:
             raise ConfigurationError(
                 f"victim channel {int(channels[bad][0])} out of range"
             )
-        n = len(self.jammers)
+        n = len(self._camping)
         victim = self._block_of[channels]
         t = np.full(n, float(window_start))
         jammed = np.zeros(n)
@@ -357,7 +362,7 @@ class FieldJammerBank:
                 max_power[rows] = np.maximum(max_power[rows], self._power[rows])
             t[live] = seg_end
             live = live[seg_end < window_end]
-        self._clock[:] = window_end
+        self._clock = window_end
         return jammed / (window_end - window_start), attempted, max_power
 
     def _decide(self, rows: np.ndarray, t: np.ndarray, victim: np.ndarray) -> None:
@@ -406,7 +411,7 @@ class FieldJammerBank:
         if self._draws is None:
             return np.array(
                 [
-                    self.jammers[int(i)].is_attacking(int(c))
+                    self._jammers[int(i)].is_attacking(int(c))
                     for i, c in zip(networks, channels)
                 ],
                 dtype=bool,
@@ -421,19 +426,6 @@ class FieldJammerBank:
         return (self._active[networks] == self._block_of[channels]) & (
             self._power[networks] > 0
         )
-
-
-def _paper_sweep(jammers: list[FieldJammer]) -> bool:
-    """Whether a bank of these jammers can run as arrays, exactly."""
-    config = jammers[0].config
-    return all(
-        type(j) is FieldJammer
-        and type(j.core) is SweepCore
-        and type(j.core.strategy) is RandomSweep
-        and j.core.strategy._rng is j.core.rng
-        and j.config == config
-        for j in jammers
-    ) and BoundedDraws.supports([j.core.rng for j in jammers])
 
 
 @dataclass(frozen=True, eq=False)
@@ -603,11 +595,11 @@ class _ShardBuild:
     The engine that steps the shard fills it on first use: the co-channel
     edges and PER grid (``interference``, which a run only reads), the
     ``field``, ``field-jammer`` and ``field-channel`` generators with
-    their states as derived, the paper sweep's jammers, and a
-    default-factory table fleet with its probed hop/power tables. Every
-    later :meth:`streams` and :meth:`adapters` call restores each saved
-    ``bit_generator.state``, which leaves a generator exactly as freshly
-    derived at about a tenth of the cost. A pickled build is empty, since
+    their states as derived, and a default-factory table fleet with its
+    probed hop/power tables. Every later :meth:`streams` and
+    :meth:`adapters` call restores each saved ``bit_generator.state``,
+    which leaves a generator exactly as freshly derived at about a tenth
+    of the cost. A pickled build is empty, since
     a generator takes longer to pickle than to derive: a pool worker
     builds its shard afresh.
     """
@@ -618,7 +610,6 @@ class _ShardBuild:
         self.jammer: list[np.random.Generator] = []
         self.channel: list[np.random.Generator] | None = None
         self._states: list[dict] | None = None
-        self._jammers: list[FieldJammer] | None = None
         #: The kept table fleet, its hop/power tables and its rng states.
         self.fleet: list[StatePolicyAdapter] | None = None
         self.tables: tuple[np.ndarray, np.ndarray] | None = None
@@ -658,18 +649,6 @@ class _ShardBuild:
 
     def _generators(self) -> list[np.random.Generator]:
         return [*self.field, *self.jammer, *(self.channel or ())]
-
-    def jammer_bank(self, config) -> FieldJammerBank:
-        """This run's jammer bank, drawing on the jammer streams."""
-        jammers = self._jammers or [
-            make_field_jammer(config, seed=g) for g in self.jammer
-        ]
-        bank = FieldJammerBank(jammers)
-        # An array bank never writes to its jammers, and the paper sweep
-        # draws nothing while it is built, so its jammers serve every run.
-        # Any other bank steps its jammers: they are built per run.
-        self._jammers = jammers if bank.arrays else None
-        return bank
 
     def adapters(self, spec: _ShardSpec) -> list:
         """This run's fleet: the kept one rewound, else the factory's."""
@@ -733,16 +712,13 @@ class _FieldWindow:
 
     def __init__(self, engine: _ShardEngine) -> None:
         self.engine = engine
-        fld, own, bank = engine.fld, engine.own, engine.bank
+        fld, own = engine.fld, engine.own
         self.networks = [engine.spec.global_indices[int(k)] for k in own]
         self.labels = {
             "adversary": fld.jammer.adversary if fld.jammer is not None else "none"
         }
         if engine.scheme:
             self.labels["scheme"] = engine.scheme
-        self.track_tokens = bank is not None and all(
-            hasattr(j, "duty_tokens") for j in bank.jammers
-        )
         self.interval = obs_telemetry.interval()
         self.buckets = np.asarray(obs_telemetry.LATENCY_BUCKETS)
         # Rows grow on demand up to the interval, which may exceed the run.
@@ -788,7 +764,6 @@ class _FieldWindow:
             np.searchsorted(self.buckets, neg.ravel(), side="left"),
             minlength=len(self.buckets) + 1,
         )
-        jammers = self.engine.bank.jammers if self.track_tokens else None
         obs_telemetry.record_frame(
             obs_telemetry.field_frame(
                 window=self.window,
@@ -809,8 +784,8 @@ class _FieldWindow:
                 lat_min=float(neg.min()),
                 lat_max=float(neg.max()),
                 tokens=(
-                    [float(jammers[int(k)].duty_tokens) for k in self.engine.own]
-                    if jammers is not None
+                    self.engine.bank.duty_tokens(self.engine.own)
+                    if self.labels["adversary"] == "reactive"
                     else None
                 ),
             )
@@ -870,7 +845,9 @@ class _ShardEngine:
             )
         else:
             self.rngs = build.field
-        self.bank = build.jammer_bank(fld.jammer) if fld.jammer is not None else None
+        self.bank = None
+        if fld.jammer is not None:
+            self.bank = FieldJammerBank(fld.jammer, build.jammer)
         self.jam_streams = (
             _StreamMatrix(build.channel, 1, spec.field_batch)
             if build.channel is not None
@@ -1168,8 +1145,7 @@ class _ShardEngine:
                 ]
             )
             if bank is not None:
-                for jammer, d in zip(bank.jammers, decoys):
-                    jammer.observe_decoy(d)
+                bank.observe_decoys(decoys)
 
         # Jam and adjudicate.
         old_attacked = np.zeros(n, dtype=bool)
@@ -1314,7 +1290,7 @@ class _ShardEngine:
             g = self.spec.global_indices[int(k)]
             if adversary is not None:
                 drain_labelled_counters(
-                    self.bank.jammers[int(k)],
+                    self.bank.counters(int(k)),
                     "jam",
                     {"adversary": adversary, "network": g},
                 )
@@ -1338,13 +1314,12 @@ class FieldGrid:
     size, and ``keep_records`` — those are pure performance/memory knobs.
     ``run`` is a pure function of ``(config, seed, num_slots)``. The first
     call builds each shard's invariants once (:class:`_ShardBuild`: the
-    interference arrays, the seeded streams, the paper sweep's jammers)
-    and later calls reuse them, rewinding every stream to its seeded
-    state, so calling it twice returns identical results. The default
-    factory's table fleet (``scheme="optimal"``, run as table lookups
-    and hop draws) is kept the same way; any other fleet comes from its
-    factory on every call. Shards run in pool workers are built there
-    on every call.
+    interference arrays and the seeded streams) and later calls reuse
+    them, rewinding every stream to its seeded state, so calling it twice
+    returns identical results. The default factory's table fleet
+    (``scheme="optimal"``, run as table lookups and hop draws) is kept
+    the same way; any other fleet comes from its factory on every call.
+    Shards run in pool workers are built there on every call.
     """
 
     def __init__(

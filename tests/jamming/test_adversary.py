@@ -15,10 +15,10 @@ from repro.core.mdp import MDPConfig
 from repro.core.selfplay import SelfPlayConfig, train_selfplay
 from repro.errors import ConfigurationError
 from repro.jamming.adversary import (
-    FollowerFieldJammer,
+    FollowerCore,
     JammerMemory,
-    LearningFieldJammer,
-    ReactiveFieldJammer,
+    LearningCore,
+    ReactiveCore,
     make_field_jammer,
     make_slot_jammer_factory,
 )
@@ -62,7 +62,7 @@ class TestIdealEquivalence:
         react = make_field_jammer(
             FieldJammerConfig(mode=mode, adversary="reactive"), seed=11
         )
-        assert isinstance(react, ReactiveFieldJammer)
+        assert type(react.core) is ReactiveCore
         for (a, b), c in zip(windows, channels):
             assert base.attack_profile(a, b, c) == react.attack_profile(a, b, c)
             assert base.active_channels == react.active_channels
@@ -188,7 +188,7 @@ class TestFollowerField:
         jammer = make_field_jammer(
             FieldJammerConfig(adversary="follower", follower=fc), seed=seed
         )
-        assert isinstance(jammer, FollowerFieldJammer)
+        assert type(jammer.core) is FollowerCore
         profiles = []
         for k in range(windows):
             channel = 0 if k % 2 == 0 else 15  # hops across distant blocks
@@ -228,7 +228,7 @@ class TestLearningJammers:
         runs = []
         for _ in range(2):
             jammer = make_field_jammer(cfg, seed=6)
-            assert isinstance(jammer, LearningFieldJammer)
+            assert type(jammer.core) is LearningCore
             runs.append(
                 [
                     jammer.attack_profile(k * 3.0, (k + 1) * 3.0, k % 16)
@@ -322,14 +322,10 @@ class TestJammerMemory:
 class TestDispatch:
     def test_field_dispatch_types(self):
         assert type(make_field_jammer(FieldJammerConfig(), seed=0)) is FieldJammer
-        assert isinstance(
-            make_field_jammer(FieldJammerConfig(adversary="reactive"), seed=0),
-            ReactiveFieldJammer,
-        )
-        assert isinstance(
-            make_field_jammer(FieldJammerConfig(adversary="follower"), seed=0),
-            FollowerFieldJammer,
-        )
+        reactive = make_field_jammer(FieldJammerConfig(adversary="reactive"), seed=0)
+        follower = make_field_jammer(FieldJammerConfig(adversary="follower"), seed=0)
+        assert type(reactive.core) is ReactiveCore
+        assert type(follower.core) is FollowerCore
 
     def test_sweep_factory_is_none(self):
         # Callers pass the result straight through; the env then builds
@@ -414,7 +410,7 @@ class TestInstrumentationCounters:
         jammer = make_field_jammer(
             FieldJammerConfig(adversary="follower", follower=fc), seed=0
         )
-        assert isinstance(jammer, FollowerFieldJammer)
+        assert type(jammer.core) is FollowerCore
         for k in range(4):  # victim stays: trail catches it after the lag
             jammer.attack_profile(k * 3.0, (k + 1) * 3.0, 7)
         assert jammer.drain_counters()["locks"] == 1

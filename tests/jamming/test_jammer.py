@@ -25,7 +25,7 @@ class TestConfig:
 class TestSweep:
     def test_blocks_partition_channels(self):
         j = FieldJammer(seed=0)
-        flat = sorted(c for b in j.blocks for c in b)
+        flat = sorted(c for b in j.core.blocks for c in b)
         assert flat == list(range(16))
 
     def test_finds_staying_victim_within_cycle(self):

@@ -1,8 +1,8 @@
 """A grid builds its shards once and reuses the build on every run.
 
-``FieldGrid.run`` keeps each shard's interference arrays, seeded streams,
-paper-sweep jammers and default-factory table fleet from its first call
-and rewinds the streams on every later call. The contract under test: any
+``FieldGrid.run`` keeps each shard's interference arrays, seeded streams
+and default-factory table fleet from its first call and rewinds the
+streams on every later call. The contract under test: any
 sequence of runs on one grid equals the same runs on fresh grids, bit for
 bit, for every fleet shape, adversary and sampling mode; concurrent runs
 and runs after a failed one included. Every other fleet comes from its
@@ -174,12 +174,20 @@ def test_reactive_jammers_are_built_per_run(monkeypatch):
         return make(*args, **kwargs)
 
     monkeypatch.setattr(shard, "make_field_jammer", counting)
-    for fleet, per_run in (("reactive", 6), ("deception", 0)):
-        grid = FieldGrid(_fleet(fleet), seed=SEED)
-        grid.run(5)
-        built.clear()
-        grid.run(5)
-        assert len(built) == per_run
+    # The paper sweep runs as arrays and builds no jammer object, on the
+    # first run too; any other adversary, and a bank of one, builds one
+    # per network per run.
+    deception = _fleet("deception")
+    for cfg, per_run in (
+        (_fleet("reactive"), 6),
+        (deception, 0),
+        (dataclasses.replace(deception, num_networks=1), 1),
+    ):
+        grid = FieldGrid(cfg, seed=SEED)
+        for _ in range(2):
+            built.clear()
+            grid.run(5)
+            assert len(built) == per_run
 
 
 def test_default_table_fleet_is_built_once(monkeypatch):

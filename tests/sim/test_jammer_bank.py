@@ -1,9 +1,10 @@
 """Differential oracle for :class:`repro.sim.shard.FieldJammerBank`.
 
-A bank of N jammers must answer every window exactly as N
-:func:`~repro.jamming.adversary.make_field_jammer` objects stepped one
-at a time: the same ``(fraction, attempted, max_power)`` bits, the same
-``attacking()`` answers, and the same clock-contract errors. The paper's
+A bank built from N jammer streams must answer every window exactly as
+N :func:`~repro.jamming.adversary.make_field_jammer` objects on those
+streams stepped one at a time: the same ``(fraction, attempted,
+max_power)`` bits, the same ``attacking()`` answers, and the same
+clock-contract errors. The paper's
 sweep jammer is drawn over fleet size, power mode, jammer slot, window
 length, window gaps and victim channels; the other adversaries and sweep
 strategies are checked on fixed draws.
@@ -32,10 +33,8 @@ JAMMER_SLOTS = (0.7, 1.0, 3.0, 4.5)
 WINDOWS = (1.0, 3.0)
 
 
-def _jammers(config, n: int, seed: int) -> list:
-    return [
-        make_field_jammer(config, seed=derive(seed, f"bank[{i}]")) for i in range(n)
-    ]
+def _streams(n: int, seed: int) -> list:
+    return [derive(seed, f"bank[{i}]") for i in range(n)]
 
 
 def _windows(rng: np.random.Generator, length: float, count: int) -> list:
@@ -55,8 +54,8 @@ def _step_both(config, n: int, seed: int, length: float, count: int = 30):
     Returns every window's bank outputs, after asserting they equal the
     objects' bit for bit.
     """
-    bank = FieldJammerBank(_jammers(config, n, seed))
-    reference = _jammers(config, n, seed)
+    bank = FieldJammerBank(config, _streams(n, seed))
+    reference = [make_field_jammer(config, seed=g) for g in _streams(n, seed)]
     rng = np.random.default_rng(seed)
     num_channels = config.num_channels
     channels = rng.integers(0, num_channels, n)
@@ -102,7 +101,7 @@ def test_sweep_bank_clock_contract(mode):
 
     def advanced():
         # A bank past its first window; a failed call leaves it undefined.
-        bank = FieldJammerBank(_jammers(config, 4, seed=3))
+        bank = FieldJammerBank(config, _streams(4, seed=3))
         bank.attack_profiles(0.0, 3.0, channels)
         return bank
 
