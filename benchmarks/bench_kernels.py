@@ -1,7 +1,9 @@
 """Microbenchmarks for the simulation/training fast-path kernels.
 
 Times each optimised kernel against the reference implementation it
-replaced (and is pinned bit-identical to by the equivalence suites):
+replaced (and is pinned bit-identical to by the equivalence suites); the
+PHY references are the test oracles in ``tests/oracles/kernels.py``, so
+run this file from the repository root with ``python -m pytest``:
 
 * PER lookup — memoised :class:`repro.channel.link.LinkTable` vs direct
   :class:`repro.channel.link.LinkBudget` evaluation,
@@ -48,6 +50,13 @@ from repro.core.vecenv import _StackedMLP, _batched_act, _batched_train_step
 from repro.exec import timing
 from repro.phy import convolutional as C
 from repro.rng import derive
+from tests.oracles.kernels import (
+    conv_encode_reference,
+    despread_reference,
+    find_preamble_reference,
+    locate_preamble_reference,
+    viterbi_decode_reference,
+)
 
 #: Speedups recorded into the artifact, filled as the tests run.
 SPEEDUPS: dict[str, float] = {}
@@ -117,7 +126,7 @@ def test_viterbi_speedup():
 
     reference_s = _timed(
         "kernels.viterbi.reference",
-        lambda: C.viterbi_decode_reference(noisy, terminated=True),
+        lambda: viterbi_decode_reference(noisy, terminated=True),
         repeats=3,
     )
     vectorized_s = _timed(
@@ -129,7 +138,7 @@ def test_viterbi_speedup():
 
     encode_ref_s = _timed(
         "kernels.conv_encode.reference",
-        lambda: C.conv_encode_reference(msg),
+        lambda: conv_encode_reference(msg),
         repeats=10,
     )
     encode_vec_s = _timed(
@@ -581,13 +590,13 @@ def test_despread_gemm_speedup():
     chips = rng.integers(0, 2, size=32 * 4096, dtype=np.uint8)
 
     gemm_sym, gemm_err = Z.despread(chips)
-    ref_sym, ref_err = Z.despread_reference(chips)
+    ref_sym, ref_err = despread_reference(chips)
     assert np.array_equal(gemm_sym, ref_sym)
     assert np.array_equal(gemm_err, ref_err)
 
     reference_s = _timed(
         "kernels.despread.reference",
-        lambda: Z.despread_reference(chips),
+        lambda: despread_reference(chips),
         repeats=5,
     )
     gemm_s = _timed(
@@ -608,11 +617,11 @@ def test_sync_correlation_speedup():
     # search in its worst case: every offset is visited.
     chips = rng.integers(0, 2, size=20_000, dtype=np.uint8)
     chips[-8 * 32 :] = np.tile(Z.CHIP_TABLE[0], 8)
-    assert S.find_preamble(chips) == S.find_preamble_reference(chips)
+    assert S.find_preamble(chips) == find_preamble_reference(chips)
 
     find_ref_s = _timed(
         "kernels.find_preamble.reference",
-        lambda: S.find_preamble_reference(chips),
+        lambda: find_preamble_reference(chips),
         repeats=2,
     )
     find_vec_s = _timed(
@@ -627,11 +636,11 @@ def test_sync_correlation_speedup():
         rng.standard_normal(12_000) + 1j * rng.standard_normal(12_000)
     )
     wf[-2 * stf.size : -stf.size] += stf
-    assert P.locate_preamble(wf) == P.locate_preamble_reference(wf)
+    assert P.locate_preamble(wf) == locate_preamble_reference(wf)
 
     stf_ref_s = _timed(
         "kernels.locate_preamble.reference",
-        lambda: P.locate_preamble_reference(wf),
+        lambda: locate_preamble_reference(wf),
         repeats=2,
     )
     stf_vec_s = _timed(

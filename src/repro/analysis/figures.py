@@ -497,20 +497,17 @@ def study_follower_config() -> FollowerJammerConfig:
     return FollowerJammerConfig(lag_slots=1)
 
 
-def train_adversary_jammer(
-    *, pairs: int = 2, episodes: int = 8, steps_per_episode: int = 150,
-    seed: int = 0,
-):
-    """Self-play-train the learning jammer the adversary study deploys."""
+def train_adversary_jammer(*, episodes: int = 8, seed: int = 0):
+    """Self-play-train the learning jammer the adversary study deploys.
+
+    Two victim/jammer pairs of 150-slot episodes; the best jammer wins.
+    """
     from repro.core.selfplay import SelfPlayConfig, train_selfplay
 
     defaults = paper_defaults()
     result = train_selfplay(
         SelfPlayConfig(
-            env=defaults.mdp,
-            pairs=pairs,
-            episodes=episodes,
-            steps_per_episode=steps_per_episode,
+            env=defaults.mdp, pairs=2, episodes=episodes, steps_per_episode=150
         ),
         seed=derive(seed, "adv-selfplay"),
     )
@@ -558,18 +555,16 @@ def _adv_task(spec: tuple) -> tuple[tuple[str, str], dict[str, float]]:
 def adversary_scheme_comparison(
     *,
     adversaries: tuple[str, ...] = ADVERSARIES,
-    schemes: tuple[str, ...] = ADV_STUDY_SCHEMES,
     slots: int = 300,
     seed: int = 0,
-    jammer_agent=None,
     selfplay_episodes: int = 8,
     sweep_strategy: str = "random",
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Every defence scheme against every adversary (fig11(a) extended).
 
-    Returns ``{adversary: {scheme: {goodput, success_rate, utilization}}}``.
-    The learning adversary deploys ``jammer_agent`` if given, else
-    self-play-trains one (``selfplay_episodes`` bounds the budget). Cells
+    Returns ``{adversary: {scheme: {goodput, success_rate, utilization}}}``
+    over :data:`ADV_STUDY_SCHEMES`. The learning adversary deploys a
+    self-play-trained jammer (``selfplay_episodes`` bounds the budget). Cells
     are independent experiments dispatched through
     :class:`repro.exec.ParallelRunner` (``REPRO_WORKERS``).
     """
@@ -578,22 +573,16 @@ def adversary_scheme_comparison(
             raise ConfigurationError(
                 f"unknown adversary {adversary!r}; expected one of {ADVERSARIES}"
             )
-    for scheme in schemes:
-        if scheme not in ADV_STUDY_SCHEMES:
-            raise ConfigurationError(
-                f"unknown scheme {scheme!r}; expected one of {ADV_STUDY_SCHEMES}"
-            )
-    if "learning" in adversaries and jammer_agent is None:
-        jammer_agent = train_adversary_jammer(
-            episodes=selfplay_episodes, seed=seed
-        )
+    jammer_agent = None
+    if "learning" in adversaries:
+        jammer_agent = train_adversary_jammer(episodes=selfplay_episodes, seed=seed)
     runner = ParallelRunner(name="adversary_scheme_comparison.map")
     cells = runner.map(
         _adv_task,
         [
             (adversary, scheme, slots, seed, jammer_agent, sweep_strategy)
             for adversary in adversaries
-            for scheme in schemes
+            for scheme in ADV_STUDY_SCHEMES
         ],
     )
     out: dict[str, dict[str, dict[str, float]]] = {}

@@ -43,7 +43,6 @@ from repro.channel.trials import (
 )
 from repro.channel.waveform import (
     awgn,
-    empirical_chip_flip_rate,
     jam_trial,
     make_jamming_waveform,
     mix,
@@ -70,7 +69,6 @@ __all__ = [
     "thermal_noise_dbm",
     "LogDistancePathLoss",
     "awgn",
-    "empirical_chip_flip_rate",
     "jam_trial",
     "make_jamming_waveform",
     "mix",

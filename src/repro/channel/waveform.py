@@ -6,7 +6,7 @@ a victim's O-QPSK frame, a jammer's burst (EmuBee, ZigBee or Wi-Fi OFDM),
 thermal noise — at controlled power ratios on a common 20 Msps clock, runs
 the genuine ZigBee receiver, and reports chip/symbol/packet outcomes.
 Property tests validate the analytic chip-flip model against these
-waveform-level measurements.
+waveform-level measurements (``tests/oracles/channel.py``).
 """
 
 from __future__ import annotations
@@ -163,35 +163,6 @@ def jam_trial(
     )
 
 
-def empirical_chip_flip_rate(
-    signal_type: JammerSignalType,
-    jam_to_signal_db: float,
-    *,
-    trials: int = 10,
-    payload_bytes: int = 8,
-    rng: SeedLike = None,
-) -> float:
-    """Mean waveform-level chip error rate at a given jam/signal ratio.
-
-    Used to validate :func:`repro.channel.link.chip_flip_probability`.
-    Runs on the batched trial engine (:mod:`repro.channel.trials`): trials
-    execute as ``(N, samples)`` tensor batches against the pre-generated
-    jammer bank, with one independent child RNG stream per trial so the
-    aggregate is invariant to batch size and worker count.
-    """
-    # Imported here: trials builds on this module's primitives.
-    from repro.channel.trials import run_chip_flip_trials
-
-    return run_chip_flip_trials(
-        signal_type,
-        jam_to_signal_db,
-        trials=trials,
-        payload_bytes=payload_bytes,
-        noise_to_signal_db=-30.0,
-        rng=rng,
-    )
-
-
 __all__ = [
     "scale_to_power",
     "awgn",
@@ -199,5 +170,4 @@ __all__ = [
     "make_jamming_waveform",
     "WaveformTrialResult",
     "jam_trial",
-    "empirical_chip_flip_rate",
 ]

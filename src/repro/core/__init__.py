@@ -4,7 +4,7 @@
   transition kernel, Eqs. 3–14).
 * :mod:`repro.core.solver` — exact solvers and the structural results of
   §III-B (monotone Q profiles, threshold policies).
-* :mod:`repro.core.envs` — analytic and mechanistic slotted environments.
+* :mod:`repro.core.envs` — the mechanistic slotted environment.
 * :mod:`repro.core.dqn` / :mod:`repro.core.trainer` — the DQN of §III-C and
   its training loop.
 * :mod:`repro.core.baselines` — Passive FH and Random FH (Fig. 11(a)).
@@ -13,10 +13,9 @@
 
 from repro.core.baselines import NoDefensePolicy, PassiveFHPolicy, RandomFHPolicy
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
-from repro.core.envs import AnalyticJammingEnv, StepInfo, SweepJammingEnv
+from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, JammerMode, MDPConfig
 from repro.core.metrics import MetricSummary, SlotLog, evaluate_policy
-from repro.core.qlearning import QLearningConfig, TabularQLearning
 from repro.core.policy import TabularPolicy, ThresholdPolicy, policy_from_solution_map
 from repro.core.replay import Batch, ReplayBuffer
 from repro.core.selfplay import (
@@ -27,10 +26,8 @@ from repro.core.selfplay import (
 )
 from repro.core.solver import (
     Solution,
-    bellman_residual,
     hop_q_profile,
     is_threshold_policy,
-    policy_iteration,
     stay_q_profile,
     value_iteration,
 )
@@ -51,7 +48,6 @@ __all__ = [
     "DQNAgent",
     "DQNConfig",
     "EpsilonSchedule",
-    "AnalyticJammingEnv",
     "StepInfo",
     "SweepJammingEnv",
     "TJ",
@@ -66,8 +62,6 @@ __all__ = [
     "TabularPolicy",
     "ThresholdPolicy",
     "policy_from_solution_map",
-    "QLearningConfig",
-    "TabularQLearning",
     "Batch",
     "ReplayBuffer",
     "SelfPlayConfig",
@@ -75,10 +69,8 @@ __all__ = [
     "SelfPlayResult",
     "train_selfplay",
     "Solution",
-    "bellman_residual",
     "hop_q_profile",
     "is_threshold_policy",
-    "policy_iteration",
     "stay_q_profile",
     "value_iteration",
     "MultiSeedResult",

@@ -4,7 +4,7 @@ The paper implements two comparison schemes distilled from common
 anti-jamming designs (e.g. Hanawal et al., Chang et al.):
 
 * **Passive FH (PSV FH)** — react only: keep channel and power until the
-  communication is actually jammed, then hop (and/or raise power).
+  communication is actually jammed, then hop.
 * **Random FH (Rand FH)** — at the start of every slot pick frequency
   hopping or power control at random, regardless of what the jammer does.
 
@@ -20,7 +20,7 @@ from repro.rng import SeedLike, make_rng
 
 
 class PassiveFHPolicy:
-    """Hop (or escalate power) only after the communication has been jammed.
+    """Hop only after the communication has been jammed.
 
     Paper §II-C-2: the victim reacts "once the error rate exceeds a certain
     threshold" — modelled as ``react_after`` consecutive jammed slots before
@@ -34,27 +34,22 @@ class PassiveFHPolicy:
         config: MDPConfig,
         *,
         react_after: int = 3,
-        escalate_power: bool = False,
     ) -> None:
         if react_after < 1:
             raise ConfigurationError("react_after must be >= 1")
         self.config = config
         self.react_after = react_after
-        self.escalate_power = escalate_power
         self._consecutive_failures = 0
 
     def reset(self) -> None:
         self._consecutive_failures = 0
 
     def action(self, state: State) -> Action:
-        top = self.config.num_power_levels - 1
         if state == J:
             self._consecutive_failures += 1
             if self._consecutive_failures >= self.react_after:
                 self._consecutive_failures = 0
-                return Action(
-                    hop=True, power_index=top if self.escalate_power else 0
-                )
+                return Action(hop=True, power_index=0)
             return Action(hop=False, power_index=0)
         self._consecutive_failures = 0
         return Action(hop=False, power_index=0)

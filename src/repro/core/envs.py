@@ -1,25 +1,20 @@
-"""Slotted anti-jamming environments.
+"""Slotted anti-jamming environment.
 
-Two implementations of the victim/jammer competition:
-
-* :class:`AnalyticJammingEnv` samples next states *exactly* from the MDP
-  kernel of Eqs. (6)–(14). It is the ground truth for the parameter-sweep
-  figures (Figs. 6–8), because the paper's own simulations are built on the
-  same kernel.
-* :class:`SweepJammingEnv` simulates the mechanics the kernel abstracts: a
-  jammer sweeping m-channel blocks without replacement, camping on the
-  victim once found, losing a slot when the victim escapes (the paper's
-  :class:`~repro.jamming.jammer.SweepCore` on the slot clock, or any other
-  adversary's core through ``jammer_factory``). A property test
-  verifies its empirical transition frequencies approach the analytic
-  kernel. Its observation is the 3·I history vector the paper's DQN
-  consumes (state/channel/power of the previous I slots, §III-C).
+:class:`SweepJammingEnv` simulates the mechanics the MDP kernel of
+Eqs. (6)–(14) abstracts: a jammer sweeping m-channel blocks without
+replacement, camping on the victim once found, losing a slot when the
+victim escapes (the paper's :class:`~repro.jamming.jammer.SweepCore` on
+the slot clock, or any other adversary's core through ``jammer_factory``).
+A property test verifies its empirical transition frequencies approach
+the analytic kernel (sampled exactly by the oracle env in
+``tests/oracles/mdp.py``). Its observation is the 3·I history vector the
+paper's DQN consumes (state/channel/power of the previous I slots, §III-C).
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +26,6 @@ from repro.core.mdp import (
     TJ_CODE,
     J,
     Action,
-    AntiJammingMDP,
     MDPConfig,
     State,
     code_state,
@@ -42,23 +36,6 @@ from repro.core.mdp import (
 from repro.errors import ConfigurationError, SimulationError
 from repro.jamming.jammer import SlotJammer, SweepCore
 from repro.rng import SeedLike, make_rng
-
-
-@dataclass(frozen=True, eq=False)
-class _ChannelMDPConfig(MDPConfig):
-    """MDP config whose jam-success law comes from a channel-tier adjudicator.
-
-    Built by the envs when a non-analytic ``REPRO_CHANNEL`` tier is
-    selected; every other field (and the kernel built on top of it) is a
-    verbatim copy of the wrapped config.
-    """
-
-    adjudicator: JamAdjudicator | None = None
-
-    def jam_success_probability(self, power_index: int) -> float:
-        if self.adjudicator is None:
-            return super().jam_success_probability(power_index)
-        return self.adjudicator.jam_success_probability(self, power_index)
 
 
 def history_row(
@@ -118,78 +95,6 @@ class StepInfo:
     avoided_jam: bool  # hopped, succeeded, and the old channel was attacked
     reward: float
     channel: int | None = None  # mechanistic env only
-
-
-class AnalyticJammingEnv:
-    """Samples the competition directly from the paper's transition kernel.
-
-    ``channel`` (default ``REPRO_CHANNEL``) selects the fidelity tier of
-    the jam-success law: the analytic default keeps the exact threshold
-    kernel, while ``hybrid``/``waveform`` replace
-    :meth:`MDPConfig.jam_success_probability` with the tier's calibrated
-    packet-survival contest via :class:`_ChannelMDPConfig`.
-    """
-
-    def __init__(
-        self,
-        mdp: AntiJammingMDP | MDPConfig | None = None,
-        *,
-        seed: SeedLike = None,
-        channel: str | None = None,
-    ) -> None:
-        if isinstance(mdp, MDPConfig):
-            mdp = AntiJammingMDP(mdp)
-        self.mdp = mdp or AntiJammingMDP()
-        self._adjudicator = JamAdjudicator(channel)
-        if not self._adjudicator.analytic:
-            base = self.mdp.config
-            self.mdp = AntiJammingMDP(
-                _ChannelMDPConfig(
-                    **{f.name: getattr(base, f.name) for f in fields(MDPConfig)},
-                    adjudicator=self._adjudicator,
-                )
-            )
-        self._rng = make_rng(seed)
-        self.state: State = 1
-
-    def reset(self, *, seed: SeedLike = None) -> State:
-        if seed is not None:
-            self._rng = make_rng(seed)
-        self.state = 1
-        return self.state
-
-    def step(self, action: Action) -> tuple[State, float, StepInfo]:
-        """Advance one slot; returns (next_state, reward, info)."""
-        mdp = self.mdp
-        dist = mdp.transitions(self.state, action)
-        states = list(dist)
-        probs = np.array([dist[x] for x in states])
-        next_state = states[int(self._rng.choice(len(states), p=probs))]
-        reward = mdp.reward(self.state, action, next_state)
-
-        jam_attempted = next_state in (TJ, J)
-        avoided = False
-        if action.hop and next_state not in (TJ, J):
-            # Coupled counterfactual: would staying have been attacked?
-            if self.state in (TJ, J):
-                avoided = True  # the camping jammer kept attacking that channel
-            else:
-                s = mdp.config.sweep_cycle
-                n = int(self.state)
-                avoided = bool(self._rng.random() < 1.0 / (s - n))
-        info = StepInfo(
-            state=next_state,
-            success=next_state != J,
-            hopped=action.hop,
-            power_index=action.power_index,
-            power_raised=action.power_index > 0,
-            jam_attempted=jam_attempted,
-            jam_defeated=next_state == TJ,
-            avoided_jam=avoided,
-            reward=reward,
-        )
-        self.state = next_state
-        return next_state, reward, info
 
 
 class SweepJammingEnv:
@@ -365,6 +270,5 @@ __all__ = [
     "history_row",
     "history_rows",
     "StepInfo",
-    "AnalyticJammingEnv",
     "SweepJammingEnv",
 ]

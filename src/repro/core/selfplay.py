@@ -10,9 +10,9 @@ forward/backward chains per slot instead of ``2 * pairs`` serial ones.
 
 The trained jammer deploys against *any* defence via
 ``FieldJammerConfig(adversary="learning", learning_agent=...)`` (field
-clock) or :func:`repro.jamming.adversary.make_slot_jammer_factory`
-(slot envs) — greedy deployment consumes no rng, so evaluation stays
-deterministic.
+clock) or a ``SweepJammingEnv`` ``jammer_factory`` that wraps its
+:class:`~repro.jamming.adversary.LearningCore` (slot envs) — greedy
+deployment consumes no rng, so evaluation stays deterministic.
 """
 
 from __future__ import annotations
@@ -182,8 +182,6 @@ def train_selfplay(
     config: SelfPlayConfig | None = None,
     *,
     seed: SeedLike = 0,
-    victim_dqn: DQNConfig | None = None,
-    jammer_dqn: DQNConfig | None = None,
 ) -> SelfPlayResult:
     """Train ``pairs`` victim/jammer couples in lock-step self-play.
 
@@ -201,12 +199,8 @@ def train_selfplay(
         for i in range(cfg.pairs)
     ]
     obs_size = envs[0].observation_size
-    if victim_dqn is None:
-        victim_dqn = _default_dqn(
-            obs_size, envs[0].num_victim_actions, cfg.total_steps
-        )
-    if jammer_dqn is None:
-        jammer_dqn = _default_dqn(obs_size, envs[0].num_blocks, cfg.total_steps)
+    victim_dqn = _default_dqn(obs_size, envs[0].num_victim_actions, cfg.total_steps)
+    jammer_dqn = _default_dqn(obs_size, envs[0].num_blocks, cfg.total_steps)
     victims = [
         DQNAgent(victim_dqn, seed=derive(seed, f"selfplay-victim[{i}]"))
         for i in range(cfg.pairs)

@@ -1,4 +1,4 @@
-"""Exact MDP solvers: value iteration, policy iteration, Bellman residuals.
+"""Exact MDP solver: value iteration and the structural results of §III-B.
 
 Theorem III.1 of the paper (via Banach's fixed-point theorem) guarantees the
 Bellman operator is a γ-contraction with a unique fixed point V*, so value
@@ -6,7 +6,9 @@ iteration converges geometrically; :func:`value_iteration` also reports the
 final residual so callers can verify the contraction numerically. The
 structural results of §III-B — Q(n,(s,p)) decreasing in n (Lemma III.2),
 Q(n,(h,p)) increasing (Lemma III.3), and the threshold policy they imply
-(Theorem III.4) — are exposed as checkable predicates.
+(Theorem III.4) — are exposed as checkable predicates. Policy iteration
+and the Bellman residual that check this solver live with the test oracles
+(``tests/oracles/mdp.py``).
 """
 
 from __future__ import annotations
@@ -98,44 +100,6 @@ def value_iteration(
     )
 
 
-def policy_iteration(
-    mdp: AntiJammingMDP, *, max_iter: int = 1_000
-) -> Solution:
-    """Solve the MDP by Howard policy iteration (exact policy evaluation)."""
-    P = mdp.kernel_matrix()
-    R = mdp.reward_matrix()
-    n, gamma = mdp.num_states, mdp.config.discount
-    policy = np.zeros(n, dtype=np.int64)
-    for it in range(1, max_iter + 1):
-        # Policy evaluation: solve (I - gamma * P_pi) V = R_pi.
-        P_pi = P[np.arange(n), policy]
-        R_pi = R[np.arange(n), policy]
-        V = np.linalg.solve(np.eye(n) - gamma * P_pi, R_pi)
-        Q = _q_from_values(mdp, V, P, R)
-        new_policy = Q.argmax(axis=1)
-        if np.array_equal(new_policy, policy):
-            residual = float(np.max(np.abs(Q.max(axis=1) - V)))
-            return Solution(
-                mdp=mdp,
-                values=V,
-                q_values=Q,
-                policy_indices=policy,
-                iterations=it,
-                residual=residual,
-            )
-        policy = new_policy
-    raise SolverError(f"policy iteration did not converge in {max_iter} sweeps")
-
-
-def bellman_residual(solution: Solution) -> float:
-    """Sup-norm Bellman residual of a solution — 0 at the true fixed point."""
-    mdp = solution.mdp
-    Q = _q_from_values(
-        mdp, solution.values, mdp.kernel_matrix(), mdp.reward_matrix()
-    )
-    return float(np.max(np.abs(Q.max(axis=1) - solution.values)))
-
-
 def stay_q_profile(solution: Solution, power_index: int) -> list[float]:
     """Q*(n, (stay, p_i)) across streak states — Lemma III.2 says decreasing."""
     mdp = solution.mdp
@@ -186,8 +150,6 @@ def is_threshold_policy(solution: Solution, *, tol: float = 1e-7) -> bool:
 __all__ = [
     "Solution",
     "value_iteration",
-    "policy_iteration",
-    "bellman_residual",
     "stay_q_profile",
     "hop_q_profile",
     "is_threshold_policy",

@@ -22,7 +22,6 @@ from repro.jamming.adversary import (
     LearningCore,
     ReactiveCore,
     make_field_jammer,
-    make_slot_jammer_factory,
 )
 from repro.jamming.detector import AckEavesdropper, EnergyDetector, StealthReport, stealth_assessment
 from repro.jamming.jammer import (
@@ -65,7 +64,6 @@ __all__ = [
     "FollowerCore",
     "LearningCore",
     "make_field_jammer",
-    "make_slot_jammer_factory",
     "AdaptiveSweep",
     "RandomSweep",
     "SequentialSweep",

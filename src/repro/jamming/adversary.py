@@ -17,8 +17,9 @@ adversary       decision core                configured by
 
 That table is ``_CORES``; :func:`core_builder` builds a core from it for
 either clock. The field clock (:func:`make_field_jammer`) reads the
-adversary and its options from its ``FieldJammerConfig``, the slot
-clock from :func:`make_slot_jammer_factory`'s keywords.
+adversary and its options from its ``FieldJammerConfig``; on the slot
+clock a :class:`~repro.jamming.jammer.SlotJammer` wraps the core a
+``SweepJammingEnv`` ``jammer_factory`` builds.
 
 An *ideal* reactive jammer (perfect detection, zero latency, unbounded
 duty cycle — the :class:`~repro.jamming.jammer.ReactiveJammerConfig`
@@ -36,7 +37,6 @@ from collections import deque
 import numpy as np
 
 from repro.constants import DEFAULT_HISTORY_LENGTH
-from repro.core.mdp import MDPConfig
 from repro.errors import ConfigurationError
 from repro.jamming.detector import AckEavesdropper, EnergyDetector
 from repro.jamming.jammer import (
@@ -44,7 +44,6 @@ from repro.jamming.jammer import (
     FieldJammerConfig,
     FollowerJammerConfig,
     ReactiveJammerConfig,
-    SlotJammer,
     SweepCore,
 )
 from repro.rng import SeedLike, derive, make_rng
@@ -351,41 +350,6 @@ def make_field_jammer(
     return FieldJammer(config, seed=seed, strategy=strategy)
 
 
-def make_slot_jammer_factory(
-    adversary: str = "sweep",
-    *,
-    reactive: ReactiveJammerConfig | None = None,
-    follower: FollowerJammerConfig | None = None,
-    agent=None,
-    slot_duration_s: float = 3.0,
-    history_length: int = DEFAULT_HISTORY_LENGTH,
-):
-    """A ``jammer_factory`` for :class:`~repro.core.envs.SweepJammingEnv`.
-
-    The factory builds the adversary's core over the MDP's
-    ``sweep_cycle`` blocks on the env's stream and wraps it in a
-    :class:`~repro.jamming.jammer.SlotJammer`; ``slot_duration_s``
-    converts the reactive jammer's latency into slots. Returns ``None``
-    for ``"sweep"`` so callers can pass the result straight through (the
-    env then builds the paper's jammer itself).
-    """
-    if adversary == "sweep":
-        return None
-    build = core_builder(
-        adversary,
-        reactive=reactive,
-        follower=follower,
-        agent=agent,
-        history_length=history_length,
-    )
-
-    def factory(config: MDPConfig, rng: np.random.Generator) -> SlotJammer:
-        decisions = build(config.num_channels, config.sweep_cycle, rng)
-        return SlotJammer(config, decisions, slot_duration_s=slot_duration_s)
-
-    return factory
-
-
 __all__ = [
     "JammerMemory",
     "ReactiveCore",
@@ -393,5 +357,4 @@ __all__ = [
     "LearningCore",
     "core_builder",
     "make_field_jammer",
-    "make_slot_jammer_factory",
 ]

@@ -2,7 +2,7 @@
 
 Implements, from scratch, the two radio PHYs the paper's attack bridges:
 
-* an IEEE 802.11a/g-style OFDM transmit/receive chain (:mod:`repro.phy.wifi`)
+* an IEEE 802.11a/g-style OFDM transmit chain (:mod:`repro.phy.wifi`)
   built from the scrambler, convolutional code, interleaver, QAM mapper and
   OFDM modem in the sibling modules; and
 * an IEEE 802.15.4 O-QPSK/DSSS chain (:mod:`repro.phy.zigbee`) with the
@@ -16,8 +16,7 @@ transmission emulates a designed ZigBee waveform, including the α-scaled
 
 from repro.phy.bits import bits_to_bytes, bytes_to_bits, crc16_itut
 from repro.phy.emulation import EmulationResult, WaveformEmulator, optimize_alpha
-from repro.phy.packet import ZigBeeFrame, decode_frame, encode_frame
-from repro.phy.sync import SyncResult, receive_stream, synchronise
+from repro.phy.packet import ZigBeeFrame, decode_frame
 from repro.phy.wifi import WifiPhy, WifiPhyConfig
 from repro.phy.zigbee import ZigBeePhy, ZigBeePhyConfig
 
@@ -30,10 +29,6 @@ __all__ = [
     "optimize_alpha",
     "ZigBeeFrame",
     "decode_frame",
-    "encode_frame",
-    "SyncResult",
-    "receive_stream",
-    "synchronise",
     "WifiPhy",
     "WifiPhyConfig",
     "ZigBeePhy",

@@ -79,7 +79,7 @@ def crc16_itut(data: bytes, *, initial: int = 0x0000) -> int:
     initial value. Returns the 16-bit FCS.
 
     Table-driven: one lookup per octet instead of eight shift steps,
-    bit-identical to :func:`crc16_itut_reference`.
+    bit-identical to the bit-serial loop in ``tests/oracles/kernels.py``.
     """
     crc = initial & 0xFFFF
     table = _CRC16_TABLE
@@ -88,27 +88,8 @@ def crc16_itut(data: bytes, *, initial: int = 0x0000) -> int:
     return crc & 0xFFFF
 
 
-def crc16_itut_reference(data: bytes, *, initial: int = 0x0000) -> int:
-    """Pre-table :func:`crc16_itut`: the bit-serial shift loop."""
-    crc = initial & 0xFFFF
-    for octet in bytes(data):
-        crc ^= octet
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ 0x8408  # 0x1021 reflected
-            else:
-                crc >>= 1
-    return crc & 0xFFFF
-
-
-def append_crc(data: bytes) -> bytes:
-    """Return ``data`` with its little-endian CRC-16/ITU-T appended."""
-    crc = crc16_itut(data)
-    return bytes(data) + bytes((crc & 0xFF, crc >> 8))
-
-
 def check_crc(data_with_crc: bytes) -> bool:
-    """Validate a payload produced by :func:`append_crc`."""
+    """Validate a payload whose last two octets are its little-endian FCS."""
     if len(data_with_crc) < 2:
         return False
     body, fcs = data_with_crc[:-2], data_with_crc[-2:]
@@ -122,7 +103,5 @@ __all__ = [
     "bytes_to_bits",
     "bits_to_bytes",
     "crc16_itut",
-    "crc16_itut_reference",
-    "append_crc",
     "check_crc",
 ]

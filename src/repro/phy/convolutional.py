@@ -12,10 +12,9 @@ directions here must be exact inverses on valid codewords.
 The hot paths are fully vectorised: the encoder is two binary convolutions,
 puncturing indexes with cached boolean keep-masks, and the Viterbi
 add-compare-select step reduces a precomputed branch-mismatch tensor over a
-static predecessor table. The original per-bit/per-state implementations are
-retained as :func:`conv_encode_reference` / :func:`viterbi_decode_reference`
-so the equivalence suite and the kernel benchmarks can pin the fast path
-bit-for-bit against them.
+static predecessor table. The original per-bit/per-state loops live with
+the test oracles (``tests/oracles/kernels.py``), where the equivalence
+suite and the kernel benchmarks pin the fast path bit-for-bit against them.
 """
 
 from __future__ import annotations
@@ -140,19 +139,6 @@ def conv_encode(bits: "np.typing.ArrayLike") -> BitArray:
     return out
 
 
-def conv_encode_reference(bits: "np.typing.ArrayLike") -> BitArray:
-    """Per-bit shift-register encoder (reference for equivalence tests)."""
-    arr = as_bits(bits)
-    out = np.empty(arr.size * 2, dtype=np.uint8)
-    state = 0
-    for i, bit in enumerate(arr):
-        b = int(bit)
-        out[2 * i] = _OUTPUTS[state, b, 0]
-        out[2 * i + 1] = _OUTPUTS[state, b, 1]
-        state = int(_NEXT_STATE[state, b])
-    return out
-
-
 @lru_cache(maxsize=None)
 def _keep_mask(rate: str, half_len: int) -> np.ndarray:
     """Read-only boolean keep-mask for ``half_len`` (A, B) pairs."""
@@ -234,8 +220,8 @@ def viterbi_decode(
 
     The add-compare-select loop gathers from the static predecessor table
     and reduces a branch-mismatch tensor precomputed for all trellis steps;
-    results are bit-identical to :func:`viterbi_decode_reference` (pinned by
-    the equivalence suite).
+    results are bit-identical to the per-step reference decoder in
+    ``tests/oracles/kernels.py`` (pinned by the equivalence suite).
     """
     arr, known_mask, steps = _decode_args(coded, known_mask)
 
@@ -274,61 +260,6 @@ def viterbi_decode(
     return decoded
 
 
-def viterbi_decode_reference(
-    coded: "np.typing.ArrayLike",
-    *,
-    known_mask: np.ndarray | None = None,
-    terminated: bool = False,
-) -> BitArray:
-    """Per-step argsort Viterbi decoder (reference for equivalence tests)."""
-    arr, known_mask, steps = _decode_args(coded, known_mask)
-
-    inf = np.iinfo(np.int32).max // 2
-    metrics = np.full(_NUM_STATES, inf, dtype=np.int64)
-    metrics[0] = 0
-    survivors = np.zeros((steps, _NUM_STATES), dtype=np.int32)
-
-    out0 = _OUTPUTS[:, :, 0].astype(np.int64)  # (state, bit)
-    out1 = _OUTPUTS[:, :, 1].astype(np.int64)
-    nxt = _NEXT_STATE  # (state, bit)
-
-    for t in range(steps):
-        r0, r1 = int(arr[2 * t]), int(arr[2 * t + 1])
-        k0, k1 = bool(known_mask[2 * t]), bool(known_mask[2 * t + 1])
-        branch = np.zeros((_NUM_STATES, 2), dtype=np.int64)
-        if k0:
-            branch += out0 != r0
-        if k1:
-            branch += out1 != r1
-        cand = metrics[:, None] + branch  # (state, bit)
-        new_metrics = np.full(_NUM_STATES, inf, dtype=np.int64)
-        new_surv = np.zeros(_NUM_STATES, dtype=np.int32)
-        flat_next = nxt.ravel()
-        flat_cand = cand.ravel()
-        order = np.argsort(flat_cand, kind="stable")
-        seen = np.zeros(_NUM_STATES, dtype=bool)
-        for idx in order:
-            ns = flat_next[idx]
-            if not seen[ns]:
-                seen[ns] = True
-                new_metrics[ns] = flat_cand[idx]
-                state = idx >> 1
-                bit = idx & 1
-                new_surv[ns] = (state << 1) | bit
-                if seen.all():
-                    break
-        metrics = new_metrics
-        survivors[t] = new_surv
-
-    state = 0 if terminated else int(np.argmin(metrics))
-    decoded = np.empty(steps, dtype=np.uint8)
-    for t in range(steps - 1, -1, -1):
-        packed = int(survivors[t, state])
-        decoded[t] = packed & 1
-        state = packed >> 1
-    return decoded
-
-
 def encode_with_rate(bits: "np.typing.ArrayLike", rate: str = "1/2") -> BitArray:
     """Convenience: rate-1/2 encode then puncture to ``rate``."""
     coded = conv_encode(bits)
@@ -354,11 +285,9 @@ __all__ = [
     "PUNCTURE_PATTERNS",
     "CodeRate",
     "conv_encode",
-    "conv_encode_reference",
     "puncture",
     "depuncture",
     "viterbi_decode",
-    "viterbi_decode_reference",
     "encode_with_rate",
     "decode_with_rate",
 ]

@@ -102,7 +102,7 @@ def spectrum_of(samples: np.ndarray, *, has_cp: bool = True) -> np.ndarray:
     return np.fft.fft(body) / np.sqrt(FFT_SIZE)
 
 
-def modulate_stream(data: np.ndarray, *, start_symbol: int = 0) -> np.ndarray:
+def modulate_stream(data: np.ndarray) -> np.ndarray:
     """Concatenate OFDM symbols for a (n_symbols, 48) data array."""
     data = np.asarray(data, dtype=np.complex128)
     if data.ndim != 2 or data.shape[1] != len(DATA_INDICES):
@@ -110,26 +110,8 @@ def modulate_stream(data: np.ndarray, *, start_symbol: int = 0) -> np.ndarray:
             f"expected shape (n, {len(DATA_INDICES)}), got {data.shape}"
         )
     return np.concatenate(
-        [modulate_symbol(row, start_symbol + i) for i, row in enumerate(data)]
+        [modulate_symbol(row, i) for i, row in enumerate(data)]
     )
-
-
-def demodulate_stream(samples: np.ndarray) -> np.ndarray:
-    """Split a sample stream into symbols and demodulate each.
-
-    Returns a (n_symbols, 48) complex array. The stream length must be a
-    multiple of :data:`SYMBOL_LENGTH`.
-    """
-    samples = np.asarray(samples, dtype=np.complex128).ravel()
-    if samples.size % SYMBOL_LENGTH:
-        raise EncodingError(
-            f"stream length {samples.size} is not a multiple of {SYMBOL_LENGTH}"
-        )
-    n = samples.size // SYMBOL_LENGTH
-    out = np.empty((n, len(DATA_INDICES)), dtype=np.complex128)
-    for i in range(n):
-        out[i] = demodulate_symbol(samples[i * SYMBOL_LENGTH : (i + 1) * SYMBOL_LENGTH])
-    return out
 
 
 __all__ = [
@@ -145,5 +127,4 @@ __all__ = [
     "demodulate_symbol",
     "spectrum_of",
     "modulate_stream",
-    "demodulate_stream",
 ]

@@ -17,8 +17,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.constants import ZIGBEE_MAX_PSDU, ZIGBEE_PREAMBLE, ZIGBEE_SFD
-from repro.errors import DecodingError, EncodingError
-from repro.phy.bits import append_crc, check_crc
+from repro.errors import DecodingError
+from repro.phy.bits import check_crc
 
 #: Octets of framing before the PSDU: preamble + SFD + PHR.
 HEADER_OCTETS = len(ZIGBEE_PREAMBLE) + 2
@@ -42,21 +42,8 @@ class ZigBeeFrame:
         return HEADER_OCTETS + self.psdu_length
 
 
-def encode_frame(payload: bytes) -> bytes:
-    """Build the full PPDU for ``payload`` (MAC payload without FCS)."""
-    payload = bytes(payload)
-    psdu_len = len(payload) + FCS_OCTETS
-    if psdu_len > ZIGBEE_MAX_PSDU:
-        raise EncodingError(
-            f"payload of {len(payload)} bytes exceeds the "
-            f"{ZIGBEE_MAX_PSDU - FCS_OCTETS}-byte PSDU capacity"
-        )
-    psdu = append_crc(payload)
-    return ZIGBEE_PREAMBLE + bytes((ZIGBEE_SFD, psdu_len)) + psdu
-
-
 def decode_frame(ppdu: bytes) -> ZigBeeFrame:
-    """Parse and validate a PPDU produced by :func:`encode_frame`.
+    """Parse and validate a PPDU (preamble, SFD, PHR, PSDU with its FCS).
 
     Raises :class:`~repro.errors.DecodingError` describing the first format
     violation found — the same failure modes a CC26X2 radio reports.
@@ -146,7 +133,6 @@ __all__ = [
     "HEADER_OCTETS",
     "FCS_OCTETS",
     "ZigBeeFrame",
-    "encode_frame",
     "decode_frame",
     "ListenOutcome",
     "ListenReport",

@@ -41,8 +41,8 @@ def locate_preamble(samples: np.ndarray, *, threshold: float = 0.8) -> int:
     The sliding correlation runs as one :func:`numpy.correlate` (whose
     inner dot is the very same kernel as the reference's per-window
     ``np.vdot``) plus a windowed energy sum, so scores — and hence the
-    returned index — are bit-identical to
-    :func:`locate_preamble_reference`.
+    returned index — are bit-identical to the per-window scan in
+    ``tests/oracles/kernels.py``.
     """
     wf = np.asarray(samples, dtype=np.complex128).ravel()
     stf = short_training_field()
@@ -73,37 +73,7 @@ def locate_preamble(samples: np.ndarray, *, threshold: float = 0.8) -> int:
     return best_idx
 
 
-def locate_preamble_reference(
-    samples: np.ndarray, *, threshold: float = 0.8
-) -> int:
-    """Pre-vectorization :func:`locate_preamble`: the per-window scan.
-
-    Kept as the ground truth the sliding-correlation path is pinned
-    against.
-    """
-    wf = np.asarray(samples, dtype=np.complex128).ravel()
-    stf = short_training_field()
-    if wf.size < stf.size:
-        raise DecodingError("capture shorter than the preamble")
-    ref_energy = float(np.sum(np.abs(stf) ** 2))
-    best_idx, best_corr = -1, 0.0
-    for i in range(wf.size - stf.size + 1):
-        window = wf[i : i + stf.size]
-        win_energy = float(np.sum(np.abs(window) ** 2))
-        if win_energy == 0.0:
-            continue
-        corr = abs(np.vdot(stf, window)) / np.sqrt(ref_energy * win_energy)
-        if corr > best_corr:
-            best_corr, best_idx = corr, i
-    if best_corr < threshold:
-        raise DecodingError(
-            f"no preamble found (best correlation {best_corr:.2f})"
-        )
-    return best_idx
-
-
 __all__ = [
     "short_training_field",
     "locate_preamble",
-    "locate_preamble_reference",
 ]

@@ -1,25 +1,19 @@
-"""ZigBee frame synchronisation: preamble/SFD search over chip streams.
+"""ZigBee preamble search over chip streams.
 
-:class:`~repro.phy.zigbee.ZigBeePhy.receive` assumes the caller knows
-where a frame starts and how long it is. A real receiver doesn't: it
-watches a continuous chip stream, hunts for the 8-symbol preamble
-(0x00000000), locks on the start-of-frame delimiter (0x7A), reads the PHR
-to learn the length, and only then decodes the PSDU. This module
-implements that state machine — the exact mechanism the EmuBee stealth
-attack exploits, since a preamble with no valid SFD/PSDU still captures
-the receiver (paper §II-A-2).
+A real receiver watches a continuous chip stream and hunts for the
+8-symbol preamble (0x00000000) before it locks on the start-of-frame
+delimiter (0x7A), reads the PHR and decodes the PSDU. This module holds
+the preamble search, the step the EmuBee stealth attack exploits: a
+preamble with no valid SFD/PSDU still captures the receiver (paper
+§II-A-2). The rest of that state machine is the receive oracle in
+``tests/oracles/rx.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.constants import ZIGBEE_MAX_PSDU, ZIGBEE_SFD
 from repro.phy import zigbee
-from repro.phy.bits import check_crc
-from repro.phy.packet import FCS_OCTETS, ZigBeeFrame
 
 #: Preamble: eight zero data symbols (four zero octets).
 PREAMBLE_SYMBOLS = 8
@@ -30,25 +24,6 @@ MIN_PREAMBLE_SYMBOLS = 4
 
 #: Maximum per-symbol chip errors tolerated during symbol-aligned search.
 SEARCH_CHIP_TOLERANCE = 8
-
-
-@dataclass(frozen=True)
-class SyncResult:
-    """Outcome of a frame search over a chip stream."""
-
-    frame: ZigBeeFrame | None
-    #: Chip index where the detected preamble begins.
-    sync_chip_index: int
-    #: Number of data symbols the receiver spent busy (preamble through
-    #: PSDU or abort point) — the stealth-attack cost metric.
-    busy_symbols: int
-    #: Why no frame was produced (None on success).
-    error: str | None
-
-
-def _correlate_symbol(chips: np.ndarray, symbol: int) -> int:
-    """Hamming distance of a 32-chip window to ``symbol``'s PN sequence."""
-    return int(np.count_nonzero(chips != zigbee.CHIP_TABLE[symbol]))
 
 
 def _zero_symbol_distances(arr: np.ndarray) -> np.ndarray:
@@ -72,8 +47,8 @@ def find_preamble(
 
     Scans every chip offset (real receivers correlate continuously — the
     frame is not chip-aligned to anything). The O(N·L) scan is a windowed
-    compare over all offsets at once; the result is bit-identical to
-    :func:`find_preamble_reference`.
+    compare over all offsets at once; the result is bit-identical to the
+    per-offset scan in ``tests/oracles/kernels.py``.
     """
     arr = np.asarray(chips, dtype=np.uint8).ravel()
     window = zigbee.CHIPS_PER_SYMBOL
@@ -94,122 +69,9 @@ def find_preamble(
     return start + int(idx[0])
 
 
-def find_preamble_reference(
-    chips: np.ndarray, *, start: int = 0, tolerance: int = SEARCH_CHIP_TOLERANCE
-) -> int | None:
-    """Pre-vectorization :func:`find_preamble`: the per-offset Python scan.
-
-    Kept as the ground truth the windowed search is pinned against.
-    """
-    arr = np.asarray(chips, dtype=np.uint8).ravel()
-    window = zigbee.CHIPS_PER_SYMBOL
-    needed = MIN_PREAMBLE_SYMBOLS
-    limit = arr.size - needed * window
-    for offset in range(start, max(limit + 1, start)):
-        ok = True
-        for k in range(needed):
-            seg = arr[offset + k * window : offset + (k + 1) * window]
-            if seg.size < window or _correlate_symbol(seg, 0) > tolerance:
-                ok = False
-                break
-        if ok:
-            return offset
-    return None
-
-
-def _decode_symbols(
-    chips: np.ndarray, offset: int, count: int
-) -> np.ndarray | None:
-    """Despread ``count`` symbols at chip ``offset``; None if out of chips."""
-    window = zigbee.CHIPS_PER_SYMBOL
-    end = offset + count * window
-    if end > chips.size:
-        return None
-    symbols, _ = zigbee.despread(chips[offset:end])
-    return symbols
-
-
-def synchronise(chips: "np.typing.ArrayLike") -> SyncResult:
-    """Run the full receiver state machine over a chip stream.
-
-    Search preamble → skip remaining preamble symbols → expect SFD → read
-    PHR → decode PSDU → CRC check. Any failure reports how long the radio
-    stayed busy, which is the stealthy-jamming damage metric.
-    """
-    arr = np.asarray(chips, dtype=np.uint8).ravel()
-    window = zigbee.CHIPS_PER_SYMBOL
-    sync = find_preamble(arr)
-    if sync is None:
-        return SyncResult(None, -1, 0, "no preamble found")
-
-    # Consume the rest of the preamble run.
-    cursor = sync
-    zero_run = 0
-    while True:
-        seg = arr[cursor : cursor + window]
-        if seg.size < window or _correlate_symbol(seg, 0) > SEARCH_CHIP_TOLERANCE:
-            break
-        zero_run += 1
-        cursor += window
-    busy = zero_run
-
-    def fail(reason: str) -> SyncResult:
-        return SyncResult(None, sync, busy, reason)
-
-    # SFD: one octet = two symbols (0xA then 0x7, low nibble first).
-    sfd_symbols = _decode_symbols(arr, cursor, 2)
-    if sfd_symbols is None:
-        return fail("stream ended before the SFD")
-    busy += 2
-    cursor += 2 * window
-    sfd = int(sfd_symbols[0]) | (int(sfd_symbols[1]) << 4)
-    if sfd != ZIGBEE_SFD:
-        return fail(f"SFD mismatch (got 0x{sfd:02X})")
-
-    # PHR: one octet announcing the PSDU length.
-    phr_symbols = _decode_symbols(arr, cursor, 2)
-    if phr_symbols is None:
-        return fail("stream ended before the PHR")
-    busy += 2
-    cursor += 2 * window
-    psdu_len = int(phr_symbols[0]) | (int(phr_symbols[1]) << 4)
-    if psdu_len > ZIGBEE_MAX_PSDU or psdu_len < FCS_OCTETS:
-        return fail(f"PHR declares invalid length {psdu_len}")
-
-    psdu_symbols = _decode_symbols(arr, cursor, 2 * psdu_len)
-    if psdu_symbols is None:
-        # The receiver waits for octets that never arrive — the
-        # preamble-only stealth attack of paper §II-A-2.
-        remaining = (arr.size - cursor) // window
-        return SyncResult(
-            None, sync, busy + remaining, "stream ended inside the PSDU"
-        )
-    busy += 2 * psdu_len
-    psdu = zigbee.symbols_to_bytes(psdu_symbols)
-    if not check_crc(psdu):
-        return fail("frame check sequence failed")
-    return SyncResult(
-        ZigBeeFrame(payload=psdu[:-FCS_OCTETS]), sync, busy, None
-    )
-
-
-def receive_stream(
-    waveform: np.ndarray,
-    *,
-    samples_per_chip: int = zigbee.DEFAULT_SAMPLES_PER_CHIP,
-) -> SyncResult:
-    """Demodulate a waveform and synchronise on whatever frame it holds."""
-    chips = zigbee.oqpsk_demodulate(waveform, samples_per_chip)
-    return synchronise(chips)
-
-
 __all__ = [
     "PREAMBLE_SYMBOLS",
     "MIN_PREAMBLE_SYMBOLS",
     "SEARCH_CHIP_TOLERANCE",
-    "SyncResult",
     "find_preamble",
-    "find_preamble_reference",
-    "synchronise",
-    "receive_stream",
 ]

@@ -1,4 +1,4 @@
-"""IEEE 802.11a/g OFDM PHY transmit and receive chain.
+"""IEEE 802.11a/g OFDM PHY transmit chain and its decoder.
 
 Composes the scrambler, convolutional code, interleaver, QAM mapper and OFDM
 modem into the full DATA-field signal chain:
@@ -6,10 +6,11 @@ modem into the full DATA-field signal chain:
     bytes -> SERVICE + data + tail + pad -> scramble -> convolutional encode
           -> puncture -> interleave -> QAM map -> OFDM modulate -> samples
 
-and its exact inverse. The preamble and SIGNAL field are framing around the
-DATA field and carry no emulated waveform content, so the emulator (paper
-Fig. 1) operates purely on this chain; the receive path accepts the payload
-length out-of-band exactly as a real receiver learns it from SIGNAL.
+and its inverse from constellation points back to bytes. The preamble and
+SIGNAL field are framing around the DATA field and carry no emulated
+waveform content, so the emulator (paper Fig. 1) operates purely on this
+chain; the decoder accepts the payload length out-of-band exactly as a real
+receiver learns it from SIGNAL.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ class WifiPhyConfig:
 
 
 class WifiPhy:
-    """Full 802.11a/g DATA-field modem.
+    """802.11a/g DATA-field modem: transmit, and decode a constellation grid.
 
-    >>> phy = WifiPhy(WifiPhyConfig(rate_mbps=54))
-    >>> samples = phy.transmit(b"hello world")
-    >>> phy.receive(samples, num_bytes=11)
-    b'hello world'
+    :meth:`decode_points` inverts :meth:`encode`; demodulating a sample
+    stream into that grid lives with the test oracles
+    (``tests/oracles/rx.py``).
     """
 
     def __init__(self, config: WifiPhyConfig | None = None) -> None:
@@ -163,11 +163,6 @@ class WifiPhy:
                 f"stream too short for {num_bytes} payload bytes"
             )
         return bits_to_bytes(payload_bits)
-
-    def receive(self, samples: np.ndarray, num_bytes: int) -> bytes:
-        """Demodulate a sample stream produced by :meth:`transmit`."""
-        points = ofdm.demodulate_stream(samples)
-        return self.decode_points(points, num_bytes)
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -109,7 +109,8 @@ def despread(chips: "np.typing.ArrayLike") -> tuple[np.ndarray, np.ndarray]:
     :data:`CHIP_TABLE_PM`: for antipodal chips the correlation ``c``
     satisfies ``distance = (32 - c) / 2`` exactly (sums of ±1 are exact
     in float64), so the result — including the first-index argmin
-    tie-break — is bit-identical to :func:`despread_reference`.
+    tie-break — is bit-identical to the broadcast Hamming scan in
+    ``tests/oracles/kernels.py``.
     """
     arr = as_bits(chips)
     if arr.size % CHIPS_PER_SYMBOL:
@@ -119,26 +120,6 @@ def despread(chips: "np.typing.ArrayLike") -> tuple[np.ndarray, np.ndarray]:
     windows_pm = 1.0 - 2.0 * arr.reshape(-1, CHIPS_PER_SYMBOL).astype(np.float64)
     corr = windows_pm @ CHIP_TABLE_PM.T
     dist = (CHIPS_PER_SYMBOL - corr) * 0.5
-    symbols = dist.argmin(axis=1).astype(np.uint8)
-    errors = dist.min(axis=1).astype(np.int64)
-    return symbols, errors
-
-
-def despread_reference(
-    chips: "np.typing.ArrayLike",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-GEMM :func:`despread`: broadcast Hamming-distance compare.
-
-    Kept as the ground truth the shipped GEMM path is pinned against.
-    """
-    arr = as_bits(chips)
-    if arr.size % CHIPS_PER_SYMBOL:
-        raise DecodingError(
-            f"chip count {arr.size} is not a multiple of {CHIPS_PER_SYMBOL}"
-        )
-    windows = arr.reshape(-1, CHIPS_PER_SYMBOL)
-    # Hamming distance to each candidate sequence.
-    dist = (windows[:, None, :] != CHIP_TABLE[None, :, :]).sum(axis=2)
     symbols = dist.argmin(axis=1).astype(np.uint8)
     errors = dist.min(axis=1).astype(np.int64)
     return symbols, errors
@@ -315,22 +296,13 @@ class ZigBeePhyConfig:
         return self.samples_per_chip * CHIP_RATE
 
 
-@dataclass(frozen=True)
-class ZigBeeDecodeResult:
-    """Outcome of a waveform-level decode."""
-
-    data: bytes
-    chip_error_rate: float
-    symbol_errors: np.ndarray  # per-symbol Hamming distance of the winner
-
-
 class ZigBeePhy:
-    """Full 802.15.4 O-QPSK/DSSS modem.
+    """802.15.4 O-QPSK/DSSS transmitter.
 
-    >>> phy = ZigBeePhy()
-    >>> wf = phy.transmit(b"\\x12\\x34")
-    >>> phy.receive(wf, num_bytes=2).data
-    b'\\x124'
+    Spreads payload octets into 32-chip PN sequences and O-QPSK-modulates
+    them. Decoding a whole waveform back to bytes is the test oracle
+    ``zigbee_receive`` in ``tests/oracles/rx.py``, built from
+    :func:`oqpsk_demodulate` and :func:`despread`.
     """
 
     def __init__(self, config: ZigBeePhyConfig | None = None) -> None:
@@ -347,25 +319,6 @@ class ZigBeePhy:
             raise EncodingError("cannot transmit an empty payload")
         return oqpsk_modulate(chips, self.config.samples_per_chip)
 
-    def receive(self, waveform: np.ndarray, num_bytes: int) -> ZigBeeDecodeResult:
-        """Demodulate and despread a waveform back into bytes."""
-        chips = oqpsk_demodulate(waveform, self.config.samples_per_chip)
-        needed = num_bytes * 2 * CHIPS_PER_SYMBOL
-        if chips.size < needed:
-            raise DecodingError(
-                f"waveform carries {chips.size} chips; {needed} needed "
-                f"for {num_bytes} bytes"
-            )
-        chips = chips[:needed]
-        symbols, errors = despread(chips)
-        expected = spread(symbols)
-        cer = float(np.count_nonzero(chips != expected)) / chips.size
-        return ZigBeeDecodeResult(
-            data=symbols_to_bytes(symbols),
-            chip_error_rate=cer,
-            symbol_errors=errors,
-        )
-
 
 __all__ = [
     "CHIPS_PER_SYMBOL",
@@ -380,13 +333,11 @@ __all__ = [
     "symbols_to_bytes",
     "spread",
     "despread",
-    "despread_reference",
     "half_sine_pulse",
     "oqpsk_modulate",
     "oqpsk_demodulate",
     "oqpsk_modulate_batch",
     "oqpsk_demodulate_batch",
     "ZigBeePhyConfig",
-    "ZigBeeDecodeResult",
     "ZigBeePhy",
 ]

@@ -12,13 +12,13 @@ import pytest
 from repro.channel.link import JammerSignalType, chip_flip_probability
 from repro.channel.waveform import (
     awgn,
-    empirical_chip_flip_rate,
     jam_trial,
     make_jamming_waveform,
     mix,
     scale_to_power,
 )
 from repro.errors import ChannelError
+from tests.oracles.channel import empirical_chip_flip_rate
 
 
 class TestPrimitives:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.envs import (
-    AnalyticJammingEnv,
     SweepJammingEnv,
     history_row,
     history_rows,
 )
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig, code_state
 from repro.errors import ConfigurationError, SimulationError
+from tests.oracles.mdp import AnalyticJammingEnv
 
 
 class TestAnalyticEnv:
@@ -245,7 +245,7 @@ class TestSeededResetIsolation:
         assert self._trace(env, seed=42) == self._trace(env, seed=42)
 
     def test_seeded_reset_rebuilds_factory_jammers(self):
-        from repro.jamming.adversary import make_slot_jammer_factory
+        from tests.oracles.adversary import make_slot_jammer_factory
 
         env = SweepJammingEnv(
             seed=0, jammer_factory=make_slot_jammer_factory("follower")

@@ -3,16 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.envs import AnalyticJammingEnv, SweepJammingEnv
+from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import AntiJammingMDP, MDPConfig
 from repro.core.metrics import evaluate_policy
-from repro.core.qlearning import (
+from repro.core.solver import value_iteration
+from repro.errors import ConfigurationError, TrainingError
+from tests.oracles.mdp import AnalyticJammingEnv
+from tests.oracles.qlearning import (
     QLearningConfig,
     TabularQLearning,
     observation_table_size,
 )
-from repro.core.solver import value_iteration
-from repro.errors import ConfigurationError, TrainingError
 
 
 class TestConfig:

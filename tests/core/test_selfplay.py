@@ -93,7 +93,7 @@ class TestTrainSelfplay:
 
     def test_best_jammer_deploys_in_the_slot_env(self):
         from repro.core.envs import SweepJammingEnv
-        from repro.jamming.adversary import make_slot_jammer_factory
+        from tests.oracles.adversary import make_slot_jammer_factory
 
         result = train_selfplay(
             SelfPlayConfig(pairs=1, episodes=1, steps_per_episode=40), seed=7

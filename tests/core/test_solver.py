@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig
 from repro.core.solver import (
-    bellman_residual,
     hop_q_profile,
     is_threshold_policy,
-    policy_iteration,
     stay_q_profile,
     value_iteration,
 )
 from repro.errors import SolverError
+from tests.oracles.mdp import bellman_residual, policy_iteration
 
 
 def solve(**kwargs):

@@ -12,7 +12,7 @@ from repro.errors import DecodingError
 from repro.nn.serialize import load_policy_bundle, save_parameters
 from repro.phy import zigbee
 from repro.phy.emulation import WaveformEmulator
-from repro.phy.packet import decode_frame, encode_frame
+from repro.phy.packet import decode_frame
 from repro.sim.field import (
     DQNPolicyAdapter,
     FieldConfig,
@@ -21,6 +21,7 @@ from repro.sim.field import (
 )
 from repro.sim.scenario import field_jammer_config, paper_defaults
 from repro.core.baselines import NoDefensePolicy
+from tests.oracles.rx import encode_frame
 
 
 class TestAttackPipeline:

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.channel.link import Interferer, JammerSignalType, LinkBudget
-from repro.core.envs import AnalyticJammingEnv, SweepJammingEnv
+from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig
 from repro.core.metrics import SlotLog
 from repro.core.solver import value_iteration
 from repro.net.energy import EnergyModel
 from repro.phy.emulation import WaveformEmulator
+from tests.oracles.mdp import AnalyticJammingEnv
 
 mdp_configs = st.builds(
     MDPConfig,

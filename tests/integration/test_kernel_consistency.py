@@ -10,11 +10,12 @@ kernel idealises (see DESIGN.md).
 import numpy as np
 import pytest
 
-from repro.core.envs import AnalyticJammingEnv, SweepJammingEnv
+from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import TJ, J, Action, AntiJammingMDP, MDPConfig
 from repro.core.metrics import evaluate_policy
 from repro.core.policy import ThresholdPolicy, policy_from_solution_map
 from repro.core.solver import value_iteration
+from tests.oracles.mdp import AnalyticJammingEnv
 
 
 class TestFirstSweepAgreement:

@@ -20,7 +20,6 @@ from repro.jamming.adversary import (
     LearningCore,
     ReactiveCore,
     make_field_jammer,
-    make_slot_jammer_factory,
 )
 from repro.jamming.jammer import (
     FieldJammer,
@@ -28,6 +27,7 @@ from repro.jamming.jammer import (
     FollowerJammerConfig,
     ReactiveJammerConfig,
 )
+from tests.oracles.adversary import make_slot_jammer_factory
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.mdp import JammerMode, MDPConfig
-from repro.jamming.adversary import make_field_jammer, make_slot_jammer_factory
+from repro.jamming.adversary import make_field_jammer
 from repro.jamming.jammer import (
     FieldJammer,
     FieldJammerConfig,
@@ -28,6 +28,7 @@ from repro.jamming.jammer import (
     SweepCore,
 )
 from repro.jamming.strategies import make_strategy
+from tests.oracles.adversary import make_slot_jammer_factory
 
 SLOTS = 60
 SLOT_S = 3.0

@@ -10,7 +10,7 @@ from repro.jamming.detector import (
     EnergyDetector,
     stealth_assessment,
 )
-from repro.phy.packet import encode_frame
+from tests.oracles.rx import encode_frame
 
 
 class TestEnergyDetector:

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.envs import AnalyticJammingEnv
 from repro.core.mdp import Action, AntiJammingMDP, State
 from repro.errors import ConfigurationError, TrainingError
 from repro.rng import SeedLike, make_rng
+from tests.oracles.mdp import AnalyticJammingEnv
 
 
 @dataclass(frozen=True)
@@ -91,9 +91,7 @@ class TabularQLearning:
         self.updates += 1
         return abs(float(td))
 
-    def train(
-        self, env: AnalyticJammingEnv, steps: int
-    ) -> np.ndarray:
+    def train(self, env: AnalyticJammingEnv, steps: int) -> np.ndarray:
         """Interact with ``env`` for ``steps`` slots; returns TD errors."""
         if steps < 1:
             raise TrainingError("steps must be positive")
@@ -147,11 +145,3 @@ def observation_table_size(
     if history_length < 1:
         raise ConfigurationError("history length must be >= 1")
     return (outcome_levels * channels * powers) ** history_length
-
-
-__all__ = [
-    "QLearningConfig",
-    "TabularQLearning",
-    "TabularQPolicy",
-    "observation_table_size",
-]

@@ -3,8 +3,9 @@
 PR 5 turned four hot loops into tensor ops — DSSS despreading (±1 GEMM
 against ``CHIP_TABLE_PM``), batched O-QPSK modulation/demodulation, the
 symbol-aligned preamble search, and the STF sliding correlation. Each
-shipped implementation keeps its original loop as ``*_reference``; these
-property tests pin them equal over random inputs.
+shipped implementation's original loop is a ``*_reference`` oracle in
+``tests/oracles/kernels.py``; these property tests pin them equal over
+random inputs.
 """
 
 import numpy as np
@@ -17,6 +18,11 @@ from repro.phy import preamble as P
 from repro.phy import sync as S
 from repro.phy import zigbee as Z
 from repro.rng import make_rng
+from tests.oracles.kernels import (
+    despread_reference,
+    find_preamble_reference,
+    locate_preamble_reference,
+)
 
 # ---------------------------------------------------------------------------
 # despread: one ±1 GEMM vs the broadcast Hamming scan
@@ -36,7 +42,7 @@ class TestDespreadGemm:
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_reference(self, chips):
         sym_gemm, err_gemm = Z.despread(chips)
-        sym_ref, err_ref = Z.despread_reference(chips)
+        sym_ref, err_ref = despread_reference(chips)
         assert np.array_equal(sym_gemm, sym_ref)
         assert np.array_equal(err_gemm, err_ref)
         assert sym_gemm.dtype == sym_ref.dtype
@@ -56,7 +62,7 @@ class TestDespreadGemm:
             trial = chips.copy()
             trial[:flips] ^= 1
             assert np.array_equal(
-                Z.despread(trial)[0], Z.despread_reference(trial)[0]
+                Z.despread(trial)[0], despread_reference(trial)[0]
             )
 
     def test_rejects_partial_symbols(self):
@@ -130,7 +136,7 @@ class TestFindPreamble:
     @settings(max_examples=80, deadline=None)
     def test_bit_identical_to_reference(self, seed, plant):
         arr = _chip_stream(seed, plant_preamble=plant)
-        assert S.find_preamble(arr) == S.find_preamble_reference(arr)
+        assert S.find_preamble(arr) == find_preamble_reference(arr)
 
     @given(
         seed=st.integers(0, 2**31 - 1),
@@ -142,12 +148,12 @@ class TestFindPreamble:
         arr = _chip_stream(seed, plant_preamble=True)
         assert S.find_preamble(
             arr, start=start, tolerance=tolerance
-        ) == S.find_preamble_reference(arr, start=start, tolerance=tolerance)
+        ) == find_preamble_reference(arr, start=start, tolerance=tolerance)
 
     def test_short_stream(self):
         arr = np.zeros(4 * 32 - 1, dtype=np.uint8)
         assert S.find_preamble(arr) is None
-        assert S.find_preamble_reference(arr) is None
+        assert find_preamble_reference(arr) is None
 
     def test_exact_preamble_found_at_zero(self):
         arr = np.tile(Z.CHIP_TABLE[0], 8)
@@ -175,7 +181,7 @@ class TestLocatePreamble:
         )
         wf = noise.copy()
         wf[pad : pad + stf.size] += scale * stf
-        assert P.locate_preamble(wf) == P.locate_preamble_reference(wf)
+        assert P.locate_preamble(wf) == locate_preamble_reference(wf)
 
     @given(seed=st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -186,9 +192,9 @@ class TestLocatePreamble:
             got = P.locate_preamble(wf)
         except DecodingError:
             with pytest.raises(DecodingError):
-                P.locate_preamble_reference(wf)
+                locate_preamble_reference(wf)
         else:
-            assert got == P.locate_preamble_reference(wf)
+            assert got == locate_preamble_reference(wf)
 
     def test_capture_too_short(self):
         with pytest.raises(DecodingError):

@@ -1,7 +1,8 @@
 """Golden equivalence: vectorised encoder/decoder vs the reference loops.
 
 The vectorised fast paths must be *bit-identical* to the straightforward
-per-step implementations they replaced (kept as ``*_reference``). These
+per-step implementations they replaced (the ``*_reference`` oracles in
+``tests/oracles/kernels.py``). These
 tests pin that contract over random messages, every supported code rate,
 channel noise, puncturing erasures, and terminated trellises.
 """
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.phy import convolutional as C
 from repro.phy import interleaver as I
+from tests.oracles.kernels import conv_encode_reference, viterbi_decode_reference
 
 RATES = sorted(C.PUNCTURE_PATTERNS)  # ["1/2", "2/3", "3/4"]
 
@@ -25,20 +27,18 @@ class TestEncoderEquivalence:
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_random_messages(self, bits):
-        np.testing.assert_array_equal(
-            C.conv_encode(bits), C.conv_encode_reference(bits)
-        )
+        np.testing.assert_array_equal(C.conv_encode(bits), conv_encode_reference(bits))
 
     def test_many_lengths(self):
         rng = _rng(0)
         for n in range(1, 129):
             bits = rng.integers(0, 2, size=n)
             np.testing.assert_array_equal(
-                C.conv_encode(bits), C.conv_encode_reference(bits)
+                C.conv_encode(bits), conv_encode_reference(bits)
             )
 
     def test_empty_input(self):
-        np.testing.assert_array_equal(C.conv_encode([]), C.conv_encode_reference([]))
+        np.testing.assert_array_equal(C.conv_encode([]), conv_encode_reference([]))
 
 
 class TestPunctureMasks:
@@ -81,7 +81,7 @@ class TestViterbiEquivalence:
             coded = C.conv_encode(msg)
             np.testing.assert_array_equal(
                 C.viterbi_decode(coded, terminated=terminated),
-                C.viterbi_decode_reference(coded, terminated=terminated),
+                viterbi_decode_reference(coded, terminated=terminated),
             )
 
     @pytest.mark.parametrize("flips", [1, 4, 12])
@@ -96,7 +96,7 @@ class TestViterbiEquivalence:
             noisy[idx] ^= 1
             np.testing.assert_array_equal(
                 C.viterbi_decode(noisy, terminated=terminated),
-                C.viterbi_decode_reference(noisy, terminated=terminated),
+                viterbi_decode_reference(noisy, terminated=terminated),
             )
 
     def test_random_garbage_streams(self):
@@ -106,7 +106,7 @@ class TestViterbiEquivalence:
         for trial in range(10):
             junk = rng.integers(0, 2, size=2 * rng.integers(1, 80))
             np.testing.assert_array_equal(
-                C.viterbi_decode(junk), C.viterbi_decode_reference(junk)
+                C.viterbi_decode(junk), viterbi_decode_reference(junk)
             )
 
     @pytest.mark.parametrize("rate", RATES)
@@ -129,7 +129,7 @@ class TestViterbiEquivalence:
             full, mask = C.depuncture(thin, rate)
             np.testing.assert_array_equal(
                 C.viterbi_decode(full, known_mask=mask, terminated=terminated),
-                C.viterbi_decode_reference(
+                viterbi_decode_reference(
                     full, known_mask=mask, terminated=terminated
                 ),
             )

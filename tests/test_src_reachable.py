@@ -19,10 +19,10 @@ is used (or it is a dunder). Matching is by bare name (``Name`` loads,
 attribute names and identifier strings, as in ``getattr(obj, "name")``),
 so a collision can only keep a name alive.
 
-A module or a public top-level function or class that only tests reach
-fails here: give it a caller, or delete it. Oracles that tests hold
-library code to are the exception; each is listed below with the test
-that uses it, and what they use stays reached.
+A module, a public top-level function or class, or a public method of a
+reached class that only tests reach fails here: give it a caller, or
+delete it. There are no exceptions. Oracles that tests hold library code
+to live in ``tests/oracles/``, which nothing under ``src/`` imports.
 """
 
 from __future__ import annotations
@@ -33,48 +33,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-#: Modules kept in ``src/`` although no entry point imports them.
-REFERENCE_MODULES = (
-    # Model-free Q-learning: the oracle that tests hold value_iteration to.
-    "repro.core.qlearning",
-)
-
-#: Public top-level names kept in ``src/`` although no entry point reaches
-#: them: each is an oracle, named with the test that uses it.
-REFERENCE_NAMES = {
-    "repro.phy.sync.synchronise": (
-        "tests/phy/test_sync.py decodes the EmuBee waveform as a ZigBee frame"
-    ),
-    "repro.phy.sync.SyncResult": "what synchronise returns to tests/phy/test_sync.py",
-    "repro.phy.sync.receive_stream": (
-        "tests/phy/test_sync.py decodes frames from a free-running capture"
-    ),
-    "repro.phy.zigbee.ZigBeeDecodeResult": (
-        "ZigBeePhy.receive returns it; tests/phy/test_zigbee.py round-trips TX"
-    ),
-    "repro.phy.ofdm.demodulate_stream": (
-        "WifiPhy.receive demodulates with it; tests/phy/test_wifi.py round-trips TX"
-    ),
-    "repro.core.solver.policy_iteration": (
-        "tests/core/test_solver.py checks value_iteration's policy against it"
-    ),
-    "repro.core.solver.bellman_residual": (
-        "tests/core/test_solver.py checks value_iteration's fixed point with it"
-    ),
-    "repro.channel.waveform.empirical_chip_flip_rate": (
-        "tests/channel/test_waveform.py holds the chip-capture model to waveform truth"
-    ),
-    "repro.jamming.adversary.make_slot_jammer_factory": (
-        "tests/jamming/test_adversary_parity.py runs each adversary on the slot clock"
-    ),
-    "repro.phy.bits.crc16_itut_reference": (
-        "tests/phy/test_bits.py pins the table-driven crc16_itut to it"
-    ),
-    "repro.phy.packet.encode_frame": (
-        "tests/phy/test_packet.py and test_sync.py build the frames the RX path decodes"
-    ),
-}
 
 ENTRY_MODULES = ("repro.cli", "repro.__main__")
 
@@ -154,17 +112,20 @@ def reached_modules() -> set[str]:
 
 
 def test_every_module_has_an_entry_point():
-    unreached = sorted(set(MODULES) - reached_modules() - set(REFERENCE_MODULES))
+    unreached = sorted(set(MODULES) - reached_modules())
     assert not unreached, f"only tests import {unreached}"
 
 
-def test_reference_modules_exist_and_are_unreached():
-    # An exemption that outlived its module, or that a real caller now
-    # covers, should go.
-    reached = reached_modules()
-    for module in REFERENCE_MODULES:
-        assert module in MODULES, module
-        assert module not in reached, module
+def test_src_imports_no_test_code():
+    # The walk reads ``repro`` imports only, so a library module that
+    # leaned on a test oracle would pass it and break once installed.
+    leaks = sorted(
+        f"{module} imports {source}"
+        for module, path in MODULES.items()
+        for source, _ in _imports(path)
+        if source.partition(".")[0] == "tests"
+    )
+    assert not leaks, leaks
 
 
 # -- names ------------------------------------------------------------------------
@@ -268,41 +229,28 @@ def live_names() -> frozenset[tuple[str, str]]:
     return frozenset(_reach(_entry_uses()))
 
 
-@lru_cache(maxsize=None)
-def kept_names() -> frozenset[tuple[str, str]]:
-    """Live definitions plus what the reference modules and names use."""
-    used = _entry_uses()
-    for module in REFERENCE_MODULES:
-        used |= _uses(_tree(MODULES[module]))
-    definitions = _definitions()
-    for name in REFERENCE_NAMES:
-        module, _, qualname = name.rpartition(".")
-        if (module, qualname) in definitions:
-            used |= _uses(definitions[(module, qualname)])
-    return frozenset(_reach(used))
-
-
 def test_every_public_name_has_an_entry_point():
-    kept = kept_names()
+    live = live_names()
     unreached = sorted(
         f"{module}.{qualname}"
         for module, qualname in _definitions()
         if "." not in qualname
         and not qualname.startswith("_")
-        and module not in REFERENCE_MODULES
-        and (module, qualname) not in kept
-        and f"{module}.{qualname}" not in REFERENCE_NAMES
+        and (module, qualname) not in live
     )
     assert not unreached, f"only tests reach {unreached}"
 
 
-def test_reference_names_exist_and_are_unreached():
-    # An exemption that outlived its name, or that a real caller now
-    # covers, should go.
-    defs = _definitions()
+def test_every_public_method_has_an_entry_point():
+    # A reached class's public method is reached by its bare name alone;
+    # one no entry point names is test-only API on live code.
     live = live_names()
-    for name, reason in REFERENCE_NAMES.items():
-        module, _, qualname = name.rpartition(".")
-        assert (module, qualname) in defs, name
-        assert (module, qualname) not in live, f"{name} has a caller now"
-        assert reason, name
+    unreached = sorted(
+        f"{module}.{qualname}"
+        for module, qualname in _definitions()
+        if "." in qualname
+        and (module, qualname.partition(".")[0]) in live
+        and not qualname.rpartition(".")[2].startswith("_")
+        and (module, qualname) not in live
+    )
+    assert not unreached, f"only tests reach {unreached}"
