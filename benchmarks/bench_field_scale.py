@@ -177,14 +177,15 @@ def test_field_scale_interference_curve(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(_InterferenceEngine, "factors", recording)
             grid_of(n).run(CURVE_SLOTS)
+        # Each undirected pair (a, b) is two directed edges.
         engines = {id(engine): engine for engine, _ in seen}
         co_channel = sum(
-            int((channels[e.src] == channels[e.vic]).sum()) for e, channels in seen
+            2 * int((channels[e.a] == channels[e.b]).sum()) for e, channels in seen
         )
         curve.append(
             {
                 "networks": n,
-                "edges": sum(len(e.src) for e in engines.values()),
+                "edges": sum(2 * len(e.a) for e in engines.values()),
                 "co_channel_edges_per_slot": co_channel / CURVE_SLOTS,
                 "net_slots_per_sec": n * CURVE_SLOTS / elapsed,
                 "mean_goodput": result.mean_goodput,

@@ -51,8 +51,10 @@ from repro.exec import timing
 from repro.phy import convolutional as C
 from repro.rng import derive
 from tests.oracles.kernels import (
+    all_edge_factors,
     conv_encode_reference,
     despread_reference,
+    directed_edges,
     find_preamble_reference,
     locate_preamble_reference,
     viterbi_decode_reference,
@@ -394,13 +396,15 @@ def test_derive_entropy():
 
 
 def test_interference_co_channel():
-    """Delivery factors over co-channel edges only vs over every edge.
+    """Delivery factors over co-channel pairs only vs over every edge.
 
     ``kernels.interference.{all_edges,co_channel}`` time 20 slots of the
     grid-table-hybrid geometry: 2560 networks on a 100 x 100 m field,
     a 12 m radius and the hybrid tier, with uniform random channels and
-    powers. The all-edge side multiplies 1.0 into every edge that is not
-    co-channel; both must return the same bits.
+    powers. The all-edge side (``tests.oracles.kernels.all_edge_factors``
+    over directed edges built from the positions, untimed) multiplies
+    1.0 into every edge that is not co-channel; both must return the
+    same bits.
     """
     from repro.sim.scenario import paper_defaults
     from repro.sim.shard import (
@@ -411,11 +415,11 @@ def test_interference_co_channel():
 
     n, slots = 2560, 20
     mdp = paper_defaults().mdp
-    engine = _InterferenceEngine(
-        InterferenceModel(radius_m=12.0, channel="hybrid"),
-        mdp,
-        network_positions(7, n, 100.0, 100.0),
-        tuple(range(n)),
+    model = InterferenceModel(radius_m=12.0, channel="hybrid")
+    positions = network_positions(7, n, 100.0, 100.0)
+    engine = _InterferenceEngine(model, mdp, positions, tuple(range(n)))
+    edges = directed_edges(
+        model.radius_m, model.distance_bin_m, positions, tuple(range(n))
     )
     rng = np.random.default_rng(23)
     draws = [
@@ -427,11 +431,7 @@ def test_interference_co_channel():
     ]
 
     def all_edges(channels, powers):
-        out = np.ones(n)
-        co = channels[engine.src] == channels[engine.vic]
-        per = engine.per[engine.bins, powers[engine.src], powers[engine.vic]]
-        np.multiply.at(out, engine.vic, np.where(co, 1.0 - per, 1.0))
-        return out
+        return all_edge_factors(engine.per, edges, channels, powers)
 
     for channels, powers in draws:
         np.testing.assert_array_equal(

@@ -717,26 +717,6 @@ class JamAdjudicator:
             uniform = float(rng.random())
         return uniform < self.survival_probability(tx_power, jam_power)
 
-    def jam_success_probability(self, config, power_index: int) -> float:
-        """Tier-aware replacement for :meth:`MDPConfig.jam_success_probability`.
-
-        ``config`` duck-types the MDP config: ``tx_power_levels``,
-        ``jammer_power_levels`` (ascending) and ``jammer_mode``
-        (``"max"``/``"random"``). The analytic tier reproduces the strict
-        threshold semantics exactly.
-        """
-        p = float(config.tx_power_levels[power_index])
-        levels = [float(x) for x in config.jammer_power_levels]
-        if self.analytic:
-            if config.jammer_mode == "max":
-                return 1.0 if levels[-1] > p else 0.0
-            return sum(1 for pj in levels if pj > p) / len(levels)
-        if config.jammer_mode == "max":
-            return 1.0 - self.survival_probability(p, levels[-1])
-        return sum(1.0 - self.survival_probability(p, pj) for pj in levels) / len(
-            levels
-        )
-
 
 __all__ = [
     "CHANNEL_TIERS",

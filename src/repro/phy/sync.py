@@ -15,11 +15,9 @@ import numpy as np
 
 from repro.phy import zigbee
 
-#: Preamble: eight zero data symbols (four zero octets).
-PREAMBLE_SYMBOLS = 8
-
 #: Minimum consecutive zero symbols to declare preamble lock (receivers
-#: typically sync on a suffix of the preamble).
+#: typically sync on a suffix of the preamble: eight zero data symbols,
+#: four zero octets).
 MIN_PREAMBLE_SYMBOLS = 4
 
 #: Maximum per-symbol chip errors tolerated during symbol-aligned search.
@@ -70,7 +68,6 @@ def find_preamble(
 
 
 __all__ = [
-    "PREAMBLE_SYMBOLS",
     "MIN_PREAMBLE_SYMBOLS",
     "SEARCH_CHIP_TOLERANCE",
     "find_preamble",

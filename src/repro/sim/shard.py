@@ -473,7 +473,17 @@ class _ShardSpec:
 
 
 class _InterferenceEngine:
-    """Per-shard precomputed PER grid + per-slot victim factors."""
+    """Per-shard precomputed PER grid + per-slot victim factors.
+
+    The edges are the undirected in-range pairs ``(a, b)``, ``a < b`` in
+    local index, sorted by ``(a, b)``, with one distance bin per pair
+    (``hypot`` is sign-symmetric, so it serves both directions). Each
+    pair is two directed edges: source ``a`` into victim ``b`` and
+    source ``b`` into victim ``a``. Local order is global order, because
+    a shard's ``global_indices`` are sorted (they come from
+    ``flatnonzero``), so the factors are identical in every shard
+    decomposition.
+    """
 
     def __init__(
         self,
@@ -489,23 +499,18 @@ class _InterferenceEngine:
             if self.num_local > 1
             else np.empty((0, 2), dtype=np.intp)
         )
-        # Directed edges (source hub → victim network), both ways.
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        vic = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+        self.a, self.b = pairs[:, 0], pairs[:, 1]
+        # Pairs per source ``a``: ``repeat(c, count_per_a)`` is ``c[a]``.
+        self.count_per_a = np.bincount(self.a, minlength=self.num_local)
+        self.channel_dtype = np.min_scalar_type(mdp.num_channels - 1)
         dist = np.hypot(
-            positions[src, 0] - positions[vic, 0],
-            positions[src, 1] - positions[vic, 1],
+            positions[self.a, 0] - positions[self.b, 0],
+            positions[self.a, 1] - positions[self.b, 1],
         )
-        bins = (dist // model.distance_bin_m).astype(np.intp)
-        # Deterministic accumulation order: victims ascending, then source
-        # *global* index — identical in every shard decomposition.
-        glob = np.asarray(global_indices, dtype=np.intp)
-        order = np.lexsort((glob[src], glob[vic]))
-        self.src = src[order]
-        self.vic = vic[order]
-        self.bins = bins[order]
+        self.bins = (dist // model.distance_bin_m).astype(np.intp)
         # PER of the victim's peripheral→hub link per (distance bin, source
-        # power, victim power), computed once via the memoised LinkTable.
+        # power, victim power), computed once per bin in use.
         levels = len(tx_dbm)
         used = np.unique(self.bins) if len(self.bins) else np.empty(0, np.intp)
         max_bin = int(used.max()) + 1 if len(used) else 0
@@ -536,18 +541,23 @@ class _InterferenceEngine:
     def factors(self, channels: np.ndarray, powers: np.ndarray) -> np.ndarray:
         """Per-network delivery factor ∏ (1 − PER) over co-channel edges.
 
-        Only co-channel edges are gathered and multiplied in: every other
-        edge would multiply by exactly 1.0, and the kept edges keep their
-        victim-then-source order, so the products are bit-identical to
-        multiplying over all edges.
+        The co-channel test runs once per pair. Only co-channel pairs are
+        multiplied in: every other edge would multiply by exactly 1.0.
+        Each victim's factors go in by ascending source, as over all
+        directed edges sorted by (victim, source): the first
+        ``multiply.at`` brings in its sources below it, the second those
+        above it, each ascending because the pairs are sorted by
+        ``(a, b)``. So the products are bit-identical to that order.
         """
         out = np.ones(self.num_local)
-        co = np.flatnonzero(channels[self.src] == channels[self.vic])
+        c = channels.astype(self.channel_dtype)
+        co = np.flatnonzero(np.repeat(c, self.count_per_a) == c[self.b])
         if not len(co):
             return out
-        src, vic = self.src[co], self.vic[co]
-        per = self.per[self.bins[co], powers[src], powers[vic]]
-        np.multiply.at(out, vic, 1.0 - per)
+        a, b, bins = self.a[co], self.b[co], self.bins[co]
+        pa, pb = powers[a], powers[b]
+        np.multiply.at(out, b, 1.0 - self.per[bins, pa, pb])
+        np.multiply.at(out, a, 1.0 - self.per[bins, pb, pa])
         return out
 
 

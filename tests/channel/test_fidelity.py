@@ -43,6 +43,7 @@ from repro.core.mdp import MDPConfig
 from repro.errors import ChannelError, ConfigurationError
 from repro.obs.metrics import METRICS
 from repro.rng import derive
+from tests.oracles.mdp import channel_mdp_config
 
 EMUBEE = JammerSignalType.EMUBEE
 ZIGBEE = JammerSignalType.ZIGBEE
@@ -359,7 +360,7 @@ class TestJamAdjudicator:
         for mode in ("max", "random"):
             cfg = _cfg((6, 9, 12, 15), (8, 11, 14), mode)
             for i in range(len(cfg.tx_power_levels)):
-                assert adj.jam_success_probability(cfg, i) == (
+                assert channel_mdp_config(cfg, adj).jam_success_probability(i) == (
                     cfg.jam_success_probability(i)
                 )
 
@@ -448,14 +449,15 @@ class TestJamAdjudicator:
             "hybrid", calibration=calibrate(**CAL_KW), packet_octets=4
         )
         cfg_max = _cfg((11.0, 11.4, 12.0), (8.0, 10.0), "max")
-        p = adj.jam_success_probability(cfg_max, 1)
+        p = channel_mdp_config(cfg_max, adj).jam_success_probability(1)
         assert p == pytest.approx(1.0 - adj.survival_probability(11.4, 10.0))
         cfg_rand = _cfg((11.0, 11.4, 12.0), (8.0, 10.0), "random")
         expected = (
             (1.0 - adj.survival_probability(11.4, 8.0))
             + (1.0 - adj.survival_probability(11.4, 10.0))
         ) / 2.0
-        assert adj.jam_success_probability(cfg_rand, 1) == pytest.approx(expected)
+        p = channel_mdp_config(cfg_rand, adj).jam_success_probability(1)
+        assert p == pytest.approx(expected)
 
     def test_waveform_tier_deterministic(self):
         clear_trial_cache()

@@ -1,8 +1,10 @@
-"""The per-step loops the vectorised PHY kernels replaced.
+"""The per-step loops the vectorised kernels replaced.
 
 Each shipped kernel in ``repro.phy`` is pinned bit-identical to its loop
 here by the equivalence suites, and ``benchmarks/bench_kernels.py`` times
-the pair for its speedup stages.
+the pair for its speedup stages. The field grid's co-channel interference
+factors are held to :func:`all_edge_factors`, the same product over every
+directed edge, which it builds from the hub positions alone.
 """
 
 from __future__ import annotations
@@ -158,3 +160,47 @@ def locate_preamble_reference(samples: np.ndarray, *, threshold: float = 0.8) ->
     if best_corr < threshold:
         raise DecodingError(f"no preamble found (best correlation {best_corr:.2f})")
     return best_idx
+
+
+def directed_edges(
+    radius_m: float,
+    distance_bin_m: float,
+    positions: np.ndarray,
+    global_indices: tuple[int, ...],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(victim, source, bin)`` of every in-range ordered pair of networks.
+
+    Brute force over every ordered pair of distinct networks, sorted by
+    victim then source global index; ``bin`` is the distance bin.
+    """
+    order = np.argsort(np.asarray(global_indices), kind="stable")
+    vic, src, bins = [], [], []
+    for v in order:
+        dist = np.hypot(
+            positions[order, 0] - positions[v, 0],
+            positions[order, 1] - positions[v, 1],
+        )
+        keep = (order != v) & (dist <= radius_m)
+        vic.append(np.full(int(keep.sum()), v))
+        src.append(order[keep])
+        bins.append((dist[keep] // distance_bin_m).astype(np.intp))
+    return np.concatenate(vic), np.concatenate(src), np.concatenate(bins)
+
+
+def all_edge_factors(
+    per: np.ndarray,
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    channels: np.ndarray,
+    powers: np.ndarray,
+) -> np.ndarray:
+    """Every directed edge multiplied in, 1.0 where not co-channel.
+
+    ``per`` is the ``(bin, source power, victim power)`` PER grid and
+    ``edges`` what :func:`directed_edges` returns for the field.
+    """
+    vic, src, bins = edges
+    out = np.ones(len(channels))
+    co = channels[src] == channels[vic]
+    factor = np.where(co, 1.0 - per[bins, powers[src], powers[vic]], 1.0)
+    np.multiply.at(out, vic, factor)
+    return out

@@ -26,17 +26,47 @@ from repro.rng import SeedLike, make_rng
 class _ChannelMDPConfig(MDPConfig):
     """MDP config whose jam-success law comes from a channel-tier adjudicator.
 
-    Built by :class:`AnalyticJammingEnv` when a non-analytic
-    ``REPRO_CHANNEL`` tier is selected; every other field (and the kernel
-    built on top of it) is a verbatim copy of the wrapped config.
+    Built by :func:`channel_mdp_config`: :class:`AnalyticJammingEnv`
+    wraps its config when a non-analytic ``REPRO_CHANNEL`` tier is
+    selected, and the fidelity tests hold the law to each tier. Every
+    other field (and the kernel built on top of it) is a verbatim copy of
+    the wrapped config.
     """
 
     adjudicator: JamAdjudicator | None = None
 
     def jam_success_probability(self, power_index: int) -> float:
-        if self.adjudicator is None:
+        """The jam-success law under the adjudicator's tier.
+
+        The analytic tier reproduces :class:`MDPConfig`'s strict
+        threshold semantics exactly; the others contest the calibrated
+        packet survival against the strongest (``"max"``) or every
+        (``"random"``) jammer power level.
+        """
+        adj = self.adjudicator
+        if adj is None:
             return super().jam_success_probability(power_index)
-        return self.adjudicator.jam_success_probability(self, power_index)
+        p = float(self.tx_power_levels[power_index])
+        levels = [float(x) for x in self.jammer_power_levels]
+        if adj.analytic:
+            if self.jammer_mode == "max":
+                return 1.0 if levels[-1] > p else 0.0
+            return sum(1 for pj in levels if pj > p) / len(levels)
+        if self.jammer_mode == "max":
+            return 1.0 - adj.survival_probability(p, levels[-1])
+        return sum(1.0 - adj.survival_probability(p, pj) for pj in levels) / len(
+            levels
+        )
+
+
+def channel_mdp_config(
+    base: MDPConfig, adjudicator: JamAdjudicator
+) -> _ChannelMDPConfig:
+    """``base`` with its jam-success law taken from ``adjudicator``."""
+    return _ChannelMDPConfig(
+        **{f.name: getattr(base, f.name) for f in fields(MDPConfig)},
+        adjudicator=adjudicator,
+    )
 
 
 class AnalyticJammingEnv:
@@ -61,12 +91,8 @@ class AnalyticJammingEnv:
         self.mdp = mdp or AntiJammingMDP()
         self._adjudicator = JamAdjudicator(channel)
         if not self._adjudicator.analytic:
-            base = self.mdp.config
             self.mdp = AntiJammingMDP(
-                _ChannelMDPConfig(
-                    **{f.name: getattr(base, f.name) for f in fields(MDPConfig)},
-                    adjudicator=self._adjudicator,
-                )
+                channel_mdp_config(self.mdp.config, self._adjudicator)
             )
         self._rng = make_rng(seed)
         self.state: State = 1

@@ -1,16 +1,20 @@
 """Bit-identity oracles for two per-slot kernels of the field grid.
 
-``_InterferenceEngine.factors`` visits only co-channel edges, and
+``_InterferenceEngine.factors`` visits only co-channel pairs, and
 ``TimingModel.negotiation_time_from_uniforms`` evaluates the recovery
 quantile only where it is applied. Each is checked against the
-straightforward all-entries formula it replaces, kept here as the
-reference, with ``np.array_equal``.
+straightforward all-entries formula it replaces with ``np.array_equal``:
+the interference one is :func:`tests.oracles.kernels.all_edge_factors`,
+which builds its directed edges from the positions alone; the
+negotiation one is kept here.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net.timing import (
     OFF_CHANNEL_RECOVERY_CV,
@@ -19,27 +23,37 @@ from repro.net.timing import (
 )
 from repro.sim.scenario import paper_defaults
 from repro.sim.shard import InterferenceModel, _InterferenceEngine
+from tests.oracles.kernels import all_edge_factors, directed_edges
 
 MDP = paper_defaults().mdp
+MODEL = InterferenceModel(channel="hybrid")
 
 
-def _engine(num_networks: int, side_m: float, seed: int = 0) -> _InterferenceEngine:
+class _Case:
+    """An engine and the oracle's directed edges of the same field."""
+
+    def __init__(self, positions: np.ndarray, global_indices: tuple[int, ...]):
+        self.engine = _InterferenceEngine(MODEL, MDP, positions, global_indices)
+        self.edges = directed_edges(
+            MODEL.radius_m, MODEL.distance_bin_m, positions, global_indices
+        )
+
+    def check(self, channels: np.ndarray, powers: np.ndarray) -> np.ndarray:
+        """The engine's factors, asserted equal to the all-edge oracle's."""
+        got = self.engine.factors(channels, powers)
+        want = all_edge_factors(self.engine.per, self.edges, channels, powers)
+        assert np.array_equal(got, want)
+        return got
+
+
+def _case(num_networks: int, side_m: float, seed: int = 0) -> _Case:
     rng = np.random.default_rng(seed)
     positions = rng.random((num_networks, 2)) * side_m
     # Sorted, gapped global indices, as a shard with a halo has them.
-    global_indices = tuple(np.sort(rng.choice(4 * num_networks, num_networks, False)))
-    return _InterferenceEngine(
-        InterferenceModel(channel="hybrid"), MDP, positions, global_indices
+    global_indices = tuple(
+        int(g) for g in np.sort(rng.choice(4 * num_networks, num_networks, False))
     )
-
-
-def _all_edge_factors(engine, channels, powers) -> np.ndarray:
-    """Every directed edge multiplied in, 1.0 where not co-channel."""
-    out = np.ones(engine.num_local)
-    co = channels[engine.src] == channels[engine.vic]
-    per = engine.per[engine.bins, powers[engine.src], powers[engine.vic]]
-    np.multiply.at(out, engine.vic, np.where(co, 1.0 - per, 1.0))
-    return out
+    return _Case(positions, global_indices)
 
 
 def _powers(rng, n: int) -> np.ndarray:
@@ -48,44 +62,92 @@ def _powers(rng, n: int) -> np.ndarray:
 
 class TestInterferenceFactors:
     def test_random_channels_and_powers(self):
-        engine = _engine(512, 100.0)
+        case = _case(512, 100.0)
         rng = np.random.default_rng(1)
         for _ in range(5):
             channels = rng.integers(0, MDP.num_channels, 512)
-            powers = _powers(rng, 512)
-            want = _all_edge_factors(engine, channels, powers)
-            assert (want < 1.0).any()
-            assert np.array_equal(engine.factors(channels, powers), want)
+            got = case.check(channels, _powers(rng, 512))
+            assert (got < 1.0).any()
 
     def test_all_networks_on_one_channel(self):
-        engine = _engine(512, 100.0, seed=2)
+        case = _case(512, 100.0, seed=2)
         rng = np.random.default_rng(3)
-        channels = np.full(512, 7)
-        powers = _powers(rng, 512)
-        assert np.array_equal(
-            engine.factors(channels, powers),
-            _all_edge_factors(engine, channels, powers),
-        )
+        case.check(np.full(512, 7), _powers(rng, 512))
 
     def test_no_co_channel_pair(self):
         # A sparse field, greedily coloured so no edge joins one channel.
-        engine = _engine(512, 400.0, seed=4)
+        case = _case(512, 400.0, seed=4)
+        vic, src, _ = case.edges
         channels = np.full(512, -1)
         for v in range(512):
-            taken = set(channels[engine.src[engine.vic == v]].tolist())
+            taken = set(channels[src[vic == v]].tolist())
             channels[v] = min(set(range(MDP.num_channels)) - taken)
-        assert len(engine.src)
-        assert not (channels[engine.src] == channels[engine.vic]).any()
-        powers = _powers(np.random.default_rng(5), 512)
-        got = engine.factors(channels, powers)
-        assert np.array_equal(got, _all_edge_factors(engine, channels, powers))
+        assert len(src)
+        assert not (channels[src] == channels[vic]).any()
+        got = case.check(channels, _powers(np.random.default_rng(5), 512))
         assert np.array_equal(got, np.ones(512))
 
     def test_no_edges(self):
-        engine = _engine(1, 100.0)
+        engine = _case(1, 100.0).engine
         assert np.array_equal(
             engine.factors(np.zeros(1, np.intp), np.zeros(1, np.intp)), np.ones(1)
         )
+
+    def test_victim_with_co_channel_neighbours_on_both_sides(self):
+        # Network 2 has in-range co-channel neighbours below (0, 1) and
+        # above (3, 4) its index, in four distance bins whose PERs at
+        # these powers are fractional; network 5 is out of range.
+        positions = np.array(
+            [[24.2, 20.0], [15.3, 20.0], [20.0, 20.0], [20.0, 25.2], [20.0, 13.3]]
+            + [[80.0, 80.0]]
+        )
+        powers = np.array([3, 4, 0, 5, 8, 0])
+        case = _Case(positions, (3, 8, 9, 20, 21, 40))
+        vic, src, bins = case.edges
+        into_2 = vic == 2
+        assert src[into_2].tolist() == [0, 1, 3, 4]
+        assert bins[into_2].tolist() == [8, 9, 10, 13]
+        got = case.check(np.full(6, 4), powers)
+        want = 1.0
+        for s, b in zip(src[into_2], bins[into_2]):
+            want *= 1.0 - case.engine.per[b, powers[s], 0]
+        assert 0.0 < got[2] == want < 1.0
+        assert got[5] == 1.0
+
+    def test_coincident_positions_use_bin_zero(self):
+        positions = np.array([[5.0, 5.0], [5.0, 5.0], [5.0, 5.0], [5.2, 5.1]])
+        case = _Case(positions, (0, 1, 2, 3))
+        _, _, bins = case.edges
+        assert len(bins) == 12 and (bins == 0).all()
+        rng = np.random.default_rng(7)
+        for channels in ([0, 0, 0, 0], [0, 1, 0, 1], [2, 2, 3, 2]):
+            case.check(np.array(channels), _powers(rng, 4))
+
+    def test_two_networks(self):
+        # 5 m apart: distance bin 10, read in both directions.
+        case = _Case(np.array([[0.0, 0.0], [3.0, 4.0]]), (0, 1))
+        per = case.engine.per[10]
+        levels = len(MDP.tx_power_levels)
+        for p0 in range(levels):
+            for p1 in range(levels):
+                powers = np.array([p0, p1])
+                got = case.check(np.array([5, 5]), powers)
+                assert got.tolist() == [1.0 - per[p1, p0], 1.0 - per[p0, p1]]
+                assert np.array_equal(case.check(np.array([5, 6]), powers), np.ones(2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        num_networks=st.integers(1, 300),
+        side_m=st.floats(5.0, 200.0),
+        num_channels=st.sampled_from([1, 2, 16]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_fields(self, num_networks, side_m, num_channels, seed):
+        case = _case(num_networks, side_m, seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            channels = rng.integers(0, num_channels, num_networks)
+            case.check(channels, _powers(rng, num_networks))
 
 
 def _all_node_negotiation(timing, num_nodes, uniforms, include_recovery):
