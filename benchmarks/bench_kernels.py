@@ -9,7 +9,8 @@ run this file from the repository root with ``python -m pytest``:
   :class:`repro.channel.link.LinkBudget` evaluation,
 * Viterbi decode — vectorised ACS vs the per-state reference loop,
 * batched DQN stepping — stacked ε-greedy act / TD update across N seeds
-  vs N serial single-agent calls,
+  vs N serial single-agent calls (the TD update's serial chain is
+  ``tests/oracles/training.py``),
 * policy stack — the cached greedy fleet forward vs a per-call restack,
   and a 1024-network fleet over 1 to 1024 distinct policies per kernel,
 * jammer bank — the paper's sweep jammers of a 1024-network field as
@@ -59,6 +60,7 @@ from tests.oracles.kernels import (
     locate_preamble_reference,
     viterbi_decode_reference,
 )
+from tests.oracles.training import SerialDQNAgent
 
 #: Speedups recorded into the artifact, filled as the tests run.
 SPEEDUPS: dict[str, float] = {}
@@ -154,7 +156,7 @@ def test_viterbi_speedup():
     assert SPEEDUPS["conv_encode"] >= 5.0
 
 
-def _fresh_agents(n: int):
+def _fresh_agents(n: int, agent_type=DQNAgent):
     cfg = DQNConfig(
         observation_size=15,
         num_actions=160,
@@ -164,7 +166,7 @@ def _fresh_agents(n: int):
         replay_capacity=4000,
         epsilon=EpsilonSchedule(1.0, 0.1, 2000),
     )
-    agents = [DQNAgent(cfg, seed=derive(s, "train-agent")) for s in range(n)]
+    agents = [agent_type(cfg, seed=derive(s, "train-agent")) for s in range(n)]
     rng = np.random.default_rng(1)
     for agent in agents:
         obs = rng.standard_normal((512, cfg.observation_size))
@@ -198,7 +200,7 @@ def test_batched_dqn_stepping():
     SPEEDUPS["act"] = serial_act_s / batched_act_s
 
     # Separate populations so the timed paths don't share rng/optimizer state.
-    _, serial_agents = _fresh_agents(n)
+    _, serial_agents = _fresh_agents(n, SerialDQNAgent)
     serial_learn_s = _timed(
         "kernels.learn.serial",
         lambda: [
@@ -239,7 +241,7 @@ def test_policy_stack_cache_speedup():
     cfg = DQNConfig(
         observation_size=15, num_actions=160, hidden_sizes=(64, 64)
     )
-    agents = [DQNAgent(cfg, seed=derive(s, "train-agent")) for s in range(n)]
+    agents = [agent_type(cfg, seed=derive(s, "train-agent")) for s in range(n)]
     rng = np.random.default_rng(5)
     obs = rng.standard_normal((n, cfg.observation_size))
 

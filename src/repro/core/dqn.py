@@ -4,8 +4,12 @@ Architecture: 3·I input neurons (success/fail, channel, power of the
 previous I slots), two fully connected ReLU hidden layers, C·P_L output
 neurons — one Q-value per (channel, power-level) action. Exploration is
 ε-greedy: the best action with probability 1−ε, any other feasible action
-with probability ε/(C·P_L − 1). Learning uses experience replay and a
-periodically synchronised target network.
+with probability ε/(C·P_L − 1). Learning uses experience replay, the
+Huber loss, Adam and a periodically synchronised target network; the
+updates themselves run in :mod:`repro.core.vecenv`, which trains every
+seed group, one seed included, as stacked tensor ops. An agent holds what
+that trainer reads and writes back: its networks, replay buffer, rng
+stream, counters and :class:`AdamState`.
 """
 
 from __future__ import annotations
@@ -15,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constants import DEFAULT_DISCOUNT, DEFAULT_HIDDEN_WIDTH
-from repro.core.replay import Batch, ReplayBuffer
+from repro.core.replay import ReplayBuffer
 from repro.errors import ConfigurationError
-from repro.nn.losses import HuberLoss
 from repro.nn.network import Network, mlp
-from repro.nn.optimizers import Adam
 from repro.rng import SeedLike, derive, make_rng
+
+#: Width of the Huber loss's quadratic region around each TD target.
+HUBER_DELTA = 1.0
 
 
 @dataclass(frozen=True)
@@ -79,14 +84,44 @@ class DQNConfig:
             raise ConfigurationError("discount must lie in [0, 1)")
         if self.batch_size < 1:
             raise ConfigurationError("batch size must be positive")
+        if self.learning_rate <= 0:
+            raise ConfigurationError(
+                f"learning rate must be positive, got {self.learning_rate}"
+            )
         if self.warmup_transitions < self.batch_size:
             raise ConfigurationError(
                 "warmup must provide at least one full batch"
+            )
+        if self.warmup_transitions > self.replay_capacity:
+            raise ConfigurationError(
+                f"warmup_transitions ({self.warmup_transitions}) exceeds "
+                f"replay_capacity ({self.replay_capacity}): the buffer can "
+                "never hold a warm-up's worth of transitions, so the agent "
+                "would never train"
             )
         if self.target_sync_interval < 1:
             raise ConfigurationError("target sync interval must be positive")
         if self.soft_update_tau is not None and not 0.0 < self.soft_update_tau <= 1.0:
             raise ConfigurationError("soft update tau must lie in (0, 1]")
+
+
+@dataclass
+class AdamState:
+    """Adam's hyperparameters and moments (Kingma & Ba, 2015) for one network.
+
+    The lock-step trainer keeps the moments in stacked buffers and writes
+    them here when a seed's run ends: ``m``/``v`` are arrays aligned with
+    ``network.parameters`` (``None`` until a step has run), ``t`` the step
+    count.
+    """
+
+    learning_rate: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    epsilon: float = 1e-8
+    m: list[np.ndarray] | None = None
+    v: list[np.ndarray] | None = None
+    t: int = 0
 
 
 class DQNAgent:
@@ -107,8 +142,7 @@ class DQNAgent:
             config.observation_size,
             seed=derive(seed, "dqn-replay"),
         )
-        self.optimizer = Adam(learning_rate=config.learning_rate)
-        self.loss = HuberLoss()
+        self.adam = AdamState(learning_rate=config.learning_rate)
         self.train_steps = 0
         self.env_steps = 0
 
@@ -142,59 +176,6 @@ class DQNAgent:
         draw = int(self._rng.integers(self.config.num_actions - 1))
         return draw + (draw >= best)
 
-    # -- learning -----------------------------------------------------------------
-
-    def observe(
-        self,
-        observation: np.ndarray,
-        action: int,
-        reward: float,
-        next_observation: np.ndarray,
-    ) -> float | None:
-        """Store a transition and (after warm-up) do one training step.
-
-        Returns the training loss, or ``None`` while warming up.
-        """
-        self.replay.push(observation, action, reward, next_observation)
-        self.env_steps += 1
-        if len(self.replay) < self.config.warmup_transitions:
-            return None
-        return self.train_on(self.replay.sample(self.config.batch_size))
-
-    def train_on(self, batch: Batch) -> float:
-        """One TD(0) update on a batch; syncs the target net on schedule."""
-        cfg = self.config
-        next_q_target = self.target.forward(batch.next_observations)
-        if cfg.double_dqn:
-            next_q_online = self.online.forward(batch.next_observations)
-            best_next = next_q_online.argmax(axis=1)
-            bootstrap = next_q_target[np.arange(batch.size), best_next]
-        else:
-            bootstrap = next_q_target.max(axis=1)
-        targets_for_actions = batch.rewards + cfg.discount * bootstrap
-
-        prediction = self.online.forward(batch.observations)
-        target = prediction.copy()
-        rows = np.arange(batch.size)
-        target[rows, batch.actions] = targets_for_actions
-        mask = np.zeros_like(target)
-        mask[rows, batch.actions] = 1.0
-
-        value = self.online.train_step(
-            batch.observations, target, self.loss, self.optimizer, grad_mask=mask
-        )
-        self.train_steps += 1
-        if cfg.soft_update_tau is not None:
-            tau = cfg.soft_update_tau
-            for t_param, o_param in zip(
-                self.target.parameters, self.online.parameters
-            ):
-                t_param *= 1.0 - tau
-                t_param += tau * o_param
-        elif self.train_steps % cfg.target_sync_interval == 0:
-            self.target.copy_weights_from(self.online)
-        return value
-
     # -- persistence ----------------------------------------------------------------
 
     def sync_target(self) -> None:
@@ -206,7 +187,9 @@ class DQNAgent:
 
 
 __all__ = [
+    "HUBER_DELTA",
     "EpsilonSchedule",
     "DQNConfig",
+    "AdamState",
     "DQNAgent",
 ]

@@ -1,9 +1,11 @@
-"""DQN training loop for the anti-jamming environment.
+"""DQN training and evaluation for the anti-jamming environment.
 
 Mirrors the paper's procedure (§IV-B): train on historical interaction
 blocks (channel, power level, success/failure), stop when the running
 average reward reaches a threshold or the step budget runs out, then freeze
-the network and deploy it greedily.
+the network and deploy it greedily. The loop itself is the lock-step
+trainer of :mod:`repro.core.vecenv`; :func:`train_dqn` runs it for one
+seed and :func:`train_dqn_multi_seed` fans seed groups out over a pool.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from repro.core.dqn import DQNAgent, DQNConfig
 from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.core.metrics import MetricSummary, SlotLog
+from repro.core.vecenv import _train_batch_task, resolve_env_batch, train_dqn_batch
 from repro.errors import TrainingError
 from repro.exec import FaultPolicy, ParallelRunner, TaskFailure
 from repro.obs import trace as obs_trace
-from repro.obs.metrics import METRICS
 from repro.rng import SeedLike, derive
 
 
@@ -67,82 +69,21 @@ def train_dqn(
     trainer: TrainerConfig | None = None,
     dqn: DQNConfig | None = None,
     history_length: int = 5,
-    seed: SeedLike = None,
+    seed: int,
 ) -> TrainingResult:
-    """Train a DQN against the mechanistic sweep jammer."""
-    env_config = env_config or MDPConfig()
-    trainer = trainer or TrainerConfig()
-    env = SweepJammingEnv(
-        env_config, history_length=history_length, seed=derive(seed, "train-env")
-    )
-    if dqn is None:
-        dqn = DQNConfig(
-            observation_size=env.observation_size,
-            num_actions=env.num_actions,
-        )
-    elif dqn.observation_size != env.observation_size or dqn.num_actions != env.num_actions:
-        raise TrainingError(
-            "DQN geometry does not match the environment: expected "
-            f"obs={env.observation_size}, actions={env.num_actions}"
-        )
-    agent = DQNAgent(dqn, seed=derive(seed, "train-agent"))
+    """Train a DQN against the mechanistic sweep jammer.
 
-    rewards: list[float] = []
-    losses: list[float] = []
-    converged = False
-    steps = 0
-    episodes_run = 0
-    with obs_trace.span(
-        "train/run",
-        seed=seed,
-        episodes=trainer.episodes,
-        steps_per_episode=trainer.steps_per_episode,
-    ):
-        for _ in range(trainer.episodes):
-            episodes_run += 1
-            obs = env.reset()
-            ep_reward = 0.0
-            ep_losses: list[float] = []
-            for _ in range(trainer.steps_per_episode):
-                action = agent.act(obs)
-                next_obs, reward, _ = env.step_index(action)
-                loss = agent.observe(
-                    obs, action, reward * trainer.reward_scale, next_obs
-                )
-                if loss is not None:
-                    ep_losses.append(loss)
-                obs = next_obs
-                ep_reward += reward
-                steps += 1
-            rewards.append(ep_reward / trainer.steps_per_episode)
-            losses.append(float(np.mean(ep_losses)) if ep_losses else float("nan"))
-            METRICS.inc("dqn.episodes")
-            METRICS.set("dqn.epsilon", agent.epsilon)
-            if ep_losses:
-                METRICS.observe("dqn.td_error", losses[-1])
-            obs_trace.event(
-                "dqn.episode",
-                episode=episodes_run - 1,
-                reward=rewards[-1],
-                loss=losses[-1],
-                epsilon=agent.epsilon,
-                replay=len(agent.replay),
-                steps=steps,
-            )
-            if trainer.reward_goal is not None and len(rewards) >= trainer.goal_window:
-                window = rewards[-trainer.goal_window :]
-                if float(np.mean(window)) >= trainer.reward_goal:
-                    converged = True
-                    break
-    agent.sync_target()
-    return TrainingResult(
-        agent=agent,
-        steps=steps,
-        episodes=episodes_run,
-        converged=converged,
-        reward_history=np.array(rewards),
-        loss_history=np.array(losses),
-    )
+    One seed's run of the lock-step trainer,
+    :func:`repro.core.vecenv.train_dqn_batch`; the seed derives the
+    environment and agent streams.
+    """
+    return train_dqn_batch(
+        env_config,
+        seeds=[seed],
+        trainer=trainer,
+        dqn=dqn,
+        history_length=history_length,
+    )[0]
 
 
 @dataclass(frozen=True)
@@ -191,15 +132,16 @@ def train_dqn_multi_seed(
 
     Each run is fully determined by its own seed (environment and agent
     streams both derive from it), so results are identical for any
-    ``workers`` setting — ``REPRO_WORKERS=1`` reproduces the serial loop
-    bit for bit, and a retried run reproduces a first-try run exactly.
+    ``workers`` setting — ``REPRO_WORKERS=1`` runs the tasks in process,
+    and a retried run reproduces a first-try run exactly.
 
-    ``env_batch`` (default: the ``REPRO_ENV_BATCH`` knob) groups that many
-    seeds into one lock-step :func:`repro.core.vecenv.train_dqn_batch`
-    task, amortising network forward/backward passes across the group
-    while staying bit-identical to the serial runs — so the process pool
-    and the in-process batch compose (processes × batch). ``1`` or
-    ``"off"`` restores one pool task per seed.
+    ``env_batch`` (default: the ``REPRO_ENV_BATCH`` knob) only decides how
+    the seeds split into pool tasks: each task trains up to that many
+    seeds lock-step through :func:`repro.core.vecenv.train_dqn_batch`,
+    amortising network forward/backward passes across its group, and every
+    split gives the same per-seed results as :func:`train_dqn` — so the
+    process pool and the in-process batch compose (processes × batch).
+    ``1`` or ``"off"`` makes one pool task per seed.
 
     ``policy`` (default: the ``REPRO_ON_ERROR``/``REPRO_MAX_RETRIES``
     environment) governs worker faults: with ``on_error="skip"`` the runs
@@ -209,8 +151,6 @@ def train_dqn_multi_seed(
     Under batching a crash costs the whole ``env_batch`` group, since the
     group shares one pool task.
     """
-    from repro.core.vecenv import _train_batch_task, resolve_env_batch
-
     seed_list = tuple(int(s) for s in seeds)
     if not seed_list:
         raise TrainingError("need at least one seed")
@@ -258,6 +198,11 @@ def evaluate_dqn(
     )
     if env.observation_size != agent.config.observation_size:
         raise TrainingError("agent/environment observation size mismatch")
+    if env.num_actions != agent.config.num_actions:
+        raise TrainingError(
+            f"agent has {agent.config.num_actions} actions but the "
+            f"environment has {env.num_actions}"
+        )
     log = SlotLog()
     with obs_trace.span("train/evaluate", slots=slots):
         obs = env.reset()

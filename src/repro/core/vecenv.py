@@ -1,9 +1,10 @@
-"""Lock-step multi-seed DQN training: N competitions, one set of tensor ops.
+"""Lock-step DQN training: N seeded competitions, one set of tensor ops.
 
-:func:`repro.core.trainer.train_dqn` steps one environment and one network
-at a time, so a multi-seed study pays N forward/backward passes of batch
-size 64 where one pass of stacked shape (N, 64, ...) would do. This module
-runs N *independent* seeded competitions in lock-step:
+:func:`train_dqn_batch` is the package's one DQN training loop, and
+:func:`repro.core.trainer.train_dqn` is its one-seed call. It runs N
+*independent* seeded competitions in lock-step, so N seeds pay one
+forward/backward pass of stacked shape (N, 64, ...) instead of N passes
+of batch size 64:
 
 * :class:`VectorEnv` holds N :class:`~repro.core.envs.SweepJammingEnv`
   instances, each with its own rng stream, and steps them together.
@@ -13,18 +14,19 @@ runs N *independent* seeded competitions in lock-step:
   ``(N, ...)`` stacked tensors, so the ε-greedy ``act`` and the TD update
   run as single 3-D ``matmul`` chains across all seeds.
 
-Bit-identity with the serial path is a hard invariant, not an
-approximation: stacked ``matmul``/reductions apply the same IEEE
-operations per slice as their 2-D counterparts, every per-seed rng stream
-consumes draws in exactly the serial order (streams are independent, so
-interleaving across seeds is irrelevant), and the per-seed training
-schedules are structurally aligned (replay buffers grow one transition
-per slot for every seed, so warm-up, train, and target-sync steps
-coincide). Seeds that hit ``reward_goal`` early exit at episode
-boundaries exactly like their serial runs: their slices are compacted out
-of the stacked tensors and their final weights written back. The
-equivalence suite pins per-seed rewards, losses, and final weights
-against N serial runs.
+Each seed's run is bit-identical to training that seed alone, at any N:
+stacked ``matmul``/reductions apply the same IEEE operations per slice as
+their 2-D counterparts, every per-seed rng stream consumes draws in
+exactly the one-seed order (streams are independent, so interleaving
+across seeds is irrelevant), and the per-seed training schedules are
+structurally aligned (replay buffers grow one transition per slot for
+every seed, so warm-up, train, and target-sync steps coincide). Seeds that
+hit ``reward_goal`` early exit at episode boundaries: their slices are
+compacted out of the stacked tensors and their final weights written
+back. The reference is the one-network-at-a-time chain (layer backward,
+Huber gradient, ``Adam.step``) in ``tests/oracles/training.py``; the
+equivalence suites pin per-seed rewards, losses, final weights, Adam
+moments and rng states against it, N = 1 included.
 
 The train step allocates little beyond the ``matmul`` outputs.
 :class:`_StackedMLP` keeps online and target parameters, gradients and
@@ -34,14 +36,16 @@ every step reuses and ``compact`` re-slices. Training and
 :class:`PolicyStack` inference share one Dense/ReLU chain, which adds
 bias and applies ReLU in place on the fresh ``matmul`` output. Aliasing
 rule: an activation cached for ``backward`` never shares a buffer that
-anything writes before ``backward`` reads it. The TD error is sparse: the serial error
-``prediction - target`` has ``target`` a copy of ``prediction`` but at
-the taken action, so every other entry is ``p - p = +0.0`` for finite
-``p``, whose Huber value and gradient are ``+0.0`` too.
+anything writes before ``backward`` reads it. The TD error is sparse: the
+reference error ``prediction - target`` has ``target`` a copy of
+``prediction`` but at the taken action, so every other entry is
+``p - p = +0.0`` for finite ``p``, whose Huber value and gradient are
+``+0.0`` too.
 
 The in-process batch width composes with the
 :class:`~repro.exec.ParallelRunner` process pool (processes × batch) via
-``train_dqn_multi_seed(env_batch=...)`` or ``REPRO_ENV_BATCH``.
+``train_dqn_multi_seed(env_batch=...)`` or ``REPRO_ENV_BATCH``, which only
+decide how seeds split into pool tasks.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import knobs
-from repro.core.dqn import DQNAgent, DQNConfig
+from repro.core.dqn import HUBER_DELTA, AdamState, DQNAgent, DQNConfig
 from repro.core.envs import StepInfo, SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.errors import TrainingError
@@ -63,8 +67,10 @@ from repro.rng import derive
 def resolve_env_batch(value: int | str | None = None) -> int:
     """Resolve the seed-batch width from an override or ``REPRO_ENV_BATCH``.
 
-    The width is the seeds ``train_dqn_multi_seed`` trains lock-step per
-    process; ``1``, ``off`` or ``none`` restore the purely serial path.
+    The width is the most seeds ``train_dqn_multi_seed`` puts in one pool
+    task, trained there lock-step; ``1``, ``off`` or ``none`` make one task
+    per seed. Every width trains through :func:`train_dqn_batch` and gives
+    the same per-seed results.
     """
     return knobs.get("REPRO_ENV_BATCH", value)
 
@@ -99,7 +105,7 @@ class VectorEnv:
         history_length: int,
         stream: str = "train-env",
     ) -> "VectorEnv":
-        """One env per seed, seeded exactly like the serial trainer."""
+        """One env per seed, on the seed's ``stream`` (``train-env`` for training)."""
         return cls(
             [
                 SweepJammingEnv(
@@ -204,7 +210,7 @@ def _dense_relu_chain(
 class _StackedMLP:
     """(N, ...) stacked mirror of N structurally identical online networks.
 
-    Each flat ``(N, P)`` buffer row is laid out like the serial
+    Each flat ``(N, P)`` buffer row is laid out like the
     ``network.parameters`` list; ``weights``/``biases`` (and their ``t_``
     and ``grad_`` twins) are per-layer ``(N, in, out)``/``(N, out)`` views.
     """
@@ -219,8 +225,8 @@ class _StackedMLP:
             [np.concatenate([p.ravel() for p in a.target.parameters]) for a in agents]
         )
         self.grads = np.zeros_like(self.params)
-        # Adam state; written back to an agent only once a step has run,
-        # like the lazily created state of repro.nn.optimizers.Adam.
+        # Adam moments; written back to an agent's AdamState only once a
+        # step has run, so an agent that never trained keeps m = v = None.
         self.adam_m = np.zeros_like(self.params)
         self.adam_v = np.zeros_like(self.params)
         self.adam_t = 0
@@ -282,15 +288,15 @@ class _StackedMLP:
             else:
                 np.multiply(grad, masks[relu], out=grad)
                 relu -= 1
-        # The serial layers add into zeroed gradients: 0.0 + g, which turns
-        # -0.0 into +0.0 and leaves every other value as it is.
+        # The reference layers add into zeroed gradients: 0.0 + g, which
+        # turns -0.0 into +0.0 and leaves every other value as it is.
         self.grads += 0.0
 
-    def adam_step(self, optimizer) -> None:
-        """One stacked Adam update, mirroring ``Adam.step`` exactly."""
+    def adam_step(self, adam: AdamState) -> None:
+        """One stacked Adam update with ``adam``'s hyperparameters."""
         self.adam_t += 1
-        beta1, beta2, eps = optimizer.beta1, optimizer.beta2, optimizer.epsilon
-        lr = optimizer.learning_rate
+        beta1, beta2, eps = adam.beta1, adam.beta2, adam.epsilon
+        lr = adam.learning_rate
         b1t = 1.0 - beta1**self.adam_t
         b2t = 1.0 - beta2**self.adam_t
         g, m, v = self.grads, self.adam_m, self.adam_v
@@ -332,7 +338,7 @@ class _StackedMLP:
         self._bind()
 
     def write_back(self, position: int, agent: DQNAgent) -> None:
-        """Copy slice ``position`` into the agent's real network/optimizer."""
+        """Copy slice ``position`` into the agent's networks and Adam state."""
 
         def unflat(flat: np.ndarray) -> list[np.ndarray]:
             weights, biases = self._split(flat[position : position + 1].copy())
@@ -341,9 +347,9 @@ class _StackedMLP:
         agent.online.set_weights(unflat(self.params))
         agent.target.set_weights(unflat(self.t_params))
         if self.adam_t > 0:
-            agent.optimizer._m = unflat(self.adam_m)
-            agent.optimizer._v = unflat(self.adam_v)
-            agent.optimizer._t = self.adam_t
+            agent.adam.m = unflat(self.adam_m)
+            agent.adam.v = unflat(self.adam_v)
+            agent.adam.t = self.adam_t
 
 
 #: Mean rows per distinct network from which :meth:`PolicyStack.forward`
@@ -574,9 +580,9 @@ def _batched_train_step(
 ) -> np.ndarray:
     """One TD(0) update for every seed; returns per-seed Huber losses.
 
-    Mirrors ``DQNAgent.train_on`` + ``Network.train_step`` operation for
-    operation on (N, B, ·) tensors; per-seed replay sampling stays on each
-    agent's own rng stream.
+    Applies the reference chain's operations (``train_on`` and
+    ``train_step`` in ``tests/oracles/training.py``) on (N, B, ·) tensors;
+    per-seed replay sampling stays on each agent's own rng stream.
     """
     cfg = agents[0].config
     batches = [agent.replay.sample(cfg.batch_size) for agent in agents]
@@ -597,10 +603,10 @@ def _batched_train_step(
 
     prediction = stack.forward_online(obs, cache=True)
     taken = rows + actions
-    # The serial TD error is prediction - target with target a copy of the
-    # prediction, so every entry but the taken action's is p - p = +0.0.
+    # The reference TD error is prediction - target with target a copy of
+    # the prediction, so every entry but the taken action's is p - p = +0.0.
     err = prediction.reshape(-1)[taken] - targets_for_actions
-    delta = agents[0].loss.delta
+    delta = HUBER_DELTA
     abs_err = np.abs(err)
     quad = np.minimum(abs_err, delta)
     td = stack._td
@@ -609,11 +615,11 @@ def _batched_train_step(
     flat_td[taken] = 0.5 * quad**2 + delta * (abs_err - quad)
     losses = np.mean(td, axis=(1, 2))
     # Per-slice gradient: divide by the slice's element count (B·A), the
-    # ``p.size`` the serial HuberLoss sees, not the stacked size. The
+    # ``p.size`` the reference Huber loss sees, not the stacked size. The
     # action mask multiplies the taken entries by 1.0 and the rest are +0.0.
     flat_td[taken] = np.clip(err, -delta, delta) / td[0].size
     stack.backward(td)
-    stack.adam_step(agents[0].optimizer)
+    stack.adam_step(agents[0].adam)
 
     for agent in agents:
         agent.train_steps += 1
@@ -632,28 +638,22 @@ def train_dqn_batch(
     dqn: DQNConfig | None = None,
     history_length: int = 5,
 ) -> list:
-    """Train one DQN per seed in lock-step; bit-identical to serial runs.
+    """Train one DQN per integer seed in lock-step.
 
     Returns a list of :class:`repro.core.trainer.TrainingResult`, one per
-    seed in order, each exactly equal (weights, histories, rng/replay
-    state) to ``train_dqn(..., seed=s)``.
+    seed in order. Seed s's result (weights, histories, Adam state, rng and
+    replay state) is the same in any group, alone included:
+    ``train_dqn(..., seed=s)`` is ``train_dqn_batch(..., seeds=[s])[0]``.
+    The run is traced as one ``train/run`` span with a ``seeds`` attribute,
+    a ``dqn.episode`` event per seed and episode, and ``dqn`` telemetry
+    frames.
     """
-    from repro.core.trainer import TrainerConfig, TrainingResult, train_dqn
+    from repro.core.trainer import TrainerConfig, TrainingResult
 
     seed_list = [int(s) for s in seeds]
     if not seed_list:
         raise TrainingError("need at least one seed")
     trainer = trainer or TrainerConfig()
-    if len(seed_list) == 1:
-        return [
-            train_dqn(
-                env_config,
-                trainer=trainer,
-                dqn=dqn,
-                history_length=history_length,
-                seed=seed_list[0],
-            )
-        ]
     env_config = env_config or MDPConfig()
     vec = VectorEnv.from_seeds(env_config, seed_list, history_length=history_length)
     if dqn is None:
@@ -681,24 +681,31 @@ def train_dqn_batch(
     # Seeds still training, as indices into the original order. The stacked
     # tensors and ``vec`` always cover exactly these, in this order.
     active = list(range(n))
-    # Warm-up transitions are buffered per agent and flushed with one
-    # push_many right before the first training step (no sampling happens
-    # during warm-up, so the deferred write is unobservable).
+    # Warm-up transitions are buffered per agent and written with one
+    # push_many when warm-up ends or the seed's run does (no sampling
+    # happens during warm-up, so the deferred write is unobservable).
     pending: list[list[tuple]] = [[] for _ in range(n)]
     warmed_up = False
 
+    def flush(i: int) -> None:
+        rows = pending[i]
+        if rows:
+            agents[i].replay.push_many(
+                np.stack([r[0] for r in rows]),
+                np.array([r[1] for r in rows]),
+                np.array([r[2] for r in rows]),
+                np.stack([r[3] for r in rows]),
+            )
+            rows.clear()
+
     with obs_trace.span(
-        "train/run_batch",
+        "train/run",
         seeds=seed_list,
         episodes=trainer.episodes,
         steps_per_episode=trainer.steps_per_episode,
     ):
         METRICS.set("dqn.env_batch", n)
-        telem = obs_telemetry.FlightRecorder(
-            "dqn",
-            labels={"batch": str(n)},
-            counters=("link.per_cache_hits", "link.per_cache_misses"),
-        )
+        telem = obs_telemetry.FlightRecorder("dqn", labels={"batch": str(n)})
         for _ in range(trainer.episodes):
             live = [agents[i] for i in active]
             obs = vec.reset()
@@ -708,28 +715,16 @@ def train_dqn_batch(
                 actions = _batched_act(stack, live, obs)
                 next_obs, step_rewards, _ = vec.step(actions)
                 scaled = step_rewards * trainer.reward_scale
-                stored = len(live[0].replay)
                 if not warmed_up:
                     for pos, i in enumerate(active):
                         pending[i].append(
                             (obs[pos], int(actions[pos]), scaled[pos], next_obs[pos])
                         )
-                    # min(·, capacity) is what len(replay) would read after
-                    # sequential pushes — a warmup larger than the buffer
-                    # never trains, exactly like the serial path.
-                    would_store = min(
-                        stored + len(pending[active[0]]), dqn.replay_capacity
-                    )
-                    if would_store >= dqn.warmup_transitions:
-                        for pos, i in enumerate(active):
-                            rows = pending[i]
-                            live[pos].replay.push_many(
-                                np.stack([r[0] for r in rows]),
-                                np.array([r[1] for r in rows]),
-                                np.array([r[2] for r in rows]),
-                                np.stack([r[3] for r in rows]),
-                            )
-                            pending[i].clear()
+                    # Every replay buffer is empty until this flush, and
+                    # DQNConfig keeps the warm-up within its capacity.
+                    if len(pending[active[0]]) >= dqn.warmup_transitions:
+                        for i in active:
+                            flush(i)
                         warmed_up = True
                 else:
                     for pos, agent in enumerate(live):
@@ -772,7 +767,7 @@ def train_dqn_batch(
                     reward=rewards[i][-1],
                     loss=losses[i][-1],
                     epsilon=live[pos].epsilon,
-                    replay=len(live[pos].replay),
+                    replay=len(live[pos].replay) + len(pending[i]),
                     steps=steps[i],
                 )
                 if (
@@ -797,7 +792,8 @@ def train_dqn_batch(
     for pos, i in enumerate(active):
         stack.write_back(pos, agents[i])
     results = []
-    for i, seed in enumerate(seed_list):
+    for i in range(n):
+        flush(i)
         agents[i].sync_target()
         results.append(
             TrainingResult(

@@ -1,9 +1,8 @@
-"""Network layers with explicit forward/backward passes.
+"""Network layers: forward passes over 2-D batches ``(batch, features)``.
 
-Every layer consumes and produces 2-D batches ``(batch, features)``. The
-backward pass takes the gradient of the loss w.r.t. the layer's output and
-returns the gradient w.r.t. its input, accumulating parameter gradients
-internally (cleared by the optimizer after each step).
+Training runs in :mod:`repro.core.vecenv` on stacked copies of these
+parameters, so a layer holds its parameters and computes its forward pass,
+nothing more.
 """
 
 from __future__ import annotations
@@ -17,24 +16,15 @@ from repro.rng import SeedLike, make_rng
 
 
 class Layer(abc.ABC):
-    """Base class: a differentiable function of a batch."""
+    """Base class: a function of a batch."""
 
     @abc.abstractmethod
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Compute outputs and cache whatever backward needs."""
-
-    @abc.abstractmethod
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Propagate gradients; returns dL/d(input)."""
+        """Compute outputs."""
 
     @property
     def parameters(self) -> list[np.ndarray]:
-        """Trainable arrays (views, mutated in place by optimizers)."""
-        return []
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        """Accumulated gradients aligned with :attr:`parameters`."""
+        """Parameter arrays (views, rewritten in place by ``set_weights``)."""
         return []
 
 
@@ -60,9 +50,6 @@ class Dense(Layer):
             raise ConfigurationError(f"unknown init {init!r}; use 'he' or 'xavier'")
         self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
         self.bias = np.zeros(out_features)
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
-        self._input: np.ndarray | None = None
 
     @property
     def in_features(self) -> int:
@@ -78,26 +65,13 @@ class Dense(Layer):
             raise ConfigurationError(
                 f"expected input of shape (batch, {self.in_features}), got {x.shape}"
             )
-        self._input = x
         out = x @ self.weight
         out += self.bias
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input is None:
-            raise ConfigurationError("backward called before forward")
-        grad_output = np.asarray(grad_output, dtype=np.float64)
-        self.grad_weight += self._input.T @ grad_output
-        self.grad_bias += grad_output.sum(axis=0)
-        return grad_output @ self.weight.T
-
     @property
     def parameters(self) -> list[np.ndarray]:
         return [self.weight, self.bias]
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [self.grad_weight, self.grad_bias]
 
 
 class ReLU(Layer):
@@ -106,22 +80,12 @@ class ReLU(Layer):
     ``np.maximum(x, 0.0)`` is the one ReLU rule of the package (the stacked
     chains in :mod:`repro.core.vecenv` use it too). It equals
     ``np.where(x > 0, x, 0.0)`` bit for bit on every non-NaN input, -0.0
-    included, but a NaN input now propagates to the output instead of being
-    zeroed silently; its gradient is still masked to zero.
+    included, but a NaN input propagates to the output instead of being
+    zeroed silently.
     """
 
-    def __init__(self) -> None:
-        self._mask: np.ndarray | None = None
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._mask = x > 0
-        return np.maximum(x, 0.0)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise ConfigurationError("backward called before forward")
-        return np.asarray(grad_output) * self._mask
+        return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 
 
 __all__ = ["Layer", "Dense", "ReLU"]

@@ -6,18 +6,17 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import Dense, Layer, ReLU
-from repro.nn.losses import Loss
 from repro.rng import SeedLike, make_rng, spawn
 
 
 class Network:
-    """A sequential stack of layers with train/predict plumbing.
+    """A sequential stack of layers with predict and weight plumbing.
 
     ``version`` is a monotonically increasing parameter-mutation counter:
-    every library path that rewrites the parameters (``train_step``,
-    ``set_weights``, ``copy_weights_from``, the serialisation loaders)
-    bumps it, so callers holding derived views of the weights — the
-    stacked inference bundles of :mod:`repro.core.vecenv` — can detect
+    every library path that rewrites the parameters (``set_weights``,
+    ``copy_weights_from``, the serialisation loaders) bumps it, so callers
+    holding derived views of the weights — the stacked inference bundles
+    of :mod:`repro.core.vecenv` — can detect
     staleness with one integer compare instead of rehashing arrays.
     Code that mutates ``layer.weight``/``layer.bias`` in place directly
     must call :meth:`mark_mutated` itself.
@@ -50,52 +49,11 @@ class Network:
         out = self.forward(x)
         return out[0] if squeeze else out
 
-    # -- training ----------------------------------------------------------------
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        grad = np.asarray(grad_output, dtype=np.float64)
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def train_step(
-        self,
-        x: np.ndarray,
-        target: np.ndarray,
-        loss: Loss,
-        optimizer,
-        *,
-        grad_mask: np.ndarray | None = None,
-    ) -> float:
-        """One forward/backward/update step; returns the loss value.
-
-        ``grad_mask`` (same shape as the output) zeroes gradient entries —
-        the DQN uses it to update only the Q-value of the action taken.
-        """
-        prediction = self.forward(x)
-        value = loss.value(prediction, target)
-        grad = loss.gradient(prediction, target)
-        if grad_mask is not None:
-            mask = np.asarray(grad_mask, dtype=np.float64)
-            if mask.shape != grad.shape:
-                raise ConfigurationError(
-                    f"grad mask shape {mask.shape} does not match output {grad.shape}"
-                )
-            grad = grad * mask
-        self.backward(grad)
-        optimizer.step(self.parameters, self.gradients)
-        self.version += 1
-        return value
-
     # -- parameters ---------------------------------------------------------------
 
     @property
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.parameters]
-
-    @property
-    def gradients(self) -> list[np.ndarray]:
-        return [g for layer in self.layers for g in layer.gradients]
 
     def num_parameters(self) -> int:
         return int(sum(p.size for p in self.parameters))

@@ -56,7 +56,7 @@ from typing import Any, Mapping
 from repro import knobs
 from repro.errors import ConfigurationError
 from repro.obs import sink
-from repro.obs.metrics import DEFAULT_BUCKETS, METRICS
+from repro.obs.metrics import DEFAULT_BUCKETS
 from repro.obs.sink import ObsDoc, ObsState, disable, reset
 
 #: Bucket bounds of the per-window negotiation-latency histogram carried
@@ -166,9 +166,6 @@ class FlightRecorder:
     Call :meth:`tick` once per slot/episode with the quantities to sum
     over the window; every ``interval`` ticks a frame is emitted to the
     telemetry sink, and the recorder keeps only the open window.
-    ``counters=`` names :data:`~repro.obs.metrics.METRICS`
-    counters whose per-window deltas (e.g. the PER-cache hit/miss pair)
-    ride along in each frame's ``values``.
 
     Recorders are inert when telemetry is disabled: ``tick`` returns
     immediately after one boolean check and nothing is buffered.
@@ -180,7 +177,6 @@ class FlightRecorder:
         *,
         labels: Mapping[str, str] | None = None,
         interval: int | None = None,
-        counters: tuple[str, ...] = (),
     ) -> None:
         self.series = str(series)
         self.labels = {str(k): str(v) for k, v in sorted((labels or {}).items())}
@@ -190,20 +186,9 @@ class FlightRecorder:
             raise ConfigurationError(
                 f"recorder interval must be >= 1, got {self.interval}"
             )
-        self._counters = tuple(counters)
-        self._baseline = self._counter_values()
         self._window = 0
         self._ticks = 0
         self._acc: dict[str, float] = {}
-
-    def _counter_values(self) -> dict[str, float]:
-        if not self._counters or not self.enabled:
-            return {}
-        return {
-            name: METRICS.counters[name].value
-            for name in self._counters
-            if name in METRICS.counters
-        }
 
     def tick(self, **values: float) -> dict | None:
         """Accumulate one slot/episode; emits a frame at window edges."""
@@ -221,11 +206,6 @@ class FlightRecorder:
         if not self.enabled or self._ticks == 0:
             return None
         values = {k: self._acc[k] for k in sorted(self._acc)}
-        current = self._counter_values()
-        for name in self._counters:
-            delta = current.get(name, 0.0) - self._baseline.get(name, 0.0)
-            values[f"delta.{name}"] = delta
-        self._baseline = current
         frame = {
             "type": "frame",
             "series": self.series,

@@ -1,12 +1,17 @@
-"""Tests for the DQN extensions: Double DQN and soft target updates."""
+"""Tests for the DQN extensions: Double DQN and soft target updates.
+
+The agent-level cases step the serial chain of ``tests/oracles/training.py``;
+the lock-step trainer is pinned bit-identical to it in ``test_vecenv.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
+from repro.core.dqn import DQNConfig, EpsilonSchedule
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, evaluate_dqn, train_dqn
 from repro.errors import ConfigurationError
+from tests.oracles.training import SerialDQNAgent
 
 
 def cfg(**kw):
@@ -39,7 +44,7 @@ class TestConfigValidation:
 
 class TestSoftUpdates:
     def test_tau_one_equals_hard_sync(self):
-        agent = DQNAgent(cfg(soft_update_tau=1.0), seed=0)
+        agent = SerialDQNAgent(cfg(soft_update_tau=1.0), seed=0)
         obs = np.ones(6) * 0.5
         for i in range(12):
             agent.observe(obs, i % 4, -1.0, obs)
@@ -48,7 +53,7 @@ class TestSoftUpdates:
         )
 
     def test_small_tau_tracks_slowly(self):
-        agent = DQNAgent(cfg(soft_update_tau=0.01), seed=1)
+        agent = SerialDQNAgent(cfg(soft_update_tau=0.01), seed=1)
         obs = np.ones(6) * 0.5
         before = agent.target.predict(obs).copy()
         for i in range(12):
@@ -63,7 +68,7 @@ class TestSoftUpdates:
         # With tau set, the interval-based hard sync must not fire: after
         # exactly target_sync_interval steps the target must NOT equal the
         # online network (tau is tiny).
-        agent = DQNAgent(
+        agent = SerialDQNAgent(
             cfg(soft_update_tau=1e-4, target_sync_interval=3), seed=2
         )
         obs = np.ones(6) * 0.5
@@ -82,7 +87,7 @@ class TestDoubleDQN:
             epsilon=EpsilonSchedule(1.0, 1.0, 10),
             learning_rate=5e-3,
         )
-        agent = DQNAgent(config, seed=3)
+        agent = SerialDQNAgent(config, seed=3)
         rng = np.random.default_rng(0)
         obs = np.zeros(6)
         for _ in range(600):
@@ -101,7 +106,7 @@ class TestDoubleDQN:
                 epsilon=EpsilonSchedule(1.0, 1.0, 10),
                 learning_rate=1e-2,
             )
-            agent = DQNAgent(config, seed=4)
+            agent = SerialDQNAgent(config, seed=4)
             rng = np.random.default_rng(1)
             for _ in range(800):
                 obs = rng.random(6)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.mdp import MDPConfig
-from repro.core.trainer import TrainerConfig, train_dqn, train_dqn_multi_seed
+from repro.core.trainer import TrainerConfig, train_dqn_multi_seed
 from repro.errors import TrainingError
 from repro.exec import FaultPolicy, TaskFailure
+from tests.oracles.training import train_dqn
 
 TINY = TrainerConfig(episodes=2, steps_per_episode=40)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.replay import ReplayBuffer
 from repro.errors import ConfigurationError, TrainingError
+from tests.oracles.training import SerialDQNAgent
 
 
 class TestReplayBuffer:
@@ -111,6 +112,15 @@ class TestDQNConfig:
             small_config(discount=1.0)
         with pytest.raises(ConfigurationError):
             small_config(target_sync_interval=0)
+        with pytest.raises(ConfigurationError, match="learning rate"):
+            small_config(learning_rate=0.0)
+        # A warm-up the buffer cannot hold would never let the agent train.
+        with pytest.raises(
+            ConfigurationError,
+            match=r"warmup_transitions \(600\) exceeds replay_capacity \(500\)",
+        ):
+            small_config(warmup_transitions=600, replay_capacity=500)
+        small_config(warmup_transitions=500, replay_capacity=500)
 
 
 class TestDQNAgent:
@@ -140,7 +150,7 @@ class TestDQNAgent:
         assert len(picks) == 3
 
     def test_observe_warms_up_then_trains(self):
-        agent = DQNAgent(small_config(), seed=2)
+        agent = SerialDQNAgent(small_config(), seed=2)
         obs = np.zeros(6)
         losses = []
         for i in range(20):
@@ -151,7 +161,7 @@ class TestDQNAgent:
         assert agent.train_steps > 0
 
     def test_target_sync_happens(self):
-        agent = DQNAgent(small_config(target_sync_interval=5), seed=3)
+        agent = SerialDQNAgent(small_config(target_sync_interval=5), seed=3)
         obs = np.zeros(6)
         for i in range(40):
             agent.observe(obs, i % 4, -1.0, obs)
@@ -167,7 +177,7 @@ class TestDQNAgent:
             epsilon=EpsilonSchedule(1.0, 1.0, 10),
             learning_rate=5e-3,
         )
-        agent = DQNAgent(cfg, seed=4)
+        agent = SerialDQNAgent(cfg, seed=4)
         rng = np.random.default_rng(0)
         obs = np.zeros(6)
         for _ in range(600):
@@ -177,7 +187,7 @@ class TestDQNAgent:
 
     def test_seeded_determinism(self):
         def run(seed):
-            agent = DQNAgent(small_config(), seed=seed)
+            agent = SerialDQNAgent(small_config(), seed=seed)
             obs = np.arange(6) / 6
             out = []
             for i in range(30):

@@ -4,10 +4,10 @@
 flat parameter, gradient and Adam buffers, an in-place forward, a sparse
 TD error and a scratch workspace reused across steps and re-sliced when
 finished seeds are compacted out. Its contract is bit-identity with the
-serial path, so these tests draw network shapes, batch sizes, DQN
-variants and target-sync rules and compare every number the two paths
-produce: parameters, target parameters, Adam ``m``/``v``/``t``, losses
-and histories.
+serial chain in ``tests/oracles/training.py``, so these tests draw
+network shapes, batch sizes, DQN variants and target-sync rules and
+compare every number the two produce: parameters, target parameters, Adam
+``m``/``v``/``t``, losses and histories.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.mdp import MDPConfig
-from repro.core.trainer import TrainerConfig, train_dqn
+from repro.core.trainer import TrainerConfig
 from repro.core.vecenv import (
     _StackedMLP,
     _batched_train_step,
@@ -26,6 +26,7 @@ from repro.core.vecenv import (
 )
 from repro.nn.layers import ReLU
 from repro.rng import derive
+from tests.oracles.training import SerialDQNAgent, train_dqn
 
 
 def assert_same_bits(a, b):
@@ -41,13 +42,13 @@ def assert_agents_identical(batched: DQNAgent, serial: DQNAgent) -> None:
             getattr(batched, net).parameters, getattr(serial, net).parameters
         ):
             assert_same_bits(pa, pb)
-    opt_b, opt_s = batched.optimizer, serial.optimizer
-    assert opt_b._t == opt_s._t
-    assert (opt_b._m is None) == (opt_s._m is None)
-    if opt_s._m is not None:
-        for ma, mb in zip(opt_b._m, opt_s._m):
+    adam_b, adam_s = batched.adam, serial.adam
+    assert adam_b.t == adam_s.t
+    assert (adam_b.m is None) == (adam_s.m is None)
+    if adam_s.m is not None:
+        for ma, mb in zip(adam_b.m, adam_s.m):
             assert_same_bits(ma, mb)
-        for va, vb in zip(opt_b._v, opt_s._v):
+        for va, vb in zip(adam_b.v, adam_s.v):
             assert_same_bits(va, vb)
     assert batched.train_steps == serial.train_steps
 
@@ -72,11 +73,11 @@ def dqn_config(obs, actions, hidden, batch, double, tau, interval):
     )
 
 
-def filled_agents(cfg, seeds):
+def filled_agents(cfg, seeds, agent_type=DQNAgent):
     """Fresh agents whose replay buffers hold the same random transitions."""
     agents = []
     for s in seeds:
-        agent = DQNAgent(cfg, seed=derive(s, "train-agent"))
+        agent = agent_type(cfg, seed=derive(s, "train-agent"))
         rng = np.random.default_rng(s)
         agent.replay.push_many(
             rng.standard_normal((96, cfg.observation_size)),
@@ -107,7 +108,7 @@ class TestTrainStepOracle:
     ):
         cfg = dqn_config(obs, actions, hidden, batch, double, tau, interval)
         seeds = list(range(n))
-        serial = filled_agents(cfg, seeds)
+        serial = filled_agents(cfg, seeds, SerialDQNAgent)
         batched = filled_agents(cfg, seeds)
         stack = _StackedMLP(batched)
         # Drop some seeds after one step, as train_dqn_batch does when they

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dqn import DQNConfig, EpsilonSchedule
+from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.mdp import MDPConfig
 from repro.core.trainer import TrainerConfig, evaluate_dqn, train_dqn
 from repro.errors import TrainingError
@@ -113,6 +113,13 @@ class TestEvaluate:
         )
         with pytest.raises(TrainingError):
             evaluate_dqn(res.agent, slots=0)
+
+    def test_action_count_mismatch_rejected(self):
+        # A 160-action agent on an MDP with 11 power levels (176 actions)
+        # would decode its action indices with the wrong divmod.
+        wide = MDPConfig(tx_power_levels=tuple(range(5, 16)))
+        with pytest.raises(TrainingError, match="160 actions.*176"):
+            evaluate_dqn(DQNAgent(tiny_dqn(), seed=0), wide, slots=10)
 
     def test_observation_mismatch_rejected(self):
         res = train_dqn(

@@ -1,9 +1,10 @@
 """Equivalence tests for lock-step batched multi-seed DQN training.
 
 The contract under test is hard bit-identity: ``train_dqn_batch`` over N
-seeds must produce exactly what N serial ``train_dqn`` calls produce —
-reward/loss histories, final online and target weights, optimizer state,
-and even the downstream replay-sampling rng position.
+seeds, N = 1 included, must produce exactly what N runs of the serial
+chain in ``tests/oracles/training.py`` produce — reward/loss histories,
+final online and target weights, Adam state, agent rng state, replay
+contents and even the downstream replay-sampling rng position.
 """
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.core.vecenv import (
 from repro.errors import ConfigurationError, TrainingError
 from repro.exec import FaultPolicy
 from repro.rng import derive
+from tests.oracles import training
 
 
 def tiny_dqn(env_obs=15, env_actions=160, **kw):
@@ -60,6 +62,20 @@ def assert_run_identical(batched, serial):
     np.testing.assert_array_equal(
         batched.agent.target.predict(probe), serial.agent.target.predict(probe)
     )
+    adam_b, adam_s = batched.agent.adam, serial.agent.adam
+    assert adam_b.t == adam_s.t
+    assert (adam_b.m is None) == (adam_s.m is None)
+    for ma, mb in zip(adam_b.m or (), adam_s.m or ()):
+        np.testing.assert_array_equal(ma, mb)
+    for va, vb in zip(adam_b.v or (), adam_s.v or ()):
+        np.testing.assert_array_equal(va, vb)
+    assert batched.agent.train_steps == serial.agent.train_steps
+    assert batched.agent.env_steps == serial.agent.env_steps
+    assert (
+        batched.agent._rng.bit_generator.state
+        == serial.agent._rng.bit_generator.state
+    )
+    assert len(batched.agent.replay) == len(serial.agent.replay)
     # The replay rng streams are also in the same position afterwards.
     cfg = batched.agent.config
     a = batched.agent.replay.sample(cfg.batch_size)
@@ -205,7 +221,7 @@ class TestSampleGuard:
     def test_warmup_keeps_agent_clear_of_guard(self):
         # DQNConfig enforces warmup >= batch, so an agent that only trains
         # after warm-up can never request more rows than it stored.
-        agent = DQNAgent(
+        agent = training.SerialDQNAgent(
             tiny_dqn(
                 env_obs=4,
                 env_actions=3,
@@ -223,32 +239,29 @@ class TestSampleGuard:
 
 
 class TestBatchedEquivalence:
-    def _serial(self, seeds, trainer=TINY, dqn=None, **kw):
-        return [
-            train_dqn(MDPConfig(), trainer=trainer, dqn=dqn, seed=s, **kw)
+    """Each case runs a multi-seed group and a single seed (N = 1)."""
+
+    def _check(self, seeds, trainer=TINY, dqn=None):
+        batched = train_dqn_batch(MDPConfig(), seeds=seeds, trainer=trainer, dqn=dqn)
+        serial = [
+            training.train_dqn(MDPConfig(), trainer=trainer, dqn=dqn, seed=s)
             for s in seeds
         ]
+        for b, s in zip(batched, serial):
+            assert_run_identical(b, s)
+        return serial
 
     def test_plain_matches_serial(self):
-        seeds = (0, 1, 2)
-        dqn = tiny_dqn()
-        batched = train_dqn_batch(MDPConfig(), seeds=seeds, trainer=TINY, dqn=dqn)
-        for b, s in zip(batched, self._serial(seeds, dqn=dqn)):
-            assert_run_identical(b, s)
+        for seeds in ((0, 1, 2), (1,)):
+            self._check(seeds, dqn=tiny_dqn())
 
     def test_double_dqn_matches_serial(self):
-        seeds = (3, 4)
-        dqn = tiny_dqn(double_dqn=True)
-        batched = train_dqn_batch(MDPConfig(), seeds=seeds, trainer=TINY, dqn=dqn)
-        for b, s in zip(batched, self._serial(seeds, dqn=dqn)):
-            assert_run_identical(b, s)
+        for seeds in ((3, 4), (3,)):
+            self._check(seeds, dqn=tiny_dqn(double_dqn=True))
 
     def test_soft_target_update_matches_serial(self):
-        seeds = (5, 6)
-        dqn = tiny_dqn(soft_update_tau=0.05)
-        batched = train_dqn_batch(MDPConfig(), seeds=seeds, trainer=TINY, dqn=dqn)
-        for b, s in zip(batched, self._serial(seeds, dqn=dqn)):
-            assert_run_identical(b, s)
+        for seeds in ((5, 6), (6,)):
+            self._check(seeds, dqn=tiny_dqn(soft_update_tau=0.05))
 
     def test_staggered_early_stop_matches_serial(self):
         # Seeds 0-4 hit the goal after 8/5/2/2/3 episodes (seed 0 never
@@ -258,19 +271,36 @@ class TestBatchedEquivalence:
         trainer = TrainerConfig(
             episodes=8, steps_per_episode=40, reward_goal=-81.0, goal_window=2
         )
-        batched = train_dqn_batch(MDPConfig(), seeds=seeds, trainer=trainer, dqn=dqn)
-        serial = self._serial(seeds, trainer=trainer, dqn=dqn)
+        serial = self._check(seeds, trainer=trainer, dqn=dqn)
         episodes = [r.episodes for r in serial]
         assert len(set(episodes)) > 2  # the stagger actually happened
         assert not serial[0].converged and serial[2].converged
-        for b, s in zip(batched, serial):
-            assert_run_identical(b, s)
+        # Alone, seed 4 meets the goal after training has started.
+        (alone,) = self._check((4,), trainer=trainer, dqn=dqn)
+        assert alone.converged and alone.agent.train_steps > 0
 
-    def test_single_seed_delegates_to_serial(self):
+    @pytest.mark.parametrize("seeds", [(0, 1), (1,)])
+    def test_warmup_never_reached_matches_serial(self, seeds):
+        # 80 steps against a warm-up of 100: no seed trains, and every
+        # transition still lands in its replay buffer. With the goal, seed
+        # 1 stops after its first episode (-84.6) and seed 0 after its
+        # second, so a group compacts before warm-up could end.
+        dqn = tiny_dqn(warmup_transitions=100)
+        goal = TrainerConfig(
+            episodes=2, steps_per_episode=40, reward_goal=-90.0, goal_window=1
+        )
+        for trainer in (TINY, goal):
+            runs = self._check(seeds, trainer=trainer, dqn=dqn)
+            for run in runs:
+                assert run.agent.train_steps == 0
+                assert len(run.agent.replay) == run.steps
+        assert runs[-1].episodes == 1
+
+    def test_single_seed_matches_train_dqn(self):
         batched = train_dqn_batch(MDPConfig(), seeds=(7,), trainer=TINY)
         solo = train_dqn(MDPConfig(), trainer=TINY, seed=7)
         assert len(batched) == 1
-        np.testing.assert_array_equal(batched[0].reward_history, solo.reward_history)
+        assert_run_identical(batched[0], solo)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(TrainingError):
@@ -460,9 +490,7 @@ class TestPolicyStackCache:
         np.testing.assert_array_equal(batched, serial)
 
     def test_train_step_invalidates_cached_slice(self):
-        from repro.nn.losses import HuberLoss
-        from repro.nn.network import mlp
-        from repro.nn.optimizers import Adam
+        from tests.oracles.training import Adam, HuberLoss, mlp
 
         clear_policy_stack_cache()
         nets = [mlp(4, (8,), 3, seed=i) for i in range(3)]

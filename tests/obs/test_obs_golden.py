@@ -4,7 +4,8 @@ Two pool runs record with ``REPRO_TRACE`` and ``REPRO_TELEM`` both on and
 ``workers=2``, so every record crosses the worker envelope:
 
 * ``field`` — a 9-network :class:`FieldGrid` in 3 shards;
-* ``dqn`` — a 3-seed :func:`train_dqn_multi_seed` with ``env_batch=1``.
+* ``dqn`` — a 3-seed :func:`train_dqn_multi_seed` with ``env_batch=1``,
+  one lock-step run of one seed per pool task.
 
 Each file is normalised (wall-clock times, trace id, git SHA, argv, pid
 and event ``seq`` masked; span ids renumbered by first appearance) and
@@ -149,20 +150,15 @@ def compute(case: str, directory: Path) -> dict:
     spans = [
         [r["id"], r["parent"], r["name"]] for r in run if r["type"] == "span"
     ]
-    pins = {
+    merged = telemetry.merge_frames(telemetry.load_telemetry(telem_path))
+    return {
         "run": pin_file(run),
         "spans": spans,
-        "telem": None,
-        "merged_sha256": None,
-    }
-    # A run without telemetry producers (per-seed DQN tasks) writes no file.
-    if telem_path.exists():
-        merged = telemetry.merge_frames(telemetry.load_telemetry(telem_path))
-        pins["telem"] = pin_file(normalise(telem_path))
-        pins["merged_sha256"] = hashlib.sha256(
+        "telem": pin_file(normalise(telem_path)),
+        "merged_sha256": hashlib.sha256(
             json.dumps(merged, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-    return pins
+        ).hexdigest(),
+    }
 
 
 @pytest.fixture(scope="module")

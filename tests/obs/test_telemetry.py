@@ -159,19 +159,6 @@ class TestFlightRecorder:
         windows = [r["window"] for r in _records(path) if r["type"] == "frame"]
         assert windows == [0, 1]
 
-    def test_counter_deltas_ride_along(self, monkeypatch, tmp_path):
-        _set_target(monkeypatch, tmp_path)
-        METRICS.inc("link.per_cache_hits", 10)
-        rec = telemetry.FlightRecorder(
-            "dqn", interval=1, counters=("link.per_cache_hits",)
-        )
-        METRICS.inc("link.per_cache_hits", 3)
-        frame = rec.tick(episodes=1)
-        assert frame["values"]["delta.link.per_cache_hits"] == 3.0
-        METRICS.inc("link.per_cache_hits", 2)
-        frame = rec.tick(episodes=1)
-        assert frame["values"]["delta.link.per_cache_hits"] == 2.0
-
     def test_interval_validated(self, monkeypatch, tmp_path):
         _set_target(monkeypatch, tmp_path)
         with pytest.raises(ConfigurationError):

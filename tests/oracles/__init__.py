@@ -18,4 +18,7 @@ root as ``python -m pytest``, which puts the root on ``sys.path``).
   analytic capture model is held to.
 * :mod:`tests.oracles.adversary` — a slot-clock jammer factory per
   adversary, for the slot-vs-field parity checks.
+* :mod:`tests.oracles.training` — the serial DQN training chain (layer
+  backward, Huber loss, Adam, one agent and one update at a time) that
+  the lock-step trainer is pinned bit-identical to.
 """
