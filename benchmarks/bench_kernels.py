@@ -241,7 +241,7 @@ def test_policy_stack_cache_speedup():
     cfg = DQNConfig(
         observation_size=15, num_actions=160, hidden_sizes=(64, 64)
     )
-    agents = [agent_type(cfg, seed=derive(s, "train-agent")) for s in range(n)]
+    agents = [DQNAgent(cfg, seed=derive(s, "train-agent")) for s in range(n)]
     rng = np.random.default_rng(5)
     obs = rng.standard_normal((n, cfg.observation_size))
 

@@ -95,9 +95,7 @@ class DQNConfig:
         if self.warmup_transitions > self.replay_capacity:
             raise ConfigurationError(
                 f"warmup_transitions ({self.warmup_transitions}) exceeds "
-                f"replay_capacity ({self.replay_capacity}): the buffer can "
-                "never hold a warm-up's worth of transitions, so the agent "
-                "would never train"
+                f"replay_capacity ({self.replay_capacity}); the agent would never train"
             )
         if self.target_sync_interval < 1:
             raise ConfigurationError("target sync interval must be positive")

@@ -705,7 +705,10 @@ def train_dqn_batch(
         steps_per_episode=trainer.steps_per_episode,
     ):
         METRICS.set("dqn.env_batch", n)
-        telem = obs_telemetry.FlightRecorder("dqn", labels={"batch": str(n)})
+        telem = obs_telemetry.FlightRecorder(
+            "dqn",
+            labels={"batch": str(n), "seeds": ",".join(map(str, seed_list))},
+        )
         for _ in range(trainer.episodes):
             live = [agents[i] for i in active]
             obs = vec.reset()

@@ -41,8 +41,9 @@ Record types, one JSON object per line:
 Frames go through :mod:`repro.obs.sink`, which also carries them back
 from :class:`repro.exec.ParallelRunner` pool workers. A retried task's
 failed attempt never returns an envelope, and :func:`merge_frames`
-additionally dedupes on ``(series, window, shard)`` last-wins, so
-fault-policy retries cannot double-count a window. Telemetry never
+additionally dedupes on ``(series, window, shard)`` (generic frames:
+``(series, window, labels)``) last-wins, so fault-policy retries cannot
+double-count a window. Telemetry never
 touches a simulation random stream: engine results are bit-identical
 with telemetry on or off.
 """
@@ -296,20 +297,35 @@ def _merge_field_windows(frames: list[dict]) -> list[dict]:
 
 
 def _merge_generic_windows(frames: list[dict]) -> list[dict]:
-    """Order generic frames by window, deduping repeats last-wins."""
-    latest: dict[int, dict] = {}
+    """Sum each window's frames over the tasks that wrote them.
+
+    A frame's labels name its task, so a retried task's rewrite of the
+    same ``(window, labels)`` wins; distinct tasks add ``ticks`` and each
+    value, and the merged frame keeps the labels they share.
+    """
+    latest: dict[tuple[int, tuple], dict] = {}
     for frame in frames:
-        latest[int(frame["window"])] = frame
-    return [latest[w] for w in sorted(latest)]
+        labels = tuple(sorted((frame.get("labels") or {}).items()))
+        latest[(int(frame["window"]), labels)] = frame
+    merged: dict[int, dict] = {}
+    for (window, labels), frame in sorted(latest.items()):
+        row = merged.setdefault(
+            window, {"window": window, "ticks": 0, "labels": dict(labels), "values": {}}
+        )
+        row["ticks"] += int(frame.get("ticks", 1))
+        row["labels"] = {k: v for k, v in row["labels"].items() if (k, v) in labels}
+        for key, value in sorted((frame.get("values") or {}).items()):
+            row["values"][key] = row["values"].get(key, 0.0) + float(value)
+    return [merged[w] for w in sorted(merged)]
 
 
 def merge_frames(doc: ObsDoc) -> dict[str, list[dict]]:
     """Canonical merged view: series name -> merged window list.
 
     The ``"field"`` series merges shard-wise (see
-    :func:`_merge_field_windows`); any other series merges by window with
-    last-wins dedupe. The output depends only on the set of frames, never
-    on their order in the file.
+    :func:`_merge_field_windows`); any other series sums each window over
+    its tasks (see :func:`_merge_generic_windows`). The output depends
+    only on the set of frames, never on their order in the file.
     """
     by_series: dict[str, list[dict]] = {}
     for frame in doc.frames:

@@ -15,7 +15,7 @@ from repro.core.dqn import DQNAgent, DQNConfig, EpsilonSchedule
 from repro.core.envs import SweepJammingEnv
 from repro.core.mdp import MDPConfig
 from repro.core.replay import ReplayBuffer
-from repro.core.trainer import TrainerConfig, train_dqn, train_dqn_multi_seed
+from repro.core.trainer import TrainerConfig, train_dqn_multi_seed
 from repro.core.vecenv import (
     VectorEnv,
     clear_policy_stack_cache,
@@ -296,12 +296,6 @@ class TestBatchedEquivalence:
                 assert len(run.agent.replay) == run.steps
         assert runs[-1].episodes == 1
 
-    def test_single_seed_matches_train_dqn(self):
-        batched = train_dqn_batch(MDPConfig(), seeds=(7,), trainer=TINY)
-        solo = train_dqn(MDPConfig(), trainer=TINY, seed=7)
-        assert len(batched) == 1
-        assert_run_identical(batched[0], solo)
-
     def test_empty_seeds_rejected(self):
         with pytest.raises(TrainingError):
             train_dqn_batch(MDPConfig(), seeds=(), trainer=TINY)
@@ -318,19 +312,19 @@ class TestBatchedEquivalence:
 
 class TestMultiSeedComposition:
     def test_env_batch_matches_serial_path(self):
-        serial = train_dqn_multi_seed(
-            MDPConfig(), seeds=(0, 1, 2), trainer=TINY, workers=1, env_batch=1
-        )
-        batched = train_dqn_multi_seed(
-            MDPConfig(), seeds=(0, 1, 2), trainer=TINY, workers=1, env_batch=2
-        )
-        assert batched.seeds == serial.seeds
-        for a, b in zip(batched.results, serial.results):
-            np.testing.assert_array_equal(a.reward_history, b.reward_history)
-            for pa, pb in zip(
-                a.agent.network().parameters, b.agent.network().parameters
-            ):
-                np.testing.assert_array_equal(pa, pb)
+        seeds = (0, 1, 2)
+        serial = [training.train_dqn(MDPConfig(), trainer=TINY, seed=s) for s in seeds]
+        for env_batch in (1, 2):
+            multi = train_dqn_multi_seed(
+                MDPConfig(), seeds=seeds, trainer=TINY, workers=1, env_batch=env_batch
+            )
+            assert multi.seeds == seeds
+            for run, ref in zip(multi.results, serial):
+                np.testing.assert_array_equal(run.reward_history, ref.reward_history)
+                for pa, pb in zip(
+                    run.agent.network().parameters, ref.agent.network().parameters
+                ):
+                    np.testing.assert_array_equal(pa, pb)
 
     def test_fault_takes_out_whole_group(self):
         # fault_seed=2 at rate 0.5 fails exactly task index 0. With
@@ -349,9 +343,9 @@ class TestMultiSeedComposition:
         assert multi.seeds == (2, 3)
         assert len(multi.failures) == 1
         assert multi.failures[0].index == 0
-        solo = train_dqn(MDPConfig(), trainer=TINY, seed=2)
+        serial = training.train_dqn(MDPConfig(), trainer=TINY, seed=2)
         np.testing.assert_array_equal(
-            multi.results[0].reward_history, solo.reward_history
+            multi.results[0].reward_history, serial.reward_history
         )
 
 

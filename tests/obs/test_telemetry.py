@@ -279,3 +279,40 @@ class TestMergeFrames:
         merged = telemetry.merge_frames(self._doc(frames, tmp_path))["dqn"]
         assert [w["window"] for w in merged] == [0, 1]
         assert merged[0]["values"]["r"] == 1.0
+
+    def test_generic_merge_sums_tasks_per_window(self, tmp_path):
+        def frame(seeds, reward):
+            labels = {"batch": "1", "seeds": seeds}
+            return {
+                "type": "frame",
+                "series": "dqn",
+                "window": 0,
+                "ticks": 2,
+                "labels": labels,
+                "values": {"r": reward},
+            }
+
+        # Seed 1's task ran twice (a retry); its last frame wins.
+        frames = [frame("0", 1.0), frame("1", 9.0), frame("2", 4.0), frame("1", 2.0)]
+        merged = telemetry.merge_frames(self._doc(frames, tmp_path))["dqn"]
+        assert merged == [
+            {"window": 0, "ticks": 6, "labels": {"batch": "1"}, "values": {"r": 7.0}}
+        ]
+
+    def test_pooled_dqn_run_keeps_every_task(self, monkeypatch, tmp_path):
+        from repro.core.mdp import MDPConfig
+        from repro.core.trainer import TrainerConfig, train_dqn_multi_seed
+
+        path = _set_target(monkeypatch, tmp_path)
+        train_dqn_multi_seed(
+            MDPConfig(),
+            seeds=(0, 1, 2),
+            trainer=TrainerConfig(episodes=2, steps_per_episode=10),
+            workers=1,
+            env_batch=1,
+        )
+        telemetry.finish_run()
+        (window,) = telemetry.merge_frames(telemetry.load_telemetry(path))["dqn"]
+        assert window["ticks"] == 6
+        assert window["values"]["episodes"] == 6.0
+        assert window["labels"] == {"batch": "1"}
